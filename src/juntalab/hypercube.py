@@ -223,20 +223,24 @@ def eval_character(subset: SubsetMask, point: CubePoint) -> float:
 def walsh_hadamard(values) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform W[s] = sum_x (-1)^{|s & x|} v[x].
 
+    Transforms along the last axis, so a 2-D input is a batch of rows.
     In-place butterfly over bit positions, O(n 2^n); self-inverse up to 2^n.
     """
-    v = np.array(values, dtype=np.float64)
-    size = v.size
+    v = np.array(values, dtype=np.float64, ndmin=1)
+    shape = v.shape
+    size = shape[-1]
     if size & (size - 1) or size == 0:
         raise ValueError("input length must be a power of two")
     h = 1
     while h < size:
+        # Blocks of 2h never straddle two rows, so the flat butterfly is the
+        # batched one.
         v = v.reshape(-1, 2 * h)
         top = v[:, :h].copy()
         v[:, :h] = top + v[:, h:]
         v[:, h:] = top - v[:, h:]
         h *= 2
-    return v.reshape(size)
+    return v.reshape(shape)
 
 
 def fourier_transform(f: RealCubeFunction) -> FourierSpectrum:

@@ -1,10 +1,15 @@
 """Single-copy Pauli-basis measurement simulation and coefficient estimation.
 
-Measurement model: pick a basis word Q in {X,Y,Z}^n, rotate each qubit into
-the computational basis with the eigenbasis of Q_i, and Born-sample the
-diagonal. Eigenbasis phases are fixed once: X uses (|0> +/- |1>)/sqrt(2) and
-Y uses (|0> +/- i|1>)/sqrt(2); only the +/-1 eigenvalue labeling matters for
-the estimators.
+Measurement model: pick a basis word Q in {X,Y,Z}^n and Born-sample the
+joint +/-1 eigenvalues of its letters. With c(P) = Tr[P rho] / 2^n, the
+outcome distribution is
+``p_Q(x) = Tr[rho prod_i (I + x_i Q_i) / 2] = sum_{S subset [n]} c(Q_S) chi_S(x)``,
+where Q_S keeps Q on S and puts I elsewhere: the Walsh transform of the
+{I, Q_i} slice of the state's Pauli tensor (the inverse of the shadow
+estimator below). The tensor is computed once per state; each chunk gathers
+the slices of its distinct basis words with one index matrix, transforms
+them as one batch, and draws every row with one vectorized binary search.
+Only the +/-1 eigenvalue labeling enters, so no eigenbasis phases are fixed.
 
 The coefficient estimator for a Pauli word P averages
 ``3^|supp P| / 2^n * prod_{i in supp P} x_i [P_i == Q_i]`` over samples. It
@@ -29,24 +34,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .qstate import PauliString, as_matrix, _qubit_count
+from .hypercube import walsh_hadamard
+from .qstate import PauliString, _qubit_count, as_matrix, pauli_tensor
 
 MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
 
 _BASIS_CHARS = "XYZ"
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-# Columns are the +1 and -1 eigenvectors, in that order.
-_EIGENBASIS = {
-    1: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
-    2: np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=np.complex128),
-    3: np.eye(2, dtype=np.complex128),
-}
-
 
 class InvalidStateError(ValueError):
-    """Measurement diagonal fell below the PSD tolerance."""
+    """An outcome probability fell below the PSD tolerance."""
 
 
 @dataclass(frozen=True)
@@ -124,120 +122,118 @@ class ShadowSet:
             )
 
 
-def basis_rotation(basis: PauliBasisString) -> np.ndarray:
-    """Unitary whose columns are the joint eigenvectors of the basis word."""
-    out = np.ones((1, 1), dtype=np.complex128)
-    for code in basis.codes:
-        out = np.kron(out, _EIGENBASIS[code])
-    return out
-
-
-def born_probabilities(rho, basis: PauliBasisString) -> np.ndarray:
-    """Outcome probabilities over the 2^n joint eigenvectors of the basis word."""
-    mat = as_matrix(rho)
-    n = _qubit_count(mat.shape[0])
-    if n != basis.n:
-        raise ValueError("basis length does not match state")
-    rotation = basis_rotation(basis)
-    diag = np.einsum("jb,jk,kb->b", rotation.conj(), mat, rotation).real
-    if float(diag.min()) < -1e-9:
-        raise InvalidStateError(f"negative outcome probability {diag.min():.3e}")
-    diag = np.clip(diag, 0.0, None)
-    return diag / diag.sum()
-
-
-class _BornCache:
-    """Per-state cache of cumulative outcome distributions, keyed by basis word."""
-
-    def __init__(self, rho) -> None:
-        self.mat = as_matrix(rho)
-        self.n = _qubit_count(self.mat.shape[0])
-        if self.n > MAX_MEASURE_QUBITS:
-            raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
-        self._cums: dict[int, np.ndarray] = {}
-
-    def cumulative(self, key: int, codes_row: np.ndarray) -> np.ndarray:
-        cum = self._cums.get(key)
-        if cum is None:
-            basis = PauliBasisString(tuple(int(c) for c in codes_row))
-            cum = np.cumsum(born_probabilities(self.mat, basis))
-            self._cums[key] = cum
-        return cum
-
-
-def _basis_keys(codes: np.ndarray) -> np.ndarray:
-    keys = np.zeros(codes.shape[0], dtype=np.int64)
-    for col in range(codes.shape[1]):
-        keys = keys * 3 + (codes[:, col].astype(np.int64) - 1)
-    return keys
-
-
-def _outcome_bits_to_signs(draws: np.ndarray, n: int) -> np.ndarray:
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (draws[:, None] >> shifts) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
-def sample_outcomes(cache: _BornCache, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Born-sample one outcome row per basis row, using the provided uniforms."""
-    count, n = codes.shape
-    draws = np.empty(count, dtype=np.int64)
-    keys = _basis_keys(codes)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    start = 0
-    for stop in itertools.chain(boundaries.tolist(), [count]):
-        rows = order[start:stop]
-        cum = cache.cumulative(int(sorted_keys[start]), codes[rows[0]])
-        draws[rows] = np.minimum(
-            np.searchsorted(cum, uniforms[rows], side="right"), len(cum) - 1
-        )
-        start = stop
-    return _outcome_bits_to_signs(draws, n)
-
-
-def measure_in_pauli_basis(rho, basis: PauliBasisString, rng: np.random.Generator) -> tuple[int, ...]:
-    """One Born-rule sample of the state in the given product basis."""
+def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
+    """Qubit count and flat Pauli tensor of a state that may be measured."""
     mat = as_matrix(rho)
     n = _qubit_count(mat.shape[0])
     if n > MAX_MEASURE_QUBITS:
         raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
-    cum = np.cumsum(born_probabilities(mat, basis))
-    draw = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-    return tuple(int(v) for v in _outcome_bits_to_signs(np.array([draw]), n)[0])
+    return n, pauli_tensor(mat).reshape(-1)
+
+
+def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Outcome distributions of a batch of basis words, one row per word.
+
+    Row u is the Walsh transform of the {I, Q_i} slice of the Pauli tensor:
+    entry S of the slice is the coefficient of Q restricted to the qubits
+    whose bits are set in S.
+    """
+    count, n = words.shape
+    if coeffs.size != 4**n:
+        raise ValueError("basis length does not match state")
+    index = np.zeros((count, 1), dtype=np.int64)
+    for col in reversed(range(n)):
+        # Qubit col becomes the most significant bit of S so far.
+        digit = words[:, col, None].astype(np.int64) << 2 * (n - 1 - col)
+        index = np.concatenate([index, index + digit], axis=1)
+    probs = walsh_hadamard(coeffs[index])
+    low = float(probs.min())
+    if low < -1e-9:
+        raise InvalidStateError(f"negative outcome probability {low:.3e}")
+    np.maximum(probs, 0.0, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def born_probabilities(rho, basis: PauliBasisString) -> np.ndarray:
+    """Outcome probabilities over the 2^n joint eigenvectors of the basis word."""
+    return _born_rows(pauli_tensor(rho).reshape(-1), np.array([basis.codes]))[0]
+
+
+def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Born-sample one outcome row per basis row, using the provided uniforms.
+
+    ``coeffs`` is the state's flat Pauli tensor. Row r draws the outcome
+    ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of the cumulative
+    distribution of its basis word; every row is located by one n-step binary
+    search that counts the cumulative entries at or below its uniform.
+    """
+    n = codes.shape[1]
+    if codes.min() < 1 or codes.max() > 3:
+        raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
+    place = 3 ** np.arange(n - 1, -1, -1)
+    keys = (codes.astype(np.int64) - 1) @ place
+    present = np.zeros(3**n, dtype=bool)
+    present[keys] = True
+    words = np.flatnonzero(present)[:, None] // place % 3 + 1
+    cum = np.cumsum(_born_rows(coeffs, words), axis=1).reshape(-1)
+    # Rows search their word's block of the flat cumulatives: [start, start + 2^n).
+    start = (np.cumsum(present) - 1)[keys] << n
+    draws = start.copy()
+    step = 1 << (n - 1)
+    while step:
+        draws += step * (cum[draws + (step - 1)] <= uniforms)
+        step >>= 1
+    bits = (draws - start)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
+def measure_in_pauli_basis(rho, basis: PauliBasisString, rng: np.random.Generator) -> tuple[int, ...]:
+    """One Born-rule sample of the state in the given product basis.
+
+    Builds the Pauli tensor on every call; repeated draws from one state
+    belong in ``SimulatedStateAccess``, which builds it once.
+    """
+    _, coeffs = _measurement_coefficients(rho)
+    words = np.array([basis.codes], dtype=np.uint8)
+    return tuple(int(v) for v in sample_outcomes(coeffs, words, np.array([rng.random()]))[0])
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(chunk_index)])
 
 
-def collect_shadows(rho, T: int, seed: int) -> ShadowSet:
-    """T i.i.d. shadow samples: uniform basis words and Born-sampled outcomes.
+def collect_chunks(n: int, T: int, seed: int, measure) -> tuple[np.ndarray, np.ndarray]:
+    """T uniform basis words over n qubits and their measured outcomes.
 
-    Chunk ``c`` of 4096 samples is drawn from an RNG keyed ``(seed, c)``, so
-    the result is bitwise reproducible at any scheduling granularity.
+    Chunk ``c`` of up to 4096 words is drawn from an RNG keyed ``(seed, c)``
+    and handed to ``measure(codes, rng)`` together with that RNG, which the
+    callback may keep drawing from; the result is bitwise reproducible at
+    any scheduling granularity.
     """
+    codes_all = np.empty((T, n), dtype=np.uint8)
+    outs_all = np.empty((T, n), dtype=np.int8)
+    for chunk_index, done in enumerate(range(0, T, CHUNK)):
+        size = min(CHUNK, T - done)
+        rng = _chunk_rng(seed, chunk_index)
+        codes = rng.integers(1, 4, size=(size, n), dtype=np.uint8)
+        codes_all[done : done + size] = codes
+        outs_all[done : done + size] = measure(codes, rng)
+    return codes_all, outs_all
+
+
+def collect_shadows(rho, T: int, seed: int) -> ShadowSet:
+    """T i.i.d. shadow samples: uniform basis words and Born-sampled outcomes,
+    whose uniforms follow the words in each chunk's RNG stream."""
     if T < 1:
         raise ValueError("need at least one sample")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    cache = _BornCache(rho)
-    n = cache.n
-    codes_all = np.empty((T, n), dtype=np.uint8)
-    outs_all = np.empty((T, n), dtype=np.int8)
-    done = 0
-    chunk_index = 0
-    while done < T:
-        size = min(CHUNK, T - done)
-        rng = _chunk_rng(seed, chunk_index)
-        codes = rng.integers(1, 4, size=(size, n), dtype=np.uint8)
-        uniforms = rng.random(size)
-        codes_all[done : done + size] = codes
-        outs_all[done : done + size] = sample_outcomes(cache, codes, uniforms)
-        done += size
-        chunk_index += 1
-    return ShadowSet(n, codes_all, outs_all, seed)
+    n, coeffs = _measurement_coefficients(rho)
+    codes, outs = collect_chunks(
+        n, T, seed, lambda codes, rng: sample_outcomes(coeffs, codes, rng.random(len(codes)))
+    )
+    return ShadowSet(n, codes, outs, seed)
 
 
 def _support_totals(basis_codes: np.ndarray, outcomes: np.ndarray, cols: Sequence[int]) -> np.ndarray:
@@ -339,14 +335,26 @@ def dump_shadows(shadows: ShadowSet, path) -> None:
 
 
 def load_shadows(path) -> ShadowSet:
+    """Read a ``dump_shadows`` file, rejecting a body that disagrees with its header."""
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError("shadow file is empty: no header line")
     header = json.loads(lines[0])
     n, T = int(header["n"]), int(header["T"])
+    body = lines[1:]
+    if len(body) != T:
+        raise ValueError(f"shadow file header declares T={T} samples but the body has {len(body)} rows")
     codes = np.empty((T, n), dtype=np.uint8)
     outs = np.empty((T, n), dtype=np.int8)
-    for row, line in enumerate(lines[1 : T + 1]):
+    for row, line in enumerate(body):
         record = json.loads(line)
-        codes[row] = [_BASIS_CHARS.index(ch) + 1 for ch in record["Q"]]
-        outs[row] = record["x"]
+        basis, outcomes = record["Q"], record["x"]
+        if len(basis) != n or len(outcomes) != n:
+            raise ValueError(
+                f"sample {row + 1}: basis {basis!r} and outcomes {outcomes} "
+                f"must each have n={n} entries"
+            )
+        codes[row] = PauliBasisString.from_str(basis).codes
+        outs[row] = outcomes
     seed = header.get("seed")
     return ShadowSet(n, codes, outs, None if seed is None else int(seed))

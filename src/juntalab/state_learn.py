@@ -33,11 +33,10 @@ from .qstate import (
     pauli_reconstruct,
 )
 from .shadows import (
-    CHUNK,
     PauliBasisString,
-    _BornCache,
-    _chunk_rng,
     _low_degree_supports,
+    _measurement_coefficients,
+    collect_chunks,
     estimates_for_supports,
     sample_outcomes,
 )
@@ -73,8 +72,7 @@ class SimulatedStateAccess:
     def __init__(self, rho: DensityMatrix, seed: int, max_copies: int | None = None) -> None:
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        self._cache = _BornCache(rho)
-        self.n = self._cache.n
+        self.n, self._coeffs = _measurement_coefficients(rho)
         self._seed = int(seed)
         self._calls = 0
         self._copies = 0
@@ -94,7 +92,7 @@ class SimulatedStateAccess:
         rng = np.random.default_rng([self._seed, self._calls])
         self._calls += 1
         self._copies += codes.shape[0]
-        return sample_outcomes(self._cache, codes, rng.random(codes.shape[0]))
+        return sample_outcomes(self._coeffs, codes, rng.random(codes.shape[0]))
 
     def measure(self, basis: PauliBasisString) -> tuple[int, ...]:
         row = np.array([basis.codes], dtype=np.uint8)
@@ -163,20 +161,7 @@ def psd_project(matrix) -> DensityMatrix:
 
 
 def _collect_through_access(access: StateAccess, T: int, basis_seed: int):
-    n = access.n
-    codes_all = np.empty((T, n), dtype=np.uint8)
-    outs_all = np.empty((T, n), dtype=np.int8)
-    done = 0
-    chunk_index = 0
-    while done < T:
-        size = min(CHUNK, T - done)
-        rng = _chunk_rng(basis_seed, chunk_index)
-        codes = rng.integers(1, 4, size=(size, n), dtype=np.uint8)
-        codes_all[done : done + size] = codes
-        outs_all[done : done + size] = access.measure_chunk(codes)
-        done += size
-        chunk_index += 1
-    return codes_all, outs_all
+    return collect_chunks(access.n, T, basis_seed, lambda codes, _rng: access.measure_chunk(codes))
 
 
 def learn_junta_state(

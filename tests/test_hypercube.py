@@ -106,6 +106,15 @@ class TestFourierTransform:
     def test_walsh_hadamard_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_hadamard(np.ones(3))
+        with pytest.raises(ValueError):
+            walsh_hadamard(np.ones((4, 3)))
+
+    def test_walsh_hadamard_batches_rows(self):
+        rows = np.random.default_rng(8).standard_normal((5, 16))
+        batched = walsh_hadamard(rows)
+        assert batched.shape == (5, 16)
+        for row, out in zip(rows, batched):
+            assert np.array_equal(out, walsh_hadamard(row))
 
 
 class TestInverseTransform:

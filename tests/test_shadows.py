@@ -1,6 +1,8 @@
 """Pauli-basis measurement simulation and shadow estimators."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from juntalab.shadows import (
     estimate_lowdeg,
     load_shadows,
     measure_in_pauli_basis,
+    sample_outcomes,
     shadow_sample_count,
 )
 
@@ -72,15 +75,16 @@ class TestBasisString:
 class TestBornProbabilities:
     def test_matches_projector_oracle(self):
         rng = np.random.default_rng(3)
-        rho = random_density_matrix(2, rng)
-        for codes in itertools.product((1, 2, 3), repeat=2):
-            basis = PauliBasisString(codes)
-            probs = born_probabilities(rho, basis)
-            for outcome in range(4):
-                bits = (outcome >> 1 & 1, outcome & 1)
-                assert probs[outcome] == pytest.approx(
-                    born_probability_by_projectors(rho, basis, bits), abs=1e-12
-                )
+        for n in (2, 3):  # every basis word: 9 at n=2, 27 at n=3
+            rho = random_density_matrix(n, rng)
+            for codes in itertools.product((1, 2, 3), repeat=n):
+                basis = PauliBasisString(codes)
+                probs = born_probabilities(rho, basis)
+                for outcome in range(1 << n):
+                    bits = tuple(outcome >> (n - 1 - q) & 1 for q in range(n))
+                    assert probs[outcome] == pytest.approx(
+                        born_probability_by_projectors(rho, basis, bits), abs=1e-12
+                    )
 
     def test_normalized(self):
         rho = random_density_matrix(3, np.random.default_rng(5))
@@ -110,21 +114,43 @@ class TestMeasurement:
     def test_frequencies_match_born_rule(self):
         # 1e5 draws in each of the 9 two-qubit bases, through the same
         # sampling path measure_in_pauli_basis and collect_shadows share
-        from juntalab.shadows import _BornCache, sample_outcomes
-
         rng = np.random.default_rng(4)
         rho = random_density_matrix(2, rng)
-        cache = _BornCache(rho)
+        coeffs = pauli_tensor(rho).reshape(-1)
         draws = 100_000
         for codes in itertools.product((1, 2, 3), repeat=2):
             basis = PauliBasisString(codes)
             probs = born_probabilities(rho, basis)
             rows = np.tile(np.array(codes, dtype=np.uint8), (draws, 1))
-            outcomes = sample_outcomes(cache, rows, rng.random(draws))
+            outcomes = sample_outcomes(coeffs, rows, rng.random(draws))
             bits = (1 - outcomes) // 2
             observed = np.bincount(bits[:, 0] * 2 + bits[:, 1], minlength=4) / draws
             sigma = np.sqrt(probs * (1 - probs) / draws)
             assert np.all(np.abs(observed - probs) <= 5 * sigma + 1e-12)
+
+
+class TestSampleOutcomes:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matches_per_row_searchsorted(self, n):
+        # Reference: one searchsorted per row over the one-row Born kernel.
+        rng = np.random.default_rng(30 + n)
+        rho = random_density_matrix(n, rng)
+        codes = rng.integers(1, 4, size=(600, n), dtype=np.uint8)
+        codes[300:] = codes[:300]  # repeated words share one distribution
+        cums = [np.cumsum(born_probabilities(rho, PauliBasisString(tuple(row)))) for row in codes]
+        uniforms = rng.random(len(codes))
+        for row in range(0, 200):  # exactly on a cumulative boundary
+            uniforms[row] = cums[row][rng.integers(1 << n)]
+        uniforms[200:210] = np.nextafter(1.0, 0.0)
+        uniforms[210:220] = 1.0 - 1e-12
+        uniforms[220:230] = 0.0
+        for row in range(230, 240):  # at the last cumulative, which may be below 1
+            uniforms[row] = cums[row][-1]
+        got = sample_outcomes(pauli_tensor(rho).reshape(-1), codes, uniforms)
+        for row, (cum, u) in enumerate(zip(cums, uniforms)):
+            draw = min(int(np.searchsorted(cum, u, side="right")), (1 << n) - 1)
+            want = [1 - 2 * (draw >> (n - 1 - q) & 1) for q in range(n)]
+            assert got[row].tolist() == want, row
 
 
 class TestInvalidState:
@@ -148,6 +174,15 @@ class TestCollectShadows:
         b = collect_shadows(rho, 9000, seed=42)
         assert np.array_equal(a.basis_codes, b.basis_codes)
         assert np.array_equal(a.outcomes, b.outcomes)
+
+    def test_pinned_digest(self):
+        # Pins the chunk-keyed RNG stream and the Born draws across versions.
+        rho = random_density_matrix(3, np.random.default_rng(21))
+        shadow = collect_shadows(rho, 9000, seed=23)
+        digest = hashlib.sha256(shadow.basis_codes.tobytes() + shadow.outcomes.tobytes())
+        assert digest.hexdigest() == (
+            "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
+        )
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix.maximally_mixed(2)
@@ -269,8 +304,6 @@ class TestDumpLoad:
         assert np.array_equal(back.outcomes, shadow.outcomes)
 
     def test_format(self, tmp_path):
-        import json
-
         rho = DensityMatrix.maximally_mixed(1)
         shadow = collect_shadows(rho, 2, seed=0)
         path = tmp_path / "shadows.jsonl"
@@ -281,3 +314,32 @@ class TestDumpLoad:
         record = json.loads(lines[1])
         assert set(record) == {"Q", "x"}
         assert all(ch in "XYZ" for ch in record["Q"])
+
+    @pytest.fixture
+    def dumped(self, tmp_path):
+        rho = random_density_matrix(2, np.random.default_rng(18))
+        path = tmp_path / "shadows.jsonl"
+        dump_shadows(collect_shadows(rho, 50, seed=19), path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_body_rejected(self, dumped):
+        path, lines = dumped
+        path.write_text("\n".join(lines[:20]) + "\n")
+        with pytest.raises(ValueError, match="declares T=50 samples but the body has 19 rows"):
+            load_shadows(path)
+
+    def test_extra_rows_rejected(self, dumped):
+        path, lines = dumped
+        path.write_text("\n".join(lines + lines[1:6]) + "\n")
+        with pytest.raises(ValueError, match="declares T=50 samples but the body has 55 rows"):
+            load_shadows(path)
+
+    @pytest.mark.parametrize("field, value", [("Q", "XYZ"), ("x", [1])])
+    def test_wrong_row_length_rejected(self, dumped, field, value):
+        path, lines = dumped
+        record = json.loads(lines[7])
+        record[field] = value
+        lines[7] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="sample 7: .* must each have n=2 entries"):
+            load_shadows(path)

@@ -1,5 +1,6 @@
 """Junta-state learner, PSD projection, and the Choi-state learner."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from juntalab.qstate import (
     trace_distance,
 )
 from juntalab.qac0 import Qac0Circuit, ToffoliGate, choi_state_with_ancilla
+from juntalab.shadows import CHUNK, MAX_MEASURE_QUBITS
 from juntalab.state_learn import (
     LearnedState,
     SimulatedStateAccess,
+    _collect_through_access,
     coefficient_accuracy_target,
     junta_state_sample_count,
     learn_junta_state,
@@ -165,6 +168,31 @@ class TestSimulatedAccess:
         access = SimulatedStateAccess(truth, seed=3)
         out = access.measure_chunk(np.ones((5, 2), dtype=np.uint8))
         assert set(np.unique(out)).issubset({-1, 1})
+
+    @pytest.mark.parametrize("code", [0, 4])
+    def test_rejects_codes_outside_xyz(self, code):
+        access = SimulatedStateAccess(random_density_matrix(2, np.random.default_rng(2)), seed=1)
+        with pytest.raises(ValueError, match="basis codes must be"):
+            access.measure_chunk(np.array([[1, code]], dtype=np.uint8))
+
+    def test_measures_a_full_chunk_at_the_cap(self):
+        rng = np.random.default_rng(9)
+        truth = random_density_matrix(MAX_MEASURE_QUBITS, rng, rank=4)
+        access = SimulatedStateAccess(truth, seed=4)
+        codes = rng.integers(1, 4, size=(CHUNK, MAX_MEASURE_QUBITS), dtype=np.uint8)
+        out = access.measure_chunk(codes)
+        assert out.shape == (CHUNK, MAX_MEASURE_QUBITS) and out.dtype == np.int8
+        assert set(np.unique(out)).issubset({-1, 1})
+        assert access.copies_used == CHUNK
+
+    def test_pinned_digest(self):
+        # Pins the learner's basis stream and the access's outcome stream.
+        truth = random_density_matrix(4, np.random.default_rng(22))
+        codes, outs = _collect_through_access(SimulatedStateAccess(truth, seed=24), 9000, 25)
+        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
+        assert digest.hexdigest() == (
+            "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
+        )
 
     def test_exhaustion_propagates(self):
         from juntalab.state_learn import AccessExhaustedError
