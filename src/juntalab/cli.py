@@ -4,8 +4,11 @@ Grid experiments are replayable: every cell/trial derives its own integer
 seed from (master seed, cell index, trial index), records are canonically
 ordered and serialized with sorted keys, and no wall-clock data enters the
 record stream, so reruns at any thread count produce byte-identical output.
-Interactive single-run commands do print an ``elapsed_ms`` alongside their
-metrics; when they also write ``--out`` files the timing field is dropped.
+Each single-run command is one call of its grid runner in ``CELL_RUNNERS``
+with the loaded truth file (or, where the truth is optional, the instance
+planted from ``--seed``), so it prints the metrics a grid record would hold
+for that truth plus ``elapsed_ms``, the wall time of the whole call; its
+``--out`` file leaves the timing out.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dist_learn, qac0, qstate, shadows, state_learn, state_test
-from .hypercube import load_distribution, mask_to_variables, tv_distance
+from .hypercube import (
+    degree,
+    fourier_transform,
+    load_distribution,
+    mask_to_variables,
+    require_fields,
+    tv_distance,
+)
 
 ARTIFACT_VERSION = "juntalab-0.1.0"
 THREADS_ENV = "JUNTALAB_THREADS"
@@ -38,9 +48,12 @@ def _derive_seed(*parts: int) -> int:
 def default_thread_count() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def frobenius_merit(truth, approx, scale_qubits: int) -> float:
@@ -56,16 +69,22 @@ def support_recovered(truth: qstate.DensityMatrix, spectrum: qstate.PauliSpectru
 
 
 # ---------------------------------------------------------------------------
-# Cell runners: one metrics dict per (parameters, seed), fully deterministic.
+# Runners: one metrics dict per (parameters, seed), fully deterministic. With
+# no truth they plant the instance from the seed and add what needs it
+# (planted variables, test-state correctness); single-run commands pass the
+# loaded distribution, state or circuit as ``truth``.
 # ---------------------------------------------------------------------------
 
 
-def _run_learn_dist(params: dict, seed: int) -> dict:
-    n, k = int(params["n"]), int(params["k"])
+def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
+    k = int(params["k"])
     eps, delta = float(params["eps"]), float(params["delta"])
     c = float(params.get("c", dist_learn.DEFAULT_C))
-    instance_rng = np.random.default_rng([seed, 0])
-    truth, variables = dist_learn.random_junta_distribution(n, k, instance_rng)
+    planted = {}
+    if truth is None:
+        instance_rng = np.random.default_rng([seed, 0])
+        truth, variables = dist_learn.random_junta_distribution(int(params["n"]), k, instance_rng)
+        planted["planted_variables"] = list(variables)
     sampler = dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1))
     result = dist_learn.learn_junta_distribution(
         sampler, dist_learn.LearnerConfig(k=k, eps=eps, delta=delta, c=c)
@@ -73,9 +92,9 @@ def _run_learn_dist(params: dict, seed: int) -> dict:
     return {
         "T": result.sample_count,
         "tv_exact": tv_distance(result.distribution, truth),
-        "surviving_sets": [list(mask_to_variables(m, n)) for m, _ in result.surviving.items()],
+        "surviving_sets": [list(mask_to_variables(m, truth.n)) for m, _ in result.surviving.items()],
         "junta_variables": list(result.junta_variables),
-        "planted_variables": list(variables),
+        **planted,
     }
 
 
@@ -85,11 +104,14 @@ def _planted_junta_state(n: int, k: int, rng: np.random.Generator):
     return qstate.embed_on(block, variables, n), variables
 
 
-def _run_learn_state(params: dict, seed: int) -> dict:
-    n, k = int(params["n"]), int(params["k"])
+def _run_learn_state(params: dict, seed: int, truth=None) -> dict:
+    k = int(params["k"])
     eps, delta = float(params["eps"]), float(params["delta"])
     c = float(params.get("c", state_learn.DEFAULT_C))
-    truth, variables = _planted_junta_state(n, k, np.random.default_rng([seed, 0]))
+    planted = {}
+    if truth is None:
+        truth, variables = _planted_junta_state(int(params["n"]), k, np.random.default_rng([seed, 0]))
+        planted["planted_variables"] = list(variables)
     access = state_learn.SimulatedStateAccess(truth, _derive_seed(seed, 1))
     result = state_learn.learn_junta_state(
         access, k, eps, delta, c, basis_seed=_derive_seed(seed, 2)
@@ -97,28 +119,29 @@ def _run_learn_state(params: dict, seed: int) -> dict:
     return {
         "T": result.copies_used,
         "trace_distance": qstate.trace_distance(result.psd_projected, truth),
-        "frobenius_merit": frobenius_merit(truth, result.matrix, n),
+        "frobenius_merit": frobenius_merit(truth, result.matrix, truth.n),
         "support_recovered": support_recovered(truth, result.spectrum),
-        "planted_variables": list(variables),
+        **planted,
     }
 
 
-def _run_test_state(params: dict, seed: int) -> dict:
-    n, k = int(params["n"]), int(params["k"])
+def _run_test_state(params: dict, seed: int, truth=None) -> dict:
+    k = int(params["k"])
     eps, delta = float(params["eps"]), float(params["delta"])
-    case = str(params.get("case", "close"))
     certifier_kind = str(params.get("certifier", "oracle"))
-    rng = np.random.default_rng([seed, 0])
-    if case == "close":
-        truth, _ = _planted_junta_state(n, k, rng)
-        want = state_test.JUNTA_CLOSE
-    elif case == "far":
-        amplitudes = np.zeros(1 << n)
-        amplitudes[0] = 1.0
-        truth = qstate.DensityMatrix.pure(amplitudes)
-        want = state_test.JUNTA_FAR
-    else:
-        raise ValueError(f"unknown case {case!r}")
+    want = None
+    if truth is None:
+        n, case = int(params["n"]), str(params.get("case", "close"))
+        if case == "close":
+            truth, _ = _planted_junta_state(n, k, np.random.default_rng([seed, 0]))
+            want = state_test.JUNTA_CLOSE
+        elif case == "far":
+            amplitudes = np.zeros(1 << n)
+            amplitudes[0] = 1.0
+            truth = qstate.DensityMatrix.pure(amplitudes)
+            want = state_test.JUNTA_FAR
+        else:
+            raise ValueError(f"unknown case {case!r}")
     access = state_learn.SimulatedStateAccess(truth, _derive_seed(seed, 1))
     if certifier_kind == "oracle":
         certifier = state_test.OracleCertifier(truth)
@@ -129,18 +152,16 @@ def _run_test_state(params: dict, seed: int) -> dict:
     verdict = state_test.test_junta(
         access, k, eps, delta, certifier, seed=_derive_seed(seed, 3)
     )
-    return {
-        "decision": verdict.decision,
-        "correct": verdict.decision == want,
-        "copies_used": verdict.copies_used,
-        "best_K": list(verdict.best_variables),
-    }
+    metrics = verdict.to_dict()
+    if want is not None:
+        metrics["correct"] = verdict.decision == want
+    return metrics
 
 
-def _run_shadows_bench(params: dict, seed: int) -> dict:
-    n, total = int(params["n"]), int(params["T"])
-    k = int(params.get("k", 2))
-    truth = qstate.random_density_matrix(n, np.random.default_rng([seed, 0]))
+def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
+    total, k = int(params["T"]), int(params.get("k", 2))
+    if truth is None:
+        truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
     shadow_set = shadows.collect_shadows(truth, total, _derive_seed(seed, 1))
     estimates = shadows.estimate_lowdeg(shadow_set, k)
     exact = qstate.pauli_tensor(truth).reshape(-1)
@@ -153,11 +174,9 @@ def _run_shadows_bench(params: dict, seed: int) -> dict:
     }
 
 
-def _run_address(params: dict, seed: int) -> dict:
+def _run_address(params: dict, seed: int, truth=None) -> dict:
     d, k = int(params["D"]), int(params["k"])
     f = qac0.address_function(d)
-    from .hypercube import degree, fourier_transform
-
     return {
         "degree": degree(fourier_transform(f)),
         "distance": qac0.boolean_distance_to_junta(f, k),
@@ -165,42 +184,50 @@ def _run_address(params: dict, seed: int) -> dict:
     }
 
 
-def _run_qac0_analyze(params: dict, seed: int) -> dict:
-    n, a = int(params["n"]), int(params["a"])
-    depth = int(params.get("depth", 2))
-    arity = int(params.get("arity", 3))
-    circuit = qac0.random_circuit(n, a, depth, np.random.default_rng([seed, 0]))
+def _planted_circuit(params: dict, seed: int, default_depth: int) -> qac0.Qac0Circuit:
+    depth = int(params.get("depth", default_depth))
+    return qac0.random_circuit(
+        int(params["n"]), int(params["a"]), depth, np.random.default_rng([seed, 0])
+    )
+
+
+def _run_qac0_analyze(params: dict, seed: int, truth=None) -> dict:
+    circuit = truth if truth is not None else _planted_circuit(params, seed, default_depth=2)
     cone = qac0.light_cone(circuit, circuit.output_qubit)
-    full = qac0.choi_state_full(circuit)
-    _, residual = qac0.concentration_search(full.state, len(cone) + 1)
-    mass, removed = qac0.removal_pauli_mass_shift(circuit, arity)
-    return {
+    metrics = {
         "size": circuit.size,
         "depth": circuit.depth,
+        "light_cone": list(cone),
         "cone_size": len(cone),
-        "concentration_residual": residual,
-        "removal_mass_shift": mass,
-        "removed_gates": removed,
     }
+    if circuit.total_qubits <= qac0.MAX_FULL_CHOI_CIRCUIT_QUBITS:
+        full = qac0.choi_state_full(circuit)
+        best, residual = qac0.concentration_search(full.state, len(cone) + 1)
+        mass, removed = qac0.removal_pauli_mass_shift(circuit, int(params.get("arity", 3)))
+        metrics.update(
+            concentration_K=list(best),
+            concentration_residual=residual,
+            removal_mass_shift=mass,
+            removed_gates=removed,
+        )
+    return metrics
 
 
-def _run_qac0_learn(params: dict, seed: int) -> dict:
-    n, a = int(params["n"]), int(params["a"])
-    depth = int(params.get("depth", 1))
+def _run_qac0_learn(params: dict, seed: int, truth=None) -> dict:
     eps, delta = float(params["eps"]), float(params["delta"])
     c = float(params.get("c", state_learn.DEFAULT_C))
-    circuit = qac0.random_circuit(n, a, depth, np.random.default_rng([seed, 0]))
-    truth = qac0.choi_state_with_ancilla(circuit)
-    access = state_learn.SimulatedStateAccess(truth.state, _derive_seed(seed, 1))
+    circuit = truth if truth is not None else _planted_circuit(params, seed, default_depth=1)
+    choi = qac0.choi_state_with_ancilla(circuit)
+    access = state_learn.SimulatedStateAccess(choi.state, _derive_seed(seed, 1))
     result = state_learn.learn_qac0_choi(
-        access, circuit.size, circuit.depth, a, eps, delta, c,
+        access, circuit.size, circuit.depth, circuit.a, eps, delta, c,
         basis_seed=_derive_seed(seed, 2),
     )
     return {
         "T": result.copies_used,
         "junta_arity": result.junta_arity,
-        "frobenius_merit": frobenius_merit(truth.state, result.matrix, n),
-        "trace_distance": qstate.trace_distance(result.psd_projected, truth.state),
+        "frobenius_merit": frobenius_merit(choi.state, result.matrix, circuit.n),
+        "trace_distance": qstate.trace_distance(result.psd_projected, choi.state),
     }
 
 
@@ -312,10 +339,14 @@ def write_records(records: list[ResultRecord], path) -> None:
 
 def load_records(path) -> list[ResultRecord]:
     records = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        payload = json.loads(line)
+        payload = require_fields(
+            json.loads(line),
+            ("command", "cell", "trial", "parameters", "seed", "status"),
+            f"{path} line {number}",
+        )
         records.append(
             ResultRecord(
                 command=payload["command"],
@@ -361,74 +392,19 @@ def emit_curve(records, x_param: str, y_metric: str, aggregator: str = "mean", q
 # ---------------------------------------------------------------------------
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    print(json.dumps(payload, sort_keys=True))
-    if out:
-        stripped = {k: v for k, v in payload.items() if k != "elapsed_ms"}
-        Path(out).write_text(json.dumps(stripped, sort_keys=True) + "\n")
-
-
-def _check_declared_n(declared, actual: int) -> None:
-    if declared is not None and declared != actual:
-        raise ValueError(f"--n {declared} does not match the truth file ({actual} variables)")
-
-
-def _cmd_learn_dist(args) -> int:
-    truth = load_distribution(args.truth)
-    _check_declared_n(args.n, truth.n)
-    sampler = dist_learn.SimulatedSampler(truth, _derive_seed(args.seed, 1))
-    cfg = dist_learn.LearnerConfig(k=args.k, eps=args.eps, delta=args.delta, c=args.c)
+def _cmd_single(args) -> int:
+    """One call of the command's runner on the loaded truth (or on the
+    instance planted from ``--seed`` when there is none), plus ``elapsed_ms``."""
+    truth = args.load(args.truth) if getattr(args, "truth", None) else None
+    declared = getattr(args, "n", None)
+    if truth is not None and declared is not None and declared != truth.n:
+        raise ValueError(f"--n {declared} does not match the truth file ({truth.n} variables)")
     start = time.perf_counter()
-    result = dist_learn.learn_junta_distribution(sampler, cfg)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    _emit(
-        {
-            "T": result.sample_count,
-            "tv_exact": tv_distance(result.distribution, truth),
-            "elapsed_ms": elapsed,
-            "surviving_sets": [
-                list(mask_to_variables(m, truth.n)) for m, _ in result.surviving.items()
-            ],
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_learn_state(args) -> int:
-    truth = qstate.load_state(args.truth)
-    _check_declared_n(args.n, truth.n)
-    access = state_learn.SimulatedStateAccess(truth, _derive_seed(args.seed, 1))
-    start = time.perf_counter()
-    result = state_learn.learn_junta_state(
-        access, args.k, args.eps, args.delta, args.c, basis_seed=_derive_seed(args.seed, 2)
-    )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    _emit(
-        {
-            "T": result.copies_used,
-            "trace_distance": qstate.trace_distance(result.psd_projected, truth),
-            "frobenius_merit": frobenius_merit(truth, result.matrix, truth.n),
-            "support_recovered": support_recovered(truth, result.spectrum),
-            "elapsed_ms": elapsed,
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_test_state(args) -> int:
-    truth = qstate.load_state(args.truth)
-    _check_declared_n(args.n, truth.n)
-    access = state_learn.SimulatedStateAccess(truth, _derive_seed(args.seed, 1))
-    if args.certifier == "oracle":
-        certifier = state_test.OracleCertifier(truth)
-    else:
-        certifier = state_test.FrobeniusCertifier(seed=_derive_seed(args.seed, 2))
-    verdict = state_test.test_junta(
-        access, args.k, args.eps, args.delta, certifier, seed=_derive_seed(args.seed, 3)
-    )
-    _emit(verdict.to_dict(), args.out)
+    metrics = CELL_RUNNERS[args.runner](vars(args), args.seed, truth)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    print(json.dumps({**metrics, "elapsed_ms": elapsed_ms}, sort_keys=True))
+    if args.out:
+        Path(args.out).write_text(json.dumps(metrics, sort_keys=True) + "\n")
     return 0
 
 
@@ -444,96 +420,14 @@ def _cmd_qac0_choi(args) -> int:
     return 0
 
 
-def _cmd_qac0_analyze(args) -> int:
-    circuit = qac0.load_circuit(args.circuit)
-    cone = qac0.light_cone(circuit, circuit.output_qubit)
-    payload: dict = {
-        "size": circuit.size,
-        "depth": circuit.depth,
-        "light_cone": list(cone),
-    }
-    if circuit.total_qubits <= qac0.MAX_FULL_CHOI_CIRCUIT_QUBITS:
-        full = qac0.choi_state_full(circuit)
-        best, residual = qac0.concentration_search(full.state, len(cone) + 1)
-        mass, removed = qac0.removal_pauli_mass_shift(circuit, args.arity)
-        payload.update(
-            {
-                "concentration_K": list(best),
-                "concentration_residual": residual,
-                "removal_mass_shift": mass,
-                "removed_gates": removed,
-            }
-        )
-    _emit(payload, args.out)
-    return 0
-
-
-def _cmd_qac0_learn(args) -> int:
-    circuit = qac0.load_circuit(args.circuit)
-    truth = qac0.choi_state_with_ancilla(circuit)
-    access = state_learn.SimulatedStateAccess(truth.state, _derive_seed(args.seed, 1))
-    result = state_learn.learn_qac0_choi(
-        access, circuit.size, circuit.depth, circuit.a, args.eps, args.delta, args.c,
-        basis_seed=_derive_seed(args.seed, 2),
-    )
-    _emit(
-        {
-            "T": result.copies_used,
-            "junta_arity": result.junta_arity,
-            "frobenius_merit": frobenius_merit(truth.state, result.matrix, circuit.n),
-            "trace_distance": qstate.trace_distance(result.psd_projected, truth.state),
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_shadows_bench(args) -> int:
-    if args.truth:
-        truth = qstate.load_state(args.truth)
-    else:
-        truth = qstate.random_density_matrix(args.n, np.random.default_rng([args.seed, 0]))
-    start = time.perf_counter()
-    shadow_set = shadows.collect_shadows(truth, args.T, _derive_seed(args.seed, 1))
-    estimates = shadows.estimate_lowdeg(shadow_set, args.k)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    exact = qstate.pauli_tensor(truth).reshape(-1)
-    errors = [abs(v - exact[p.packed]) for p, v in estimates.items()]
-    _emit(
-        {
-            "T": args.T,
-            "k": args.k,
-            "max_abs_error": max(errors),
-            "rms_error": math.sqrt(sum(e * e for e in errors) / len(errors)),
-            "elapsed_ms": elapsed,
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_address(args) -> int:
-    f = qac0.address_function(args.D)
-    from .hypercube import degree, fourier_transform
-
-    _emit(
-        {
-            "degree": degree(fourier_transform(f)),
-            "distance": qac0.boolean_distance_to_junta(f, args.k),
-            "lower_bound": ((1 << args.D) - args.k) / (1 << (args.D + 1)),
-        },
-        args.out,
-    )
-    return 0
-
-
 def _cmd_run(args) -> int:
     try:
         spec = ExperimentSpec.from_dict(json.loads(Path(args.spec).read_text()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"invalid experiment spec: {exc}", file=sys.stderr)
         return 1
-    records = run_experiment(spec, threads=args.threads)
+    threads = args.threads if args.threads is not None else default_thread_count()
+    records = run_experiment(spec, threads=threads)
     out = args.out or spec.out
     if out:
         write_records(records, out)
@@ -562,37 +456,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="juntalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, c_default=8.0):
+    def single(p, runner: str, load=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_single, runner=runner, load=load)
         return p
 
-    p = common(sub.add_parser("learn-dist", help="learn a junta distribution from samples"))
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    def junta(name: str, summary: str, load, truth_help: str):
+        p = single(sub.add_parser(name, help=summary), name, load)
+        p.add_argument("--n", type=int, required=False)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--truth", required=True, help=truth_help)
+        return p
+
+    p = junta("learn-dist", "learn a junta distribution from samples",
+              load_distribution, "distribution JSON file")
     p.add_argument("--c", type=float, default=dist_learn.DEFAULT_C)
-    p.add_argument("--truth", required=True, help="distribution JSON file")
-    p.set_defaults(func=_cmd_learn_dist)
 
-    p = common(sub.add_parser("learn-state", help="learn a junta state from Pauli shadows"))
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = junta("learn-state", "learn a junta state from Pauli shadows",
+              qstate.load_state, "state JSON file")
     p.add_argument("--c", type=float, default=state_learn.DEFAULT_C)
-    p.add_argument("--truth", required=True, help="state JSON file")
-    p.set_defaults(func=_cmd_learn_state)
 
-    p = common(sub.add_parser("test-state", help="test whether a state is close to a junta"))
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--truth", required=True, help="state JSON file")
+    p = junta("test-state", "test whether a state is close to a junta",
+              qstate.load_state, "state JSON file")
     p.add_argument("--certifier", choices=("frobenius", "oracle"), default="frobenius")
-    p.set_defaults(func=_cmd_test_state)
 
     qac0_parser = sub.add_parser("qac0", help="circuit Choi-state tooling")
     qac0_sub = qac0_parser.add_subparsers(dest="qac0_command", required=True)
@@ -603,37 +492,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_qac0_choi)
 
-    p = common(qac0_sub.add_parser("analyze", help="light cone and spectrum concentration"))
-    p.add_argument("--circuit", required=True)
+    p = single(qac0_sub.add_parser("analyze", help="light cone and spectrum concentration"),
+               "qac0-analyze", qac0.load_circuit)
+    p.add_argument("--circuit", dest="truth", metavar="CIRCUIT", required=True)
     p.add_argument("--arity", type=int, default=3)
-    p.set_defaults(func=_cmd_qac0_analyze)
 
-    p = common(qac0_sub.add_parser("learn", help="learn a circuit's Choi state"))
-    p.add_argument("--circuit", required=True)
+    p = single(qac0_sub.add_parser("learn", help="learn a circuit's Choi state"),
+               "qac0-learn", qac0.load_circuit)
+    p.add_argument("--circuit", dest="truth", metavar="CIRCUIT", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--c", type=float, default=state_learn.DEFAULT_C)
-    p.set_defaults(func=_cmd_qac0_learn)
 
     shadows_parser = sub.add_parser("shadows", help="shadow estimation tooling")
     shadows_sub = shadows_parser.add_subparsers(dest="shadows_command", required=True)
-    p = common(shadows_sub.add_parser("bench", help="estimation error against a known state"))
+    p = single(shadows_sub.add_parser("bench", help="estimation error against a known state"),
+               "shadows-bench", qstate.load_state)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--truth", default=None)
-    p.set_defaults(func=_cmd_shadows_bench)
 
     address_parser = sub.add_parser("address", help="address-function tooling")
     address_sub = address_parser.add_subparsers(dest="address_command", required=True)
-    p = common(address_sub.add_parser("distance", help="exact distance to k-juntas"))
+    p = single(address_sub.add_parser("distance", help="exact distance to k-juntas"),
+               "address-distance")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_address)
 
     p = sub.add_parser("run", help="run a grid experiment spec")
     p.add_argument("spec", help="experiment spec JSON file")
-    p.add_argument("--threads", type=int, default=default_thread_count())
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default: ${THREADS_ENV}, else 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 

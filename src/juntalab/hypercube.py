@@ -283,6 +283,17 @@ def save_distribution(dist: Distribution, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def require_fields(payload, fields, source) -> dict:
+    """``payload`` if it is a JSON object holding every one of ``fields``;
+    otherwise a ValueError that names ``source`` and the missing field."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: expected a JSON object")
+    for name in fields:
+        if name not in payload:
+            raise ValueError(f"{source}: missing field {name!r}")
+    return payload
+
+
 def load_distribution(path) -> Distribution:
-    payload = json.loads(Path(path).read_text())
+    payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path)
     return Distribution.from_values(int(payload["n"]), payload["values"])

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .hypercube import RealCubeFunction
-from .jacobi import eigh_hermitian
+from .hypercube import RealCubeFunction, require_fields
 from .qstate import (
     DensityMatrix,
     as_matrix,
@@ -222,7 +221,7 @@ def choi_state_with_ancilla(circuit: Qac0Circuit, sigma: DensityMatrix | None = 
         raise ValueError("sigma must live on the ancilla+output register")
     unitary = circuit_unitary(circuit)
     in_dim = 1 << circuit.n
-    w, v = eigh_hermitian(sigma.entries)
+    w, v = np.linalg.eigh(sigma.entries)
     choi = np.zeros((2 * in_dim, 2 * in_dim), dtype=np.complex128)
     for weight, column in zip(w, v.T):
         if weight < 1e-14:
@@ -462,22 +461,30 @@ def save_circuit(circuit: Qac0Circuit, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def _gate_from_json(obj: dict) -> Gate:
-    if obj["type"] == "u1":
+_GATE_FIELDS = {"u1": ("q", "re", "im"), "toffoli": ("controls", "target")}
+
+
+def _gate_from_json(obj: dict, source: str) -> Gate:
+    kind = require_fields(obj, ("type",), source)["type"]
+    if kind not in _GATE_FIELDS:
+        raise ValueError(f"{source}: unknown gate type {kind!r}")
+    require_fields(obj, _GATE_FIELDS[kind], source)
+    if kind == "u1":
         mat = np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)
         return SingleQubitGate(int(obj["q"]), mat)
-    if obj["type"] == "toffoli":
-        return ToffoliGate(tuple(int(c) for c in obj["controls"]), int(obj["target"]))
-    raise ValueError(f"unknown gate type {obj.get('type')!r}")
+    return ToffoliGate(tuple(int(c) for c in obj["controls"]), int(obj["target"]))
 
 
 def load_circuit(path) -> Qac0Circuit:
-    payload = json.loads(Path(path).read_text())
-    sigma_obj = payload["sigma"]
+    payload = require_fields(
+        json.loads(Path(path).read_text()), ("n", "a", "layers", "sigma"), path
+    )
+    sigma_obj = require_fields(payload["sigma"], ("re", "im"), f"{path} sigma")
     sigma_mat = np.array(sigma_obj["re"], dtype=np.float64) + 1j * np.array(
         sigma_obj["im"], dtype=np.float64
     )
     layers = tuple(
-        tuple(_gate_from_json(g) for g in layer) for layer in payload["layers"]
+        tuple(_gate_from_json(g, f"{path} layer {i} gate {j}") for j, g in enumerate(layer))
+        for i, layer in enumerate(payload["layers"])
     )
     return Qac0Circuit(int(payload["n"]), int(payload["a"]), layers, DensityMatrix(sigma_mat))

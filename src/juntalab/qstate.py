@@ -22,8 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .hypercube import Distribution
-from .jacobi import eigvalsh_hermitian
+from .hypercube import Distribution, require_fields
 
 MAX_STATE_QUBITS = 12
 MAX_EXPAND_QUBITS = 10
@@ -211,7 +210,7 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     def min_eigenvalue(self) -> float:
-        return float(eigvalsh_hermitian(self.entries)[0])
+        return float(np.linalg.eigvalsh(self.entries)[0])
 
     def validate(self) -> dict:
         """Strict diagnostic: Hermiticity defect, trace defect, min eigenvalue."""
@@ -295,14 +294,24 @@ def pauli_reconstruct(spec: PauliSpectrum) -> np.ndarray:
     return pauli_tensor_to_matrix(spec.to_tensor())
 
 
+def hermitian_matrix(matrix) -> np.ndarray:
+    """The matrix as complex128; ValueError unless it is square and Hermitian
+    to 1e-8 of its Frobenius norm (or of 1, if larger)."""
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    scale = max(1.0, float(np.linalg.norm(mat)))
+    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-8 * scale:
+        raise ValueError("matrix is not Hermitian")
+    return mat
+
+
 def trace_distance(a, b) -> float:
-    """Full trace norm of the difference (no 1/2 factor), via Jacobi eigenvalues."""
-    delta = as_matrix(a) - as_matrix(b)
-    if delta.shape[0] != delta.shape[1] or as_matrix(a).shape != as_matrix(b).shape:
+    """Full trace norm of the difference (no 1/2 factor), from LAPACK eigenvalues."""
+    ma, mb = as_matrix(a), as_matrix(b)
+    if ma.shape != mb.shape:
         raise ValueError("dimension mismatch")
-    if delta.shape == (1, 1):
-        return float(abs(delta[0, 0]))
-    return float(np.sum(np.abs(eigvalsh_hermitian(delta))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_matrix(ma - mb)))))
 
 
 def frobenius_distance(a, b) -> float:
@@ -442,7 +451,7 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    payload = json.loads(Path(path).read_text())
+    payload = require_fields(json.loads(Path(path).read_text()), ("n", "re", "im"), path)
     mat = np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"], dtype=np.float64)
     state = DensityMatrix(mat)
     if state.n != int(payload["n"]):

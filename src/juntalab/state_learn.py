@@ -25,11 +25,11 @@ from typing import Protocol
 
 import numpy as np
 
-from .jacobi import eigh_hermitian
 from .qstate import (
     DensityMatrix,
     PauliSpectrum,
     PauliString,
+    hermitian_matrix,
     pauli_reconstruct,
 )
 from .shadows import (
@@ -152,7 +152,7 @@ def threshold_pauli(estimates, k: int, eps: float, n: int) -> PauliSpectrum:
 
 def psd_project(matrix) -> DensityMatrix:
     """Clip negative eigenvalues to zero and renormalize the trace to 1."""
-    w, v = eigh_hermitian(np.asarray(matrix, dtype=np.complex128))
+    w, v = np.linalg.eigh(hermitian_matrix(matrix))
     clipped = np.clip(w, 0.0, None)
     total = float(clipped.sum())
     if total <= 0.0:

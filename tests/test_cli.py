@@ -10,6 +10,7 @@ from juntalab.cli import (
     CELL_RUNNERS,
     ExperimentSpec,
     ResultRecord,
+    _planted_junta_state,
     emit_curve,
     load_records,
     main,
@@ -149,7 +150,7 @@ class TestCommands:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"T", "tv_exact", "elapsed_ms", "surviving_sets"}
+        assert set(payload) == {"T", "tv_exact", "elapsed_ms", "surviving_sets", "junta_variables"}
         assert payload["tv_exact"] <= 0.25
         stored = json.loads((tmp_path / "res.json").read_text())
         assert "elapsed_ms" not in stored
@@ -220,6 +221,7 @@ class TestCommands:
         rc = main(["address", "distance", "--D", "2", "--k", "1"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("elapsed_ms") >= 0.0
         assert payload == {"degree": 3, "distance": 0.375, "lower_bound": 0.375}
 
     def test_run_command_exit_codes(self, tmp_path, capsys):
@@ -247,10 +249,26 @@ class TestCommands:
 
         monkeypatch.setenv("JUNTALAB_THREADS", "5")
         assert default_thread_count() == 5
-        monkeypatch.setenv("JUNTALAB_THREADS", "bogus")
-        assert default_thread_count() == 1
+        for bad in ("bogus", "0"):
+            monkeypatch.setenv("JUNTALAB_THREADS", bad)
+            with pytest.raises(ValueError, match=f"positive integer, got '{bad}'"):
+                default_thread_count()
         monkeypatch.delenv("JUNTALAB_THREADS")
         assert default_thread_count() == 1
+
+    def test_bad_thread_env_fails_only_run(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"command": "address-distance", "grid": {"D": [1], "k": [0]}, "seed": 0}
+        ))
+        monkeypatch.setenv("JUNTALAB_THREADS", "bogus")
+        assert main(["address", "distance", "--D", "1", "--k", "0"]) == 0
+        assert main(["run", str(spec_path), "--threads", "2"]) == 0
+        capsys.readouterr()
+        assert main(["run", str(spec_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: JUNTALAB_THREADS must be a positive integer, got 'bogus'\n"
+        )
 
     def test_curve_command(self, tmp_path, capsys):
         spec = {"command": "address-distance", "grid": {"D": [1, 2], "k": [1]},
@@ -264,3 +282,89 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "D,distance_mean,count"
         assert len(lines) == 3
+
+
+# (command, grid parameters, the same run's command line without its truth file)
+ONE_PATH_CASES = [
+    ("learn-dist", {"n": 6, "k": 2, "eps": 0.25, "delta": 0.1},
+     ["learn-dist", "--n", "6", "--k", "2", "--eps", "0.25", "--delta", "0.1"]),
+    ("learn-state", {"n": 3, "k": 1, "eps": 0.3, "delta": 0.1},
+     ["learn-state", "--n", "3", "--k", "1", "--eps", "0.3", "--delta", "0.1"]),
+    ("test-state", {"n": 3, "k": 1, "eps": 0.15, "delta": 0.1, "certifier": "frobenius"},
+     ["test-state", "--n", "3", "--k", "1", "--eps", "0.15", "--delta", "0.1",
+      "--certifier", "frobenius"]),
+    ("qac0-analyze", {"n": 2, "a": 1, "depth": 2, "arity": 2},
+     ["qac0", "analyze", "--arity", "2"]),
+    ("qac0-learn", {"n": 2, "a": 1, "depth": 1, "eps": 0.5, "delta": 0.1},
+     ["qac0", "learn", "--eps", "0.5", "--delta", "0.1"]),
+    ("shadows-bench", {"n": 2, "T": 2000, "k": 1},
+     ["shadows", "bench", "--n", "2", "--T", "2000", "--k", "1"]),
+]
+
+
+def save_planted_instance(command, params, seed, path):
+    """Write the instance the grid runner plants for (params, seed)."""
+    rng = np.random.default_rng([seed, 0])
+    if command == "learn-dist":
+        save_distribution(dist_learn.random_junta_distribution(params["n"], params["k"], rng)[0], path)
+    elif command in ("learn-state", "test-state"):
+        save_state(_planted_junta_state(params["n"], params["k"], rng)[0], path)
+    elif command == "shadows-bench":
+        save_state(qstate.random_density_matrix(params["n"], rng), path)
+    else:
+        qac0.save_circuit(qac0.random_circuit(params["n"], params["a"], params["depth"], rng), path)
+
+
+@pytest.mark.parametrize("command,params,argv", ONE_PATH_CASES, ids=[c[0] for c in ONE_PATH_CASES])
+def test_single_run_is_the_grid_runner_on_the_planted_truth(command, params, argv, tmp_path, capsys):
+    seed = 12_345_678_901_234_567_890
+    truth_path = tmp_path / "truth.json"
+    save_planted_instance(command, params, seed, truth_path)
+    truth_flag = "--circuit" if command.startswith("qac0") else "--truth"
+    assert main([*argv, truth_flag, str(truth_path), "--seed", str(seed)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed.pop("elapsed_ms") >= 0.0
+    expected = CELL_RUNNERS[command](params, seed)
+    for planted_only in ("planted_variables", "correct"):
+        expected.pop(planted_only, None)
+    assert printed == expected
+
+
+class TestLoadersNameMissingFields:
+    def run_on(self, tmp_path, capsys, argv, name, payload):
+        path = tmp_path / name
+        path.write_text(payload)
+        assert main([*argv, str(path)]) == 1
+        return capsys.readouterr().err
+
+    def test_records(self, tmp_path, capsys):
+        line = json.dumps({"cell": 0, "trial": 0, "parameters": {}, "seed": 1, "status": "ok"})
+        err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],
+                          "records.jsonl", line + "\n")
+        assert "records.jsonl line 1" in err and "'command'" in err
+
+    def test_state(self, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "state.json", json.dumps({"n": 1, "im": [[0, 0], [0, 0]]}))
+        assert "state.json" in err and "'re'" in err
+
+    def test_distribution(self, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "dist.json", json.dumps({"n": 2}))
+        assert "dist.json" in err and "'values'" in err
+
+    def test_circuit(self, tmp_path, capsys):
+        circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))
+        path = tmp_path / "full.json"
+        qac0.save_circuit(circuit, path)
+        payload = json.loads(path.read_text())
+        del payload["layers"][0][0]["type"]
+        err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
+                          "circuit.json", json.dumps(payload))
+        assert "circuit.json layer 0 gate 0" in err and "'type'" in err
+        del payload["sigma"]
+        err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
+                          "circuit.json", json.dumps(payload))
+        assert "circuit.json" in err and "'sigma'" in err

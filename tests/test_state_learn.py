@@ -2,11 +2,11 @@
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from juntalab.jacobi import eigh_hermitian
 from juntalab.qstate import (
     DensityMatrix,
     PauliString,
@@ -109,6 +109,41 @@ class TestPsdProject:
     def test_no_positive_part_raises(self):
         with pytest.raises(ValueError):
             psd_project(np.diag([-1.0, -0.5]))
+
+
+# The two eigensolver users that take raw arrays; each is called on one matrix.
+EIGEN_USERS = {
+    "psd_project": psd_project,
+    "trace_distance": lambda mat: trace_distance(mat, np.zeros_like(mat)),
+}
+
+
+class TestEigensolverUsers:
+    @pytest.mark.parametrize("use", EIGEN_USERS.values(), ids=list(EIGEN_USERS))
+    def test_rejects_non_hermitian(self, use):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            use(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("use", EIGEN_USERS.values(), ids=list(EIGEN_USERS))
+    def test_rejects_non_square(self, use):
+        with pytest.raises(ValueError, match="square"):
+            use(np.ones((2, 3)))
+
+    def test_repeats_are_bitwise_identical(self):
+        # Replay at any worker count needs the same bits from every call,
+        # including calls made concurrently from a thread pool.
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        mat = (g + g.conj().T) / 2
+        other = random_density_matrix(5, rng)
+
+        def both(_):
+            return psd_project(mat).entries.tobytes(), trace_distance(mat, other)
+
+        first = both(None)
+        assert both(None) == first
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert set(pool.map(both, range(8))) == {first}
 
 
 class TestSampleCount:
@@ -324,5 +359,5 @@ class TestPsdSpectrumConsistency:
         truth = embed_on(random_density_matrix(1, np.random.default_rng(19)), (1,), 3)
         access = SimulatedStateAccess(truth, seed=14)
         result = learn_junta_state(access, 1, 0.3, 0.1, basis_seed=15)
-        w, _ = eigh_hermitian(result.psd_projected.entries)
+        w = np.linalg.eigvalsh(result.psd_projected.entries)
         assert w.min() >= -1e-12
