@@ -4,29 +4,26 @@ classical shadows, and Choi-state analysis of shallow Toffoli circuits."""
 from .hypercube import (
     CubePoint,
     Distribution,
-    FourierSpectrum,
     RealCubeFunction,
     SubsetMask,
     degree,
     eval_character,
     fourier_transform,
     inverse_transform,
-    support_size,
     tv_distance,
 )
 from .qstate import (
     DensityMatrix,
     JuntaStateDescriptor,
-    PauliSpectrum,
     PauliString,
     distribution_to_state,
     embed_junta,
     embed_on,
     frobenius_distance,
     partial_trace,
-    pauli_expand,
     pauli_matrix,
-    pauli_reconstruct,
+    pauli_tensor,
+    pauli_tensor_to_matrix,
     proxy_distance,
     rho_eps,
     rho_eps_family,

@@ -61,11 +61,11 @@ def frobenius_merit(truth, approx, scale_qubits: int) -> float:
     return float(2**scale_qubits * qstate.frobenius_distance(truth, approx) ** 2)
 
 
-def support_recovered(truth: qstate.DensityMatrix, spectrum: qstate.PauliSpectrum,
-                      drop_tol: float = 1e-12) -> bool:
-    """Whether the learned Pauli support matches the truth's nonzero support."""
-    exact = qstate.pauli_expand(truth, drop_tol=drop_tol)
-    return set(exact.strings()) == set(spectrum.strings())
+def support_recovered(truth: qstate.DensityMatrix, words: np.ndarray, drop_tol: float = 1e-12) -> bool:
+    """Whether the learned packed Pauli words (ascending) are exactly the
+    truth's words with a coefficient above ``drop_tol`` in magnitude."""
+    exact = np.flatnonzero(np.abs(qstate.pauli_tensor(truth)) > drop_tol)
+    return np.array_equal(exact, words)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
     return {
         "T": result.sample_count,
         "tv_exact": tv_distance(result.distribution, truth),
-        "surviving_sets": [list(mask_to_variables(m, truth.n)) for m, _ in result.surviving.items()],
+        "surviving_sets": [list(mask_to_variables(int(m), truth.n)) for m in result.surviving_masks],
         "junta_variables": list(result.junta_variables),
         **planted,
     }
@@ -120,7 +120,7 @@ def _run_learn_state(params: dict, seed: int, truth=None) -> dict:
         "T": result.copies_used,
         "trace_distance": qstate.trace_distance(result.psd_projected, truth),
         "frobenius_merit": frobenius_merit(truth, result.matrix, truth.n),
-        "support_recovered": support_recovered(truth, result.spectrum),
+        "support_recovered": support_recovered(truth, result.words),
         **planted,
     }
 
@@ -163,14 +163,13 @@ def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
     if truth is None:
         truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
     shadow_set = shadows.collect_shadows(truth, total, _derive_seed(seed, 1))
-    estimates = shadows.estimate_lowdeg(shadow_set, k)
-    exact = qstate.pauli_tensor(truth).reshape(-1)
-    errors = [abs(value - exact[p.packed]) for p, value in estimates.items()]
+    words, values = shadows.estimate_lowdeg(shadow_set, k)
+    errors = np.abs(values - qstate.pauli_tensor(truth).reshape(-1)[words])
     return {
         "T": total,
         "k": k,
-        "max_abs_error": max(errors),
-        "rms_error": math.sqrt(sum(e * e for e in errors) / len(errors)),
+        "max_abs_error": float(errors.max()),
+        "rms_error": math.sqrt(float(np.mean(errors**2))),
     }
 
 
@@ -264,7 +263,8 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentSpec":
+    def from_dict(cls, payload: dict, source="experiment spec") -> "ExperimentSpec":
+        require_fields(payload, ("command", "grid"), source)
         return cls(
             command=str(payload["command"]),
             grid=dict(payload["grid"]),
@@ -422,10 +422,12 @@ def _cmd_qac0_choi(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        spec = ExperimentSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
+        spec = ExperimentSpec.from_dict(json.loads(Path(args.spec).read_text()), args.spec)
+    except (OSError, ValueError) as exc:
         print(f"invalid experiment spec: {exc}", file=sys.stderr)
         return 1
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
     threads = args.threads if args.threads is not None else default_thread_count()
     records = run_experiment(spec, threads=threads)
     out = args.out or spec.out

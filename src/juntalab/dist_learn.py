@@ -16,7 +16,8 @@ the mean-of-characters convention, i.e. q / 2^n.
 
 Estimating all low-degree coefficients at once runs a single Walsh transform
 over the empirical histogram, which reproduces the per-subset empirical
-means exactly.
+means exactly. A low-degree spectrum is a pair of arrays: ascending subset
+masks and their values.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 
 from .hypercube import (
     Distribution,
-    FourierSpectrum,
     RealCubeFunction,
     SubsetMask,
-    mask_to_variables,
+    low_degree_masks,
     variables_to_mask,
     walsh_hadamard,
 )
@@ -128,33 +128,25 @@ def empirical_coefficient(samples: SampleSet, subset: SubsetMask | int) -> float
     return total / ((1 << samples.n) * samples.size)
 
 
-def empirical_relative_spectrum(samples: SampleSet, k: int) -> FourierSpectrum:
+def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the density relative to uniform, q = 2^n p, for every
-    |S| <= k: q(S) = (1/T) sum_s chi_S(x^s). One Walsh transform over the
-    sample histogram; the sums are integer-exact. This is the internal
-    working scale -- it keeps magnitudes O(1) at any n."""
+    |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
+    One Walsh transform over the sample histogram; the sums are integer-exact.
+    This is the internal working scale -- it keeps magnitudes O(1) at any n."""
     n = samples.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     histogram = np.bincount(samples.points, minlength=1 << n).astype(np.float64)
-    transformed = walsh_hadamard(histogram) / samples.size
-    coeffs = {
-        mask: float(transformed[mask])
-        for mask in range(1 << n)
-        if mask.bit_count() <= k
-    }
-    return FourierSpectrum(n, coeffs)
+    masks = low_degree_masks(n, k)
+    return masks, walsh_hadamard(histogram)[masks] / samples.size
 
 
-def empirical_low_degree_spectrum(samples: SampleSet, k: int) -> FourierSpectrum:
+def empirical_low_degree_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All |S| <= k coefficients in the mean-of-characters convention; equal
     to the relative-scale spectrum divided by 2^n (an exact float scaling),
     and to empirical_coefficient subset by subset."""
-    relative = empirical_relative_spectrum(samples, k)
-    scale = float(1 << samples.n)
-    return FourierSpectrum(
-        samples.n, {mask: value / scale for mask, value in relative.items()}
-    )
+    masks, relative = empirical_relative_spectrum(samples, k)
+    return masks, relative / float(1 << samples.n)
 
 
 def dist_threshold_cutoff(n: int, k: int, eps: float) -> float:
@@ -162,50 +154,44 @@ def dist_threshold_cutoff(n: int, k: int, eps: float) -> float:
     return eps / (2.0 * 2**n * math.sqrt(2**k))
 
 
-def threshold_spectrum(raw: FourierSpectrum, tau: float) -> FourierSpectrum:
-    """Zero coefficients with |value| <= tau; everything else is untouched."""
+def threshold_spectrum(masks, values, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drop coefficients with |value| <= tau; everything else is untouched."""
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    return FourierSpectrum(
-        raw.n, {mask: value for mask, value in raw.items() if abs(value) > tau}
-    )
+    keep = np.abs(values) > tau
+    return masks[keep], values[keep]
 
 
-def select_junta_variables(spectrum: FourierSpectrum, k: int) -> tuple[int, ...]:
+def select_junta_variables(masks, values, n: int, k: int) -> tuple[int, ...]:
     """Union of surviving supports; if noise pushed it past k variables, keep
     the k largest by their share of squared coefficient mass."""
-    union: set[int] = set()
-    energy: dict[int, float] = {}
-    for mask, value in spectrum.items():
-        for var in mask_to_variables(mask, spectrum.n):
-            union.add(var)
-            energy[var] = energy.get(var, 0.0) + value * value
+    # Column i - 1 of the bit matrix is variable i.
+    rows, cols = np.nonzero(masks[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    union = [int(col) + 1 for col in np.unique(cols)]
     if len(union) <= k:
-        return tuple(sorted(union))
-    ranked = sorted(union, key=lambda var: (-energy[var], var))
+        return tuple(union)
+    # bincount adds in input order, i.e. by ascending mask per variable.
+    energy = np.bincount(cols, weights=values[rows] ** 2, minlength=n)
+    ranked = sorted(union, key=lambda var: (-energy[var - 1], var))
     return tuple(sorted(ranked[:k]))
 
 
-def round_to_distribution(
-    spectrum: FourierSpectrum, variables: tuple[int, ...]
-) -> Distribution:
+def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> Distribution:
     """Clip the junta block's negatives and renormalize: the rebuilt function
     restricted to the junta variables is evaluated on its 2^|K| points,
     negatives go to zero, and the result is divided by
-    C = 2^(n-|K|) * sum of the clipped block."""
-    n = spectrum.n
+    C = 2^(n-|K|) * sum of the clipped block. Coefficients on sets outside
+    the junta variables are ignored."""
     k = len(variables)
+    inside = masks & ~variables_to_mask(variables, n) == 0
+    # A set's index in the block reads its junta variables in order, the
+    # first one most significant.
+    local = np.zeros(np.count_nonzero(inside), dtype=np.int64)
+    for var in variables:
+        local = local << 1 | masks[inside] >> (n - var) & 1
     block = np.zeros(1 << k)
-    for mask, value in spectrum.items():
-        vars_of_mask = mask_to_variables(mask, n)
-        if any(v not in variables for v in vars_of_mask):
-            continue
-        local = variables_to_mask(
-            [variables.index(v) + 1 for v in vars_of_mask], k
-        ) if k else 0
-        block[local] += value
-    block = walsh_hadamard(block) if k else block
-    block = np.clip(block, 0.0, None)
+    block[local] = values[inside]
+    block = np.clip(walsh_hadamard(block), 0.0, None)
     normalizer = float(2 ** (n - k) * block.sum())
     if normalizer <= 0.0:
         # Unreachable through the learner (the empty set always survives with
@@ -223,15 +209,16 @@ def round_to_distribution(
 class DistLearnResult:
     distribution: Distribution
     sample_count: int
-    surviving: FourierSpectrum
+    surviving_masks: np.ndarray
+    surviving_values: np.ndarray
     junta_variables: tuple[int, ...]
 
 
 def learn_junta_from_spectrum(
-    raw: FourierSpectrum, cfg: LearnerConfig, sample_count: int = 0
+    masks, values, n: int, cfg: LearnerConfig, sample_count: int = 0
 ) -> DistLearnResult:
     """Threshold, variable selection, and rounding on precomputed coefficients
-    (mean-of-characters convention).
+    (mean-of-characters convention) of the subsets ``masks``.
 
     Injecting exact coefficients here makes the pipeline the identity on
     k-junta distributions; the sampling learner feeds it estimates. The work
@@ -239,26 +226,19 @@ def learn_junta_from_spectrum(
     two changes no comparison, and the rounding normalizer divides the scale
     back out.
     """
-    n = raw.n
     scale = float(1 << n)
-    relative = FourierSpectrum(n, {mask: value * scale for mask, value in raw.items()})
     tau_relative = dist_threshold_cutoff(n, cfg.k, cfg.eps) * scale
-    surviving = threshold_spectrum(relative, tau_relative)
-    variables = select_junta_variables(surviving, cfg.k)
-    restricted = FourierSpectrum(
-        n,
-        {
-            mask: value
-            for mask, value in surviving.items()
-            if all(v in variables for v in mask_to_variables(mask, n))
-        },
+    masks, relative = threshold_spectrum(
+        np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.float64) * scale, tau_relative
     )
+    variables = select_junta_variables(masks, relative, n, cfg.k)
+    inside = masks & ~variables_to_mask(variables, n) == 0
+    masks, relative = masks[inside], relative[inside]
     return DistLearnResult(
-        distribution=round_to_distribution(restricted, variables),
+        distribution=round_to_distribution(masks, relative, n, variables),
         sample_count=sample_count,
-        surviving=FourierSpectrum(
-            n, {mask: value / scale for mask, value in restricted.items()}
-        ),
+        surviving_masks=masks,
+        surviving_values=relative / scale,
         junta_variables=variables,
     )
 
@@ -270,8 +250,8 @@ def learn_junta_distribution(sampler: DistributionSampler, cfg: LearnerConfig) -
         raise ValueError("k exceeds the sampler's variable count")
     T = sample_count_dist(n, cfg.k, cfg.eps, cfg.delta, cfg.c)
     samples = sampler.draw(T)
-    raw = empirical_low_degree_spectrum(samples, cfg.k)
-    return learn_junta_from_spectrum(raw, cfg, sample_count=T)
+    masks, values = empirical_low_degree_spectrum(samples, cfg.k)
+    return learn_junta_from_spectrum(masks, values, n, cfg, sample_count=T)
 
 
 class ExampleOracle(Protocol):
@@ -316,23 +296,18 @@ def learn_sparse_lowdeg_function(
     eps: float,
     delta: float,
     c: float = DEFAULT_C,
-) -> FourierSpectrum:
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimate all degree <= deg coefficients to accuracy sqrt(eps / 4m) and
-    zero the ones at or below that same level; for a [-1, 1]-valued function
+    drop the ones at or below that same level, returning ascending masks and
+    values; for a [-1, 1]-valued function
     whose spectrum is eps-concentrated on m low-degree sets the output g
     satisfies sum_S |f(S) - g(S)|^2 = O(eps) with probability 1 - delta."""
     n = oracle.n
     T = sample_count_sparse(n, m, deg, eps, delta, c)
     points, values = oracle.draw(T)
     weights = np.bincount(points, weights=values, minlength=1 << n)
-    estimates = walsh_hadamard(weights) / T
-    cutoff = math.sqrt(eps / (4.0 * m))
-    coeffs = {
-        mask: float(estimates[mask])
-        for mask in range(1 << n)
-        if mask.bit_count() <= deg and abs(estimates[mask]) > cutoff
-    }
-    return FourierSpectrum(n, coeffs)
+    masks = low_degree_masks(n, deg)
+    return threshold_spectrum(masks, walsh_hadamard(weights)[masks] / T, math.sqrt(eps / (4.0 * m)))
 
 
 def random_junta_distribution(

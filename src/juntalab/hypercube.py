@@ -9,8 +9,10 @@ Encoding conventions, fixed here and used by every other module:
   point sits at index 0.
 * A subset ``S of [n]`` uses the same bit layout.
 
-Dense vectors are used for functions and sparse integer-keyed maps for
-spectra; ``n`` is capped at 24 so a dense vector never exceeds 2^24 entries.
+Spectra are plain arrays. A full spectrum is a dense vector indexed by
+subset mask; a low-degree spectrum is a pair of arrays, the ascending
+unique int64 masks and their float64 values. ``n`` is capped at 24 so a
+dense vector never exceeds 2^24 entries.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
-
 import numpy as np
 
 MAX_VARS = 24
@@ -133,46 +133,6 @@ class RealCubeFunction:
         return cls(n, np.full(1 << n, float(value)))
 
 
-class FourierSpectrum:
-    """Sparse map from subset mask to real coefficient; zero entries are dropped."""
-
-    __slots__ = ("n", "_coeffs")
-
-    def __init__(self, n: int, coeffs: Mapping[int, float]) -> None:
-        _check_nvars(n)
-        clean: dict[int, float] = {}
-        for mask, value in coeffs.items():
-            mask = int(mask.__index__() if hasattr(mask, "__index__") else mask)
-            if not 0 <= mask < 1 << n:
-                raise ValueError("coefficient mask out of range")
-            value = float(value)
-            if value != 0.0:
-                clean[mask] = value
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierSpectrum is immutable")
-
-    def coefficient(self, subset: SubsetMask | int) -> float:
-        return self._coeffs.get(int(subset.__index__() if hasattr(subset, "__index__") else subset), 0.0)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FourierSpectrum) and self.n == other.n and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"FourierSpectrum(n={self.n}, terms={len(self._coeffs)})"
-
-
 class Distribution:
     """A probability distribution on {-1,+1}^n: nonnegative values summing to 1.
 
@@ -243,22 +203,17 @@ def walsh_hadamard(values) -> np.ndarray:
     return v.reshape(shape)
 
 
-def fourier_transform(f: RealCubeFunction) -> FourierSpectrum:
-    """Coefficients c(S) = E_x[f(x) chi_S(x)] for every S, via the fast transform."""
-    coeffs = walsh_hadamard(f.values) / float(1 << f.n)
-    return FourierSpectrum(f.n, {int(mask): float(c) for mask, c in enumerate(coeffs) if c != 0.0})
+def fourier_transform(f: RealCubeFunction) -> np.ndarray:
+    """Coefficients c(S) = E_x[f(x) chi_S(x)] for every S, as a dense vector
+    indexed by subset mask, via the fast transform."""
+    return walsh_hadamard(f.values) / float(1 << f.n)
 
 
-def spectrum_to_dense(spec: FourierSpectrum) -> np.ndarray:
-    dense = np.zeros(1 << spec.n)
-    for mask, value in spec.items():
-        dense[mask] = value
-    return dense
-
-
-def inverse_transform(spec: FourierSpectrum) -> RealCubeFunction:
-    """Evaluate f(x) = sum_S c(S) chi_S(x) on the whole cube."""
-    return RealCubeFunction(spec.n, walsh_hadamard(spectrum_to_dense(spec)))
+def inverse_transform(coeffs) -> RealCubeFunction:
+    """Evaluate f(x) = sum_S c(S) chi_S(x) on the whole cube from the dense
+    vector of all 2^n coefficients."""
+    values = walsh_hadamard(coeffs)
+    return RealCubeFunction(values.size.bit_length() - 1, values)
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
@@ -268,14 +223,31 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.values - q.values).sum())
 
 
-def degree(spec: FourierSpectrum) -> int:
-    """Largest |S| carrying a nonzero coefficient; 0 for empty or constant spectra."""
-    return max((mask.bit_count() for mask, _ in spec.items()), default=0)
+def popcount(masks) -> np.ndarray:
+    """Number of set bits of each nonnegative integer, elementwise."""
+    masks = np.array(masks, dtype=np.int64)
+    count = np.zeros(masks.shape, dtype=np.int64)
+    while masks.any():
+        count += masks & 1
+        masks >>= 1
+    return count
 
 
-def support_size(spec: FourierSpectrum) -> int:
-    """Number of nonzero coefficients."""
-    return len(spec)
+def low_degree_masks(n: int, k: int) -> np.ndarray:
+    """The masks of every subset of [n] with at most k elements, ascending."""
+    masks = np.zeros(1, dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for bit in range(n):
+        grow = sizes < k
+        masks = np.concatenate([masks, masks[grow] | 1 << bit])
+        sizes = np.concatenate([sizes, sizes[grow] + 1])
+    return np.sort(masks)
+
+
+def degree(coeffs) -> int:
+    """Largest |S| carrying a nonzero coefficient of a dense spectrum; 0 for
+    zero or constant spectra."""
+    return int(popcount(np.flatnonzero(coeffs)).max(initial=0))
 
 
 def save_distribution(dist: Distribution, path) -> None:

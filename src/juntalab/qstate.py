@@ -5,6 +5,8 @@ the computational-basis index of a product state is the qubits' bit string
 read left to right. Pauli strings use codes I=0, X=1, Y=2, Z=3; the packed
 integer form of a string is its base-4 reading with qubit 1 as the most
 significant digit, which is also the flat index into dense (4,)*n tensors.
+A full Pauli spectrum is such a tensor (``pauli_tensor``); a low-degree one
+is a pair of arrays, the ascending packed words and their values.
 
 Distance convention: ``trace_distance`` is the full trace norm of the
 difference, with no 1/2 factor. Much of the literature halves it; callers
@@ -18,11 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hypercube import Distribution, require_fields
+from .hypercube import Distribution, popcount, require_fields
 
 MAX_STATE_QUBITS = 12
 MAX_EXPAND_QUBITS = 10
@@ -110,48 +112,6 @@ class PauliString:
 
     def __index__(self) -> int:
         return self.packed
-
-
-class PauliSpectrum:
-    """Sparse real Pauli coefficients of a Hermitian matrix; zeros are dropped."""
-
-    __slots__ = ("n", "_coeffs")
-
-    def __init__(self, n: int, coeffs: Mapping[PauliString, float]) -> None:
-        clean: dict[PauliString, float] = {}
-        for pauli, value in coeffs.items():
-            if pauli.n != n:
-                raise ValueError("Pauli string length mismatch")
-            value = float(value)
-            if value != 0.0:
-                clean[pauli] = value
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliSpectrum is immutable")
-
-    def coefficient(self, pauli: PauliString) -> float:
-        return self._coeffs.get(pauli, 0.0)
-
-    def items(self) -> Iterator[tuple[PauliString, float]]:
-        return iter(sorted(self._coeffs.items(), key=lambda kv: kv[0].packed))
-
-    def strings(self) -> tuple[PauliString, ...]:
-        return tuple(sorted(self._coeffs, key=lambda p: p.packed))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def max_weight(self) -> int:
-        return max((p.weight for p in self._coeffs), default=0)
-
-    def to_tensor(self) -> np.ndarray:
-        tensor = np.zeros((4,) * self.n)
-        flat = tensor.reshape(-1)
-        for pauli, value in self._coeffs.items():
-            flat[pauli.packed] = value
-        return tensor
 
 
 class DensityMatrix:
@@ -274,24 +234,17 @@ def pauli_tensor_to_matrix(tensor) -> np.ndarray:
     return t.reshape(1 << n, 1 << n)
 
 
-def pauli_expand(mat, drop_tol: float = 0.0) -> PauliSpectrum:
-    """Sparse Pauli spectrum M^(P) = Tr[P M] / 2^n over all 4^n strings."""
-    m = as_matrix(mat)
-    n = _qubit_count(m.shape[0])
-    if n > MAX_EXPAND_QUBITS:
-        raise ValueError(f"full expansion capped at {MAX_EXPAND_QUBITS} qubits")
-    flat = pauli_tensor(m).reshape(-1)
-    coeffs = {
-        PauliString(n, int(idx)): float(val)
-        for idx, val in enumerate(flat)
-        if abs(val) > drop_tol
-    }
-    return PauliSpectrum(n, coeffs)
+def pauli_weight(words) -> np.ndarray:
+    """Support size of each packed Pauli word: its count of nonzero base-4 digits."""
+    words = np.asarray(words, dtype=np.int64)
+    return popcount((words | words >> 1) & 0x5555555555555555)
 
 
-def pauli_reconstruct(spec: PauliSpectrum) -> np.ndarray:
-    """Sum of coeff * P over the spectrum, as a dense matrix."""
-    return pauli_tensor_to_matrix(spec.to_tensor())
+def scatter_pauli(words, values, n: int) -> np.ndarray:
+    """The (4,)*n Pauli tensor holding ``values`` at the packed ``words``, zero elsewhere."""
+    flat = np.zeros(4**n)
+    flat[words] = values
+    return flat.reshape((4,) * n)
 
 
 def hermitian_matrix(matrix) -> np.ndarray:
@@ -457,21 +410,3 @@ def load_state(path) -> DensityMatrix:
     if state.n != int(payload["n"]):
         raise ValueError("state file qubit count does not match matrix size")
     return state
-
-
-def save_pauli_spectrum(spec: PauliSpectrum, path) -> None:
-    payload = {
-        "n": spec.n,
-        "paulis": [{"string": str(p), "coeff": float(c)} for p, c in spec.items()],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_pauli_spectrum(path) -> PauliSpectrum:
-    payload = json.loads(Path(path).read_text())
-    n = int(payload["n"])
-    coeffs = {
-        PauliString.from_str(entry["string"]): float(entry["coeff"])
-        for entry in payload["paulis"]
-    }
-    return PauliSpectrum(n, coeffs)

@@ -259,28 +259,23 @@ def estimates_for_supports(
     outcomes: np.ndarray,
     n: int,
     supports: Iterable[Sequence[int]],
-) -> dict[PauliString, float]:
-    """Coefficient estimates for every Pauli word over the given support sets.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient estimates for every Pauli word over the given support sets,
+    as ascending unique packed words and their values.
 
     ``supports`` lists 0-based column tuples; all 3^|supp| words per support
     are produced in one grouped pass over the samples.
     """
-    T = basis_codes.shape[0]
-    dim_scale = (1 << n) * T
-    results: dict[PauliString, float] = {}
+    dim_scale = float((1 << n) * basis_codes.shape[0])
+    words, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for cols in supports:
         j = len(cols)
-        totals = _support_totals(basis_codes, outcomes, cols)
-        factor = 3**j
-        for assignment in range(3**j):
-            codes = [0] * n
-            rem = assignment
-            for col in reversed(cols):
-                codes[col] = rem % 3 + 1
-                rem //= 3
-            value = (factor * int(round(totals[assignment]))) / dim_scale
-            results[PauliString.from_codes(codes)] = value
-    return results
+        # Row a: the codes of base-3 assignment a, first column most significant.
+        codes = np.arange(3**j)[:, None] // 3 ** np.arange(j - 1, -1, -1) % 3 + 1
+        words.append(codes @ 4 ** (n - 1 - np.asarray(cols, dtype=np.int64)))
+        values.append(3**j * _support_totals(basis_codes, outcomes, cols) / dim_scale)
+    words, first = np.unique(np.concatenate(words), return_index=True)
+    return words, np.concatenate(values)[first]
 
 
 def _low_degree_supports(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -288,7 +283,7 @@ def _low_degree_supports(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), j)
 
 
-def estimate_lowdeg(shadows: ShadowSet, k: int) -> dict[PauliString, float]:
+def estimate_lowdeg(shadows: ShadowSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimates for every Pauli word with support size at most k, in one pass."""
     if not 0 <= k <= shadows.n:
         raise ValueError("k out of range")

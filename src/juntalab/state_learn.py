@@ -27,10 +27,10 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    PauliSpectrum,
-    PauliString,
     hermitian_matrix,
-    pauli_reconstruct,
+    pauli_tensor_to_matrix,
+    pauli_weight,
+    scatter_pauli,
 )
 from .shadows import (
     PauliBasisString,
@@ -101,13 +101,15 @@ class SimulatedStateAccess:
 
 @dataclass
 class LearnedState:
-    """Thresholded spectrum, its matrix, a PSD projection, and copy accounting.
+    """Thresholded spectrum (ascending packed ``words`` and their ``values``),
+    its matrix, a PSD projection, and copy accounting.
 
     ``matrix`` carries the squared-coefficient guarantee but need not be
     positive; ``psd_projected`` is the physically valid rendering.
     """
 
-    spectrum: PauliSpectrum
+    words: np.ndarray
+    values: np.ndarray
     matrix: np.ndarray
     psd_projected: DensityMatrix
     copies_used: int
@@ -132,22 +134,18 @@ def pauli_threshold_cutoff(n: int, k: int, eps: float) -> float:
     return eps / (2.0 * 2**n * 2**k)
 
 
-def threshold_pauli(estimates, k: int, eps: float, n: int) -> PauliSpectrum:
-    """Three-case rule: drop |supp| > k, drop |estimate| <= cutoff, keep rest.
+def threshold_pauli(words, values, k: int, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Three-case rule on ascending packed words and their estimates: drop
+    |supp| > k, drop |estimate| <= cutoff, keep the rest.
 
     The identity coefficient is pinned to 2^-n (forced by unit trace) rather
-    than estimated, which can only reduce the error.
+    than estimated, which can only reduce the error; it leads the output.
     """
-    cutoff = pauli_threshold_cutoff(n, k, eps)
-    kept: dict[PauliString, float] = {}
-    for pauli, value in estimates.items():
-        if pauli.weight == 0 or pauli.weight > k:
-            continue
-        if abs(value) <= cutoff:
-            continue
-        kept[pauli] = float(value)
-    kept[PauliString.identity(n)] = 1.0 / (1 << n)
-    return PauliSpectrum(n, kept)
+    words = np.asarray(words, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    weight = pauli_weight(words)
+    keep = (weight >= 1) & (weight <= k) & (np.abs(values) > pauli_threshold_cutoff(n, k, eps))
+    return np.concatenate([[0], words[keep]]), np.concatenate([[1.0 / (1 << n)], values[keep]])
 
 
 def psd_project(matrix) -> DensityMatrix:
@@ -178,11 +176,12 @@ def learn_junta_state(
         raise ValueError("k out of range")
     T = junta_state_sample_count(n, k, eps, delta, c)
     codes, outs = _collect_through_access(access, T, basis_seed)
-    estimates = estimates_for_supports(codes, outs, n, _low_degree_supports(n, k))
-    spectrum = threshold_pauli(estimates, k, eps, n)
-    matrix = pauli_reconstruct(spectrum)
+    words, values = estimates_for_supports(codes, outs, n, _low_degree_supports(n, k))
+    words, values = threshold_pauli(words, values, k, eps, n)
+    matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
     return LearnedState(
-        spectrum=spectrum,
+        words=words,
+        values=values,
         matrix=matrix,
         psd_projected=psd_project(matrix),
         copies_used=T,

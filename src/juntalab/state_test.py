@@ -34,6 +34,8 @@ from .qstate import (
     embed_on,
     pauli_tensor,
     pauli_tensor_to_matrix,
+    pauli_weight,
+    scatter_pauli,
     trace_distance,
 )
 from .shadows import estimates_for_supports, shadow_sample_count
@@ -92,7 +94,8 @@ def local_tomography(
     """Learn the reduced state on ``subset`` to trace error eps, whp.
 
     Estimates the 4^|subset| full-state coefficients supported inside the
-    subset, rescales them by 2^(n - |subset|) into reduced-state
+    subset, slices them out of the full Pauli tensor (identity on the other
+    qubits), rescales them by 2^(n - |subset|) into reduced-state
     coefficients, and PSD-projects the rebuilt matrix.
     """
     n = access.n
@@ -108,16 +111,9 @@ def local_tomography(
     codes, outs = _collect_through_access(access, T, basis_seed)
     cols = [q - 1 for q in subset]
     supports = [tuple(combo) for j in range(kappa + 1) for combo in itertools.combinations(cols, j)]
-    estimates = estimates_for_supports(codes, outs, n, supports)
-    reduced = np.zeros((4,) * kappa)
-    flat = reduced.reshape(-1)
-    scale = float(1 << (n - kappa))
-    for pauli, value in estimates.items():
-        local_packed = 0
-        for q in subset:
-            local_packed = local_packed * 4 + pauli.codes[q - 1]
-        flat[local_packed] = scale * value
-    return psd_project(pauli_tensor_to_matrix(reduced))
+    tensor = scatter_pauli(*estimates_for_supports(codes, outs, n, supports), n)
+    reduced = tensor[tuple(slice(None) if q in subset else 0 for q in range(1, n + 1))]
+    return psd_project(pauli_tensor_to_matrix(float(1 << (n - kappa)) * reduced))
 
 
 def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_CERTIFIER_C) -> int:
@@ -165,14 +161,10 @@ class FrobeniusCertifier:
         supports = [
             tuple(combo) for j in range(n + 1) for combo in itertools.combinations(range(n), j)
         ]
-        estimates = estimates_for_supports(codes, outs, n, supports)
-        est_flat = np.zeros(4**n)
-        weight3 = np.zeros(4**n)
-        for pauli, value in estimates.items():
-            est_flat[pauli.packed] = value
-            weight3[pauli.packed] = 3.0**pauli.weight
+        # Every support is listed, so the words are all 4^n packed words in order.
+        words, est_flat = estimates_for_supports(codes, outs, n, supports)
         ref_flat = pauli_tensor(reference).reshape(-1)
-        second_moment = weight3 / 4.0**n
+        second_moment = 3.0 ** pauli_weight(words) / 4.0**n
         variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)
         d_hat = float((1 << n) * np.sum((est_flat - ref_flat) ** 2 - variance_hat))
         bound = 2.0 ** (n / 2.0) * math.sqrt(max(d_hat, 0.0))

@@ -35,7 +35,7 @@ def test_criterion_01_parseval_and_round_trips():
         n = int(rng.integers(1, 11))
         f = RealCubeFunction(n, rng.standard_normal(1 << n))
         spec = fourier_transform(f)
-        parseval = abs(sum(v * v for _, v in spec.items()) - float(np.mean(f.values**2)))
+        parseval = abs(sum(v * v for v in spec) - float(np.mean(f.values**2)))
         round_trip = float(np.max(np.abs(inverse_transform(spec).values - f.values)))
         worst_fourier = max(worst_fourier, parseval)
         worst_fourier_rt = max(worst_fourier_rt, round_trip)
@@ -71,8 +71,9 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
         rho = qstate.random_density_matrix(n, rng)
         shadow = shadows.collect_shadows(rho, draws, seed=3000 + state_index)
         exact = qstate.pauli_tensor(rho).reshape(-1)
-        estimates = shadows.estimate_lowdeg(shadow, 2)
-        for pauli, value in estimates.items():
+        words, values = shadows.estimate_lowdeg(shadow, 2)
+        for word, value in zip(words.tolist(), values):
+            pauli = PauliString(n, word)
             second_moment = 3.0**pauli.weight / 4.0**n
             bound = 5.0 * math.sqrt(second_moment / draws)
             worst_sigma_ratio = max(worst_sigma_ratio, abs(value - exact[pauli.packed]) / bound)
@@ -129,13 +130,13 @@ def gap_separated_block(rng, floor: float) -> DensityMatrix:
     """Random 2-qubit state whose nonzero Pauli coefficients all clear a floor:
     six random non-identity strings with signs and magnitudes in
     [floor, 1.75 floor]; the magnitude budget keeps the matrix PSD."""
-    coeffs = {PauliString.identity(2): 0.25}
+    coeffs = np.zeros(16)
+    coeffs[PauliString.identity(2).packed] = 0.25
     chosen = rng.choice(np.arange(1, 16), size=6, replace=False)
     for packed in chosen:
         magnitude = float(rng.uniform(floor, 1.75 * floor))
-        coeffs[PauliString(2, int(packed))] = float(rng.choice([-1.0, 1.0])) * magnitude
-    matrix = qstate.pauli_reconstruct(qstate.PauliSpectrum(2, coeffs))
-    return DensityMatrix(matrix)
+        coeffs[packed] = float(rng.choice([-1.0, 1.0])) * magnitude
+    return DensityMatrix(qstate.pauli_tensor_to_matrix(coeffs.reshape(4, 4)))
 
 
 def test_criterion_04_junta_state_learning():
@@ -164,11 +165,12 @@ def test_criterion_04_junta_state_learning():
         result = state_learn.learn_junta_state(access, k, eps, delta, c, basis_seed=100 + trial)
         if qstate.trace_distance(result.psd_projected, truth) <= math.sqrt(2.0) * eps:
             trace_successes += 1
-        exact = qstate.pauli_expand(truth, drop_tol=1e-12)
-        nonzero = [abs(v) for p, v in exact.items() if p.weight > 0]
-        if nonzero and min(nonzero) > 2.0 * cutoff:
+        exact = qstate.pauli_tensor(truth).reshape(-1)
+        words = np.flatnonzero(np.abs(exact) > 1e-12)
+        nonzero = np.abs(exact[words[qstate.pauli_weight(words) > 0]])
+        if nonzero.size and nonzero.min() > 2.0 * cutoff:
             qualifying += 1
-            if set(exact.strings()) == set(result.spectrum.strings()):
+            if np.array_equal(words, result.words):
                 recovered += 1
     assert trace_successes >= 18
     assert qualifying > 0

@@ -270,6 +270,17 @@ class TestCommands:
             "error: JUNTALAB_THREADS must be a positive integer, got 'bogus'\n"
         )
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_run_rejects_threads_below_one(self, threads, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"command": "address-distance", "grid": {"D": [1], "k": [0]}, "seed": 0}
+        ))
+        assert main(["run", str(spec_path), "--threads", str(threads)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be a positive integer, got {threads}\n"
+
     def test_curve_command(self, tmp_path, capsys):
         spec = {"command": "address-distance", "grid": {"D": [1, 2], "k": [1]},
                 "trials": 2, "seed": 0}
@@ -337,6 +348,13 @@ class TestLoadersNameMissingFields:
         assert main([*argv, str(path)]) == 1
         return capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["command", "grid"])
+    def test_experiment_spec(self, field, tmp_path, capsys):
+        spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, "seed": 0}
+        del spec[field]
+        err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        assert "spec.json" in err and f"missing field '{field}'" in err
+
     def test_records(self, tmp_path, capsys):
         line = json.dumps({"cell": 0, "trial": 0, "parameters": {}, "seed": 1, "status": "ok"})
         err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],
@@ -368,3 +386,37 @@ class TestLoadersNameMissingFields:
         err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
                           "circuit.json", json.dumps(payload))
         assert "circuit.json" in err and "'sigma'" in err
+
+
+# Metrics of one cell per runner, as json.dumps(metrics, sort_keys=True)
+# printed before spectra became index and value arrays; a change to any
+# learner or tester path that moves a record shows here.
+PINNED_RECORDS = [
+    (
+        "learn-dist", {"n": 10, "k": 3, "eps": 0.2, "delta": 0.1}, 4,
+        '{"T": 22105, "junta_variables": [6, 9, 10], "planted_variables": [6, 9, 10], '
+        '"surviving_sets": [[], [10], [9], [9, 10], [6], [6, 10], [6, 9, 10]], '
+        '"tv_exact": 0.009980704723740219}',
+    ),
+    (
+        "learn-state", {"n": 4, "k": 2, "eps": 0.3, "delta": 0.1}, 4,
+        '{"T": 93087, "frobenius_merit": 0.00037449056923777806, "planted_variables": [3, 4], '
+        '"support_recovered": true, "trace_distance": 0.017103692614631787}',
+    ),
+    (
+        "test-state",
+        {"n": 3, "k": 1, "eps": 0.1, "delta": 0.1, "certifier": "frobenius", "case": "close"}, 7,
+        '{"best_K": [3], "copies_used": 362913, "correct": true, "decision": "junta-close", '
+        '"transcript": [{"K": [1], "certification_copies": 13481, "statistic": 0.8566630279917935, '
+        '"tomography_copies": 107490, "verdict": "far"}, {"K": [2], "certification_copies": 13481, '
+        '"statistic": 0.8733548447778923, "tomography_copies": 107490, "verdict": "far"}, '
+        '{"K": [3], "certification_copies": 13481, "statistic": 0.17085733327547603, '
+        '"tomography_copies": 107490, "verdict": "close"}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("command,params,seed,expected", PINNED_RECORDS,
+                         ids=[case[0] for case in PINNED_RECORDS])
+def test_pinned_records(command, params, seed, expected):
+    assert json.dumps(CELL_RUNNERS[command](params, seed), sort_keys=True) == expected

@@ -25,12 +25,20 @@ from juntalab.dist_learn import (
 )
 from juntalab.hypercube import (
     Distribution,
-    FourierSpectrum,
     SubsetMask,
     fourier_transform,
     inverse_transform,
+    low_degree_masks,
     tv_distance,
 )
+
+
+def dense_spectrum(n, coeffs):
+    """The 2^n coefficient vector with the given {mask: value} entries."""
+    dense = np.zeros(1 << n)
+    for mask, value in coeffs.items():
+        dense[mask] = value
+    return dense
 
 
 class TestSampleCount:
@@ -98,7 +106,7 @@ class TestEmpiricalCoefficient:
         ]
         single_std = 1.0 / ((1 << n) * math.sqrt(draws))
         standard_error = single_std / math.sqrt(resamples)
-        assert abs(np.mean(estimates) - exact.coefficient(mask)) <= 5 * standard_error
+        assert abs(np.mean(estimates) - exact[mask]) <= 5 * standard_error
 
 
 class TestSpectrumEstimation:
@@ -106,41 +114,40 @@ class TestSpectrumEstimation:
         rng = np.random.default_rng(5)
         truth, _ = random_junta_distribution(6, 2, rng)
         samples = SimulatedSampler(truth, seed=3).draw(2000)
-        spec = empirical_low_degree_spectrum(samples, 2)
-        for mask in range(1 << 6):
-            if mask.bit_count() <= 2:
-                assert spec.coefficient(mask) == empirical_coefficient(samples, mask)
+        masks, values = empirical_low_degree_spectrum(samples, 2)
+        assert masks.tolist() == [m for m in range(1 << 6) if m.bit_count() <= 2]
+        for mask, value in zip(masks, values):
+            assert value == empirical_coefficient(samples, int(mask))
 
     def test_relative_scale_is_exact_power_of_two(self):
         samples = SampleSet(5, np.arange(32))
-        relative = empirical_relative_spectrum(samples, 2)
-        paper = empirical_low_degree_spectrum(samples, 2)
-        for mask in range(32):
-            if mask.bit_count() <= 2:
-                assert relative.coefficient(mask) / 2**5 == paper.coefficient(mask)
+        masks, relative = empirical_relative_spectrum(samples, 2)
+        paper_masks, paper = empirical_low_degree_spectrum(samples, 2)
+        assert np.array_equal(masks, paper_masks)
+        assert np.array_equal(relative / 2**5, paper)
 
 
 class TestThreshold:
     def test_zero_threshold_is_identity(self):
-        spec = FourierSpectrum(3, {0: 0.5, 3: -0.25})
-        assert threshold_spectrum(spec, 0.0) == spec
+        masks, values = np.array([0, 3]), np.array([0.5, -0.25])
+        got_masks, got_values = threshold_spectrum(masks, values, 0.0)
+        assert np.array_equal(got_masks, masks) and np.array_equal(got_values, values)
 
     def test_all_below_gives_empty(self):
-        spec = FourierSpectrum(3, {1: 0.1, 2: -0.05})
-        assert len(threshold_spectrum(spec, 0.1)) == 0
+        masks, _ = threshold_spectrum(np.array([1, 2]), np.array([0.1, -0.05]), 0.1)
+        assert masks.size == 0
 
     def test_boundary_is_zeroed(self):
-        spec = FourierSpectrum(2, {1: 0.25})
-        assert len(threshold_spectrum(spec, 0.25)) == 0
+        masks, _ = threshold_spectrum(np.array([1]), np.array([0.25]), 0.25)
+        assert masks.size == 0
 
     def test_mixed_matches_filter_oracle(self):
         rng = np.random.default_rng(8)
-        coeffs = {m: float(rng.standard_normal()) * 0.1 for m in range(16)}
-        spec = FourierSpectrum(4, coeffs)
+        values = rng.standard_normal(16) * 0.1
         tau = 0.07
-        got = threshold_spectrum(spec, tau)
-        want = {m: v for m, v in spec.items() if abs(v) > tau}
-        assert dict(got.items()) == want
+        masks, kept = threshold_spectrum(np.arange(16), values, tau)
+        want = {m: float(v) for m, v in enumerate(values) if abs(v) > tau}
+        assert dict(zip(masks.tolist(), kept.tolist())) == want
 
 
 class TestJuntaLearner:
@@ -155,11 +162,9 @@ class TestJuntaLearner:
     def test_exact_coefficients_give_identity(self):
         rng = np.random.default_rng(14)
         truth, variables = random_junta_distribution(8, 3, rng)
-        exact = fourier_transform(truth.function)
-        lowdeg = FourierSpectrum(
-            8, {m: v for m, v in exact.items() if m.bit_count() <= 3}
-        )
-        result = learn_junta_from_spectrum(lowdeg, LearnerConfig(k=3, eps=0.2, delta=0.1))
+        masks = low_degree_masks(8, 3)
+        exact = fourier_transform(truth.function)[masks]
+        result = learn_junta_from_spectrum(masks, exact, 8, LearnerConfig(k=3, eps=0.2, delta=0.1))
         assert result.junta_variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
 
@@ -192,16 +197,10 @@ class TestJuntaLearner:
             assert float(values.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_variable_selection_trims_to_k(self):
-        spec = FourierSpectrum(
-            5,
-            {
-                0: 1.0,
-                SubsetMask.from_variables([1], 5).mask: 0.5,
-                SubsetMask.from_variables([2], 5).mask: 0.4,
-                SubsetMask.from_variables([3], 5).mask: 0.01,
-            },
-        )
-        assert select_junta_variables(spec, 2) == (1, 2)
+        masks = np.array([SubsetMask.from_variables(vs, 5).mask for vs in ([], [3], [2], [1])])
+        values = np.array([1.0, 0.01, 0.4, 0.5])
+        assert select_junta_variables(masks, values, 5, 2) == (1, 2)
+        assert select_junta_variables(masks, values, 5, 3) == (1, 2, 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -214,11 +213,11 @@ class TestSparseLowDegreeLearner:
     def test_recovers_single_character(self):
         n = 6
         mask = SubsetMask.from_variables([2, 5], n).mask
-        f = inverse_transform(FourierSpectrum(n, {mask: 1.0}))
+        f = inverse_transform(dense_spectrum(n, {mask: 1.0}))
         oracle = SimulatedExampleOracle(f, seed=4)
-        spec = learn_sparse_lowdeg_function(oracle, m=1, deg=2, eps=0.1, delta=0.1)
-        assert spec.masks() == (mask,)
-        assert spec.coefficient(mask) == pytest.approx(1.0, abs=0.1)
+        masks, values = learn_sparse_lowdeg_function(oracle, m=1, deg=2, eps=0.1, delta=0.1)
+        assert masks.tolist() == [mask]
+        assert values[0] == pytest.approx(1.0, abs=0.1)
 
     def test_support_recovery_monte_carlo(self):
         n, m, deg, eps = 8, 4, 2, 0.1
@@ -229,21 +228,20 @@ class TestSparseLowDegreeLearner:
         trials = 10
         for trial in range(trials):
             signs = rng.choice([-1.0, 1.0], size=m)
-            spec = FourierSpectrum(n, {mk: s * floor for mk, s in zip(masks, signs)})
-            f = inverse_transform(spec)
+            f = inverse_transform(dense_spectrum(n, {mk: s * floor for mk, s in zip(masks, signs)}))
             oracle = SimulatedExampleOracle(f, seed=trial)
-            learned = learn_sparse_lowdeg_function(oracle, m=m, deg=deg, eps=eps, delta=0.1)
-            if set(learned.masks()) == set(masks):
+            learned, _ = learn_sparse_lowdeg_function(oracle, m=m, deg=deg, eps=eps, delta=0.1)
+            if set(learned.tolist()) == set(masks):
                 hits += 1
         assert hits >= 9
 
     def test_off_support_coefficient_exactly_zero(self):
         n = 5
-        f = inverse_transform(FourierSpectrum(n, {0b10000: 1.0}))
-        learned = learn_sparse_lowdeg_function(
+        f = inverse_transform(dense_spectrum(n, {0b10000: 1.0}))
+        learned, _ = learn_sparse_lowdeg_function(
             SimulatedExampleOracle(f, seed=1), m=1, deg=1, eps=0.1, delta=0.1
         )
-        assert learned.coefficient(0b00011) == 0.0
+        assert 0b00011 not in learned.tolist()
 
     def test_sample_count_formula(self):
         want = math.ceil(8 * 3 * (2 * math.log(7) - math.log(0.05)) / 0.1)

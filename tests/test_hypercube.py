@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from juntalab.hypercube import (
     CubePoint,
     Distribution,
-    FourierSpectrum,
     RealCubeFunction,
     SubsetMask,
     degree,
@@ -18,8 +17,9 @@ from juntalab.hypercube import (
     fourier_transform,
     inverse_transform,
     load_distribution,
+    low_degree_masks,
+    popcount,
     save_distribution,
-    support_size,
     tv_distance,
     walsh_hadamard,
 )
@@ -84,22 +84,23 @@ class TestPointEncoding:
 class TestFourierTransform:
     def test_constant_function(self):
         spec = fourier_transform(RealCubeFunction.constant(3, 1.0))
-        assert spec.coefficient(0) == 1.0
-        assert support_size(spec) == 1
+        assert spec.shape == (8,)
+        assert spec[0] == 1.0
+        assert np.count_nonzero(spec) == 1
 
     def test_dictator(self):
         # f(x) = x_1 on two variables
         f = RealCubeFunction(2, [1.0, 1.0, -1.0, -1.0])
         spec = fourier_transform(f)
-        assert spec.coefficient(SubsetMask.from_variables([1], 2)) == 1.0
-        assert support_size(spec) == 1
+        assert spec[SubsetMask.from_variables([1], 2).mask] == 1.0
+        assert np.count_nonzero(spec) == 1
 
     def test_matches_definition_sum(self):
         rng = np.random.default_rng(7)
         f = RealCubeFunction(3, rng.standard_normal(8))
         spec = fourier_transform(f)
         for mask in range(8):
-            assert spec.coefficient(mask) == pytest.approx(
+            assert spec[mask] == pytest.approx(
                 coefficient_by_sum(f, mask), abs=1e-12
             )
 
@@ -119,25 +120,26 @@ class TestFourierTransform:
 
 class TestInverseTransform:
     def test_constant_spectrum(self):
-        f = inverse_transform(FourierSpectrum(2, {0: 0.5}))
+        f = inverse_transform(np.array([0.5, 0.0, 0.0, 0.0]))
+        assert f.n == 2
         assert np.all(f.values == 0.5)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
-        spec = FourierSpectrum(4, {m: float(rng.standard_normal()) for m in range(16)})
+        spec = rng.standard_normal(16)
         back = fourier_transform(inverse_transform(spec))
         for mask in range(16):
-            assert back.coefficient(mask) == pytest.approx(spec.coefficient(mask), abs=1e-12)
+            assert back[mask] == pytest.approx(spec[mask], abs=1e-12)
+
+    def test_rejects_non_power_of_two_length(self):
+        with pytest.raises(ValueError):
+            inverse_transform(np.ones(6))
 
     def test_two_term_spectrum_values(self):
         # x_1 - 0.5 x_1 x_2 evaluated at the four points
-        spec = FourierSpectrum(
-            2,
-            {
-                SubsetMask.from_variables([1], 2).mask: 1.0,
-                SubsetMask.from_variables([1, 2], 2).mask: -0.5,
-            },
-        )
+        spec = np.zeros(4)
+        spec[SubsetMask.from_variables([1], 2).mask] = 1.0
+        spec[SubsetMask.from_variables([1, 2], 2).mask] = -0.5
         f = inverse_transform(spec)
         for bits in range(4):
             signs = CubePoint(2, bits).signs
@@ -154,7 +156,7 @@ def test_parseval(n, seed):
     rng = np.random.default_rng(seed)
     f = RealCubeFunction(n, rng.standard_normal(1 << n))
     spec = fourier_transform(f)
-    lhs = sum(v * v for _, v in spec.items())
+    lhs = sum(v * v for v in spec)
     rhs = float(np.mean(f.values**2))
     assert abs(lhs - rhs) <= 1e-10
 
@@ -201,8 +203,8 @@ class TestTvDistance:
 
 class TestDegreeSupport:
     def test_constant(self):
-        assert degree(FourierSpectrum(3, {0: 1.0})) == 0
-        assert degree(FourierSpectrum(3, {})) == 0
+        assert degree(np.eye(1, 8)[0]) == 0
+        assert degree(np.zeros(8)) == 0
 
     def test_junta_distribution_spectrum(self):
         # depends on variables {1, 3} only
@@ -215,14 +217,28 @@ class TestDegreeSupport:
             values[bits] = block[local] / 4
         spec = fourier_transform(Distribution.from_values(4, values).function)
         assert degree(spec) <= 2
-        assert support_size(spec) <= 4
+        assert np.count_nonzero(spec) <= 4
 
     def test_random_degree_two(self):
         rng = np.random.default_rng(5)
         masks = [m for m in range(16) if m.bit_count() == 2]
-        spec = FourierSpectrum(4, {m: float(rng.standard_normal()) for m in masks})
-        assert degree(spec) == max(m.bit_count() for m in spec.masks())
+        spec = np.zeros(16)
+        spec[masks] = rng.standard_normal(len(masks))
+        assert degree(spec) == max(m.bit_count() for m in np.flatnonzero(spec).tolist())
         assert degree(spec) == 2
+
+
+class TestMaskArrays:
+    def test_popcount_matches_bit_count(self):
+        masks = np.array([0, 1, 6, 255, (1 << 40) + 3, 0x5555555555555555])
+        assert popcount(masks).tolist() == [m.bit_count() for m in masks.tolist()]
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (5, 2), (6, 6), (10, 3)])
+    def test_low_degree_masks_ascending_and_complete(self, n, k):
+        want = [m for m in range(1 << n) if m.bit_count() <= k]
+        got = low_degree_masks(n, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestDistribution:
@@ -243,7 +259,7 @@ class TestDistribution:
         for n in (1, 4, 10):
             w = rng.random(1 << n)
             p = Distribution.from_values(n, w / w.sum())
-            c0 = fourier_transform(p.function).coefficient(0)
+            c0 = fourier_transform(p.function)[0]
             # exact in exact arithmetic; allow a few ulp of renormalization noise
             assert abs(c0 - 2.0**-n) <= 8 * np.finfo(float).eps * 2.0**-n
 

@@ -16,7 +16,6 @@ from juntalab.qstate import (
     DensityMatrix,
     PauliString,
     partial_trace,
-    pauli_expand,
     pauli_matrix,
     pauli_tensor,
     random_density_matrix,
@@ -234,8 +233,9 @@ class TestChoiStateWithAncilla:
 class TestBooleanChoi:
     def test_constant_function_spectrum(self):
         choi = choi_of_boolean_function(RealCubeFunction.constant(2, 1.0))
-        spec = pauli_expand(choi.state)
-        for pauli, _ in spec.items():
+        spec = pauli_tensor(choi.state).reshape(-1)
+        for word in np.flatnonzero(spec).tolist():
+            pauli = PauliString(choi.state.n, word)
             codes = pauli.codes
             assert all(c in (0, 3) for c in codes)
             # only the empty set and the output-Z line survive
@@ -251,17 +251,17 @@ class TestBooleanChoi:
         f = RealCubeFunction(3, values)
         fspec = fourier_transform(f)
         choi = choi_of_boolean_function(f)
-        cspec = pauli_expand(choi.state)
+        cspec = pauli_tensor(choi.state).reshape(-1)
         # diagonal state: every X/Y coefficient vanishes
-        for pauli, value in cspec.items():
-            if any(c in (1, 2) for c in pauli.codes):
+        for word, value in enumerate(cspec):
+            if any(c in (1, 2) for c in PauliString(choi.state.n, word).codes):
                 assert abs(value) <= 1e-12
         ratios = []
         for mask in range(8):
-            if fspec.coefficient(mask) == 0.0:
+            if fspec[mask] == 0.0:
                 continue
             codes = [3] + [3 if mask >> (3 - i) & 1 else 0 for i in range(1, 4)]
-            ratio = cspec.coefficient(PauliString.from_codes(codes)) / fspec.coefficient(mask)
+            ratio = cspec[PauliString.from_codes(codes).packed] / fspec[mask]
             ratios.append(ratio)
         assert ratios
         assert max(ratios) - min(ratios) <= 1e-12

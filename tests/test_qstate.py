@@ -10,25 +10,23 @@ from juntalab.hypercube import Distribution, fourier_transform
 from juntalab.qstate import (
     DensityMatrix,
     JuntaStateDescriptor,
-    PauliSpectrum,
     PauliString,
     distribution_to_state,
     embed_junta,
     embed_on,
     frobenius_distance,
-    load_pauli_spectrum,
     load_state,
     partial_trace,
-    pauli_expand,
     pauli_matrix,
-    pauli_reconstruct,
     pauli_tensor,
+    pauli_tensor_to_matrix,
+    pauli_weight,
     proxy_distance,
     random_density_matrix,
     rho_eps,
     rho_eps_family,
-    save_pauli_spectrum,
     save_state,
+    scatter_pauli,
     trace_distance,
 )
 
@@ -107,29 +105,41 @@ class TestPauliMatrix:
 
 class TestPauliExpansion:
     def test_maximally_mixed(self):
-        spec = pauli_expand(DensityMatrix.maximally_mixed(3))
-        assert len(spec) == 1
-        assert spec.coefficient(PauliString.identity(3)) == 2.0**-3
+        spec = pauli_tensor(DensityMatrix.maximally_mixed(3)).reshape(-1)
+        assert np.count_nonzero(spec) == 1
+        assert spec[PauliString.identity(3).packed] == 2.0**-3
 
     def test_rho_eps_coefficients(self):
-        spec = pauli_expand(rho_eps(0.2))
-        assert spec.coefficient(PauliString.from_str("I")) == pytest.approx(0.5, abs=1e-15)
-        assert spec.coefficient(PauliString.from_str("Z")) == pytest.approx(0.1, abs=1e-15)
-        assert len(spec) == 2
+        spec = pauli_tensor(rho_eps(0.2))
+        assert spec[PauliString.from_str("I").packed] == pytest.approx(0.5, abs=1e-15)
+        assert spec[PauliString.from_str("Z").packed] == pytest.approx(0.1, abs=1e-15)
+        assert np.count_nonzero(spec) == 2
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(31)
         mat = random_density_matrix(2, rng).entries
-        spec = pauli_expand(mat)
+        spec = pauli_tensor(mat).reshape(-1)
         for p, expected in expansion_by_traces(mat, 2).items():
-            assert spec.coefficient(p) == pytest.approx(expected, abs=1e-12)
+            assert spec[p.packed] == pytest.approx(expected, abs=1e-12)
 
     def test_reconstruction_round_trip(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         mat = (g + g.conj().T) / 2
-        rec = pauli_reconstruct(pauli_expand(mat))
+        rec = pauli_tensor_to_matrix(pauli_tensor(mat))
         assert np.max(np.abs(rec - mat)) <= 1e-10
+
+    def test_scatter_places_words(self):
+        words = np.array([0, PauliString.from_str("IZ").packed, PauliString.from_str("XY").packed])
+        tensor = scatter_pauli(words, np.array([0.25, 0.25, -0.125]), 2)
+        assert tensor.shape == (4, 4)
+        assert tensor[0, 0] == 0.25 and tensor[0, 3] == 0.25 and tensor[1, 2] == -0.125
+        assert np.count_nonzero(tensor) == 3
+
+    def test_weight_counts_non_identity_letters(self):
+        strings = ["IIII", "XIII", "IIIZ", "YZIX", "ZZZZ", "IYIY"]
+        words = [PauliString.from_str(text).packed for text in strings]
+        assert pauli_weight(words).tolist() == [PauliString.from_str(t).weight for t in strings]
 
     def test_parseval(self):
         rng = np.random.default_rng(13)
@@ -141,11 +151,11 @@ class TestPauliExpansion:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            pauli_expand(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            pauli_tensor(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            pauli_expand(np.eye(3))
+            pauli_tensor(np.eye(3))
 
 
 class TestDistances:
@@ -296,21 +306,14 @@ class TestDistributionToState:
         w = rng.random(8)
         p = Distribution.from_values(3, w / w.sum())
         fspec = fourier_transform(p.function)
-        pspec = pauli_expand(distribution_to_state(p))
+        pspec = pauli_tensor(distribution_to_state(p)).reshape(-1)
         for packed in range(4**3):
-            pauli = PauliString(3, packed)
-            codes = pauli.codes
+            codes = PauliString(3, packed).codes
             if any(c in (1, 2) for c in codes):
-                assert pauli_values_zero(pspec, pauli)
+                assert abs(pspec[packed]) <= 1e-12
             else:
                 mask = sum(1 << (3 - i) for i, c in enumerate(codes, 1) if c == 3)
-                assert pspec.coefficient(pauli) == pytest.approx(
-                    fspec.coefficient(mask), abs=1e-12
-                )
-
-
-def pauli_values_zero(spec, pauli):
-    return abs(spec.coefficient(pauli)) <= 1e-12
+                assert pspec[packed] == pytest.approx(fspec[mask], abs=1e-12)
 
 
 class TestRhoEpsFamily:
@@ -367,19 +370,3 @@ class TestStateJson:
         save_state(DensityMatrix.maximally_mixed(1), path)
         payload = json.loads(path.read_text())
         assert set(payload) == {"n", "re", "im"}
-
-    def test_spectrum_round_trip(self, tmp_path):
-        spec = PauliSpectrum(
-            2,
-            {
-                PauliString.from_str("IZ"): 0.25,
-                PauliString.from_str("XY"): -0.125,
-            },
-        )
-        path = tmp_path / "spec.json"
-        save_pauli_spectrum(spec, path)
-        back = load_pauli_spectrum(path)
-        assert {str(p): c for p, c in back.items()} == {str(p): c for p, c in spec.items()}
-        payload = json.loads(path.read_text())
-        assert "paulis" in payload
-        assert all(set(entry) == {"string", "coeff"} for entry in payload["paulis"])

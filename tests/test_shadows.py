@@ -11,7 +11,6 @@ import pytest
 from juntalab.qstate import (
     DensityMatrix,
     PauliString,
-    pauli_expand,
     pauli_tensor,
     random_density_matrix,
     rho_eps,
@@ -24,6 +23,7 @@ from juntalab.shadows import (
     dump_shadows,
     estimate_coefficient,
     estimate_lowdeg,
+    estimates_for_supports,
     load_shadows,
     measure_in_pauli_basis,
     sample_outcomes,
@@ -209,7 +209,7 @@ class TestEstimators:
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
-        exact = pauli_expand(state).coefficient(PauliString.from_str("Z"))
+        exact = pauli_tensor(state).reshape(-1)[PauliString.from_str("Z").packed]
         assert exact == pytest.approx(0.1, abs=1e-15)
         shadow = collect_shadows(state, 100_000, seed=3)
         estimate = estimate_coefficient(shadow, PauliString.from_str("Z"))
@@ -229,25 +229,42 @@ class TestEstimators:
     def test_lowdeg_matches_per_coefficient(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
         shadow = collect_shadows(rho, 4000, seed=13)
-        table = estimate_lowdeg(shadow, 2)
-        for pauli, value in table.items():
-            assert value == estimate_coefficient(shadow, pauli)
-        count = sum(1 for p in table if p.weight <= 2)
-        assert count == len(table) == 1 + 3 * 3 + 3 * 9
+        words, values = estimate_lowdeg(shadow, 2)
+        assert words.dtype == np.int64 and values.dtype == np.float64
+        assert np.all(np.diff(words) > 0)
+        for word, value in zip(words.tolist(), values):
+            assert value == estimate_coefficient(shadow, PauliString(3, word))
+        want = [w for w in range(4**3) if PauliString(3, w).weight <= 2]
+        assert words.tolist() == want
+        assert len(want) == 1 + 3 * 3 + 3 * 9
+
+    def test_supports_in_any_order_give_ascending_unique_words(self):
+        rho = random_density_matrix(3, np.random.default_rng(12))
+        shadow = collect_shadows(rho, 500, seed=4)
+        supports = [(1, 2), (0,), (1, 2), ()]
+        words, values = estimates_for_supports(shadow.basis_codes, shadow.outcomes, 3, supports)
+        want = sorted(
+            w for w in range(4**3) if PauliString(3, w).support in ((2, 3), (1,), ())
+        )
+        assert words.tolist() == want
+        for word, value in zip(want, values):
+            assert value == estimate_coefficient(shadow, PauliString(3, word))
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix.maximally_mixed(3)
         shadow = collect_shadows(rho, 10, seed=2)
-        table = estimate_lowdeg(shadow, 0)
-        assert table == {PauliString.identity(3): 2.0**-3}
+        words, values = estimate_lowdeg(shadow, 0)
+        assert words.tolist() == [PauliString.identity(3).packed]
+        assert values.tolist() == [2.0**-3]
 
     def test_unbiased_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(14))
         exact = pauli_tensor(rho).reshape(-1)
         shadow = collect_shadows(rho, 200_000, seed=15)
-        for pauli, value in estimate_lowdeg(shadow, 2).items():
-            sigma = math.sqrt(3**pauli.weight / 4**3 / shadow.T)
-            assert abs(value - exact[pauli.packed]) <= 5 * sigma
+        words, values = estimate_lowdeg(shadow, 2)
+        for word, value in zip(words.tolist(), values):
+            sigma = math.sqrt(3 ** PauliString(3, word).weight / 4**3 / shadow.T)
+            assert abs(value - exact[word]) <= 5 * sigma
 
     def test_lowdeg_hits_accuracy_target_at_budget(self):
         # weight <= 1 coefficients at the sample count sized for absolute
@@ -260,11 +277,8 @@ class TestEstimators:
         hits = 0
         for seed in range(10):
             shadow = collect_shadows(rho, budget, seed=seed)
-            errors = [
-                abs(value - exact[pauli.packed])
-                for pauli, value in estimate_lowdeg(shadow, 1).items()
-            ]
-            if max(errors) <= target:
+            words, values = estimate_lowdeg(shadow, 1)
+            if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9
 

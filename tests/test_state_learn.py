@@ -12,6 +12,7 @@ from juntalab.qstate import (
     PauliString,
     embed_on,
     frobenius_distance,
+    pauli_weight,
     random_density_matrix,
     trace_distance,
 )
@@ -33,55 +34,66 @@ from juntalab.state_learn import (
 
 
 def threshold_by_cases(estimates, k, eps, n):
-    """Direct reimplementation of the three-case rule, as an oracle."""
+    """Direct reimplementation of the three-case rule on a {word: estimate}
+    dict, as an oracle."""
     cutoff = eps / (2 * 2**n * math.sqrt(4**k))
     out = {}
-    for pauli, value in estimates.items():
-        if pauli.weight > k:
+    for word, value in estimates.items():
+        weight = PauliString(n, word).weight
+        if weight > k:
             continue
-        if pauli.weight == 0:
+        if weight == 0:
             continue
         if abs(value) <= cutoff:
             continue
-        out[pauli] = value
-    out[PauliString.identity(n)] = 2.0**-n
+        out[word] = value
+    out[PauliString.identity(n).packed] = 2.0**-n
     return out
+
+
+def packed(*texts):
+    return np.array([PauliString.from_str(text).packed for text in texts], dtype=np.int64)
 
 
 class TestThresholdPauli:
     def test_all_below_keeps_only_identity(self):
         n, k, eps = 3, 1, 0.2
         cutoff = pauli_threshold_cutoff(n, k, eps)
-        estimates = {
-            PauliString.from_str("IIZ"): cutoff / 2,
-            PauliString.from_str("XII"): -cutoff / 2,
-            PauliString.identity(3): 2.0**-3,
-        }
-        spec = threshold_pauli(estimates, k, eps, n)
-        assert spec.strings() == (PauliString.identity(3),)
-        assert spec.coefficient(PauliString.identity(3)) == 2.0**-3
+        words = packed("III", "IIZ", "XII")
+        words, values = threshold_pauli(words, [2.0**-3, cutoff / 2, -cutoff / 2], k, eps, n)
+        assert words.tolist() == [PauliString.identity(3).packed]
+        assert values.tolist() == [2.0**-3]
 
     def test_boundary_value_is_zeroed(self):
         n, k, eps = 2, 1, 0.3
         cutoff = pauli_threshold_cutoff(n, k, eps)
-        spec = threshold_pauli({PauliString.from_str("IZ"): cutoff}, k, eps, n)
-        assert spec.coefficient(PauliString.from_str("IZ")) == 0.0
+        words, _ = threshold_pauli(packed("IZ"), [cutoff], k, eps, n)
+        assert PauliString.from_str("IZ").packed not in words.tolist()
 
     def test_matches_case_oracle(self):
         rng = np.random.default_rng(7)
         n, k, eps = 3, 1, 0.25
-        estimates = {
-            PauliString(n, packed): float(rng.standard_normal() * 0.02)
-            for packed in range(4**n)
-        }
-        spec = threshold_pauli(estimates, k, eps, n)
-        want = threshold_by_cases(estimates, k, eps, n)
-        assert dict(spec.items()) == want
+        values = rng.standard_normal(4**n) * 0.02
+        words, kept = threshold_pauli(np.arange(4**n), values, k, eps, n)
+        want = threshold_by_cases(dict(enumerate(values.tolist())), k, eps, n)
+        assert dict(zip(words.tolist(), kept.tolist())) == want
 
     def test_never_keeps_high_weight(self):
-        estimates = {PauliString.from_str("XYZ"): 0.5}
-        spec = threshold_pauli(estimates, 2, 0.1, 3)
-        assert spec.max_weight() == 0
+        words, _ = threshold_pauli(packed("XYZ"), [0.5], 2, 0.1, 3)
+        assert pauli_weight(words).max() == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_output_starts_with_pinned_identity(self, n):
+        # The identity estimate is replaced (or supplied, when absent) by
+        # 2^-n, and it leads the ascending words.
+        rng = np.random.default_rng(n)
+        words = np.arange(4**n) if n < 5 else np.arange(1, 4**3)
+        values = rng.standard_normal(words.size)
+        out_words, out_values = threshold_pauli(words, values, 2, 0.01, n)
+        assert out_words.dtype == np.int64 and out_values.dtype == np.float64
+        assert out_words[0] == 0 and out_values[0] == 2.0**-n
+        assert np.all(np.diff(out_words) > 0)
+        assert out_words.size > 1
 
 
 class TestPsdProject:
@@ -161,7 +173,8 @@ class TestLearnJuntaState:
         access = SimulatedStateAccess(truth, seed=1)
         result = learn_junta_state(access, 1, 0.3, 0.1, basis_seed=2)
         assert np.array_equal(result.matrix, truth.entries)
-        assert result.spectrum.strings() == (PauliString.identity(3),)
+        assert result.words.tolist() == [PauliString.identity(3).packed]
+        assert result.values.tolist() == [2.0**-3]
 
     def test_planted_junta_within_bound(self):
         rng = np.random.default_rng(11)
@@ -177,7 +190,7 @@ class TestLearnJuntaState:
         truth = random_density_matrix(3, np.random.default_rng(13))
         access = SimulatedStateAccess(truth, seed=4)
         result = learn_junta_state(access, 1, 0.4, 0.2, basis_seed=5)
-        assert result.spectrum.max_weight() <= 1
+        assert pauli_weight(result.words).max() <= 1
 
     def test_deterministic_given_seeds(self):
         truth = embed_on(random_density_matrix(1, np.random.default_rng(2)), (1,), 3)
@@ -243,18 +256,16 @@ class TestSquaredCoefficientGuarantee:
         # exact junta with all nonzero coefficients above 2x the cutoff: the
         # total squared coefficient error stays within 2 eps^2 / 2^(2n) at the
         # prescribed copy count, in at least 9 of 10 seeds
-        from juntalab.qstate import PauliSpectrum, pauli_reconstruct, pauli_tensor
+        from juntalab.qstate import pauli_tensor, pauli_tensor_to_matrix
 
         n, k, eps, delta = 4, 1, 0.25, 0.1
         cutoff = eps / (2.0 * 2**n * 2**k)
         floor = 2.5 * cutoff * 2 ** (n - k)
         rng = np.random.default_rng(23)
-        coeffs = {PauliString.identity(1): 0.5}
-        for packed in (1, 2, 3):
-            coeffs[PauliString(1, packed)] = float(rng.choice([-1, 1])) * float(
-                rng.uniform(floor, 1.5 * floor)
-            )
-        block = DensityMatrix(pauli_reconstruct(PauliSpectrum(1, coeffs)))
+        coeffs = np.array([0.5, 0.0, 0.0, 0.0])
+        for word in (1, 2, 3):
+            coeffs[word] = float(rng.choice([-1, 1])) * float(rng.uniform(floor, 1.5 * floor))
+        block = DensityMatrix(pauli_tensor_to_matrix(coeffs))
         truth = embed_on(block, (2,), n)
         exact = pauli_tensor(truth).reshape(-1)
         budget = 2.0 * eps**2 / 2 ** (2 * n)
@@ -263,8 +274,7 @@ class TestSquaredCoefficientGuarantee:
             access = SimulatedStateAccess(truth, seed=800 + seed)
             result = learn_junta_state(access, k, eps, delta, basis_seed=seed)
             learned = np.zeros_like(exact)
-            for pauli, value in result.spectrum.items():
-                learned[pauli.packed] = value
+            learned[result.words] = result.values
             if float(((learned - exact) ** 2).sum()) <= budget:
                 hits += 1
         assert hits >= 9
@@ -351,8 +361,8 @@ class TestPsdSpectrumConsistency:
         rebuilt = np.zeros_like(result.matrix)
         from juntalab.qstate import pauli_matrix
 
-        for pauli, value in result.spectrum.items():
-            rebuilt = rebuilt + value * pauli_matrix(pauli)
+        for word, value in zip(result.words.tolist(), result.values):
+            rebuilt = rebuilt + value * pauli_matrix(PauliString(3, word))
         assert np.max(np.abs(rebuilt - result.matrix)) <= 1e-10
 
     def test_projection_eigenvalues_nonnegative(self):
