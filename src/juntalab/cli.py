@@ -265,11 +265,16 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, payload: dict, source="experiment spec") -> "ExperimentSpec":
         require_fields(payload, ("command", "grid"), source)
+        for name, kind, label in (("command", str, "a string"), ("grid", dict, "an object"),
+                                  ("trials", int, "an integer"), ("seed", int, "an integer")):
+            value = payload.get(name)
+            if name in payload and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise ValueError(f"{source}: field {name!r} must be {label}, got {json.dumps(value)}")
         return cls(
-            command=str(payload["command"]),
+            command=payload["command"],
             grid=dict(payload["grid"]),
-            trials=int(payload.get("trials", 1)),
-            seed=int(payload.get("seed", 0)),
+            trials=payload.get("trials", 1),
+            seed=payload.get("seed", 0),
             out=payload.get("out"),
         )
 

@@ -34,7 +34,7 @@ from .qstate import (
 )
 from .shadows import (
     PauliBasisString,
-    _low_degree_supports,
+    _low_degree_blocks,
     _measurement_coefficients,
     collect_chunks,
     estimates_for_supports,
@@ -176,7 +176,7 @@ def learn_junta_state(
         raise ValueError("k out of range")
     T = junta_state_sample_count(n, k, eps, delta, c)
     codes, outs = _collect_through_access(access, T, basis_seed)
-    words, values = estimates_for_supports(codes, outs, n, _low_degree_supports(n, k))
+    words, values = estimates_for_supports(codes, outs, n, _low_degree_blocks(n, k))
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
     return LearnedState(

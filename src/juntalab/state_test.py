@@ -35,7 +35,6 @@ from .qstate import (
     pauli_tensor,
     pauli_tensor_to_matrix,
     pauli_weight,
-    scatter_pauli,
     trace_distance,
 )
 from .shadows import estimates_for_supports, shadow_sample_count
@@ -94,9 +93,8 @@ def local_tomography(
     """Learn the reduced state on ``subset`` to trace error eps, whp.
 
     Estimates the 4^|subset| full-state coefficients supported inside the
-    subset, slices them out of the full Pauli tensor (identity on the other
-    qubits), rescales them by 2^(n - |subset|) into reduced-state
-    coefficients, and PSD-projects the rebuilt matrix.
+    subset as one column block, rescales them by 2^(n - |subset|) into
+    reduced-state coefficients, and PSD-projects the rebuilt matrix.
     """
     n = access.n
     subset = tuple(sorted(int(q) for q in subset))
@@ -109,10 +107,8 @@ def local_tomography(
         return DensityMatrix(np.ones((1, 1)))
     T = tomography_sample_count(n, kappa, eps, delta, c)
     codes, outs = _collect_through_access(access, T, basis_seed)
-    cols = [q - 1 for q in subset]
-    supports = [tuple(combo) for j in range(kappa + 1) for combo in itertools.combinations(cols, j)]
-    tensor = scatter_pauli(*estimates_for_supports(codes, outs, n, supports), n)
-    reduced = tensor[tuple(slice(None) if q in subset else 0 for q in range(1, n + 1))]
+    _, values = estimates_for_supports(codes, outs, n, [[q - 1 for q in subset]])
+    reduced = values.reshape((4,) * kappa)  # ascending words over ascending columns
     return psd_project(pauli_tensor_to_matrix(float(1 << (n - kappa)) * reduced))
 
 
@@ -158,11 +154,8 @@ class FrobeniusCertifier:
         call_seed = int(np.random.SeedSequence([self.seed, self._calls]).generate_state(1)[0])
         self._calls += 1
         codes, outs = _collect_through_access(access, T, call_seed)
-        supports = [
-            tuple(combo) for j in range(n + 1) for combo in itertools.combinations(range(n), j)
-        ]
-        # Every support is listed, so the words are all 4^n packed words in order.
-        words, est_flat = estimates_for_supports(codes, outs, n, supports)
+        # One block of every column: the words are all 4^n packed words in order.
+        words, est_flat = estimates_for_supports(codes, outs, n, [range(n)])
         ref_flat = pauli_tensor(reference).reshape(-1)
         second_moment = 3.0 ** pauli_weight(words) / 4.0**n
         variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)

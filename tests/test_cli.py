@@ -355,6 +355,14 @@ class TestLoadersNameMissingFields:
         err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
         assert "spec.json" in err and f"missing field '{field}'" in err
 
+    @pytest.mark.parametrize("field, value", [("command", 5), ("grid", 5), ("trials", [2]), ("seed", None)])
+    def test_experiment_spec_field_type(self, field, value, tmp_path, capsys):
+        spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, "trials": 1, "seed": 0}
+        spec[field] = value
+        err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        assert err.startswith("invalid experiment spec: ") and "spec.json" in err
+        assert f"field '{field}' must be" in err
+
     def test_records(self, tmp_path, capsys):
         line = json.dumps({"cell": 0, "trial": 0, "parameters": {}, "seed": 1, "status": "ok"})
         err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],

@@ -30,6 +30,26 @@ from juntalab.shadows import (
     shadow_sample_count,
 )
 
+
+def _per_support_estimates(codes, outs, n):
+    """All 4^n estimates from one grouped pass per support set: for each
+    support, base-3 keys over its columns and +/-1 outcome products,
+    summed with one bincount (first column most significant)."""
+    values = np.empty(4**n)
+    for j in range(n + 1):
+        for cols in itertools.combinations(range(n), j):
+            key = np.zeros(codes.shape[0], dtype=np.int64)
+            weight = np.ones(codes.shape[0], dtype=np.int64)
+            for col in cols:
+                key = key * 3 + (codes[:, col].astype(np.int64) - 1)
+                weight = weight * outs[:, col]
+            totals = np.bincount(key, weights=weight.astype(np.float64), minlength=3**j)
+            assign = np.arange(3**j)[:, None] // 3 ** np.arange(j - 1, -1, -1) % 3 + 1
+            words = assign @ 4 ** (n - 1 - np.array(cols, dtype=np.int64))
+            values[words] = 3**j * totals / float((1 << n) * codes.shape[0])
+    return values
+
+
 X_PLUS = np.array([1, 1]) / math.sqrt(2)
 X_MINUS = np.array([1, -1]) / math.sqrt(2)
 Y_PLUS = np.array([1, 1j]) / math.sqrt(2)
@@ -241,14 +261,52 @@ class TestEstimators:
     def test_supports_in_any_order_give_ascending_unique_words(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
         shadow = collect_shadows(rho, 500, seed=4)
-        supports = [(1, 2), (0,), (1, 2), ()]
-        words, values = estimates_for_supports(shadow.basis_codes, shadow.outcomes, 3, supports)
-        want = sorted(
-            w for w in range(4**3) if PauliString(3, w).support in ((2, 3), (1,), ())
-        )
+        blocks = [(1, 2), (0,), (1, 2), ()]
+        words, values = estimates_for_supports(shadow.basis_codes, shadow.outcomes, 3, blocks)
+        # Every word whose (1-based) support lies inside some block.
+        inside = [{2, 3}, {1}, set()]
+        want = [w for w in range(4**3) if any(set(PauliString(3, w).support) <= b for b in inside)]
         assert words.tolist() == want
         for word, value in zip(want, values):
             assert value == estimate_coefficient(shadow, PauliString(3, word))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("T", [1, 700])
+    def test_full_block_equals_both_oracles_bitwise(self, n, T):
+        rho = random_density_matrix(n, np.random.default_rng(30 + n))
+        shadow = collect_shadows(rho, T, seed=31)
+        codes, outs = shadow.basis_codes, shadow.outcomes
+        oracle = _per_support_estimates(codes, outs, n)
+        for blocks in ([range(n)], [(), tuple(reversed(range(n))), range(n), ()]):
+            words, values = estimates_for_supports(codes, outs, n, blocks)
+            assert words.tolist() == list(range(4**n))
+            assert values.tobytes() == oracle.tobytes()
+            for word, value in zip(words.tolist(), values):
+                assert value == estimate_coefficient(shadow, PauliString(n, word))
+        words, values = estimates_for_supports(codes, outs, n, [()])
+        assert words.tolist() == [0] and values.tolist() == [2.0**-n]
+
+    def test_rejects_codes_outside_one_to_three(self):
+        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        for bad in (0, 4):
+            codes = shadow.basis_codes.copy()
+            codes[3, 1] = bad
+            with pytest.raises(ValueError, match="basis codes"):
+                estimates_for_supports(codes, shadow.outcomes, 2, [(0, 1)])
+
+    def test_rejects_outcomes_other_than_plus_minus_one(self):
+        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        for bad in (0, 2):
+            outs = shadow.outcomes.copy()
+            outs[5, 0] = bad
+            with pytest.raises(ValueError, match="outcomes must be"):
+                estimates_for_supports(shadow.basis_codes, outs, 2, [(0, 1)])
+
+    @pytest.mark.parametrize("block", [(1, 1), (0, 2), (-1,)])
+    def test_rejects_repeated_or_out_of_range_block_columns(self, block):
+        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        with pytest.raises(ValueError, match="distinct columns in 0..1"):
+            estimates_for_supports(shadow.basis_codes, shadow.outcomes, 2, [(0,), block])
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix.maximally_mixed(3)
