@@ -270,12 +270,17 @@ class ExperimentSpec:
             value = payload.get(name)
             if name in payload and (not isinstance(value, kind) or isinstance(value, bool)):
                 raise ValueError(f"{source}: field {name!r} must be {label}, got {json.dumps(value)}")
+        if payload.get("seed", 0) < 0:
+            raise ValueError(f"{source}: field 'seed' must be a nonnegative integer, got {payload['seed']}")
+        out = payload.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"{source}: field 'out' must be a string, got {json.dumps(out)}")
         return cls(
             command=payload["command"],
             grid=dict(payload["grid"]),
             trials=payload.get("trials", 1),
             seed=payload.get("seed", 0),
-            out=payload.get("out"),
+            out=out,
         )
 
     def cells(self) -> list[dict]:

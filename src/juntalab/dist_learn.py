@@ -14,14 +14,18 @@ Coefficients are handled internally at the scale ``q = 2^n p`` (the density
 relative to uniform) so nothing underflows at large n; the public API speaks
 the mean-of-characters convention, i.e. q / 2^n.
 
-Estimating all low-degree coefficients at once runs a single Walsh transform
-over the empirical histogram, which reproduces the per-subset empirical
-means exactly. A low-degree spectrum is a pair of arrays: ascending subset
-masks and their values.
+Estimating all low-degree coefficients at once never touches 2^n bins: the
+bit positions are cut into contiguous groups, every |S| <= k lies in a block
+of min(k, #groups) groups, and each block's b bits of the samples are
+histogrammed into 2^b bins and Walsh-transformed. The sums are integers, so
+they reproduce the per-subset empirical means exactly, bit for bit equal to
+one transform over the full 2^n histogram. A low-degree spectrum is a pair of
+arrays: ascending subset masks and their values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -97,11 +101,12 @@ class SimulatedSampler:
         rng = np.random.default_rng([self._seed, self._calls])
         self._calls += 1
         uniforms = rng.random(count)
-        points = np.minimum(
-            np.searchsorted(self._cumulative, uniforms, side="right"),
-            (1 << self.n) - 1,
-        )
-        return SampleSet(self.n, points)
+        # Ascending needles walk the cumulative in order, which is cache
+        # friendly; the scatter puts each point back at its uniform's draw.
+        order = np.argsort(uniforms, kind="stable")
+        points = np.empty(count, dtype=np.int64)
+        points[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
+        return SampleSet(self.n, np.minimum(points, (1 << self.n) - 1))
 
 
 def sample_count_dist(n: int, k: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
@@ -128,17 +133,52 @@ def empirical_coefficient(samples: SampleSet, subset: SubsetMask | int) -> float
     return total / ((1 << samples.n) * samples.size)
 
 
+def _group_width(n: int, k: int, size: int) -> int:
+    """The group width g in 1..n with the fewest element operations
+    G*T + C(G, r) * (r*T + b*2^b): G groups of g bits, blocks of r = min(k, G)
+    groups, b = min(n, r*g) bits a block."""
+
+    def cost(g: int) -> int:
+        groups = -(-n // g)
+        r = min(k, groups)
+        b = min(n, r * g)
+        return groups * size + math.comb(groups, r) * (r * size + b * (1 << b))
+
+    return min(range(1, max(n, 1) + 1), key=cost)
+
+
 def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the density relative to uniform, q = 2^n p, for every
     |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
-    One Walsh transform over the sample histogram; the sums are integer-exact.
+
+    The n bit positions are cut into contiguous groups; a block is the union
+    of min(k, #groups) groups, so every |S| <= k lies inside some block. Each
+    block packs its groups' bits of every point into a b-bit key, histograms
+    the keys into 2^b bins and Walsh-transforms them; entry S of that
+    transform is the sum over the samples of chi_S. The sums are integers, so
+    they are exact and equal to those of one transform over the 2^n
+    histogram. With a single group the key is the point itself.
     This is the internal working scale -- it keeps magnitudes O(1) at any n."""
-    n = samples.n
+    n, points = samples.n, samples.points
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    histogram = np.bincount(samples.points, minlength=1 << n).astype(np.float64)
     masks = low_degree_masks(n, k)
-    return masks, walsh_hadamard(histogram)[masks] / samples.size
+    g = _group_width(n, k, samples.size)
+    # (lowest bit, width) of each group, most significant group first.
+    groups = [(max(top - g, 0), min(top, g)) for top in range(n, 0, -g)]
+    codes = [points >> low & (1 << width) - 1 for low, width in groups]
+    totals = np.empty(masks.size)
+    for block in itertools.combinations(range(len(groups)), min(k, len(groups))):
+        key, packed, bits, b = np.zeros_like(points), np.zeros_like(masks), 0, 0
+        for j in block:
+            low, width = groups[j]
+            key = key << width | codes[j]
+            packed = packed << width | masks >> low & (1 << width) - 1
+            bits |= (1 << width) - 1 << low
+            b += width
+        inside = masks & ~bits == 0
+        totals[inside] = walsh_hadamard(np.bincount(key, minlength=1 << b))[packed[inside]]
+    return masks, totals / samples.size
 
 
 def empirical_low_degree_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +242,7 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
     for var in variables:
         shape[var - 1] = 2
     dense = np.broadcast_to(block.reshape(shape) / normalizer, (2,) * n)
-    return Distribution(RealCubeFunction(n, dense.reshape(-1).copy()))
+    return Distribution(RealCubeFunction(n, dense.reshape(-1)))
 
 
 @dataclass

@@ -226,6 +226,8 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 def popcount(masks) -> np.ndarray:
     """Number of set bits of each nonnegative integer, elementwise."""
     masks = np.array(masks, dtype=np.int64)
+    if (masks < 0).any():
+        raise ValueError(f"popcount needs nonnegative integers, got {masks[masks < 0][0]}")
     count = np.zeros(masks.shape, dtype=np.int64)
     while masks.any():
         count += masks & 1

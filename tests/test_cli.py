@@ -363,6 +363,14 @@ class TestLoadersNameMissingFields:
         assert err.startswith("invalid experiment spec: ") and "spec.json" in err
         assert f"field '{field}' must be" in err
 
+    @pytest.mark.parametrize("field, value, want", [("out", 5, "a string, got 5"),
+                                                    ("seed", -1, "a nonnegative integer, got -1")])
+    def test_experiment_spec_field_value(self, field, value, want, tmp_path, capsys):
+        spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, field: value}
+        err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        assert err.startswith("invalid experiment spec: ") and "spec.json" in err
+        assert f"field '{field}' must be {want}" in err
+
     def test_records(self, tmp_path, capsys):
         line = json.dumps({"cell": 0, "trial": 0, "parameters": {}, "seed": 1, "status": "ok"})
         err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],

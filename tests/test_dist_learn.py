@@ -11,6 +11,7 @@ from juntalab.dist_learn import (
     SampleSet,
     SimulatedExampleOracle,
     SimulatedSampler,
+    _group_width,
     empirical_coefficient,
     empirical_low_degree_spectrum,
     empirical_relative_spectrum,
@@ -30,6 +31,7 @@ from juntalab.hypercube import (
     inverse_transform,
     low_degree_masks,
     tv_distance,
+    walsh_hadamard,
 )
 
 
@@ -125,6 +127,34 @@ class TestSpectrumEstimation:
         paper_masks, paper = empirical_low_degree_spectrum(samples, 2)
         assert np.array_equal(masks, paper_masks)
         assert np.array_equal(relative / 2**5, paper)
+
+
+def dense_relative_spectrum(samples, k):
+    """The estimator as one Walsh transform over the full 2^n histogram."""
+    masks = low_degree_masks(samples.n, k)
+    histogram = np.bincount(samples.points, minlength=1 << samples.n)
+    return masks, walsh_hadamard(histogram)[masks] / samples.size
+
+
+class TestBlockHistogramEstimator:
+    # (n, k, T) -> group width: 1, 2, 3, 4 (four equal groups), 5 (a narrower
+    # last group), the single block (k = n, k = 0, n = 1, T = 1) and the
+    # learn-dist benchmark cell.
+    CASES = [(10, 2, 1), (8, 2, 50), (12, 3, 500), (16, 2, 3000), (9, 1, 1000), (6, 6, 100),
+             (5, 0, 7), (1, 0, 5), (1, 1, 1), (10, 3, 22105), (20, 3, 25432)]
+
+    def test_sweep_covers_widths_and_single_block(self):
+        widths = {_group_width(n, k, T) for n, k, T in self.CASES}
+        assert {1, 2, 3, 4, 5} <= widths
+        assert any(_group_width(n, k, T) == n for n, k, T in self.CASES)
+
+    @pytest.mark.parametrize("n,k,T", CASES)
+    def test_bitwise_equal_to_dense_transform(self, n, k, T):
+        samples = SampleSet(n, np.random.default_rng(n * 1000 + T).integers(0, 1 << n, T))
+        masks, values = empirical_relative_spectrum(samples, k)
+        want_masks, want = dense_relative_spectrum(samples, k)
+        assert np.array_equal(masks, want_masks)
+        assert values.tobytes() == want.tobytes()
 
 
 class TestThreshold:
@@ -262,6 +292,13 @@ class TestSampleSetValidation:
         sampler: DistributionSampler = SimulatedSampler(truth, seed=0)
         drawn = sampler.draw(10)
         assert drawn.size == 10 and drawn.n == 3
+
+    def test_sampler_matches_per_uniform_search(self):
+        truth, _ = random_junta_distribution(8, 2, np.random.default_rng(4))
+        cumulative = np.cumsum(truth.values)
+        uniforms = np.random.default_rng([7, 0]).random(500)
+        want = [min(int(np.searchsorted(cumulative, u, side="right")), 255) for u in uniforms]
+        assert SimulatedSampler(truth, seed=7).draw(500).points.tolist() == want
 
     def test_sampler_deterministic_replay(self):
         truth, _ = random_junta_distribution(5, 2, np.random.default_rng(3))
