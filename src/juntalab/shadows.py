@@ -6,10 +6,11 @@ outcome distribution is
 ``p_Q(x) = Tr[rho prod_i (I + x_i Q_i) / 2] = sum_{S subset [n]} c(Q_S) chi_S(x)``,
 where Q_S keeps Q on S and puts I elsewhere: the Walsh transform of the
 {I, Q_i} slice of the state's Pauli tensor (the inverse of the shadow
-estimator below). The tensor is computed once per state; each chunk gathers
-the slices of its distinct basis words with one index matrix, transforms
-them as one batch, and draws every row with one vectorized binary search.
-Only the +/-1 eigenvalue labeling enters, so no eigenbasis phases are fixed.
+estimator below). The tensor is computed once per state; each sampling call,
+a group of consecutive chunks, gathers the slices of its distinct basis words
+with one index matrix, transforms them as one batch, and draws its rows with
+one vectorized binary search per chunk. Only the +/-1 eigenvalue labeling
+enters, so no eigenbasis phases are fixed.
 
 The coefficient estimator for a Pauli word P averages
 ``3^|supp P| / 2^n * prod_{i in supp P} x_i [P_i == Q_i]`` over samples. It
@@ -17,10 +18,11 @@ is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 ``3^|supp P| / 4^n``.
 
 Determinism: sample streams are carved into fixed-size chunks and chunk ``c``
-draws from an RNG keyed ``(seed, c)``, so a shadow set is a pure function of
-``(state, T, seed)`` no matter how chunks are scheduled. Estimates count each
-column block's rows in one base-6 histogram, 6^m int64 bins for m columns
-(365 KiB at m = 6, about 460 MiB at m = 10), and sum them as exact integers.
+draws its words, then its uniforms, from an RNG keyed ``(seed, c)``, so a
+shadow set is a pure function of ``(state, T, seed)`` no matter how chunks are
+grouped into calls. Estimates count each column block's rows in one base-6
+histogram, 6^m int64 bins for m columns (365 KiB at m = 6, about 460 MiB at
+m = 10), and sum them as exact integers.
 """
 
 from __future__ import annotations
@@ -165,31 +167,36 @@ def born_probabilities(rho, basis: PauliBasisString) -> np.ndarray:
 
 
 def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Born-sample one outcome row per basis row, using the provided uniforms.
+    """Born-sample one outcome row per basis row, using one provided uniform per row.
 
     ``coeffs`` is the state's flat Pauli tensor. Row r draws the outcome
-    ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of the cumulative
-    distribution of its basis word; every row is located by one n-step binary
-    search that counts the cumulative entries at or below its uniform.
+    ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of its basis word's
+    cumulative distribution, built once per call and word; each CHUNK-row slice
+    counts the entries at or below its uniforms by one n-step binary search.
     """
-    n = codes.shape[1]
+    if codes.ndim != 2 or np.shape(uniforms) != codes.shape[:1]:
+        shapes = f"codes of shape {codes.shape} and uniforms of shape {np.shape(uniforms)}"
+        raise ValueError(f"need 2-D (rows, n) basis codes and one uniform per row, got {shapes}")
+    rows, n = codes.shape
     if codes.min() < 1 or codes.max() > 3:
         raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-    place = 3 ** np.arange(n - 1, -1, -1)
-    keys = (codes.astype(np.int64) - 1) @ place
+    keys = np.ravel_multi_index((codes - 1).T, (3,) * n)
     present = np.zeros(3**n, dtype=bool)
     present[keys] = True
-    words = np.flatnonzero(present)[:, None] // place % 3 + 1
+    words = np.flatnonzero(present)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3 + 1
     cum = np.cumsum(_born_rows(coeffs, words), axis=1).reshape(-1)
     # Rows search their word's block of the flat cumulatives: [start, start + 2^n).
     start = (np.cumsum(present) - 1)[keys] << n
-    draws = start.copy()
-    step = 1 << (n - 1)
-    while step:
-        draws += step * (cum[draws + (step - 1)] <= uniforms)
-        step >>= 1
-    bits = (draws - start)[:, None] >> np.arange(n - 1, -1, -1) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    signs = (1 - 2 * (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1)).astype(np.int8)
+    outs = np.empty((rows, n), dtype=np.int8)
+    for at in range(0, rows, CHUNK):
+        first, u = start[at : at + CHUNK], uniforms[at : at + CHUNK]
+        draws, step = first.copy(), 1 << (n - 1)
+        while step:
+            draws += step * (cum[draws + (step - 1)] <= u)
+            step >>= 1
+        np.take(signs, draws - first, axis=0, out=outs[at : at + CHUNK])
+    return outs
 
 
 def measure_in_pauli_basis(rho, basis: PauliBasisString, rng: np.random.Generator) -> tuple[int, ...]:
@@ -203,26 +210,28 @@ def measure_in_pauli_basis(rho, basis: PauliBasisString, rng: np.random.Generato
     return tuple(int(v) for v in sample_outcomes(coeffs, words, np.array([rng.random()]))[0])
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(chunk_index)])
+def _chunk_uniforms(rngs, rows: int) -> np.ndarray:
+    """One uniform per row: CHUNK-row piece j of the rows draws from ``rngs[j]``."""
+    return np.concatenate([rng.random(min(CHUNK, rows - at)) for rng, at in zip(rngs, range(0, rows, CHUNK))])
 
 
 def collect_chunks(n: int, T: int, seed: int, measure) -> tuple[np.ndarray, np.ndarray]:
     """T uniform basis words over n qubits and their measured outcomes.
 
-    Chunk ``c`` of up to 4096 words is drawn from an RNG keyed ``(seed, c)``
-    and handed to ``measure(codes, rng)`` together with that RNG, which the
-    callback may keep drawing from; the result is bitwise reproducible at
-    any scheduling granularity.
+    Chunk ``c`` of up to CHUNK words is drawn from an RNG keyed ``(seed, c)``.
+    ``measure(codes, rngs)`` gets consecutive chunks with their RNGs, which it
+    may keep drawing from, max(CHUNK, 2^22 >> n) rows at a time so that their
+    Born rows stay within 2^22 floats; the result is the same at any grouping.
     """
     codes_all = np.empty((T, n), dtype=np.uint8)
     outs_all = np.empty((T, n), dtype=np.int8)
-    for chunk_index, done in enumerate(range(0, T, CHUNK)):
-        size = min(CHUNK, T - done)
-        rng = _chunk_rng(seed, chunk_index)
-        codes = rng.integers(1, 4, size=(size, n), dtype=np.uint8)
-        codes_all[done : done + size] = codes
-        outs_all[done : done + size] = measure(codes, rng)
+    group = max(CHUNK, (1 << 22) >> n)
+    for begin in range(0, T, group):
+        end = min(begin + group, T)
+        rngs = [np.random.default_rng([int(seed), done // CHUNK]) for done in range(begin, end, CHUNK)]
+        for rng, done in zip(rngs, range(begin, end, CHUNK)):
+            codes_all[done : done + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, T - done), n), dtype=np.uint8)
+        outs_all[begin:end] = measure(codes_all[begin:end], rngs)
     return codes_all, outs_all
 
 
@@ -235,7 +244,7 @@ def collect_shadows(rho, T: int, seed: int) -> ShadowSet:
         raise ValueError("seed must be a nonnegative integer")
     n, coeffs = _measurement_coefficients(rho)
     codes, outs = collect_chunks(
-        n, T, seed, lambda codes, rng: sample_outcomes(coeffs, codes, rng.random(len(codes)))
+        n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
     )
     return ShadowSet(n, codes, outs, seed)
 

@@ -33,7 +33,9 @@ from .qstate import (
     scatter_pauli,
 )
 from .shadows import (
+    CHUNK,
     PauliBasisString,
+    _chunk_uniforms,
     _low_degree_blocks,
     _measurement_coefficients,
     collect_chunks,
@@ -54,7 +56,8 @@ class StateAccess(Protocol):
 
     def measure(self, basis: PauliBasisString) -> tuple[int, ...]: ...
 
-    def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray: ...
+    def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
+        """One outcome row per basis row; a call over the copy budget consumes nothing."""
 
 
 class AccessExhaustedError(RuntimeError):
@@ -64,9 +67,9 @@ class AccessExhaustedError(RuntimeError):
 class SimulatedStateAccess:
     """StateAccess backed by the Born-rule simulator.
 
-    Outcome randomness for the i-th measure call comes from an RNG keyed
-    (seed, i), independent of the basis words requested. An optional
-    ``max_copies`` budget makes the oracle exhaustible.
+    Piece i of the outcome stream, CHUNK rows, draws from an RNG keyed (seed, i)
+    whatever the basis words: one call over several chunks equals one call per
+    chunk. A ``max_copies`` budget, checked for each whole call, makes it exhaustible.
     """
 
     def __init__(self, rho: DensityMatrix, seed: int, max_copies: int | None = None) -> None:
@@ -84,15 +87,13 @@ class SimulatedStateAccess:
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
         codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
-        if self._max_copies is not None and self._copies + codes.shape[0] > self._max_copies:
-            raise AccessExhaustedError(
-                f"budget of {self._max_copies} copies cannot cover "
-                f"{codes.shape[0]} more measurements"
-            )
-        rng = np.random.default_rng([self._seed, self._calls])
-        self._calls += 1
-        self._copies += codes.shape[0]
-        return sample_outcomes(self._coeffs, codes, rng.random(codes.shape[0]))
+        rows = codes.shape[0]
+        if self._max_copies is not None and self._copies + rows > self._max_copies:
+            raise AccessExhaustedError(f"budget of {self._max_copies} copies cannot cover {rows} more measurements")
+        pieces = range(self._calls, self._calls + -(-rows // CHUNK))
+        self._calls, self._copies = pieces.stop, self._copies + rows
+        rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
+        return sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
 
     def measure(self, basis: PauliBasisString) -> tuple[int, ...]:
         row = np.array([basis.codes], dtype=np.uint8)
@@ -159,7 +160,7 @@ def psd_project(matrix) -> DensityMatrix:
 
 
 def _collect_through_access(access: StateAccess, T: int, basis_seed: int):
-    return collect_chunks(access.n, T, basis_seed, lambda codes, _rng: access.measure_chunk(codes))
+    return collect_chunks(access.n, T, basis_seed, lambda codes, _rngs: access.measure_chunk(codes))
 
 
 def learn_junta_state(

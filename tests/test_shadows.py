@@ -16,9 +16,11 @@ from juntalab.qstate import (
     rho_eps,
 )
 from juntalab.shadows import (
+    CHUNK,
     PauliBasisString,
     ShadowSample,
     born_probabilities,
+    collect_chunks,
     collect_shadows,
     dump_shadows,
     estimate_coefficient,
@@ -122,12 +124,10 @@ class TestMeasurement:
 
     def test_x_on_zero_state_is_balanced(self):
         rho = DensityMatrix.pure([1, 0])
-        rng = np.random.default_rng(2)
         draws = 100_000
-        total = sum(
-            measure_in_pauli_basis(rho, PauliBasisString.from_str("X"), rng)[0]
-            for _ in range(draws)
-        )
+        rows = np.full((draws, 1), PauliBasisString.from_str("X").codes[0], dtype=np.uint8)
+        uniforms = np.random.default_rng(2).random(draws)
+        total = int(sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).sum())
         # z-score threshold 3.9 corresponds to a two-sided p-value of 1e-4
         assert abs(total) / math.sqrt(draws) <= 3.9
 
@@ -172,6 +172,31 @@ class TestSampleOutcomes:
             want = [1 - 2 * (draw >> (n - 1 - q) & 1) for q in range(n)]
             assert got[row].tolist() == want, row
 
+    @pytest.mark.parametrize("n", [1, 4, 6, 9])
+    def test_one_call_equals_per_chunk_calls(self, n):
+        # 3 chunks and a partial one: more than one collection group at n = 9.
+        rng = np.random.default_rng(40 + n)
+        coeffs = pauli_tensor(random_density_matrix(n, rng, rank=min(3, 1 << n))).reshape(-1)
+        codes = rng.integers(1, 4, size=(3 * CHUNK + 123, n), dtype=np.uint8)
+        uniforms = rng.random(len(codes))
+        whole = sample_outcomes(coeffs, codes, uniforms)
+        parts = [
+            sample_outcomes(coeffs, codes[at : at + CHUNK], uniforms[at : at + CHUNK])
+            for at in range(0, len(codes), CHUNK)
+        ]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 4, 6])
+    def test_rejects_uniforms_not_one_per_row(self, count):
+        coeffs = pauli_tensor(DensityMatrix.maximally_mixed(2)).reshape(-1)
+        with pytest.raises(ValueError, match="one uniform per row"):
+            sample_outcomes(coeffs, np.ones((5, 2), dtype=np.uint8), np.full(count, 0.5))
+
+    def test_rejects_codes_not_2d(self):
+        coeffs = pauli_tensor(DensityMatrix.maximally_mixed(2)).reshape(-1)
+        with pytest.raises(ValueError, match="2-D"):
+            sample_outcomes(coeffs, np.ones(2, dtype=np.uint8), np.full(2, 0.5))
+
 
 class TestInvalidState:
     def test_negative_diagonal_rejected(self):
@@ -203,6 +228,22 @@ class TestCollectShadows:
         assert digest.hexdigest() == (
             "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
         )
+
+    @pytest.mark.parametrize("n", [1, 4, 6, 10, 12])
+    def test_groups_hold_at_most_the_row_bound(self, n):
+        # max(CHUNK, 2^22 >> n) rows per call keeps a group's Born rows within 2^22 floats.
+        bound = max(CHUNK, (1 << 22) >> n)
+        T = bound + CHUNK + 7
+        calls = []
+
+        def measure(codes, rngs):
+            calls.append((len(codes), len(rngs)))
+            return np.ones(codes.shape, dtype=np.int8)
+
+        codes, outs = collect_chunks(n, T, 3, measure)
+        assert max(rows for rows, _ in calls) <= bound
+        assert sum(rows for rows, _ in calls) == T and outs.shape == codes.shape == (T, n)
+        assert all(pieces == -(-rows // CHUNK) for rows, pieces in calls)
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix.maximally_mixed(2)

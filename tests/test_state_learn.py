@@ -233,6 +233,29 @@ class TestSimulatedAccess:
         assert set(np.unique(out)).issubset({-1, 1})
         assert access.copies_used == CHUNK
 
+    def test_one_call_equals_per_chunk_calls(self):
+        truth = random_density_matrix(3, np.random.default_rng(10))
+        codes = np.random.default_rng(11).integers(1, 4, size=(2 * CHUNK + 500, 3), dtype=np.uint8)
+        whole, parts = SimulatedStateAccess(truth, seed=5), SimulatedStateAccess(truth, seed=5)
+        got = whole.measure_chunk(codes)
+        want = np.concatenate([parts.measure_chunk(codes[at : at + CHUNK]) for at in range(0, len(codes), CHUNK)])
+        assert got.tobytes() == want.tobytes()
+        assert whole.copies_used == parts.copies_used == len(codes)
+        # The next call continues the same outcome stream.
+        assert whole.measure_chunk(codes[:300]).tobytes() == parts.measure_chunk(codes[:300]).tobytes()
+
+    def test_call_over_budget_consumes_nothing(self):
+        from juntalab.state_learn import AccessExhaustedError
+
+        truth = random_density_matrix(2, np.random.default_rng(12))
+        codes = np.random.default_rng(13).integers(1, 4, size=(2 * CHUNK, 2), dtype=np.uint8)
+        access = SimulatedStateAccess(truth, seed=6, max_copies=CHUNK + 10)
+        with pytest.raises(AccessExhaustedError):
+            access.measure_chunk(codes)
+        assert access.copies_used == 0
+        fresh = SimulatedStateAccess(truth, seed=6)
+        assert access.measure_chunk(codes[:CHUNK]).tobytes() == fresh.measure_chunk(codes[:CHUNK]).tobytes()
+
     def test_pinned_digest(self):
         # Pins the learner's basis stream and the access's outcome stream.
         truth = random_density_matrix(4, np.random.default_rng(22))
