@@ -2,22 +2,17 @@
 classical shadows, and Choi-state analysis of shallow Toffoli circuits."""
 
 from .hypercube import (
-    CubePoint,
     Distribution,
     RealCubeFunction,
-    SubsetMask,
     degree,
-    eval_character,
     fourier_transform,
     inverse_transform,
     tv_distance,
 )
 from .qstate import (
     DensityMatrix,
-    JuntaStateDescriptor,
     PauliString,
     distribution_to_state,
-    embed_junta,
     embed_on,
     frobenius_distance,
     partial_trace,
@@ -30,19 +25,14 @@ from .qstate import (
     trace_distance,
 )
 from .shadows import (
-    PauliBasisString,
-    ShadowSample,
     ShadowSet,
     collect_shadows,
-    estimate_coefficient,
     estimate_lowdeg,
-    measure_in_pauli_basis,
     shadow_sample_count,
 )
 from .dist_learn import (
     LearnerConfig,
     SampleSet,
-    empirical_coefficient,
     learn_junta_distribution,
     learn_sparse_lowdeg_function,
     sample_count_dist,
@@ -60,7 +50,6 @@ from .state_test import (
     FrobeniusCertifier,
     OracleCertifier,
     TestVerdict,
-    certify_frobenius,
     local_tomography,
     test_junta,
 )

@@ -352,11 +352,14 @@ def load_records(path) -> list[ResultRecord]:
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
+        source = f"{path} line {number}"
         payload = require_fields(
-            json.loads(line),
-            ("command", "cell", "trial", "parameters", "seed", "status"),
-            f"{path} line {number}",
+            json.loads(line), ("command", "cell", "trial", "parameters", "seed", "status"), source
         )
+        for name in ("parameters", "metrics"):
+            if not isinstance(payload.get(name, {}), dict):
+                got = json.dumps(payload[name])
+                raise ValueError(f"{source}: field {name!r} must be an object, got {got}")
         records.append(
             ResultRecord(
                 command=payload["command"],

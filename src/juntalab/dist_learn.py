@@ -35,7 +35,6 @@ import numpy as np
 from .hypercube import (
     Distribution,
     RealCubeFunction,
-    SubsetMask,
     low_degree_masks,
     variables_to_mask,
     walsh_hadamard,
@@ -116,23 +115,6 @@ def sample_count_dist(n: int, k: int, eps: float, delta: float, c: float = DEFAU
     return max(1, math.ceil(c * 2**k * max(k, 1) * math.log(n / delta) / eps**2))
 
 
-def empirical_coefficient(samples: SampleSet, subset: SubsetMask | int) -> float:
-    """p'(S) = (1 / (2^n T)) sum_s chi_S(x^s); unbiased for the true p(S).
-
-    The empty set always evaluates to exactly 2^-n.
-    """
-    mask = int(subset.__index__() if hasattr(subset, "__index__") else subset)
-    if not 0 <= mask < 1 << samples.n:
-        raise ValueError("subset mask out of range")
-    overlap = samples.points & mask
-    parity = np.zeros_like(overlap)
-    while overlap.max(initial=0) > 0:
-        parity ^= overlap & 1
-        overlap >>= 1
-    total = int(samples.size - 2 * int(parity.sum()))
-    return total / ((1 << samples.n) * samples.size)
-
-
 def _group_width(n: int, k: int, size: int) -> int:
     """The group width g in 1..n with the fewest element operations
     G*T + C(G, r) * (r*T + b*2^b): G groups of g bits, blocks of r = min(k, G)
@@ -183,8 +165,7 @@ def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray,
 
 def empirical_low_degree_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All |S| <= k coefficients in the mean-of-characters convention; equal
-    to the relative-scale spectrum divided by 2^n (an exact float scaling),
-    and to empirical_coefficient subset by subset."""
+    to the relative-scale spectrum divided by 2^n (an exact float scaling)."""
     masks, relative = empirical_relative_spectrum(samples, k)
     return masks, relative / float(1 << samples.n)
 

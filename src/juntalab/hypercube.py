@@ -18,7 +18,6 @@ dense vector never exceeds 2^24 entries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
@@ -47,65 +46,6 @@ def mask_to_variables(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
 
 
-@dataclass(frozen=True)
-class CubePoint:
-    """A point of {-1,+1}^n, stored as a bit mask (bit set <=> coordinate -1)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        _check_nvars(self.n)
-        if not 0 <= self.bits < 1 << self.n:
-            raise ValueError("point mask out of range for n variables")
-
-    @classmethod
-    def from_signs(cls, signs) -> "CubePoint":
-        n = len(signs)
-        bits = 0
-        for i, s in enumerate(signs, start=1):
-            if s == -1:
-                bits |= 1 << (n - i)
-            elif s != 1:
-                raise ValueError("coordinates must be +1 or -1")
-        return cls(n, bits)
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(-1 if self.bits >> (self.n - i) & 1 else 1 for i in range(1, self.n + 1))
-
-    def __index__(self) -> int:
-        return self.bits
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A subset S of [n], stored in the same bit layout as CubePoint."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        _check_nvars(self.n)
-        if not 0 <= self.mask < 1 << self.n:
-            raise ValueError("subset mask out of range for n variables")
-
-    @classmethod
-    def from_variables(cls, variables, n: int) -> "SubsetMask":
-        return cls(n, variables_to_mask(variables, n))
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return mask_to_variables(self.mask, self.n)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __index__(self) -> int:
-        return self.mask
-
-
 class RealCubeFunction:
     """A dense real-valued function on {-1,+1}^n, indexed by point mask."""
 
@@ -124,9 +64,6 @@ class RealCubeFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RealCubeFunction is immutable")
-
-    def value_at(self, point: CubePoint | int) -> float:
-        return float(self.values[int(point.__index__() if hasattr(point, "__index__") else point)])
 
     @classmethod
     def constant(cls, n: int, value: float) -> "RealCubeFunction":
@@ -171,13 +108,6 @@ class Distribution:
     @property
     def values(self) -> np.ndarray:
         return self.function.values
-
-
-def eval_character(subset: SubsetMask, point: CubePoint) -> float:
-    """chi_S(x) = prod_{i in S} x_i, computed as a parity of the mask overlap."""
-    if subset.n != point.n:
-        raise ValueError(f"subset over {subset.n} variables, point over {point.n}")
-    return -1.0 if (subset.mask & point.bits).bit_count() & 1 else 1.0
 
 
 def walsh_hadamard(values) -> np.ndarray:
@@ -270,4 +200,6 @@ def require_fields(payload, fields, source) -> dict:
 
 def load_distribution(path) -> Distribution:
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path)
+    if not isinstance(payload["values"], list):
+        raise ValueError(f"{path}: field 'values' must be a list of numbers")
     return Distribution.from_values(int(payload["n"]), payload["values"])

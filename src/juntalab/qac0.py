@@ -483,8 +483,11 @@ def load_circuit(path) -> Qac0Circuit:
     sigma_mat = np.array(sigma_obj["re"], dtype=np.float64) + 1j * np.array(
         sigma_obj["im"], dtype=np.float64
     )
+    json_layers = payload["layers"]
+    if not isinstance(json_layers, list) or not all(isinstance(layer, list) for layer in json_layers):
+        raise ValueError(f"{path}: field 'layers' must be a list of lists of gates")
     layers = tuple(
         tuple(_gate_from_json(g, f"{path} layer {i} gate {j}") for j, g in enumerate(layer))
-        for i, layer in enumerate(payload["layers"])
+        for i, layer in enumerate(json_layers)
     )
     return Qac0Circuit(int(payload["n"]), int(payload["a"]), layers, DensityMatrix(sigma_mat))

@@ -309,36 +309,21 @@ def permute_qubits(mat, current_order: Sequence[int]) -> np.ndarray:
     return m.reshape((2,) * (2 * n)).transpose(axes).reshape(1 << n, 1 << n)
 
 
-@dataclass(frozen=True)
-class JuntaStateDescriptor:
-    """A k-junta state: a state on the qubits K, maximally mixed elsewhere."""
-
-    variables: tuple[int, ...]
-    rho_k: DensityMatrix
-    n: int
-
-    def __post_init__(self) -> None:
-        k = len(self.variables)
-        if len(set(self.variables)) != k:
-            raise ValueError("duplicate qubits in junta set")
-        if k > self.n or any(q < 1 or q > self.n for q in self.variables):
-            raise ValueError("junta set outside qubit range")
-        if self.rho_k.n != k:
-            raise ValueError("junta block size does not match |K|")
-
-
-def embed_junta(desc: JuntaStateDescriptor) -> DensityMatrix:
-    """rho_K tensor I / 2^(n-k) on the complement, in natural qubit order."""
-    k = len(desc.variables)
-    rest = 1 << (desc.n - k)
-    mat = np.kron(desc.rho_k.entries, np.eye(rest) / rest)
-    order = list(desc.variables) + [q for q in range(1, desc.n + 1) if q not in desc.variables]
-    return DensityMatrix(permute_qubits(mat, order))
-
-
 def embed_on(rho_k: DensityMatrix, variables, n: int) -> DensityMatrix:
-    """Convenience wrapper building the descriptor and embedding it."""
-    return embed_junta(JuntaStateDescriptor(tuple(sorted(int(q) for q in variables)), rho_k, n))
+    """The k-junta state rho_K tensor I / 2^(n-k) on the complement, in
+    natural qubit order."""
+    variables = tuple(sorted(int(q) for q in variables))
+    k = len(variables)
+    if len(set(variables)) != k:
+        raise ValueError("duplicate qubits in junta set")
+    if k > n or any(q < 1 or q > n for q in variables):
+        raise ValueError("junta set outside qubit range")
+    if rho_k.n != k:
+        raise ValueError("junta block size does not match |K|")
+    rest = 1 << (n - k)
+    mat = np.kron(rho_k.entries, np.eye(rest) / rest)
+    order = list(variables) + [q for q in range(1, n + 1) if q not in variables]
+    return DensityMatrix(permute_qubits(mat, order))
 
 
 def proxy_distance(rho, k: int) -> tuple[tuple[int, ...], float]:

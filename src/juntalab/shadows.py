@@ -28,70 +28,28 @@ m = 10), and sum them as exact integers.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .hypercube import walsh_hadamard
-from .qstate import PauliString, _qubit_count, as_matrix, pauli_tensor, pauli_weight
+from .qstate import _qubit_count, as_matrix, pauli_tensor, pauli_weight
 
 MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
-
-_BASIS_CHARS = "XYZ"
 
 
 class InvalidStateError(ValueError):
     """An outcome probability fell below the PSD tolerance."""
 
 
-@dataclass(frozen=True)
-class PauliBasisString:
-    """A full measurement basis word over {X, Y, Z}; identities not allowed."""
-
-    codes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.codes or any(code not in (1, 2, 3) for code in self.codes):
-            raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-
-    @classmethod
-    def from_str(cls, text: str) -> "PauliBasisString":
-        try:
-            return cls(tuple(_BASIS_CHARS.index(ch) + 1 for ch in text))
-        except ValueError as exc:
-            raise ValueError(f"invalid basis string {text!r}") from exc
-
-    @property
-    def n(self) -> int:
-        return len(self.codes)
-
-    def __str__(self) -> str:
-        return "".join(_BASIS_CHARS[c - 1] for c in self.codes)
-
-
-@dataclass(frozen=True)
-class ShadowSample:
-    basis: PauliBasisString
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.outcomes) != self.basis.n:
-            raise ValueError("outcome length does not match basis length")
-        if any(x not in (-1, 1) for x in self.outcomes):
-            raise ValueError("outcomes must be +/-1")
-
-
 class ShadowSet:
     """T basis words and outcomes, stored columnar for fast estimation."""
 
-    __slots__ = ("n", "basis_codes", "outcomes", "seed")
+    __slots__ = ("n", "basis_codes", "outcomes")
 
-    def __init__(self, n: int, basis_codes, outcomes, seed: int | None = None) -> None:
+    def __init__(self, n: int, basis_codes, outcomes) -> None:
         codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
         outs = np.ascontiguousarray(outcomes, dtype=np.int8)
         if codes.ndim != 2 or codes.shape[1] != n or codes.shape != outs.shape:
@@ -104,7 +62,6 @@ class ShadowSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis_codes", codes)
         object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "seed", seed)
 
     def __setattr__(self, name, value):
         raise AttributeError("ShadowSet is immutable")
@@ -112,13 +69,6 @@ class ShadowSet:
     @property
     def T(self) -> int:
         return self.basis_codes.shape[0]
-
-    def samples(self) -> Iterator[ShadowSample]:
-        for row in range(self.T):
-            yield ShadowSample(
-                PauliBasisString(tuple(int(c) for c in self.basis_codes[row])),
-                tuple(int(x) for x in self.outcomes[row]),
-            )
 
 
 def _check_samples(basis_codes: np.ndarray, outcomes: np.ndarray) -> None:
@@ -161,11 +111,6 @@ def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     return probs
 
 
-def born_probabilities(rho, basis: PauliBasisString) -> np.ndarray:
-    """Outcome probabilities over the 2^n joint eigenvectors of the basis word."""
-    return _born_rows(pauli_tensor(rho).reshape(-1), np.array([basis.codes]))[0]
-
-
 def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Born-sample one outcome row per basis row, using one provided uniform per row.
 
@@ -197,17 +142,6 @@ def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray)
             step >>= 1
         np.take(signs, draws - first, axis=0, out=outs[at : at + CHUNK])
     return outs
-
-
-def measure_in_pauli_basis(rho, basis: PauliBasisString, rng: np.random.Generator) -> tuple[int, ...]:
-    """One Born-rule sample of the state in the given product basis.
-
-    Builds the Pauli tensor on every call; repeated draws from one state
-    belong in ``SimulatedStateAccess``, which builds it once.
-    """
-    _, coeffs = _measurement_coefficients(rho)
-    words = np.array([basis.codes], dtype=np.uint8)
-    return tuple(int(v) for v in sample_outcomes(coeffs, words, np.array([rng.random()]))[0])
 
 
 def _chunk_uniforms(rngs, rows: int) -> np.ndarray:
@@ -246,7 +180,7 @@ def collect_shadows(rho, T: int, seed: int) -> ShadowSet:
     codes, outs = collect_chunks(
         n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
     )
-    return ShadowSet(n, codes, outs, seed)
+    return ShadowSet(n, codes, outs)
 
 
 # Row P (I, X, Y, Z): x [Q == P] at letter code 2(Q - 1) + [x == -1], i.e. X+ X- Y+ Y- Z+ Z-.
@@ -302,22 +236,6 @@ def estimate_lowdeg(shadows: ShadowSet, k: int) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def estimate_coefficient(shadows: ShadowSet, pauli: PauliString) -> float:
-    """Single-coefficient estimate; exactly 2^-n for the identity word."""
-    if pauli.n != shadows.n:
-        raise ValueError("Pauli word length does not match shadow set")
-    cols = [q - 1 for q in pauli.support]
-    if not cols:
-        return 1.0 / (1 << shadows.n)
-    codes = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
-    matches = np.all(shadows.basis_codes[:, cols] == codes, axis=1)
-    weight = np.ones(shadows.T, dtype=np.int64)
-    for col in cols:
-        weight = weight * shadows.outcomes[:, col]
-    total = int(np.sum(np.where(matches, weight, 0)))
-    return (3 ** len(cols) * total) / ((1 << shadows.n) * shadows.T)
-
-
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:
     """Samples for per-coefficient absolute accuracy eps_coeff on all |supp| <= k.
 
@@ -329,37 +247,3 @@ def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float
     log_term = k * math.log(3 * n) - math.log(delta)
     return max(1, math.ceil(c * 3**k * log_term / (4**n * eps_coeff**2)))
 
-
-def dump_shadows(shadows: ShadowSet, path) -> None:
-    """JSON-lines dump: a header record, then one record per sample."""
-    lines = [json.dumps({"n": shadows.n, "T": shadows.T, "seed": shadows.seed})]
-    for row in range(shadows.T):
-        basis = "".join(_BASIS_CHARS[c - 1] for c in shadows.basis_codes[row])
-        lines.append(json.dumps({"Q": basis, "x": [int(v) for v in shadows.outcomes[row]]}))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_shadows(path) -> ShadowSet:
-    """Read a ``dump_shadows`` file, rejecting a body that disagrees with its header."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError("shadow file is empty: no header line")
-    header = json.loads(lines[0])
-    n, T = int(header["n"]), int(header["T"])
-    body = lines[1:]
-    if len(body) != T:
-        raise ValueError(f"shadow file header declares T={T} samples but the body has {len(body)} rows")
-    codes = np.empty((T, n), dtype=np.uint8)
-    outs = np.empty((T, n), dtype=np.int8)
-    for row, line in enumerate(body):
-        record = json.loads(line)
-        basis, outcomes = record["Q"], record["x"]
-        if len(basis) != n or len(outcomes) != n:
-            raise ValueError(
-                f"sample {row + 1}: basis {basis!r} and outcomes {outcomes} "
-                f"must each have n={n} entries"
-            )
-        codes[row] = PauliBasisString.from_str(basis).codes
-        outs[row] = outcomes
-    seed = header.get("seed")
-    return ShadowSet(n, codes, outs, None if seed is None else int(seed))

@@ -10,10 +10,10 @@ squared coefficient error by ``2 eps^2 / 2^(2n)`` whenever the true spectrum
 is concentrated on some k qubits; by Cauchy-Schwarz the trace-norm error is
 then at most sqrt(2) * eps.
 
-Access model: a ``StateAccess`` hands out one measurement outcome per fresh
-copy of the hidden state. Basis words are drawn by the learner from its own
-chunk-keyed streams, so a run is a pure function of (access, parameters,
-basis_seed).
+Access model: a ``StateAccess`` hands out one outcome row per copy, per
+``measure_chunk`` call; each row spends a fresh copy of the hidden state.
+Basis words are drawn by the learner from its own chunk-keyed streams, so a
+run is a pure function of (access, parameters, basis_seed).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .qstate import (
 )
 from .shadows import (
     CHUNK,
-    PauliBasisString,
     _chunk_uniforms,
     _low_degree_blocks,
     _measurement_coefficients,
@@ -53,8 +52,6 @@ class StateAccess(Protocol):
 
     @property
     def copies_used(self) -> int: ...
-
-    def measure(self, basis: PauliBasisString) -> tuple[int, ...]: ...
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
         """One outcome row per basis row; a call over the copy budget consumes nothing."""
@@ -94,11 +91,6 @@ class SimulatedStateAccess:
         self._calls, self._copies = pieces.stop, self._copies + rows
         rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
         return sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
-
-    def measure(self, basis: PauliBasisString) -> tuple[int, ...]:
-        row = np.array([basis.codes], dtype=np.uint8)
-        return tuple(int(v) for v in self.measure_chunk(row)[0])
-
 
 @dataclass
 class LearnedState:

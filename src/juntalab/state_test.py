@@ -165,18 +165,6 @@ class FrobeniusCertifier:
         return CertificationResult(verdict, bound, T)
 
 
-def certify_frobenius(
-    access: StateAccess,
-    reference: DensityMatrix,
-    eps: float,
-    delta: float,
-    c: float = DEFAULT_CERTIFIER_C,
-    seed: int = 0,
-) -> CertificationResult:
-    """One-shot Frobenius certification with a fresh basis stream."""
-    return FrobeniusCertifier(c=c, seed=seed)(access, reference, eps, delta)
-
-
 class OracleCertifier:
     """Test-harness certifier: thresholds the exact trace distance, zero copies."""
 
@@ -257,7 +245,7 @@ def test_junta(
         before = access.copies_used
         reduced = local_tomography(access, subset, eps, delta_sub, c_tomography, tomo_seed)
         tomo_copies = access.copies_used - before
-        candidate = embed_on(reduced, subset, n) if subset else embed_on(reduced, (), n)
+        candidate = embed_on(reduced, subset, n)
         result = certifier(access, candidate, 3.0 * eps, delta_sub)
         reports.append(
             SubsetReport(subset, result.verdict, result.statistic, tomo_copies, result.copies_used)

@@ -377,6 +377,15 @@ class TestLoadersNameMissingFields:
                           "records.jsonl", line + "\n")
         assert "records.jsonl line 1" in err and "'command'" in err
 
+    @pytest.mark.parametrize("field", ["parameters", "metrics"])
+    def test_records_field_type(self, field, tmp_path, capsys):
+        record = {"command": "learn-dist", "cell": 0, "trial": 0, "parameters": {"n": 3},
+                  "seed": 1, "status": "ok", "metrics": {"T": 3}}
+        record[field] = 5
+        err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],
+                          "records.jsonl", json.dumps(record) + "\n")
+        assert err == f"error: {tmp_path / 'records.jsonl'} line 1: field '{field}' must be an object, got 5\n"
+
     def test_state(self, tmp_path, capsys):
         err = self.run_on(tmp_path, capsys,
                           ["learn-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
@@ -388,6 +397,23 @@ class TestLoadersNameMissingFields:
                           ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
                           "dist.json", json.dumps({"n": 2}))
         assert "dist.json" in err and "'values'" in err
+
+    def test_distribution_values_type(self, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "dist.json", json.dumps({"n": 1, "values": {"a": 1}}))
+        assert err == f"error: {tmp_path / 'dist.json'}: field 'values' must be a list of numbers\n"
+
+    @pytest.mark.parametrize("layers", [5, [5]])
+    def test_circuit_layers_type(self, layers, tmp_path, capsys):
+        circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))
+        path = tmp_path / "full.json"
+        qac0.save_circuit(circuit, path)
+        payload = json.loads(path.read_text())
+        payload["layers"] = layers
+        err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
+                          "circuit.json", json.dumps(payload))
+        assert err == f"error: {tmp_path / 'circuit.json'}: field 'layers' must be a list of lists of gates\n"
 
     def test_circuit(self, tmp_path, capsys):
         circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))

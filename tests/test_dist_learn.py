@@ -12,7 +12,6 @@ from juntalab.dist_learn import (
     SimulatedExampleOracle,
     SimulatedSampler,
     _group_width,
-    empirical_coefficient,
     empirical_low_degree_spectrum,
     empirical_relative_spectrum,
     learn_junta_distribution,
@@ -26,13 +25,36 @@ from juntalab.dist_learn import (
 )
 from juntalab.hypercube import (
     Distribution,
-    SubsetMask,
     fourier_transform,
     inverse_transform,
     low_degree_masks,
     tv_distance,
+    variables_to_mask,
     walsh_hadamard,
 )
+
+
+def empirical_coefficient(samples: SampleSet, subset: int) -> float:
+    """p'(S) = (1 / (2^n T)) sum_s chi_S(x^s); unbiased for the true p(S).
+
+    The empty set always evaluates to exactly 2^-n.
+    """
+    mask = int(subset.__index__() if hasattr(subset, "__index__") else subset)
+    if not 0 <= mask < 1 << samples.n:
+        raise ValueError("subset mask out of range")
+    overlap = samples.points & mask
+    parity = np.zeros_like(overlap)
+    while overlap.max(initial=0) > 0:
+        parity ^= overlap & 1
+        overlap >>= 1
+    total = int(samples.size - 2 * int(parity.sum()))
+    return total / ((1 << samples.n) * samples.size)
+
+
+def low_degree_value(samples: SampleSet, k: int, mask: int) -> float:
+    """The pipeline's estimate at one mask of size at most k."""
+    masks, values = empirical_low_degree_spectrum(samples, k)
+    return values[np.searchsorted(masks, mask)]
 
 
 def dense_spectrum(n, coeffs):
@@ -71,15 +93,15 @@ class TestSampleCount:
 class TestEmpiricalCoefficient:
     def test_empty_set_exact(self):
         samples = SampleSet(4, np.array([3, 9, 0, 15]))
-        assert empirical_coefficient(samples, 0) == 2.0**-4
+        assert low_degree_value(samples, 2, 0) == 2.0**-4
 
     def test_constant_sample_set(self):
         # every sample equals x: estimate is chi_S(x) / 2^n exactly
         samples = SampleSet(3, np.full(10, 0b101))
-        mask = SubsetMask.from_variables([1, 2], 3)
-        assert empirical_coefficient(samples, mask) == -(2.0**-3)
-        mask2 = SubsetMask.from_variables([1, 3], 3)
-        assert empirical_coefficient(samples, mask2) == 2.0**-3
+        mask = variables_to_mask([1, 2], 3)
+        assert low_degree_value(samples, 2, mask) == -(2.0**-3)
+        mask2 = variables_to_mask([1, 3], 3)
+        assert low_degree_value(samples, 2, mask2) == 2.0**-3
 
     def test_uniform_hoeffding_window(self):
         # repeated resamples of size 1e5: |estimate| <= 5 / (2^n sqrt(T))
@@ -91,7 +113,7 @@ class TestEmpiricalCoefficient:
         bound = 5.0 / ((1 << n) * math.sqrt(draws))
         for _ in range(trials):
             samples = SampleSet(n, rng.integers(0, 1 << n, size=draws))
-            if abs(empirical_coefficient(samples, mask)) <= bound:
+            if abs(low_degree_value(samples, 1, mask)) <= bound:
                 hits += 1
         assert hits / trials >= 0.999
 
@@ -101,10 +123,10 @@ class TestEmpiricalCoefficient:
         rng = np.random.default_rng(70)
         truth, _ = random_junta_distribution(n, 2, rng)
         exact = fourier_transform(truth.function)
-        mask = SubsetMask.from_variables([1, 2], n).mask
+        mask = variables_to_mask([1, 2], n)
         sampler = SimulatedSampler(truth, seed=12)
         estimates = [
-            empirical_coefficient(sampler.draw(draws), mask) for _ in range(resamples)
+            low_degree_value(sampler.draw(draws), 2, mask) for _ in range(resamples)
         ]
         single_std = 1.0 / ((1 << n) * math.sqrt(draws))
         standard_error = single_std / math.sqrt(resamples)
@@ -227,7 +249,7 @@ class TestJuntaLearner:
             assert float(values.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_variable_selection_trims_to_k(self):
-        masks = np.array([SubsetMask.from_variables(vs, 5).mask for vs in ([], [3], [2], [1])])
+        masks = np.array([variables_to_mask(vs, 5) for vs in ([], [3], [2], [1])])
         values = np.array([1.0, 0.01, 0.4, 0.5])
         assert select_junta_variables(masks, values, 5, 2) == (1, 2)
         assert select_junta_variables(masks, values, 5, 3) == (1, 2, 3)
@@ -242,7 +264,7 @@ class TestJuntaLearner:
 class TestSparseLowDegreeLearner:
     def test_recovers_single_character(self):
         n = 6
-        mask = SubsetMask.from_variables([2, 5], n).mask
+        mask = variables_to_mask([2, 5], n)
         f = inverse_transform(dense_spectrum(n, {mask: 1.0}))
         oracle = SimulatedExampleOracle(f, seed=4)
         masks, values = learn_sparse_lowdeg_function(oracle, m=1, deg=2, eps=0.1, delta=0.1)

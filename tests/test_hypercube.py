@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from juntalab.hypercube import (
-    CubePoint,
     Distribution,
     RealCubeFunction,
-    SubsetMask,
     degree,
-    eval_character,
     fourier_transform,
     inverse_transform,
     load_distribution,
@@ -21,64 +18,38 @@ from juntalab.hypercube import (
     popcount,
     save_distribution,
     tv_distance,
+    variables_to_mask,
     walsh_hadamard,
 )
 
 
-def character_by_product(subset: SubsetMask, point: CubePoint) -> float:
-    """Definition oracle: multiply the selected coordinates one by one."""
-    signs = point.signs
-    value = 1.0
-    for var in subset.variables:
-        value *= signs[var - 1]
-    return value
+def signs_of(bits: int, n: int) -> list[int]:
+    """The coordinates of a point mask: x_i = -1 iff bit n - i is set."""
+    return [-1 if bits >> (n - i) & 1 else 1 for i in range(1, n + 1)]
 
 
 def coefficient_by_sum(f: RealCubeFunction, mask: int) -> float:
-    """Definition oracle: 2^-n sum_x f(x) chi_S(x)."""
+    """Definition oracle: 2^-n sum_x f(x) chi_S(x), with chi_S(x) the
+    product of the coordinates x_i for i in S."""
     n = f.n
     total = 0.0
     for bits in range(1 << n):
-        total += f.values[bits] * eval_character(SubsetMask(n, mask), CubePoint(n, bits))
+        chi = 1.0
+        for i, sign in enumerate(signs_of(bits, n), start=1):
+            if mask >> (n - i) & 1:
+                chi *= sign
+        total += f.values[bits] * chi
     return total / (1 << n)
 
 
-class TestCharacters:
-    def test_empty_set_is_one(self):
-        assert eval_character(SubsetMask(3, 0), CubePoint(3, 0b101)) == 1.0
-
-    def test_single_coordinate(self):
-        point = CubePoint.from_signs((-1, 1, 1))
-        assert eval_character(SubsetMask.from_variables([1], 3), point) == -1.0
-
-    def test_matches_product_oracle(self):
-        rng = np.random.default_rng(101)
-        for _ in range(60):
-            subset = SubsetMask(3, int(rng.integers(0, 8)))
-            point = CubePoint(3, int(rng.integers(0, 8)))
-            assert eval_character(subset, point) == character_by_product(subset, point)
-
-    def test_mismatched_n_rejected(self):
-        with pytest.raises(ValueError):
-            eval_character(SubsetMask(2, 0), CubePoint(3, 0))
-
-
 class TestPointEncoding:
-    def test_signs_round_trip(self):
-        point = CubePoint.from_signs((1, -1, 1, -1))
-        assert point.signs == (1, -1, 1, -1)
-        assert point.bits == 0b0101
-
-    def test_all_plus_one_is_index_zero(self):
-        assert CubePoint.from_signs((1, 1, 1)).bits == 0
-
     def test_variable_one_is_most_significant(self):
-        assert SubsetMask.from_variables([1], 3).mask == 0b100
-        assert SubsetMask.from_variables([3], 3).mask == 0b001
+        assert variables_to_mask([1], 3) == 0b100
+        assert variables_to_mask([3], 3) == 0b001
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            CubePoint(25, 0)
+        with pytest.raises(ValueError, match="variable count"):
+            RealCubeFunction(25, [0.0])
 
 
 class TestFourierTransform:
@@ -92,7 +63,7 @@ class TestFourierTransform:
         # f(x) = x_1 on two variables
         f = RealCubeFunction(2, [1.0, 1.0, -1.0, -1.0])
         spec = fourier_transform(f)
-        assert spec[SubsetMask.from_variables([1], 2).mask] == 1.0
+        assert spec[variables_to_mask([1], 2)] == 1.0
         assert np.count_nonzero(spec) == 1
 
     def test_matches_definition_sum(self):
@@ -138,11 +109,11 @@ class TestInverseTransform:
     def test_two_term_spectrum_values(self):
         # x_1 - 0.5 x_1 x_2 evaluated at the four points
         spec = np.zeros(4)
-        spec[SubsetMask.from_variables([1], 2).mask] = 1.0
-        spec[SubsetMask.from_variables([1, 2], 2).mask] = -0.5
+        spec[variables_to_mask([1], 2)] = 1.0
+        spec[variables_to_mask([1, 2], 2)] = -0.5
         f = inverse_transform(spec)
         for bits in range(4):
-            signs = CubePoint(2, bits).signs
+            signs = signs_of(bits, 2)
             expected = signs[0] - 0.5 * signs[0] * signs[1]
             assert f.values[bits] == pytest.approx(expected, abs=1e-15)
 

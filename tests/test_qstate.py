@@ -9,10 +9,8 @@ import pytest
 from juntalab.hypercube import Distribution, fourier_transform
 from juntalab.qstate import (
     DensityMatrix,
-    JuntaStateDescriptor,
     PauliString,
     distribution_to_state,
-    embed_junta,
     embed_on,
     frobenius_distance,
     load_state,
@@ -218,7 +216,7 @@ class TestPartialTrace:
 class TestEmbedJunta:
     def test_full_set_unchanged(self):
         rho = random_density_matrix(2, np.random.default_rng(2))
-        emb = embed_junta(JuntaStateDescriptor((1, 2), rho, 2))
+        emb = embed_on(rho, (1, 2), 2)
         assert np.max(np.abs(emb.entries - rho.entries)) == 0.0
 
     def test_empty_set_is_maximally_mixed(self):
@@ -245,12 +243,12 @@ class TestEmbedJunta:
 
     def test_descriptor_validation(self):
         rho = random_density_matrix(1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            JuntaStateDescriptor((1, 1), rho, 3)
-        with pytest.raises(ValueError):
-            JuntaStateDescriptor((4,), rho, 3)
-        with pytest.raises(ValueError):
-            JuntaStateDescriptor((1, 2), rho, 3)
+        with pytest.raises(ValueError, match="duplicate qubits"):
+            embed_on(rho, (1, 1), 3)
+        with pytest.raises(ValueError, match="outside qubit range"):
+            embed_on(rho, (4,), 3)
+        with pytest.raises(ValueError, match="does not match"):
+            embed_on(rho, (1, 2), 3)
 
 
 class TestProxyDistance:

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 import math
 
 import numpy as np
@@ -17,20 +16,38 @@ from juntalab.qstate import (
 )
 from juntalab.shadows import (
     CHUNK,
-    PauliBasisString,
-    ShadowSample,
-    born_probabilities,
+    InvalidStateError,
+    ShadowSet,
+    _born_rows,
     collect_chunks,
     collect_shadows,
-    dump_shadows,
-    estimate_coefficient,
     estimate_lowdeg,
     estimates_for_supports,
-    load_shadows,
-    measure_in_pauli_basis,
     sample_outcomes,
     shadow_sample_count,
 )
+
+
+def estimate_coefficient(shadows: ShadowSet, pauli: PauliString) -> float:
+    """Single-coefficient estimate; exactly 2^-n for the identity word."""
+    if pauli.n != shadows.n:
+        raise ValueError("Pauli word length does not match shadow set")
+    cols = [q - 1 for q in pauli.support]
+    if not cols:
+        return 1.0 / (1 << shadows.n)
+    codes = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
+    matches = np.all(shadows.basis_codes[:, cols] == codes, axis=1)
+    weight = np.ones(shadows.T, dtype=np.int64)
+    for col in cols:
+        weight = weight * shadows.outcomes[:, col]
+    total = int(np.sum(np.where(matches, weight, 0)))
+    return (3 ** len(cols) * total) / ((1 << shadows.n) * shadows.T)
+
+
+def born_rows(rho, words):
+    """Outcome distributions of the basis words (one row each), from the
+    kernel that sampling uses."""
+    return _born_rows(pauli_tensor(rho).reshape(-1), np.array(words, dtype=np.uint8))
 
 
 def _per_support_estimates(codes, outs, n):
@@ -65,33 +82,13 @@ EIGENVECTORS = {
 }
 
 
-def born_probability_by_projectors(rho, basis, outcome_bits):
+def born_probability_by_projectors(rho, codes, outcome_bits):
     """Independent oracle: Tr[rho (x)_i |Q_i(x_i)><Q_i(x_i)|] via explicit projectors."""
     projector = np.ones((1, 1), dtype=complex)
-    for code, bit in zip(basis.codes, outcome_bits):
+    for code, bit in zip(codes, outcome_bits):
         vec = EIGENVECTORS[code][bit]
         projector = np.kron(projector, np.outer(vec, vec.conj()))
     return float(np.trace(rho.entries @ projector).real)
-
-
-class TestBasisString:
-    def test_round_trip(self):
-        basis = PauliBasisString.from_str("XYZ")
-        assert basis.codes == (1, 2, 3)
-        assert str(basis) == "XYZ"
-
-    def test_rejects_identity(self):
-        with pytest.raises(ValueError):
-            PauliBasisString((0, 1))
-        with pytest.raises(ValueError):
-            PauliBasisString.from_str("XI")
-
-    def test_sample_validation(self):
-        basis = PauliBasisString.from_str("XZ")
-        with pytest.raises(ValueError):
-            ShadowSample(basis, (1,))
-        with pytest.raises(ValueError):
-            ShadowSample(basis, (1, 0))
 
 
 class TestBornProbabilities:
@@ -99,18 +96,17 @@ class TestBornProbabilities:
         rng = np.random.default_rng(3)
         for n in (2, 3):  # every basis word: 9 at n=2, 27 at n=3
             rho = random_density_matrix(n, rng)
-            for codes in itertools.product((1, 2, 3), repeat=n):
-                basis = PauliBasisString(codes)
-                probs = born_probabilities(rho, basis)
+            words = list(itertools.product((1, 2, 3), repeat=n))
+            for codes, probs in zip(words, born_rows(rho, words)):
                 for outcome in range(1 << n):
                     bits = tuple(outcome >> (n - 1 - q) & 1 for q in range(n))
                     assert probs[outcome] == pytest.approx(
-                        born_probability_by_projectors(rho, basis, bits), abs=1e-12
+                        born_probability_by_projectors(rho, codes, bits), abs=1e-12
                     )
 
     def test_normalized(self):
         rho = random_density_matrix(3, np.random.default_rng(5))
-        probs = born_probabilities(rho, PauliBasisString.from_str("XYZ"))
+        probs = born_rows(rho, [(1, 2, 3)])[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0.0)
 
@@ -118,29 +114,28 @@ class TestBornProbabilities:
 class TestMeasurement:
     def test_z_on_zero_state(self):
         rho = DensityMatrix.pure([1, 0])
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            assert measure_in_pauli_basis(rho, PauliBasisString.from_str("Z"), rng) == (1,)
+        rows = np.full((25, 1), 3, dtype=np.uint8)  # Z
+        uniforms = np.random.default_rng(1).random(25)
+        assert sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).tolist() == [[1]] * 25
 
     def test_x_on_zero_state_is_balanced(self):
         rho = DensityMatrix.pure([1, 0])
         draws = 100_000
-        rows = np.full((draws, 1), PauliBasisString.from_str("X").codes[0], dtype=np.uint8)
+        rows = np.full((draws, 1), 1, dtype=np.uint8)  # X
         uniforms = np.random.default_rng(2).random(draws)
         total = int(sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).sum())
         # z-score threshold 3.9 corresponds to a two-sided p-value of 1e-4
         assert abs(total) / math.sqrt(draws) <= 3.9
 
     def test_frequencies_match_born_rule(self):
-        # 1e5 draws in each of the 9 two-qubit bases, through the same
-        # sampling path measure_in_pauli_basis and collect_shadows share
+        # 1e5 draws in each of the 9 two-qubit bases, through the sampling
+        # path collect_shadows and SimulatedStateAccess share
         rng = np.random.default_rng(4)
         rho = random_density_matrix(2, rng)
         coeffs = pauli_tensor(rho).reshape(-1)
         draws = 100_000
         for codes in itertools.product((1, 2, 3), repeat=2):
-            basis = PauliBasisString(codes)
-            probs = born_probabilities(rho, basis)
+            probs = born_rows(rho, [codes])[0]
             rows = np.tile(np.array(codes, dtype=np.uint8), (draws, 1))
             outcomes = sample_outcomes(coeffs, rows, rng.random(draws))
             bits = (1 - outcomes) // 2
@@ -157,7 +152,7 @@ class TestSampleOutcomes:
         rho = random_density_matrix(n, rng)
         codes = rng.integers(1, 4, size=(600, n), dtype=np.uint8)
         codes[300:] = codes[:300]  # repeated words share one distribution
-        cums = [np.cumsum(born_probabilities(rho, PauliBasisString(tuple(row)))) for row in codes]
+        cums = [np.cumsum(born_rows(rho, [row])[0]) for row in codes]
         uniforms = rng.random(len(codes))
         for row in range(0, 200):  # exactly on a cumulative boundary
             uniforms[row] = cums[row][rng.integers(1 << n)]
@@ -200,11 +195,10 @@ class TestSampleOutcomes:
 
 class TestInvalidState:
     def test_negative_diagonal_rejected(self):
-        from juntalab.shadows import InvalidStateError
-
         bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
+        rows = np.full((1, 1), 3, dtype=np.uint8)  # Z
         with pytest.raises(InvalidStateError):
-            born_probabilities(bad, PauliBasisString.from_str("Z"))
+            sample_outcomes(pauli_tensor(bad).reshape(-1), rows, np.full(1, 0.5))
 
 
 class TestCollectShadows:
@@ -254,26 +248,21 @@ class TestCollectShadows:
             sigma = math.sqrt(shadow.T * (1 / 3) * (2 / 3))
             assert np.all(np.abs(counts - expected) <= 5 * sigma)
 
-    def test_samples_iterator(self):
-        rho = DensityMatrix.maximally_mixed(1)
-        shadow = collect_shadows(rho, 3, seed=0)
-        samples = list(shadow.samples())
-        assert len(samples) == 3
-        assert all(isinstance(s, ShadowSample) for s in samples)
-
 
 class TestEstimators:
     def test_identity_is_exact(self):
         rho = random_density_matrix(2, np.random.default_rng(8))
         shadow = collect_shadows(rho, 123, seed=5)
-        assert estimate_coefficient(shadow, PauliString.identity(2)) == 0.25
+        words, values = estimate_lowdeg(shadow, 2)
+        assert values[np.searchsorted(words, PauliString.identity(2).packed)] == 0.25
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
         exact = pauli_tensor(state).reshape(-1)[PauliString.from_str("Z").packed]
         assert exact == pytest.approx(0.1, abs=1e-15)
         shadow = collect_shadows(state, 100_000, seed=3)
-        estimate = estimate_coefficient(shadow, PauliString.from_str("Z"))
+        words, values = estimate_lowdeg(shadow, 1)
+        estimate = values[np.searchsorted(words, PauliString.from_str("Z").packed)]
         sigma = math.sqrt(3 ** 1 / 4 ** 1 / shadow.T)
         assert abs(estimate - exact) <= 5 * sigma
 
@@ -403,56 +392,3 @@ class TestSampleCount:
             shadow_sample_count(3, 4, 0.1, 0.1)
         with pytest.raises(ValueError):
             shadow_sample_count(3, 1, 0.1, 1.5)
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        rho = random_density_matrix(2, np.random.default_rng(16))
-        shadow = collect_shadows(rho, 50, seed=17)
-        path = tmp_path / "shadows.jsonl"
-        dump_shadows(shadow, path)
-        back = load_shadows(path)
-        assert back.n == shadow.n and back.T == shadow.T and back.seed == 17
-        assert np.array_equal(back.basis_codes, shadow.basis_codes)
-        assert np.array_equal(back.outcomes, shadow.outcomes)
-
-    def test_format(self, tmp_path):
-        rho = DensityMatrix.maximally_mixed(1)
-        shadow = collect_shadows(rho, 2, seed=0)
-        path = tmp_path / "shadows.jsonl"
-        dump_shadows(shadow, path)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert set(header) == {"n", "T", "seed"}
-        record = json.loads(lines[1])
-        assert set(record) == {"Q", "x"}
-        assert all(ch in "XYZ" for ch in record["Q"])
-
-    @pytest.fixture
-    def dumped(self, tmp_path):
-        rho = random_density_matrix(2, np.random.default_rng(18))
-        path = tmp_path / "shadows.jsonl"
-        dump_shadows(collect_shadows(rho, 50, seed=19), path)
-        return path, path.read_text().splitlines()
-
-    def test_truncated_body_rejected(self, dumped):
-        path, lines = dumped
-        path.write_text("\n".join(lines[:20]) + "\n")
-        with pytest.raises(ValueError, match="declares T=50 samples but the body has 19 rows"):
-            load_shadows(path)
-
-    def test_extra_rows_rejected(self, dumped):
-        path, lines = dumped
-        path.write_text("\n".join(lines + lines[1:6]) + "\n")
-        with pytest.raises(ValueError, match="declares T=50 samples but the body has 55 rows"):
-            load_shadows(path)
-
-    @pytest.mark.parametrize("field, value", [("Q", "XYZ"), ("x", [1])])
-    def test_wrong_row_length_rejected(self, dumped, field, value):
-        path, lines = dumped
-        record = json.loads(lines[7])
-        record[field] = value
-        lines[7] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="sample 7: .* must each have n=2 entries"):
-            load_shadows(path)

@@ -205,9 +205,7 @@ class TestSimulatedAccess:
     def test_copy_counter(self):
         truth = DensityMatrix.maximally_mixed(2)
         access = SimulatedStateAccess(truth, seed=0)
-        from juntalab.shadows import PauliBasisString
-
-        access.measure(PauliBasisString.from_str("XZ"))
+        access.measure_chunk(np.array([[1, 3]], dtype=np.uint8))
         access.measure_chunk(np.array([[1, 2], [3, 3]], dtype=np.uint8))
         assert access.copies_used == 3
 

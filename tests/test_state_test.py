@@ -21,7 +21,6 @@ from juntalab.state_test import (
     FrobeniusCertifier,
     OracleCertifier,
     certifier_sample_count,
-    certify_frobenius,
     local_tomography,
     tomography_coefficient_accuracy,
     tomography_sample_count,
@@ -85,7 +84,7 @@ class TestFrobeniusCertifier:
     def test_reference_equals_hidden(self):
         truth = random_density_matrix(3, np.random.default_rng(2))
         access = SimulatedStateAccess(truth, seed=1)
-        result = certify_frobenius(access, truth, 0.3, 0.1, seed=4)
+        result = FrobeniusCertifier(seed=4)(access, truth, 0.3, 0.1)
         assert result.verdict == CLOSE
         assert result.copies_used == certifier_sample_count(3, 0.3, 0.1)
 
@@ -93,7 +92,7 @@ class TestFrobeniusCertifier:
         truth = pure_basis_state(2, 0)
         reference = pure_basis_state(2, 3)
         access = SimulatedStateAccess(truth, seed=2)
-        assert certify_frobenius(access, reference, 0.3, 0.1, seed=5).verdict == FAR
+        assert FrobeniusCertifier(seed=5)(access, reference, 0.3, 0.1).verdict == FAR
 
     def test_planted_diffuse_two_eps_instance(self):
         # diagonal pair at trace distance exactly 2 eps, spread over all entries
@@ -104,13 +103,13 @@ class TestFrobeniusCertifier:
         assert trace_distance(truth, reference) == pytest.approx(2 * eps, abs=1e-12)
         for seed in (0, 1, 2):
             access = SimulatedStateAccess(truth, seed=seed)
-            assert certify_frobenius(access, reference, eps, 0.1, seed=seed).verdict == FAR
+            assert FrobeniusCertifier(seed=seed)(access, reference, eps, 0.1).verdict == FAR
 
     def test_refuses_large_n(self):
         truth = DensityMatrix.maximally_mixed(7)
         access = SimulatedStateAccess(truth, seed=0)
         with pytest.raises(ValueError, match="oracle certifier"):
-            certify_frobenius(access, truth, 0.3, 0.1)
+            FrobeniusCertifier()(access, truth, 0.3, 0.1)
 
     def test_budget_formula(self):
         want = math.ceil(2 * 28.0**1.5 * math.log(2 / 0.1) / 0.3**2)
