@@ -54,7 +54,6 @@ from .state_test import (
     test_junta,
 )
 from .qac0 import (
-    ChoiState,
     Qac0Circuit,
     SingleQubitGate,
     ToffoliGate,

@@ -201,7 +201,7 @@ def _run_qac0_analyze(params: dict, seed: int, truth=None) -> dict:
     }
     if circuit.total_qubits <= qac0.MAX_FULL_CHOI_CIRCUIT_QUBITS:
         full = qac0.choi_state_full(circuit)
-        best, residual = qac0.concentration_search(full.state, len(cone) + 1)
+        best, residual = qac0.concentration_search(full, len(cone) + 1)
         mass, removed = qac0.removal_pauli_mass_shift(circuit, int(params.get("arity", 3)))
         metrics.update(
             concentration_K=list(best),
@@ -217,7 +217,7 @@ def _run_qac0_learn(params: dict, seed: int, truth=None) -> dict:
     c = float(params.get("c", state_learn.DEFAULT_C))
     circuit = truth if truth is not None else _planted_circuit(params, seed, default_depth=1)
     choi = qac0.choi_state_with_ancilla(circuit)
-    access = state_learn.SimulatedStateAccess(choi.state, _derive_seed(seed, 1))
+    access = state_learn.SimulatedStateAccess(choi, _derive_seed(seed, 1))
     result = state_learn.learn_qac0_choi(
         access, circuit.size, circuit.depth, circuit.a, eps, delta, c,
         basis_seed=_derive_seed(seed, 2),
@@ -225,8 +225,8 @@ def _run_qac0_learn(params: dict, seed: int, truth=None) -> dict:
     return {
         "T": result.copies_used,
         "junta_arity": result.junta_arity,
-        "frobenius_merit": frobenius_merit(choi.state, result.matrix, circuit.n),
-        "trace_distance": qstate.trace_distance(result.psd_projected, choi.state),
+        "frobenius_merit": frobenius_merit(choi, result.matrix, circuit.n),
+        "trace_distance": qstate.trace_distance(result.psd_projected, choi),
     }
 
 
@@ -354,7 +354,8 @@ def load_records(path) -> list[ResultRecord]:
             continue
         source = f"{path} line {number}"
         payload = require_fields(
-            json.loads(line), ("command", "cell", "trial", "parameters", "seed", "status"), source
+            json.loads(line), ("command", "cell", "trial", "parameters", "seed", "status"), source,
+            ("cell", "trial", "seed"),
         )
         for name in ("parameters", "metrics"):
             if not isinstance(payload.get(name, {}), dict):
@@ -363,10 +364,10 @@ def load_records(path) -> list[ResultRecord]:
         records.append(
             ResultRecord(
                 command=payload["command"],
-                cell_index=int(payload["cell"]),
-                trial_index=int(payload["trial"]),
+                cell_index=payload["cell"],
+                trial_index=payload["trial"],
                 parameters=payload["parameters"],
-                seed=int(payload["seed"]),
+                seed=payload["seed"],
                 status=payload["status"],
                 metrics=payload.get("metrics", {}),
                 error=payload.get("error"),
@@ -428,8 +429,8 @@ def _cmd_qac0_choi(args) -> int:
         if args.kind == "full"
         else qac0.choi_state_with_ancilla(circuit)
     )
-    qstate.save_state(choi.state, args.out)
-    print(json.dumps({"kind": args.kind, "qubits": choi.state.n, "out": args.out}))
+    qstate.save_state(choi, args.out)
+    print(json.dumps({"kind": args.kind, "qubits": choi.n, "out": args.out}))
     return 0
 
 

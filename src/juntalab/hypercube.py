@@ -110,27 +110,35 @@ class Distribution:
         return self.function.values
 
 
+def transform_digits(matrix, values, digits: int) -> np.ndarray:
+    """The ``digits``-fold Kronecker power of the r x c ``matrix`` applied to
+    every row of ``values.reshape(-1, c**digits)``; C-ordered, so that sums
+    over a row of a batch round as they do for that row alone.
+
+    One 2-D product per base-c digit, last digit first; each moves the digit
+    it used to the front, so after ``digits`` products the order is restored.
+    """
+    matrix = np.asarray(matrix)
+    r, c = matrix.shape
+    flat = np.asarray(values).reshape(-1)
+    lead = flat.size // c**digits
+    for _ in range(digits):
+        flat = matrix @ flat.reshape(-1, c).T
+    return np.ascontiguousarray(flat.reshape(r**digits, lead).T)
+
+
 def walsh_hadamard(values) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform W[s] = sum_x (-1)^{|s & x|} v[x].
 
     Transforms along the last axis, so a 2-D input is a batch of rows.
-    In-place butterfly over bit positions, O(n 2^n); self-inverse up to 2^n.
+    The 2x2 Hadamard on each bit, lowest bit first, O(n 2^n); self-inverse
+    up to 2^n.
     """
-    v = np.array(values, dtype=np.float64, ndmin=1)
-    shape = v.shape
-    size = shape[-1]
+    v = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    size = v.shape[-1]
     if size & (size - 1) or size == 0:
         raise ValueError("input length must be a power of two")
-    h = 1
-    while h < size:
-        # Blocks of 2h never straddle two rows, so the flat butterfly is the
-        # batched one.
-        v = v.reshape(-1, 2 * h)
-        top = v[:, :h].copy()
-        v[:, :h] = top + v[:, h:]
-        v[:, h:] = top - v[:, h:]
-        h *= 2
-    return v.reshape(shape)
+    return transform_digits([[1.0, 1.0], [1.0, -1.0]], v, size.bit_length() - 1).reshape(v.shape)
 
 
 def fourier_transform(f: RealCubeFunction) -> np.ndarray:
@@ -187,19 +195,24 @@ def save_distribution(dist: Distribution, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def require_fields(payload, fields, source) -> dict:
-    """``payload`` if it is a JSON object holding every one of ``fields``;
-    otherwise a ValueError that names ``source`` and the missing field."""
+def require_fields(payload, fields, source, integers=()) -> dict:
+    """``payload`` if it is a JSON object holding every one of ``fields``,
+    each of ``integers`` among them an integer; otherwise a ValueError that
+    names ``source`` and the bad field."""
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: expected a JSON object")
     for name in fields:
         if name not in payload:
             raise ValueError(f"{source}: missing field {name!r}")
+    for name in integers:
+        value = payload[name]
+        if type(value) is not int:
+            raise ValueError(f"{source}: field {name!r} must be an integer, got {json.dumps(value)}")
     return payload
 
 
 def load_distribution(path) -> Distribution:
-    payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path)
+    payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path, ("n",))
     if not isinstance(payload["values"], list):
         raise ValueError(f"{path}: field 'values' must be a list of numbers")
-    return Distribution.from_values(int(payload["n"]), payload["values"])
+    return Distribution.from_values(payload["n"], payload["values"])

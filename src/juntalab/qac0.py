@@ -139,68 +139,33 @@ class Qac0Circuit:
         return sum(isinstance(g, ToffoliGate) for layer in self.layers for g in layer)
 
 
-@dataclass(frozen=True)
-class ChoiState:
-    """A Choi state tagged with the channel it came from."""
-
-    state: DensityMatrix
-    provenance: str
-    input_qubits: int
-
-    def __post_init__(self) -> None:
-        if self.provenance not in ("full", "ancilla", "boolean"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.state.n != self.input_qubits + 1:
-            raise ValueError("Choi state must have one output plus the input references")
-        if self.provenance == "boolean":
-            off = self.state.entries - np.diag(np.diag(self.state.entries))
-            if float(np.max(np.abs(off))) > 1e-12:
-                raise ValueError("Boolean-function Choi states must be diagonal")
-
-
-def _embed_single_qubit(gate: SingleQubitGate, total: int) -> np.ndarray:
-    left = np.eye(1 << (gate.qubit - 1))
-    right = np.eye(1 << (total - gate.qubit))
-    return np.kron(np.kron(left, gate.matrix), right)
-
-
-def _toffoli_permutation(gate: ToffoliGate, total: int) -> np.ndarray:
-    dim = 1 << total
-    control_mask = 0
-    for c in gate.controls:
-        control_mask |= 1 << (total - c)
-    target_bit = 1 << (total - gate.target)
-    idx = np.arange(dim)
-    perm = np.where((idx & control_mask) == control_mask, idx ^ target_bit, idx)
-    mat = np.zeros((dim, dim))
-    mat[perm, idx] = 1.0
-    return mat
-
-
 def circuit_unitary(circuit: Qac0Circuit) -> np.ndarray:
-    """Layer-ordered product of the gate unitaries (layer 1 acts first)."""
+    """Layer-ordered product of the gate unitaries (layer 1 acts first),
+    built by applying each gate to the running unitary."""
     total = circuit.total_qubits
-    unitary = np.eye(1 << total, dtype=np.complex128)
+    dim = 1 << total
+    unitary = np.eye(dim, dtype=np.complex128)
+    idx = np.arange(dim)
     for layer in circuit.layers:
-        layer_mat = np.eye(1 << total, dtype=np.complex128)
         for gate in layer:
             if isinstance(gate, SingleQubitGate):
-                embedded = _embed_single_qubit(gate, total)
+                rows = unitary.reshape(1 << (gate.qubit - 1), 2, -1)
+                unitary = (gate.matrix @ rows).reshape(dim, dim)
             else:
-                embedded = _toffoli_permutation(gate, total)
-            layer_mat = embedded @ layer_mat
-        unitary = layer_mat @ unitary
+                # A Toffoli is an involutive permutation: applying it gathers rows.
+                mask = sum(1 << (total - c) for c in gate.controls)
+                flipped = idx ^ (1 << (total - gate.target))
+                unitary = unitary[np.where((idx & mask) == mask, flipped, idx)]
     return unitary
 
 
 def _choi_from_isometry(block: np.ndarray, traced_qubits: int, in_dim: int) -> np.ndarray:
     """Choi matrix of rho -> Tr_first[B rho B^dagger] for a (traced*2, in) block."""
-    a = block.reshape(1 << traced_qubits, 2, in_dim)
-    choi = np.einsum("wox,wpy->oxpy", a, a.conj()) / in_dim
-    return choi.reshape(2 * in_dim, 2 * in_dim)
+    a = block.reshape(1 << traced_qubits, 2 * in_dim)
+    return a.T @ a.conj() / in_dim
 
 
-def choi_state_full(circuit: Qac0Circuit) -> ChoiState:
+def choi_state_full(circuit: Qac0Circuit) -> DensityMatrix:
     """Choi state of the all-qubits-to-output channel Tr_[m-1][U . U^dagger]."""
     m = circuit.total_qubits
     if m > MAX_FULL_CHOI_CIRCUIT_QUBITS:
@@ -208,11 +173,10 @@ def choi_state_full(circuit: Qac0Circuit) -> ChoiState:
             f"full Choi states capped at {MAX_FULL_CHOI_CIRCUIT_QUBITS}-qubit circuits"
         )
     unitary = circuit_unitary(circuit)
-    choi = _choi_from_isometry(unitary, m - 1, 1 << m)
-    return ChoiState(DensityMatrix(choi), "full", m)
+    return DensityMatrix(_choi_from_isometry(unitary, m - 1, 1 << m))
 
 
-def choi_state_with_ancilla(circuit: Qac0Circuit, sigma: DensityMatrix | None = None) -> ChoiState:
+def choi_state_with_ancilla(circuit: Qac0Circuit, sigma: DensityMatrix | None = None) -> DensityMatrix:
     """Choi state of the n-to-1 channel with the ancilla register set to sigma."""
     if circuit.n > MAX_BOOLEAN_CHOI_INPUTS:
         raise ValueError(f"ancilla Choi states capped at {MAX_BOOLEAN_CHOI_INPUTS} inputs")
@@ -226,12 +190,12 @@ def choi_state_with_ancilla(circuit: Qac0Circuit, sigma: DensityMatrix | None = 
     for weight, column in zip(w, v.T):
         if weight < 1e-14:
             continue
-        block = unitary @ np.kron(np.eye(in_dim), column.reshape(-1, 1))
+        block = unitary.reshape(-1, in_dim, column.size) @ column
         choi += weight * _choi_from_isometry(block, circuit.n + circuit.a, in_dim)
-    return ChoiState(DensityMatrix(choi), "ancilla", circuit.n)
+    return DensityMatrix(choi)
 
 
-def choi_of_boolean_function(f: RealCubeFunction) -> ChoiState:
+def choi_of_boolean_function(f: RealCubeFunction) -> DensityMatrix:
     """Choi state of the classical channel |x><x| -> |f(x)><f(x)|:
     the diagonal state sum_x 2^-n |f(x)><f(x)| (x) |x><x|."""
     if f.n > MAX_BOOLEAN_CHOI_INPUTS:
@@ -243,7 +207,7 @@ def choi_of_boolean_function(f: RealCubeFunction) -> ChoiState:
     diag = np.zeros(2 * in_dim)
     out_bits = (values < 0).astype(np.int64)
     diag[out_bits * in_dim + np.arange(in_dim)] = 1.0 / in_dim
-    return ChoiState(DensityMatrix.from_diagonal(diag), "boolean", f.n)
+    return DensityMatrix.from_diagonal(diag)
 
 
 def ancilla_choi_relation_residual(circuit: Qac0Circuit, sigma: DensityMatrix | None = None) -> float:
@@ -253,10 +217,10 @@ def ancilla_choi_relation_residual(circuit: Qac0Circuit, sigma: DensityMatrix | 
     full = choi_state_full(circuit)
     reduced = choi_state_with_ancilla(circuit, sigma)
     n, a = circuit.n, circuit.a
-    coeff_matrix = pauli_tensor(full.state.entries).reshape(4 ** (n + 1), 4 ** (a + 1))
+    coeff_matrix = pauli_tensor(full.entries).reshape(4 ** (n + 1), 4 ** (a + 1))
     traces = (1 << (a + 1)) * pauli_tensor(sigma.entries.T).reshape(-1)
     rhs = (1 << (a + 1)) * (coeff_matrix @ traces)
-    lhs = pauli_tensor(reduced.state.entries).reshape(-1)
+    lhs = pauli_tensor(reduced.entries).reshape(-1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -328,8 +292,9 @@ def light_cone(circuit: Qac0Circuit, qubit: int) -> tuple[int, ...]:
 
 def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
     """Subset of k qubits minimizing the off-subset Pauli mass
-    sum_{supp(P) not within K} coeff(P)^2, with the minimum. Exhaustive;
-    ties break to the lexicographically first subset."""
+    sum_{supp(P) not within K} coeff(P)^2, with that mass. Exhaustive;
+    ties, up to 1e-12 of the total mass, break to the lexicographically
+    first subset."""
     mat = as_matrix(rho)
     q = _qubit_count(mat.shape[0])
     if q > MAX_CONCENTRATION_QUBITS:
@@ -338,18 +303,15 @@ def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
         raise ValueError("k out of range")
     squared = pauli_tensor(mat) ** 2
     total = float(squared.sum())
-    best_set: tuple[int, ...] | None = None
-    best = math.inf
-    for subset in itertools.combinations(range(1, q + 1), k):
-        chosen = set(subset)
-        slicer = tuple(slice(None) if axis + 1 in chosen else 0 for axis in range(q))
-        inside = float(squared[slicer].sum())
-        residual = max(total - inside, 0.0)
-        if residual < best:
-            best = residual
-            best_set = subset
-    assert best_set is not None
-    return best_set, best
+    subsets = list(itertools.combinations(range(1, q + 1), k))
+    residuals = np.empty(len(subsets))
+    for i, subset in enumerate(subsets):
+        inside = squared[tuple(slice(None) if axis + 1 in subset else 0 for axis in range(q))]
+        residuals[i] = max(total - float(inside.sum()), 0.0)
+    # Residuals within 1e-12 of the total mass of the minimum are ties, so
+    # rounding in the coefficients cannot pick the winner.
+    best = int(np.argmax(residuals <= residuals.min() + 1e-12 * total))
+    return subsets[best], float(residuals[best])
 
 
 def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int) -> tuple[float, int]:
@@ -358,8 +320,8 @@ def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int) -> tuple[float, i
 
     This measures the perturbation; no universal constant is assumed."""
     pruned, removed = remove_long_toffolis(circuit, arity)
-    t_full = pauli_tensor(choi_state_full(circuit).state.entries)
-    t_pruned = pauli_tensor(choi_state_full(pruned).state.entries)
+    t_full = pauli_tensor(choi_state_full(circuit))
+    t_pruned = pauli_tensor(choi_state_full(pruned))
     return float(((t_full - t_pruned) ** 2).sum()), removed
 
 
@@ -461,23 +423,29 @@ def save_circuit(circuit: Qac0Circuit, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-_GATE_FIELDS = {"u1": ("q", "re", "im"), "toffoli": ("controls", "target")}
+# gate type -> (required fields, integer fields among them)
+_GATE_FIELDS = {"u1": (("q", "re", "im"), ("q",)), "toffoli": (("controls", "target"), ("target",))}
 
 
 def _gate_from_json(obj: dict, source: str) -> Gate:
     kind = require_fields(obj, ("type",), source)["type"]
     if kind not in _GATE_FIELDS:
         raise ValueError(f"{source}: unknown gate type {kind!r}")
-    require_fields(obj, _GATE_FIELDS[kind], source)
+    fields, integers = _GATE_FIELDS[kind]
+    require_fields(obj, fields, source, integers)
     if kind == "u1":
         mat = np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)
-        return SingleQubitGate(int(obj["q"]), mat)
-    return ToffoliGate(tuple(int(c) for c in obj["controls"]), int(obj["target"]))
+        return SingleQubitGate(obj["q"], mat)
+    controls = obj["controls"]
+    if not isinstance(controls, list) or any(type(c) is not int for c in controls):
+        got = json.dumps(controls)
+        raise ValueError(f"{source}: field 'controls' must be a list of integers, got {got}")
+    return ToffoliGate(tuple(controls), obj["target"])
 
 
 def load_circuit(path) -> Qac0Circuit:
     payload = require_fields(
-        json.loads(Path(path).read_text()), ("n", "a", "layers", "sigma"), path
+        json.loads(Path(path).read_text()), ("n", "a", "layers", "sigma"), path, ("n", "a")
     )
     sigma_obj = require_fields(payload["sigma"], ("re", "im"), f"{path} sigma")
     sigma_mat = np.array(sigma_obj["re"], dtype=np.float64) + 1j * np.array(
@@ -490,4 +458,4 @@ def load_circuit(path) -> Qac0Circuit:
         tuple(_gate_from_json(g, f"{path} layer {i} gate {j}") for j, g in enumerate(layer))
         for i, layer in enumerate(json_layers)
     )
-    return Qac0Circuit(int(payload["n"]), int(payload["a"]), layers, DensityMatrix(sigma_mat))
+    return Qac0Circuit(payload["n"], payload["a"], layers, DensityMatrix(sigma_mat))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypercube import Distribution, popcount, require_fields
+from .hypercube import Distribution, popcount, require_fields, transform_digits
 
 MAX_STATE_QUBITS = 12
 MAX_EXPAND_QUBITS = 10
@@ -50,12 +50,9 @@ def _qubit_count(dim: int) -> int:
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Coerce a DensityMatrix, ChoiState-like wrapper, or array to an ndarray."""
+    """Coerce a DensityMatrix or array to an ndarray."""
     if isinstance(obj, DensityMatrix):
         return obj.entries
-    inner = getattr(obj, "state", None)
-    if isinstance(inner, DensityMatrix):
-        return inner.entries
     return np.asarray(obj, dtype=np.complex128)
 
 
@@ -195,43 +192,33 @@ def pauli_matrix(pauli: PauliString) -> np.ndarray:
 def pauli_tensor(mat) -> np.ndarray:
     """All 4^n Pauli coefficients of a Hermitian matrix as a real (4,)*n tensor.
 
-    Per-qubit butterfly, O(n 4^n); entry [p1, ..., pn] is Tr[P M] / 2^n.
+    One 4x4 product per qubit on its (row, column) bit pair, O(n 4^n); entry
+    [p1, ..., pn] is Tr[P M] / 2^n.
     """
     m = as_matrix(mat)
     n = _qubit_count(m.shape[0])
-    t = m.reshape((2,) * (2 * n)) if n else m.reshape(())
-    for q in range(n):
-        u = np.moveaxis(t, (q, n), (0, 1))
-        comp = np.stack(
-            [
-                (u[0, 0] + u[1, 1]) * 0.5,
-                (u[0, 1] + u[1, 0]) * 0.5,
-                1j * (u[0, 1] - u[1, 0]) * 0.5,
-                (u[0, 0] - u[1, 1]) * 0.5,
-            ]
-        )
-        t = np.moveaxis(comp, 0, q)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    imag_defect = float(np.max(np.abs(t.imag))) if n else float(abs(t.imag))
-    if imag_defect > 1e-9 * scale:
+    # A qubit's row bit r and column bit c form the base-4 digit 2r + c. The
+    # digits run qubit n ... qubit 1 so qubit 1 is contracted first: pinned
+    # records rest on the rounding of this order.
+    to_pauli = [[0.5, 0, 0, 0.5], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0.5, 0, 0, -0.5]]
+    pairs = [axis for q in reversed(range(n)) for axis in (q, n + q)]
+    flat = transform_digits(to_pauli, m.reshape((2,) * (2 * n)).transpose(pairs), n)
+    t = flat.reshape((4,) * n).transpose(tuple(reversed(range(n))))
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(t.imag))) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian: complex Pauli coefficients")
-    return np.ascontiguousarray(t.real)
+    return t.real.copy()
 
 
 def pauli_tensor_to_matrix(tensor) -> np.ndarray:
     """Inverse of pauli_tensor: rebuild the 2^n x 2^n matrix."""
     t = np.asarray(tensor, dtype=np.complex128)
     n = t.ndim
-    for q in reversed(range(n)):
-        u = np.moveaxis(t, q, 0)
-        comp = np.stack(
-            [
-                np.stack([u[0] + u[3], u[1] - 1j * u[2]]),
-                np.stack([u[1] + 1j * u[2], u[0] - u[3]]),
-            ]
-        )
-        t = np.moveaxis(comp, (0, 1), (q, n))
-    return t.reshape(1 << n, 1 << n)
+    # Qubit n is expanded first, to base-4 digits 2r + c that interleave the
+    # row and column bits; the transpose then separates them.
+    from_pauli = [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]
+    pairs = transform_digits(from_pauli, t, n).reshape((2,) * (2 * n))
+    return pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
 
 
 def pauli_weight(words) -> np.ndarray:
@@ -389,9 +376,9 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    payload = require_fields(json.loads(Path(path).read_text()), ("n", "re", "im"), path)
+    payload = require_fields(json.loads(Path(path).read_text()), ("n", "re", "im"), path, ("n",))
     mat = np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"], dtype=np.float64)
     state = DensityMatrix(mat)
-    if state.n != int(payload["n"]):
+    if state.n != payload["n"]:
         raise ValueError("state file qubit count does not match matrix size")
     return state

@@ -404,6 +404,45 @@ class TestLoadersNameMissingFields:
                           "dist.json", json.dumps({"n": 1, "values": {"a": 1}}))
         assert err == f"error: {tmp_path / 'dist.json'}: field 'values' must be a list of numbers\n"
 
+    def test_distribution_n_type(self, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "dist.json", json.dumps({"n": [2], "values": [0.25] * 4}))
+        assert err == f"error: {tmp_path / 'dist.json'}: field 'n' must be an integer, got [2]\n"
+
+    def test_state_n_type(self, tmp_path, capsys):
+        zeros = [[0, 0], [0, 0]]
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "state.json", json.dumps({"n": [1], "re": [[0.5, 0], [0, 0.5]], "im": zeros}))
+        assert err == f"error: {tmp_path / 'state.json'}: field 'n' must be an integer, got [1]\n"
+
+    @pytest.mark.parametrize("field, value", [("cell", [0]), ("trial", True), ("seed", 1.5)])
+    def test_records_integer_fields(self, field, value, tmp_path, capsys):
+        record = {"command": "learn-dist", "cell": 0, "trial": 0, "parameters": {"n": 3},
+                  "seed": 1, "status": "ok", "metrics": {"T": 3}}
+        record[field] = value
+        err = self.run_on(tmp_path, capsys, ["curve", "--x", "n", "--y", "T", "--records"],
+                          "records.jsonl", json.dumps(record) + "\n")
+        got = json.dumps(value)
+        assert err == f"error: {tmp_path / 'records.jsonl'} line 1: field '{field}' must be an integer, got {got}\n"
+
+    @pytest.mark.parametrize("gate, field, value", [
+        (None, "n", [2]), (None, "a", True), (0, "q", 1.0), (1, "target", [4]), (1, "controls", "23"),
+    ])
+    def test_circuit_integer_fields(self, gate, field, value, tmp_path, capsys):
+        layer = (qac0.SingleQubitGate(1, np.eye(2)), qac0.ToffoliGate((2, 3), 4))
+        path = tmp_path / "full.json"
+        qac0.save_circuit(qac0.Qac0Circuit(2, 1, (layer,)), path)
+        payload = json.loads(path.read_text())
+        (payload if gate is None else payload["layers"][0][gate])[field] = value
+        err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
+                          "circuit.json", json.dumps(payload))
+        source = tmp_path / "circuit.json"
+        source = source if gate is None else f"{source} layer 0 gate {gate}"
+        kind = "a list of integers" if field == "controls" else "an integer"
+        assert err == f"error: {source}: field '{field}' must be {kind}, got {json.dumps(value)}\n"
+
     @pytest.mark.parametrize("layers", [5, [5]])
     def test_circuit_layers_type(self, layers, tmp_path, capsys):
         circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 """Cube functions, Walsh transforms, and distribution distances."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from juntalab.hypercube import (
     low_degree_masks,
     popcount,
     save_distribution,
+    transform_digits,
     tv_distance,
     variables_to_mask,
     walsh_hadamard,
@@ -87,6 +89,36 @@ class TestFourierTransform:
         assert batched.shape == (5, 16)
         for row, out in zip(rows, batched):
             assert np.array_equal(out, walsh_hadamard(row))
+
+    def test_walsh_hadamard_pinned_digest(self):
+        # Pins the transform bit for bit, 1-D and batched, across versions.
+        rng = np.random.default_rng(31)
+        digest = hashlib.sha256()
+        for n in range(15):
+            digest.update(walsh_hadamard(rng.standard_normal(1 << n)).tobytes())
+        for shape in [(81, 16), (729, 64)]:
+            digest.update(walsh_hadamard(rng.standard_normal(shape)).tobytes())
+        assert digest.hexdigest() == (
+            "597337d346f96ea13ab5aabc5675d794ac26ff41dfedd2250c46325870d439ff"
+        )
+
+
+class TestTransformDigits:
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 1], [1, -1]], [[1, 2j, 0, -1], [3, 1j, 1, 0], [0, -2, 1 + 1j, 2], [1j, 0, -1, 1]]],
+    )
+    @pytest.mark.parametrize("digits", [0, 1, 3])
+    def test_matches_kronecker_power(self, matrix, digits):
+        # Integer entries keep every product and sum exact, so the kernel
+        # must equal the explicit Kronecker power applied to each row.
+        matrix = np.array(matrix)
+        c = matrix.shape[1]
+        rows = np.random.default_rng(9).integers(-5, 6, size=(7, c**digits))
+        power = np.ones((1, 1), dtype=matrix.dtype)
+        for _ in range(digits):
+            power = np.kron(power, matrix)
+        assert np.array_equal(transform_digits(matrix, rows, digits), rows @ power.T)
 
 
 class TestInverseTransform:

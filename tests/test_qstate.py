@@ -1,5 +1,6 @@
 """Density-matrix core: Pauli expansion, distances, junta embeddings."""
 
+import hashlib
 import itertools
 import json
 
@@ -127,6 +128,20 @@ class TestPauliExpansion:
         rec = pauli_tensor_to_matrix(pauli_tensor(mat))
         assert np.max(np.abs(rec - mat)) <= 1e-10
 
+    def test_pinned_digest(self):
+        # Pins the forward and inverse transforms bit for bit across versions.
+        forward, inverse = hashlib.sha256(), hashlib.sha256()
+        for n in range(1, 9):
+            tensor = pauli_tensor(random_density_matrix(n, np.random.default_rng(40 + n)))
+            forward.update(tensor.tobytes())
+            inverse.update(pauli_tensor_to_matrix(tensor).tobytes())
+        assert forward.hexdigest() == (
+            "29b2728ed70dde86f175cea84118b5db09ad6da62c60f698a54ddded7bbff0d2"
+        )
+        assert inverse.hexdigest() == (
+            "5ef0f8d1bf34f9e2f58f1e87cc860b69fab760afa4adfabd424fe8bf73d73f3a"
+        )
+
     def test_scatter_places_words(self):
         words = np.array([0, PauliString.from_str("IZ").packed, PauliString.from_str("XY").packed])
         tensor = scatter_pauli(words, np.array([0.25, 0.25, -0.125]), 2)
@@ -138,6 +153,11 @@ class TestPauliExpansion:
         strings = ["IIII", "XIII", "IIIZ", "YZIX", "ZZZZ", "IYIY"]
         words = [PauliString.from_str(text).packed for text in strings]
         assert pauli_weight(words).tolist() == [PauliString.from_str(t).weight for t in strings]
+
+    def test_zero_qubits(self):
+        tensor = pauli_tensor(np.eye(1))
+        assert tensor.shape == () and tensor == 1.0
+        assert np.array_equal(pauli_tensor_to_matrix(tensor), np.eye(1))
 
     def test_parseval(self):
         rng = np.random.default_rng(13)

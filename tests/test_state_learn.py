@@ -324,30 +324,30 @@ class TestLearnQac0Choi:
         # the 2 available qubits
         circuit = Qac0Circuit(1, 0, ((ToffoliGate((1,), 2),),))
         truth = choi_state_with_ancilla(circuit)
-        access = SimulatedStateAccess(truth.state, seed=6)
+        access = SimulatedStateAccess(truth, seed=6)
         with pytest.warns(UserWarning, match="clamping"):
             result = learn_qac0_choi(access, circuit.size, circuit.depth, 0, 0.25, 0.1, basis_seed=7)
         assert result.junta_arity == 2
-        merit = 2 ** circuit.n * frobenius_distance(truth.state, result.matrix) ** 2
+        merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
         assert merit <= 0.25
-        assert trace_distance(result.psd_projected, truth.state) <= 0.6
+        assert trace_distance(result.psd_projected, truth) <= 0.6
 
     def test_degenerate_arity_zero_gives_maximally_mixed(self):
         circuit = Qac0Circuit(1, 0, ((ToffoliGate((1,), 2),),))
         truth = choi_state_with_ancilla(circuit)
-        access = SimulatedStateAccess(truth.state, seed=8)
+        access = SimulatedStateAccess(truth, seed=8)
         result = learn_qac0_choi(access, 1, 1, 0, 3.9, 0.1, basis_seed=9)
         assert result.junta_arity == 0
         mixed = DensityMatrix.maximally_mixed(2)
         assert np.array_equal(result.matrix, mixed.entries)
-        merit = 2 ** circuit.n * frobenius_distance(truth.state, result.matrix) ** 2
-        exact = 2 ** circuit.n * frobenius_distance(truth.state, mixed) ** 2
+        merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
+        exact = 2 ** circuit.n * frobenius_distance(truth, mixed) ** 2
         assert merit == exact
 
     def test_result_type(self):
         circuit = Qac0Circuit(1, 0, ((ToffoliGate((1,), 2),),))
         truth = choi_state_with_ancilla(circuit)
-        access = SimulatedStateAccess(truth.state, seed=10)
+        access = SimulatedStateAccess(truth, seed=10)
         result = learn_qac0_choi(access, 1, 1, 0, 2.0, 0.2, basis_seed=11)
         assert isinstance(result, LearnedState)
         assert result.copies_used == access.copies_used
@@ -361,13 +361,13 @@ class TestLearnQac0Choi:
         hits = 0
         copies = None
         for seed in range(10):
-            access = SimulatedStateAccess(truth.state, seed=500 + seed)
+            access = SimulatedStateAccess(truth, seed=500 + seed)
             result = learn_qac0_choi(
                 access, circuit.size, circuit.depth, 0, eps, 0.1, basis_seed=seed
             )
             assert result.junta_arity == 2
             copies = result.copies_used
-            merit = 2 ** circuit.n * frobenius_distance(truth.state, result.matrix) ** 2
+            merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
             if merit <= eps:
                 hits += 1
         assert copies == junta_state_sample_count(3, 2, math.sqrt(eps), 0.1)
