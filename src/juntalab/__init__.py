@@ -25,14 +25,11 @@ from .qstate import (
     trace_distance,
 )
 from .shadows import (
-    ShadowSet,
     collect_shadows,
     estimate_lowdeg,
     shadow_sample_count,
 )
 from .dist_learn import (
-    LearnerConfig,
-    SampleSet,
     learn_junta_distribution,
     learn_sparse_lowdeg_function,
     sample_count_dist,

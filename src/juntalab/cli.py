@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Hashable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,9 +87,7 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
         truth, variables = dist_learn.random_junta_distribution(int(params["n"]), k, instance_rng)
         planted["planted_variables"] = list(variables)
     sampler = dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1))
-    result = dist_learn.learn_junta_distribution(
-        sampler, dist_learn.LearnerConfig(k=k, eps=eps, delta=delta, c=c)
-    )
+    result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
     return {
         "T": result.sample_count,
         "tv_exact": tv_distance(result.distribution, truth),
@@ -162,8 +161,8 @@ def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
     total, k = int(params["T"]), int(params.get("k", 2))
     if truth is None:
         truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
-    shadow_set = shadows.collect_shadows(truth, total, _derive_seed(seed, 1))
-    words, values = shadows.estimate_lowdeg(shadow_set, k)
+    codes, outs = shadows.collect_shadows(truth, total, _derive_seed(seed, 1))
+    words, values = shadows.estimate_lowdeg(codes, outs, k)
     errors = np.abs(values - qstate.pauli_tensor(truth).reshape(-1)[words])
     return {
         "T": total,
@@ -392,9 +391,20 @@ def emit_curve(records, x_param: str, y_metric: str, aggregator: str = "mean", q
             raise ValueError(f"records missing parameter {x_param!r}")
         if y_metric not in record.metrics:
             raise ValueError(f"records missing metric {y_metric!r}")
-        groups.setdefault(record.parameters[x_param], []).append(float(record.metrics[y_metric]))
+        x_value, y_value = record.parameters[x_param], record.metrics[y_metric]
+        where = f"record (cell {record.cell_index}, trial {record.trial_index})"
+        if not isinstance(y_value, (int, float)):
+            raise ValueError(f"metric {y_metric!r} of {where} is not a number: {json.dumps(y_value)}")
+        if not isinstance(x_value, Hashable):
+            raise ValueError(f"parameter {x_param!r} of {where} is not hashable: {json.dumps(x_value)}")
+        groups.setdefault(x_value, []).append(float(y_value))
+    try:
+        x_values = sorted(groups)
+    except TypeError:
+        kinds = " and ".join(sorted({type(x).__name__ for x in groups}))
+        raise ValueError(f"parameter {x_param!r} mixes {kinds} values, which do not sort") from None
     lines = [f"{x_param},{y_metric}_{aggregator},count"]
-    for x_value in sorted(groups):
+    for x_value in x_values:
         values = groups[x_value]
         agg = float(np.mean(values)) if aggregator == "mean" else float(np.quantile(values, q))
         lines.append(f"{x_value},{agg!r},{len(values)}")
@@ -457,10 +467,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _parse_agg(text: str) -> tuple[str, float]:
+    """``mean``, or ``q<float>`` for the quantile at that float in [0, 1]."""
+    if text == "mean":
+        return "mean", 0.9
+    try:
+        q = float(text[1:]) if text.startswith("q") else math.nan
+    except ValueError:
+        q = math.nan
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"--agg must be 'mean' or 'q<float>' with the float in [0, 1], got {text!r}")
+    return "quantile", q
+
+
 def _cmd_curve(args) -> int:
-    records = load_records(args.records)
-    aggregator, q = ("quantile", float(args.agg[1:])) if args.agg.startswith("q") else (args.agg, 0.9)
-    csv = emit_curve(records, args.x, args.y, aggregator, q)
+    aggregator, q = _parse_agg(args.agg)
+    csv = emit_curve(load_records(args.records), args.x, args.y, aggregator, q)
     if args.out:
         Path(args.out).write_text(csv)
     else:

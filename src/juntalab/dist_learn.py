@@ -19,8 +19,10 @@ bit positions are cut into contiguous groups, every |S| <= k lies in a block
 of min(k, #groups) groups, and each block's b bits of the samples are
 histogrammed into 2^b bins and Walsh-transformed. The sums are integers, so
 they reproduce the per-subset empirical means exactly, bit for bit equal to
-one transform over the full 2^n histogram. A low-degree spectrum is a pair of
-arrays: ascending subset masks and their values.
+one transform over the full 2^n histogram. Samples are a 1-D int64 array of
+point masks, and a low-degree spectrum is a pair of arrays: ascending subset
+masks and their values. The learners take their parameters (k, eps, delta, c)
+as arguments and check them where they are used.
 """
 
 from __future__ import annotations
@@ -32,48 +34,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .hypercube import (
-    Distribution,
-    RealCubeFunction,
-    low_degree_masks,
-    variables_to_mask,
-    walsh_hadamard,
-)
+from .hypercube import Distribution, RealCubeFunction, low_degree_masks, variables_to_mask, walsh_hadamard
 
 DEFAULT_C = 8.0
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Point masks drawn i.i.d. from an unknown distribution."""
-
-    n: int
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(self.points, dtype=np.int64)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("a sample set must hold at least one point")
-        if pts.min() < 0 or pts.max() >= 1 << self.n:
-            raise ValueError("sample mask out of range")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    k: int
-    eps: float
-    delta: float
-    c: float = DEFAULT_C
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0 and self.k >= 0 and self.c > 0.0):
-            raise ValueError("invalid learner configuration")
 
 
 class DistributionSampler(Protocol):
@@ -81,7 +44,8 @@ class DistributionSampler(Protocol):
 
     n: int
 
-    def draw(self, count: int) -> SampleSet: ...
+    def draw(self, count: int) -> np.ndarray:
+        """``count`` i.i.d. point masks, as a 1-D int64 array."""
 
 
 class SimulatedSampler:
@@ -96,7 +60,7 @@ class SimulatedSampler:
         self._seed = int(seed)
         self._calls = 0
 
-    def draw(self, count: int) -> SampleSet:
+    def draw(self, count: int) -> np.ndarray:
         rng = np.random.default_rng([self._seed, self._calls])
         self._calls += 1
         uniforms = rng.random(count)
@@ -105,7 +69,7 @@ class SimulatedSampler:
         order = np.argsort(uniforms, kind="stable")
         points = np.empty(count, dtype=np.int64)
         points[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
-        return SampleSet(self.n, np.minimum(points, (1 << self.n) - 1))
+        return np.minimum(points, (1 << self.n) - 1)
 
 
 def sample_count_dist(n: int, k: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
@@ -129,7 +93,7 @@ def _group_width(n: int, k: int, size: int) -> int:
     return min(range(1, max(n, 1) + 1), key=cost)
 
 
-def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the density relative to uniform, q = 2^n p, for every
     |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
 
@@ -141,11 +105,15 @@ def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray,
     they are exact and equal to those of one transform over the 2^n
     histogram. With a single group the key is the point itself.
     This is the internal working scale -- it keeps magnitudes O(1) at any n."""
-    n, points = samples.n, samples.points
+    points = np.ascontiguousarray(points, dtype=np.int64)
+    if points.ndim != 1 or points.size == 0:
+        raise ValueError(f"need a nonempty 1-D array of sample points, got shape {points.shape}")
+    if points.min() < 0 or points.max() >= 1 << n:
+        raise ValueError(f"sample points must lie in [0, 2^{n}), got {points.min()}..{points.max()}")
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     masks = low_degree_masks(n, k)
-    g = _group_width(n, k, samples.size)
+    g = _group_width(n, k, points.size)
     # (lowest bit, width) of each group, most significant group first.
     groups = [(max(top - g, 0), min(top, g)) for top in range(n, 0, -g)]
     codes = [points >> low & (1 << width) - 1 for low, width in groups]
@@ -160,14 +128,14 @@ def empirical_relative_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray,
             b += width
         inside = masks & ~bits == 0
         totals[inside] = walsh_hadamard(np.bincount(key, minlength=1 << b))[packed[inside]]
-    return masks, totals / samples.size
+    return masks, totals / points.size
 
 
-def empirical_low_degree_spectrum(samples: SampleSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+def empirical_low_degree_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All |S| <= k coefficients in the mean-of-characters convention; equal
     to the relative-scale spectrum divided by 2^n (an exact float scaling)."""
-    masks, relative = empirical_relative_spectrum(samples, k)
-    return masks, relative / float(1 << samples.n)
+    masks, relative = empirical_relative_spectrum(points, n, k)
+    return masks, relative / float(1 << n)
 
 
 def dist_threshold_cutoff(n: int, k: int, eps: float) -> float:
@@ -197,6 +165,15 @@ def select_junta_variables(masks, values, n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(ranked[:k]))
 
 
+def _broadcast_junta(block: np.ndarray, n: int, variables: tuple[int, ...]) -> np.ndarray:
+    """The 2^n values of the function of ``variables`` alone whose 2^|K|
+    block reads them in order, the first one most significant."""
+    shape = [1] * n
+    for var in variables:
+        shape[var - 1] = 2
+    return np.broadcast_to(block.reshape(shape), (2,) * n).reshape(-1)
+
+
 def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> Distribution:
     """Clip the junta block's negatives and renormalize: the rebuilt function
     restricted to the junta variables is evaluated on its 2^|K| points,
@@ -218,12 +195,7 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
         # Unreachable through the learner (the empty set always survives with
         # positive weight), but adversarial spectra land on uniform.
         return Distribution.uniform(n)
-    # Broadcast the junta block over the irrelevant variables.
-    shape = [1] * n
-    for var in variables:
-        shape[var - 1] = 2
-    dense = np.broadcast_to(block.reshape(shape) / normalizer, (2,) * n)
-    return Distribution(RealCubeFunction(n, dense.reshape(-1)))
+    return Distribution(n, _broadcast_junta(block / normalizer, n, variables))
 
 
 @dataclass
@@ -236,7 +208,7 @@ class DistLearnResult:
 
 
 def learn_junta_from_spectrum(
-    masks, values, n: int, cfg: LearnerConfig, sample_count: int = 0
+    masks, values, n: int, k: int, eps: float, sample_count: int = 0
 ) -> DistLearnResult:
     """Threshold, variable selection, and rounding on precomputed coefficients
     (mean-of-characters convention) of the subsets ``masks``.
@@ -247,12 +219,14 @@ def learn_junta_from_spectrum(
     two changes no comparison, and the rounding normalizer divides the scale
     back out.
     """
+    if not (0 <= k <= n and 0.0 < eps < 1.0):
+        raise ValueError(f"need 0 <= k <= n = {n} and 0 < eps < 1, got k = {k}, eps = {eps}")
     scale = float(1 << n)
-    tau_relative = dist_threshold_cutoff(n, cfg.k, cfg.eps) * scale
+    tau_relative = dist_threshold_cutoff(n, k, eps) * scale
     masks, relative = threshold_spectrum(
         np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.float64) * scale, tau_relative
     )
-    variables = select_junta_variables(masks, relative, n, cfg.k)
+    variables = select_junta_variables(masks, relative, n, k)
     inside = masks & ~variables_to_mask(variables, n) == 0
     masks, relative = masks[inside], relative[inside]
     return DistLearnResult(
@@ -264,23 +238,14 @@ def learn_junta_from_spectrum(
     )
 
 
-def learn_junta_distribution(sampler: DistributionSampler, cfg: LearnerConfig) -> DistLearnResult:
+def learn_junta_distribution(
+    sampler: DistributionSampler, k: int, eps: float, delta: float, c: float = DEFAULT_C
+) -> DistLearnResult:
     """Draw the prescribed number of samples and run the full pipeline."""
     n = sampler.n
-    if cfg.k > n:
-        raise ValueError("k exceeds the sampler's variable count")
-    T = sample_count_dist(n, cfg.k, cfg.eps, cfg.delta, cfg.c)
-    samples = sampler.draw(T)
-    masks, values = empirical_low_degree_spectrum(samples, cfg.k)
-    return learn_junta_from_spectrum(masks, values, n, cfg, sample_count=T)
-
-
-class ExampleOracle(Protocol):
-    """Labeled-example oracle: uniform points with function values."""
-
-    n: int
-
-    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]: ...
+    T = sample_count_dist(n, k, eps, delta, c)
+    masks, values = empirical_low_degree_spectrum(sampler.draw(T), n, k)
+    return learn_junta_from_spectrum(masks, values, n, k, eps, sample_count=T)
 
 
 class SimulatedExampleOracle:
@@ -311,7 +276,7 @@ def sample_count_sparse(n: int, m: int, deg: int, eps: float, delta: float, c: f
 
 
 def learn_sparse_lowdeg_function(
-    oracle: ExampleOracle,
+    oracle: SimulatedExampleOracle,
     m: int,
     deg: int,
     eps: float,
@@ -338,11 +303,5 @@ def random_junta_distribution(
     uniform on the rest. Returns the distribution and its relevant variables."""
     variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
     block = rng.dirichlet([dirichlet_scale] * (1 << k)) if k else np.array([1.0])
-    shape = [1] * n
-    for var in variables:
-        shape[var - 1] = 2
-    dense = np.broadcast_to(block.reshape(shape), (2,) * n).reshape(-1)
-    return (
-        Distribution(RealCubeFunction(n, dense / dense.sum())),
-        variables,
-    )
+    dense = _broadcast_junta(block, n, variables)
+    return Distribution(n, dense / dense.sum()), variables

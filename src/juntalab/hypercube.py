@@ -63,51 +63,31 @@ class RealCubeFunction:
         object.__setattr__(self, "values", arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RealCubeFunction is immutable")
-
-    @classmethod
-    def constant(cls, n: int, value: float) -> "RealCubeFunction":
-        return cls(n, np.full(1 << n, float(value)))
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Distribution:
+class Distribution(RealCubeFunction):
     """A probability distribution on {-1,+1}^n: nonnegative values summing to 1.
 
     The constructor renormalizes sums within 1e-12 of 1 and rejects anything
     further off, so drift cannot accumulate silently.
     """
 
-    __slots__ = ("function",)
+    __slots__ = ()
 
-    def __init__(self, function: RealCubeFunction) -> None:
-        values = function.values
-        if np.any(values < 0.0):
+    def __init__(self, n: int, values) -> None:
+        super().__init__(n, values)
+        if np.any(self.values < 0.0):
             raise ValueError("distribution values must be nonnegative")
-        total = float(values.sum())
+        total = float(self.values.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution values sum to {total}, outside 1 +/- {_SUM_TOL}")
         if total != 1.0:
-            function = RealCubeFunction(function.n, values / total)
-        object.__setattr__(self, "function", function)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
-
-    @classmethod
-    def from_values(cls, n: int, values) -> "Distribution":
-        return cls(RealCubeFunction(n, values))
+            super().__init__(n, self.values / total)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        return cls(RealCubeFunction.constant(n, 2.0 ** -n))
-
-    @property
-    def n(self) -> int:
-        return self.function.n
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.function.values
+        return cls(n, np.full(1 << n, 2.0**-n))
 
 
 def transform_digits(matrix, values, digits: int) -> np.ndarray:
@@ -215,4 +195,4 @@ def load_distribution(path) -> Distribution:
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path, ("n",))
     if not isinstance(payload["values"], list):
         raise ValueError(f"{path}: field 'values' must be a list of numbers")
-    return Distribution.from_values(payload["n"], payload["values"])
+    return Distribution(payload["n"], payload["values"])

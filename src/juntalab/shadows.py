@@ -18,18 +18,20 @@ is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 ``3^|supp P| / 4^n``.
 
 Determinism: sample streams are carved into fixed-size chunks and chunk ``c``
-draws its words, then its uniforms, from an RNG keyed ``(seed, c)``, so a
-shadow set is a pure function of ``(state, T, seed)`` no matter how chunks are
-grouped into calls. Estimates count each column block's rows in one base-6
-histogram, 6^m int64 bins for m columns (365 KiB at m = 6, about 460 MiB at
-m = 10), and sum them as exact integers.
+draws its words, then its uniforms, from an RNG keyed ``(seed, c)``, so the
+shadows are a pure function of ``(state, T, seed)`` no matter how chunks are
+grouped into calls. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
+2 Y, 3 Z) and int8 +/-1 outcomes, which the estimator checks before it counts.
+Estimates count each column block's rows in one base-6 histogram, 6^m int64
+bins for m columns (365 KiB at m = 6, about 460 MiB at m = 10), and sum them
+as exact integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,40 +44,6 @@ CHUNK = 4096
 
 class InvalidStateError(ValueError):
     """An outcome probability fell below the PSD tolerance."""
-
-
-class ShadowSet:
-    """T basis words and outcomes, stored columnar for fast estimation."""
-
-    __slots__ = ("n", "basis_codes", "outcomes")
-
-    def __init__(self, n: int, basis_codes, outcomes) -> None:
-        codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
-        outs = np.ascontiguousarray(outcomes, dtype=np.int8)
-        if codes.ndim != 2 or codes.shape[1] != n or codes.shape != outs.shape:
-            raise ValueError("basis/outcome arrays must both be (T, n)")
-        if codes.shape[0] == 0:
-            raise ValueError("a shadow set must hold at least one sample")
-        _check_samples(codes, outs)
-        codes.flags.writeable = False
-        outs.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis_codes", codes)
-        object.__setattr__(self, "outcomes", outs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShadowSet is immutable")
-
-    @property
-    def T(self) -> int:
-        return self.basis_codes.shape[0]
-
-
-def _check_samples(basis_codes: np.ndarray, outcomes: np.ndarray) -> None:
-    if basis_codes.min() < 1 or basis_codes.max() > 3:
-        raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-    if np.any(np.abs(outcomes) != 1):
-        raise ValueError("outcomes must be +/-1")
 
 
 def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
@@ -169,18 +137,18 @@ def collect_chunks(n: int, T: int, seed: int, measure) -> tuple[np.ndarray, np.n
     return codes_all, outs_all
 
 
-def collect_shadows(rho, T: int, seed: int) -> ShadowSet:
-    """T i.i.d. shadow samples: uniform basis words and Born-sampled outcomes,
-    whose uniforms follow the words in each chunk's RNG stream."""
+def collect_shadows(rho, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """T i.i.d. shadow samples as (T, n) basis codes and outcomes: uniform
+    basis words and Born-sampled outcomes, whose uniforms follow the words in
+    each chunk's RNG stream."""
     if T < 1:
         raise ValueError("need at least one sample")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     n, coeffs = _measurement_coefficients(rho)
-    codes, outs = collect_chunks(
+    return collect_chunks(
         n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
     )
-    return ShadowSet(n, codes, outs)
 
 
 # Row P (I, X, Y, Z): x [Q == P] at letter code 2(Q - 1) + [x == -1], i.e. X+ X- Y+ Y- Z+ Z-.
@@ -198,8 +166,17 @@ def estimates_for_supports(
     their values: m passes of the 4 x 6 letter matrix turn a block's base-6
     histogram of letter codes (6^m int64 bins) into its 4^m exact totals.
     """
-    # Checked first: unsigned letter arithmetic would wrap silently on a bad code.
-    _check_samples(basis_codes, outcomes)
+    basis_codes, outcomes = np.asarray(basis_codes), np.asarray(outcomes)
+    if basis_codes.ndim != 2 or basis_codes.shape[1] != n or outcomes.shape != basis_codes.shape:
+        shapes = f"basis codes of shape {basis_codes.shape} and outcomes of shape {outcomes.shape}"
+        raise ValueError(f"need basis codes and outcomes of one shape (T, {n}), got {shapes}")
+    if basis_codes.shape[0] == 0:
+        raise ValueError("need at least one sample")
+    # Checked before the letter arithmetic, which would wrap silently on a bad unsigned code.
+    if basis_codes.min() < 1 or basis_codes.max() > 3:
+        raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
+    if np.any(np.abs(outcomes) != 1):
+        raise ValueError("outcomes must be +/-1")
     letters = np.ascontiguousarray((2 * (basis_codes - 1) + (outcomes < 0)).T)
     words, totals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for block in supports:
@@ -222,18 +199,13 @@ def estimates_for_supports(
     return words, scale * np.concatenate(totals)[first] / float((1 << n) * basis_codes.shape[0])
 
 
-def _low_degree_blocks(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The size-k column blocks, which hold every word of weight at most k."""
-    return itertools.combinations(range(n), k)
-
-
-def estimate_lowdeg(shadows: ShadowSet, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates for every Pauli word with support size at most k, in one pass."""
-    if not 0 <= k <= shadows.n:
+def estimate_lowdeg(basis_codes, outcomes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates for every Pauli word with support size at most k, from the
+    size-k column blocks, which hold every such word."""
+    n = np.shape(basis_codes)[-1]
+    if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return estimates_for_supports(
-        shadows.basis_codes, shadows.outcomes, shadows.n, _low_degree_blocks(shadows.n, k)
-    )
+    return estimates_for_supports(basis_codes, outcomes, n, itertools.combinations(range(n), k))
 
 
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:

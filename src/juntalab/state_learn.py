@@ -33,13 +33,7 @@ from .qstate import (
     scatter_pauli,
 )
 from .shadows import (
-    CHUNK,
-    _chunk_uniforms,
-    _low_degree_blocks,
-    _measurement_coefficients,
-    collect_chunks,
-    estimates_for_supports,
-    sample_outcomes,
+    CHUNK, _chunk_uniforms, _measurement_coefficients, collect_chunks, estimate_lowdeg, sample_outcomes,
 )
 
 DEFAULT_C = 8.0
@@ -169,7 +163,7 @@ def learn_junta_state(
         raise ValueError("k out of range")
     T = junta_state_sample_count(n, k, eps, delta, c)
     codes, outs = _collect_through_access(access, T, basis_seed)
-    words, values = estimates_for_supports(codes, outs, n, _low_degree_blocks(n, k))
+    words, values = estimate_lowdeg(codes, outs, k)
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
     return LearnedState(

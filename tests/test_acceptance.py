@@ -69,9 +69,9 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
     worst_moment_rel = 0.0
     for state_index in range(5):
         rho = qstate.random_density_matrix(n, rng)
-        shadow = shadows.collect_shadows(rho, draws, seed=3000 + state_index)
+        codes, outs = shadows.collect_shadows(rho, draws, seed=3000 + state_index)
         exact = qstate.pauli_tensor(rho).reshape(-1)
-        words, values = shadows.estimate_lowdeg(shadow, 2)
+        words, values = shadows.estimate_lowdeg(codes, outs, 2)
         for word, value in zip(words.tolist(), values):
             pauli = PauliString(n, word)
             second_moment = 3.0**pauli.weight / 4.0**n
@@ -80,8 +80,8 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
             if pauli.weight == 0:
                 continue
             cols = [q - 1 for q in pauli.support]
-            codes = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
-            matches = np.all(shadow.basis_codes[:, cols] == codes, axis=1)
+            letters = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
+            matches = np.all(codes[:, cols] == letters, axis=1)
             empirical = (9.0**pauli.weight / 4.0**n) * float(matches.mean())
             worst_moment_rel = max(
                 worst_moment_rel, abs(empirical - second_moment) / second_moment
@@ -100,7 +100,6 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
 def test_criterion_03_junta_distribution_learning():
     """n=10, k=3, eps=0.2: exact TV <= eps in at least 45/50 trials, <2 s each."""
     n, k, eps, delta, c = 10, 3, 0.2, 0.1, 8.0
-    cfg = dist_learn.LearnerConfig(k=k, eps=eps, delta=delta, c=c)
     instance_rng = np.random.default_rng(33)
     planted = [dist_learn.random_junta_distribution(n, k, instance_rng)[0] for _ in range(5)]
     successes = 0
@@ -110,7 +109,7 @@ def test_criterion_03_junta_distribution_learning():
         truth = planted[trial % 5]
         sampler = dist_learn.SimulatedSampler(truth, seed=5000 + trial)
         trial_start = time.perf_counter()
-        result = dist_learn.learn_junta_distribution(sampler, cfg)
+        result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
         worst_trial_seconds = max(worst_trial_seconds, time.perf_counter() - trial_start)
         assert result.sample_count == 22105
         tv = tv_distance(result.distribution, truth)

@@ -294,6 +294,51 @@ class TestCommands:
         assert lines[0] == "D,distance_mean,count"
         assert len(lines) == 3
 
+    CURVE_RECORDS = [
+        {"command": "learn-dist", "cell": 0, "trial": trial, "seed": 1, "status": "ok",
+         "parameters": {"n": 4, "grid_tag": [1, 2]},
+         "metrics": {"T": 10 + trial, "recovered": trial == 0, "surviving_sets": [[], [1]], "name": "a"}}
+        for trial in range(2)
+    ]
+
+    def curve(self, tmp_path, capsys, *argv, records=CURVE_RECORDS):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        rc = main(["curve", "--records", str(path), *argv])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_curve_rejects_non_numeric_metric(self, tmp_path, capsys):
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "surviving_sets") == (
+            1, "", "error: metric 'surviving_sets' of record (cell 0, trial 0) is not a number: [[], [1]]\n"
+        )
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "name") == (
+            1, "", 'error: metric \'name\' of record (cell 0, trial 0) is not a number: "a"\n'
+        )
+        # Booleans count as 0 and 1.
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "recovered") == (
+            0, "n,recovered_mean,count\n4,0.5,2\n", ""
+        )
+
+    def test_curve_rejects_unhashable_parameter(self, tmp_path, capsys):
+        assert self.curve(tmp_path, capsys, "--x", "grid_tag", "--y", "T") == (
+            1, "", "error: parameter 'grid_tag' of record (cell 0, trial 0) is not hashable: [1, 2]\n"
+        )
+
+    def test_curve_rejects_parameter_values_that_do_not_sort(self, tmp_path, capsys):
+        records = [dict(record, parameters={"n": n}) for record, n in zip(self.CURVE_RECORDS, [4, "4"])]
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "T", records=records) == (
+            1, "", "error: parameter 'n' mixes int and str values, which do not sort\n"
+        )
+
+    @pytest.mark.parametrize("agg", ["qx", "q", "q1.5", "qnan", "median"])
+    def test_curve_rejects_malformed_agg(self, agg, tmp_path, capsys):
+        want = f"error: --agg must be 'mean' or 'q<float>' with the float in [0, 1], got {agg!r}\n"
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "T", "--agg", agg) == (1, "", want)
+        assert self.curve(tmp_path, capsys, "--x", "n", "--y", "T", "--agg", "q0.5") == (
+            0, "n,T_quantile,count\n4,10.5,2\n", ""
+        )
+
 
 # (command, grid parameters, the same run's command line without its truth file)
 ONE_PATH_CASES = [
@@ -493,6 +538,10 @@ PINNED_RECORDS = [
         '"statistic": 0.8733548447778923, "tomography_copies": 107490, "verdict": "far"}, '
         '{"K": [3], "certification_copies": 13481, "statistic": 0.17085733327547603, '
         '"tomography_copies": 107490, "verdict": "close"}]}',
+    ),
+    (
+        "shadows-bench", {"n": 3, "T": 2000, "k": 2}, 5,
+        '{"T": 2000, "k": 2, "max_abs_error": 0.023027204028951025, "rms_error": 0.008536997929083325}',
     ),
 ]
 

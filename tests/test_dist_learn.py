@@ -7,8 +7,6 @@ import pytest
 
 from juntalab.dist_learn import (
     DistributionSampler,
-    LearnerConfig,
-    SampleSet,
     SimulatedExampleOracle,
     SimulatedSampler,
     _group_width,
@@ -34,26 +32,26 @@ from juntalab.hypercube import (
 )
 
 
-def empirical_coefficient(samples: SampleSet, subset: int) -> float:
+def empirical_coefficient(points: np.ndarray, n: int, subset: int) -> float:
     """p'(S) = (1 / (2^n T)) sum_s chi_S(x^s); unbiased for the true p(S).
 
     The empty set always evaluates to exactly 2^-n.
     """
     mask = int(subset.__index__() if hasattr(subset, "__index__") else subset)
-    if not 0 <= mask < 1 << samples.n:
+    if not 0 <= mask < 1 << n:
         raise ValueError("subset mask out of range")
-    overlap = samples.points & mask
+    overlap = points & mask
     parity = np.zeros_like(overlap)
     while overlap.max(initial=0) > 0:
         parity ^= overlap & 1
         overlap >>= 1
-    total = int(samples.size - 2 * int(parity.sum()))
-    return total / ((1 << samples.n) * samples.size)
+    total = int(points.size - 2 * int(parity.sum()))
+    return total / ((1 << n) * points.size)
 
 
-def low_degree_value(samples: SampleSet, k: int, mask: int) -> float:
+def low_degree_value(points: np.ndarray, n: int, k: int, mask: int) -> float:
     """The pipeline's estimate at one mask of size at most k."""
-    masks, values = empirical_low_degree_spectrum(samples, k)
+    masks, values = empirical_low_degree_spectrum(points, n, k)
     return values[np.searchsorted(masks, mask)]
 
 
@@ -92,16 +90,15 @@ class TestSampleCount:
 
 class TestEmpiricalCoefficient:
     def test_empty_set_exact(self):
-        samples = SampleSet(4, np.array([3, 9, 0, 15]))
-        assert low_degree_value(samples, 2, 0) == 2.0**-4
+        assert low_degree_value(np.array([3, 9, 0, 15]), 4, 2, 0) == 2.0**-4
 
     def test_constant_sample_set(self):
         # every sample equals x: estimate is chi_S(x) / 2^n exactly
-        samples = SampleSet(3, np.full(10, 0b101))
+        points = np.full(10, 0b101)
         mask = variables_to_mask([1, 2], 3)
-        assert low_degree_value(samples, 2, mask) == -(2.0**-3)
+        assert low_degree_value(points, 3, 2, mask) == -(2.0**-3)
         mask2 = variables_to_mask([1, 3], 3)
-        assert low_degree_value(samples, 2, mask2) == 2.0**-3
+        assert low_degree_value(points, 3, 2, mask2) == 2.0**-3
 
     def test_uniform_hoeffding_window(self):
         # repeated resamples of size 1e5: |estimate| <= 5 / (2^n sqrt(T))
@@ -112,8 +109,8 @@ class TestEmpiricalCoefficient:
         hits = 0
         bound = 5.0 / ((1 << n) * math.sqrt(draws))
         for _ in range(trials):
-            samples = SampleSet(n, rng.integers(0, 1 << n, size=draws))
-            if abs(low_degree_value(samples, 1, mask)) <= bound:
+            points = rng.integers(0, 1 << n, size=draws)
+            if abs(low_degree_value(points, n, 1, mask)) <= bound:
                 hits += 1
         assert hits / trials >= 0.999
 
@@ -122,11 +119,11 @@ class TestEmpiricalCoefficient:
         n, resamples, draws = 4, 4000, 64
         rng = np.random.default_rng(70)
         truth, _ = random_junta_distribution(n, 2, rng)
-        exact = fourier_transform(truth.function)
+        exact = fourier_transform(truth)
         mask = variables_to_mask([1, 2], n)
         sampler = SimulatedSampler(truth, seed=12)
         estimates = [
-            low_degree_value(sampler.draw(draws), 2, mask) for _ in range(resamples)
+            low_degree_value(sampler.draw(draws), n, 2, mask) for _ in range(resamples)
         ]
         single_std = 1.0 / ((1 << n) * math.sqrt(draws))
         standard_error = single_std / math.sqrt(resamples)
@@ -137,25 +134,25 @@ class TestSpectrumEstimation:
     def test_histogram_path_matches_per_subset(self):
         rng = np.random.default_rng(5)
         truth, _ = random_junta_distribution(6, 2, rng)
-        samples = SimulatedSampler(truth, seed=3).draw(2000)
-        masks, values = empirical_low_degree_spectrum(samples, 2)
+        points = SimulatedSampler(truth, seed=3).draw(2000)
+        masks, values = empirical_low_degree_spectrum(points, 6, 2)
         assert masks.tolist() == [m for m in range(1 << 6) if m.bit_count() <= 2]
         for mask, value in zip(masks, values):
-            assert value == empirical_coefficient(samples, int(mask))
+            assert value == empirical_coefficient(points, 6, int(mask))
 
     def test_relative_scale_is_exact_power_of_two(self):
-        samples = SampleSet(5, np.arange(32))
-        masks, relative = empirical_relative_spectrum(samples, 2)
-        paper_masks, paper = empirical_low_degree_spectrum(samples, 2)
+        points = np.arange(32)
+        masks, relative = empirical_relative_spectrum(points, 5, 2)
+        paper_masks, paper = empirical_low_degree_spectrum(points, 5, 2)
         assert np.array_equal(masks, paper_masks)
         assert np.array_equal(relative / 2**5, paper)
 
 
-def dense_relative_spectrum(samples, k):
+def dense_relative_spectrum(points, n, k):
     """The estimator as one Walsh transform over the full 2^n histogram."""
-    masks = low_degree_masks(samples.n, k)
-    histogram = np.bincount(samples.points, minlength=1 << samples.n)
-    return masks, walsh_hadamard(histogram)[masks] / samples.size
+    masks = low_degree_masks(n, k)
+    histogram = np.bincount(points, minlength=1 << n)
+    return masks, walsh_hadamard(histogram)[masks] / points.size
 
 
 class TestBlockHistogramEstimator:
@@ -172,9 +169,9 @@ class TestBlockHistogramEstimator:
 
     @pytest.mark.parametrize("n,k,T", CASES)
     def test_bitwise_equal_to_dense_transform(self, n, k, T):
-        samples = SampleSet(n, np.random.default_rng(n * 1000 + T).integers(0, 1 << n, T))
-        masks, values = empirical_relative_spectrum(samples, k)
-        want_masks, want = dense_relative_spectrum(samples, k)
+        points = np.random.default_rng(n * 1000 + T).integers(0, 1 << n, T)
+        masks, values = empirical_relative_spectrum(points, n, k)
+        want_masks, want = dense_relative_spectrum(points, n, k)
         assert np.array_equal(masks, want_masks)
         assert values.tobytes() == want.tobytes()
 
@@ -205,9 +202,7 @@ class TestThreshold:
 class TestJuntaLearner:
     def test_uniform_k0_exact(self):
         truth = Distribution.uniform(6)
-        result = learn_junta_distribution(
-            SimulatedSampler(truth, seed=2), LearnerConfig(k=0, eps=0.3, delta=0.1)
-        )
+        result = learn_junta_distribution(SimulatedSampler(truth, seed=2), k=0, eps=0.3, delta=0.1)
         assert np.array_equal(result.distribution.values, truth.values)
         assert result.junta_variables == ()
 
@@ -215,18 +210,18 @@ class TestJuntaLearner:
         rng = np.random.default_rng(14)
         truth, variables = random_junta_distribution(8, 3, rng)
         masks = low_degree_masks(8, 3)
-        exact = fourier_transform(truth.function)[masks]
-        result = learn_junta_from_spectrum(masks, exact, 8, LearnerConfig(k=3, eps=0.2, delta=0.1))
+        exact = fourier_transform(truth)[masks]
+        result = learn_junta_from_spectrum(masks, exact, 8, k=3, eps=0.2)
         assert result.junta_variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
 
     def test_monte_carlo_within_eps(self):
         rng = np.random.default_rng(15)
         truth, _ = random_junta_distribution(10, 3, rng)
-        cfg = LearnerConfig(k=3, eps=0.2, delta=0.1, c=8.0)
         failures = 0
         for seed in range(8):
-            result = learn_junta_distribution(SimulatedSampler(truth, seed), cfg)
+            sampler = SimulatedSampler(truth, seed)
+            result = learn_junta_distribution(sampler, k=3, eps=0.2, delta=0.1, c=8.0)
             assert result.sample_count == 22105
             if tv_distance(result.distribution, truth) > 0.2:
                 failures += 1
@@ -238,12 +233,10 @@ class TestJuntaLearner:
             n = 5
 
             def draw(self, count):
-                return SampleSet(5, np.full(count, 0b10110))
+                return np.full(count, 0b10110)
 
         for k in (0, 1, 2):
-            result = learn_junta_distribution(
-                ConstantSampler(), LearnerConfig(k=k, eps=0.2, delta=0.1)
-            )
+            result = learn_junta_distribution(ConstantSampler(), k=k, eps=0.2, delta=0.1)
             values = result.distribution.values
             assert np.all(values >= 0.0)
             assert float(values.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -255,10 +248,14 @@ class TestJuntaLearner:
         assert select_junta_variables(masks, values, 5, 3) == (1, 2, 3)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(k=-1, eps=0.2, delta=0.1)
-        with pytest.raises(ValueError):
-            LearnerConfig(k=1, eps=0.0, delta=0.1)
+        sampler = SimulatedSampler(Distribution.uniform(5), seed=0)
+        for k, eps, delta, c in [(-1, 0.2, 0.1, 8.0), (1, 0.0, 0.1, 8.0), (6, 0.2, 0.1, 8.0),
+                                 (1, 0.2, 1.0, 8.0), (1, 0.2, 0.1, 0.0)]:
+            with pytest.raises(ValueError, match="invalid sample-count parameters"):
+                learn_junta_distribution(sampler, k, eps, delta, c)
+        for k, eps in [(-1, 0.2), (1, 0.0), (6, 0.2), (1, 1.0)]:
+            with pytest.raises(ValueError, match="need 0 <= k <= n = 5 and 0 < eps < 1"):
+                learn_junta_from_spectrum(np.array([0]), np.array([1 / 32]), 5, k, eps)
 
 
 class TestSparseLowDegreeLearner:
@@ -301,29 +298,38 @@ class TestSparseLowDegreeLearner:
 
 
 class TestSampleSetValidation:
+    """Sample arrays: the estimators' checks and the simulated sampler."""
+
+    ESTIMATORS = (empirical_relative_spectrum, empirical_low_degree_spectrum)
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleSet(3, np.array([], dtype=np.int64))
+        for estimator in self.ESTIMATORS:
+            for points in (np.array([], dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
+                with pytest.raises(ValueError, match="nonempty 1-D array of sample points"):
+                    estimator(points, 3, 1)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SampleSet(2, np.array([4]))
+        for estimator in self.ESTIMATORS:
+            for points in (np.array([4]), np.array([0, -1])):
+                with pytest.raises(ValueError, match=r"sample points must lie in \[0, 2\^2\)"):
+                    estimator(points, 2, 1)
 
     def test_sampler_protocol(self):
         truth = Distribution.uniform(3)
         sampler: DistributionSampler = SimulatedSampler(truth, seed=0)
         drawn = sampler.draw(10)
-        assert drawn.size == 10 and drawn.n == 3
+        assert drawn.shape == (10,) and drawn.dtype == np.int64
+        assert 0 <= drawn.min() and drawn.max() < 8
 
     def test_sampler_matches_per_uniform_search(self):
         truth, _ = random_junta_distribution(8, 2, np.random.default_rng(4))
         cumulative = np.cumsum(truth.values)
         uniforms = np.random.default_rng([7, 0]).random(500)
         want = [min(int(np.searchsorted(cumulative, u, side="right")), 255) for u in uniforms]
-        assert SimulatedSampler(truth, seed=7).draw(500).points.tolist() == want
+        assert SimulatedSampler(truth, seed=7).draw(500).tolist() == want
 
     def test_sampler_deterministic_replay(self):
         truth, _ = random_junta_distribution(5, 2, np.random.default_rng(3))
         a = SimulatedSampler(truth, seed=9).draw(100)
         b = SimulatedSampler(truth, seed=9).draw(100)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)

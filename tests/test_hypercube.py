@@ -56,7 +56,7 @@ class TestPointEncoding:
 
 class TestFourierTransform:
     def test_constant_function(self):
-        spec = fourier_transform(RealCubeFunction.constant(3, 1.0))
+        spec = fourier_transform(RealCubeFunction(3, np.ones(8)))
         assert spec.shape == (8,)
         assert spec[0] == 1.0
         assert np.count_nonzero(spec) == 1
@@ -179,19 +179,19 @@ class TestTvDistance:
         assert tv_distance(p, p) == 0.0
 
     def test_point_masses(self):
-        p = Distribution.from_values(2, [1, 0, 0, 0])
-        q = Distribution.from_values(2, [0, 0, 1, 0])
+        p = Distribution(2, [1, 0, 0, 0])
+        q = Distribution(2, [0, 0, 1, 0])
         assert tv_distance(p, q) == 1.0
 
     def test_half(self):
-        p = Distribution.from_values(1, [1.0, 0.0])
+        p = Distribution(1, [1.0, 0.0])
         assert tv_distance(p, Distribution.uniform(1)) == 0.5
 
     def test_metric_properties(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             dists = [
-                Distribution.from_values(3, w / w.sum())
+                Distribution(3, w / w.sum())
                 for w in rng.random((3, 8))
             ]
             p, q, r = dists
@@ -218,7 +218,7 @@ class TestDegreeSupport:
         for bits in range(16):
             local = (bits >> 3 & 1) << 1 | (bits >> 1 & 1)
             values[bits] = block[local] / 4
-        spec = fourier_transform(Distribution.from_values(4, values).function)
+        spec = fourier_transform(Distribution(4, values))
         assert degree(spec) <= 2
         assert np.count_nonzero(spec) <= 4
 
@@ -251,22 +251,22 @@ class TestMaskArrays:
 class TestDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            Distribution.from_values(1, [1.5, -0.5])
+            Distribution(1, [1.5, -0.5])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            Distribution.from_values(1, [0.6, 0.6])
+            Distribution(1, [0.6, 0.6])
 
     def test_renormalizes_within_tolerance(self):
-        p = Distribution.from_values(1, [0.5 + 4e-13, 0.5])
+        p = Distribution(1, [0.5 + 4e-13, 0.5])
         assert float(p.values.sum()) == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_coefficient_is_two_to_minus_n(self):
         rng = np.random.default_rng(19)
         for n in (1, 4, 10):
             w = rng.random(1 << n)
-            p = Distribution.from_values(n, w / w.sum())
-            c0 = fourier_transform(p.function)[0]
+            p = Distribution(n, w / w.sum())
+            c0 = fourier_transform(p)[0]
             # exact in exact arithmetic; allow a few ulp of renormalization noise
             assert abs(c0 - 2.0**-n) <= 8 * np.finfo(float).eps * 2.0**-n
 
@@ -275,7 +275,7 @@ class TestJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         w = rng.random(8)
-        p = Distribution.from_values(3, w / w.sum())
+        p = Distribution(3, w / w.sum())
         path = tmp_path / "dist.json"
         save_distribution(p, path)
         q = load_distribution(path)

@@ -238,7 +238,7 @@ class TestChoiStateWithAncilla:
 
 class TestBooleanChoi:
     def test_constant_function_spectrum(self):
-        choi = choi_of_boolean_function(RealCubeFunction.constant(2, 1.0))
+        choi = choi_of_boolean_function(RealCubeFunction(2, np.ones(4)))
         spec = pauli_tensor(choi).reshape(-1)
         for word in np.flatnonzero(spec).tolist():
             pauli = PauliString(choi.n, word)

@@ -314,7 +314,7 @@ class TestDistributionToState:
         assert np.max(np.abs(state.entries - np.eye(8) / 8)) == 0.0
 
     def test_point_mass_at_all_plus(self):
-        state = distribution_to_state(Distribution.from_values(2, [1, 0, 0, 0]))
+        state = distribution_to_state(Distribution(2, [1, 0, 0, 0]))
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
         assert np.array_equal(state.entries, want)
@@ -322,8 +322,8 @@ class TestDistributionToState:
     def test_spectrum_correspondence(self):
         rng = np.random.default_rng(53)
         w = rng.random(8)
-        p = Distribution.from_values(3, w / w.sum())
-        fspec = fourier_transform(p.function)
+        p = Distribution(3, w / w.sum())
+        fspec = fourier_transform(p)
         pspec = pauli_tensor(distribution_to_state(p)).reshape(-1)
         for packed in range(4**3):
             codes = PauliString(3, packed).codes

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from juntalab.qstate import (
 from juntalab.shadows import (
     CHUNK,
     InvalidStateError,
-    ShadowSet,
     _born_rows,
     collect_chunks,
     collect_shadows,
@@ -28,20 +28,22 @@ from juntalab.shadows import (
 )
 
 
-def estimate_coefficient(shadows: ShadowSet, pauli: PauliString) -> float:
-    """Single-coefficient estimate; exactly 2^-n for the identity word."""
-    if pauli.n != shadows.n:
-        raise ValueError("Pauli word length does not match shadow set")
+def estimate_coefficient(basis_codes, outcomes, pauli: PauliString) -> float:
+    """Single-coefficient estimate from (T, n) shadows; exactly 2^-n for the
+    identity word."""
+    T, n = basis_codes.shape
+    if pauli.n != n:
+        raise ValueError("Pauli word length does not match the shadows")
     cols = [q - 1 for q in pauli.support]
     if not cols:
-        return 1.0 / (1 << shadows.n)
+        return 1.0 / (1 << n)
     codes = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
-    matches = np.all(shadows.basis_codes[:, cols] == codes, axis=1)
-    weight = np.ones(shadows.T, dtype=np.int64)
+    matches = np.all(basis_codes[:, cols] == codes, axis=1)
+    weight = np.ones(T, dtype=np.int64)
     for col in cols:
-        weight = weight * shadows.outcomes[:, col]
+        weight = weight * outcomes[:, col]
     total = int(np.sum(np.where(matches, weight, 0)))
-    return (3 ** len(cols) * total) / ((1 << shadows.n) * shadows.T)
+    return (3 ** len(cols) * total) / ((1 << n) * T)
 
 
 def born_rows(rho, words):
@@ -209,16 +211,16 @@ class TestCollectShadows:
 
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, np.random.default_rng(6))
-        a = collect_shadows(rho, 9000, seed=42)
-        b = collect_shadows(rho, 9000, seed=42)
-        assert np.array_equal(a.basis_codes, b.basis_codes)
-        assert np.array_equal(a.outcomes, b.outcomes)
+        a_codes, a_outs = collect_shadows(rho, 9000, seed=42)
+        b_codes, b_outs = collect_shadows(rho, 9000, seed=42)
+        assert np.array_equal(a_codes, b_codes)
+        assert np.array_equal(a_outs, b_outs)
 
     def test_pinned_digest(self):
         # Pins the chunk-keyed RNG stream and the Born draws across versions.
         rho = random_density_matrix(3, np.random.default_rng(21))
-        shadow = collect_shadows(rho, 9000, seed=23)
-        digest = hashlib.sha256(shadow.basis_codes.tobytes() + shadow.outcomes.tobytes())
+        codes, outs = collect_shadows(rho, 9000, seed=23)
+        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
             "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
         )
@@ -241,117 +243,124 @@ class TestCollectShadows:
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix.maximally_mixed(2)
-        shadow = collect_shadows(rho, 100_000, seed=7)
+        codes, _ = collect_shadows(rho, 100_000, seed=7)
+        T = len(codes)
         for qubit in range(2):
-            counts = np.bincount(shadow.basis_codes[:, qubit], minlength=4)[1:]
-            expected = shadow.T / 3
-            sigma = math.sqrt(shadow.T * (1 / 3) * (2 / 3))
+            counts = np.bincount(codes[:, qubit], minlength=4)[1:]
+            expected = T / 3
+            sigma = math.sqrt(T * (1 / 3) * (2 / 3))
             assert np.all(np.abs(counts - expected) <= 5 * sigma)
 
 
 class TestEstimators:
     def test_identity_is_exact(self):
         rho = random_density_matrix(2, np.random.default_rng(8))
-        shadow = collect_shadows(rho, 123, seed=5)
-        words, values = estimate_lowdeg(shadow, 2)
+        words, values = estimate_lowdeg(*collect_shadows(rho, 123, seed=5), 2)
         assert values[np.searchsorted(words, PauliString.identity(2).packed)] == 0.25
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
         exact = pauli_tensor(state).reshape(-1)[PauliString.from_str("Z").packed]
         assert exact == pytest.approx(0.1, abs=1e-15)
-        shadow = collect_shadows(state, 100_000, seed=3)
-        words, values = estimate_lowdeg(shadow, 1)
+        codes, outs = collect_shadows(state, 100_000, seed=3)
+        words, values = estimate_lowdeg(codes, outs, 1)
         estimate = values[np.searchsorted(words, PauliString.from_str("Z").packed)]
-        sigma = math.sqrt(3 ** 1 / 4 ** 1 / shadow.T)
+        sigma = math.sqrt(3 ** 1 / 4 ** 1 / len(codes))
         assert abs(estimate - exact) <= 5 * sigma
 
     def test_second_moment_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(10))
-        shadow = collect_shadows(rho, 1_000_000, seed=11)
+        codes, _ = collect_shadows(rho, 1_000_000, seed=11)
         pauli = PauliString.from_str("XZI")
         matches = np.all(
-            shadow.basis_codes[:, :2] == np.array([1, 3], dtype=np.uint8), axis=1
+            codes[:, :2] == np.array([1, 3], dtype=np.uint8), axis=1
         )
         empirical = (9**2 / 4**3) * matches.mean()
         assert empirical == pytest.approx(9 / 64, rel=0.05)
 
     def test_lowdeg_matches_per_coefficient(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
-        shadow = collect_shadows(rho, 4000, seed=13)
-        words, values = estimate_lowdeg(shadow, 2)
+        codes, outs = collect_shadows(rho, 4000, seed=13)
+        words, values = estimate_lowdeg(codes, outs, 2)
         assert words.dtype == np.int64 and values.dtype == np.float64
         assert np.all(np.diff(words) > 0)
         for word, value in zip(words.tolist(), values):
-            assert value == estimate_coefficient(shadow, PauliString(3, word))
+            assert value == estimate_coefficient(codes, outs, PauliString(3, word))
         want = [w for w in range(4**3) if PauliString(3, w).weight <= 2]
         assert words.tolist() == want
         assert len(want) == 1 + 3 * 3 + 3 * 9
 
     def test_supports_in_any_order_give_ascending_unique_words(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
-        shadow = collect_shadows(rho, 500, seed=4)
+        codes, outs = collect_shadows(rho, 500, seed=4)
         blocks = [(1, 2), (0,), (1, 2), ()]
-        words, values = estimates_for_supports(shadow.basis_codes, shadow.outcomes, 3, blocks)
+        words, values = estimates_for_supports(codes, outs, 3, blocks)
         # Every word whose (1-based) support lies inside some block.
         inside = [{2, 3}, {1}, set()]
         want = [w for w in range(4**3) if any(set(PauliString(3, w).support) <= b for b in inside)]
         assert words.tolist() == want
         for word, value in zip(want, values):
-            assert value == estimate_coefficient(shadow, PauliString(3, word))
+            assert value == estimate_coefficient(codes, outs, PauliString(3, word))
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("T", [1, 700])
     def test_full_block_equals_both_oracles_bitwise(self, n, T):
         rho = random_density_matrix(n, np.random.default_rng(30 + n))
-        shadow = collect_shadows(rho, T, seed=31)
-        codes, outs = shadow.basis_codes, shadow.outcomes
+        codes, outs = collect_shadows(rho, T, seed=31)
         oracle = _per_support_estimates(codes, outs, n)
         for blocks in ([range(n)], [(), tuple(reversed(range(n))), range(n), ()]):
             words, values = estimates_for_supports(codes, outs, n, blocks)
             assert words.tolist() == list(range(4**n))
             assert values.tobytes() == oracle.tobytes()
             for word, value in zip(words.tolist(), values):
-                assert value == estimate_coefficient(shadow, PauliString(n, word))
+                assert value == estimate_coefficient(codes, outs, PauliString(n, word))
         words, values = estimates_for_supports(codes, outs, n, [()])
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
-        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
         for bad in (0, 4):
-            codes = shadow.basis_codes.copy()
-            codes[3, 1] = bad
-            with pytest.raises(ValueError, match="basis codes"):
-                estimates_for_supports(codes, shadow.outcomes, 2, [(0, 1)])
+            bad_codes = codes.copy()
+            bad_codes[3, 1] = bad
+            with pytest.raises(ValueError, match="basis codes must be"):
+                estimates_for_supports(bad_codes, outs, 2, [(0, 1)])
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
-        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
         for bad in (0, 2):
-            outs = shadow.outcomes.copy()
-            outs[5, 0] = bad
+            bad_outs = outs.copy()
+            bad_outs[5, 0] = bad
             with pytest.raises(ValueError, match="outcomes must be"):
-                estimates_for_supports(shadow.basis_codes, outs, 2, [(0, 1)])
+                estimates_for_supports(codes, bad_outs, 2, [(0, 1)])
 
     @pytest.mark.parametrize("block", [(1, 1), (0, 2), (-1,)])
     def test_rejects_repeated_or_out_of_range_block_columns(self, block):
-        shadow = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
         with pytest.raises(ValueError, match="distinct columns in 0..1"):
-            estimates_for_supports(shadow.basis_codes, shadow.outcomes, 2, [(0,), block])
+            estimates_for_supports(codes, outs, 2, [(0,), block])
+
+    def test_rejects_outcomes_of_another_shape(self):
+        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
+                                    (codes[:, :1], outs[:, :1]), (codes[0], outs[0])]:
+            shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
+            with pytest.raises(ValueError, match=re.escape(f"one shape (T, 2), got {shapes}")):
+                estimates_for_supports(bad_codes, bad_outs, 2, [(0, 1)])
+        with pytest.raises(ValueError, match="at least one sample"):
+            estimates_for_supports(codes[:0], outs[:0], 2, [(0, 1)])
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix.maximally_mixed(3)
-        shadow = collect_shadows(rho, 10, seed=2)
-        words, values = estimate_lowdeg(shadow, 0)
+        words, values = estimate_lowdeg(*collect_shadows(rho, 10, seed=2), 0)
         assert words.tolist() == [PauliString.identity(3).packed]
         assert values.tolist() == [2.0**-3]
 
     def test_unbiased_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(14))
         exact = pauli_tensor(rho).reshape(-1)
-        shadow = collect_shadows(rho, 200_000, seed=15)
-        words, values = estimate_lowdeg(shadow, 2)
+        words, values = estimate_lowdeg(*collect_shadows(rho, 200_000, seed=15), 2)
         for word, value in zip(words.tolist(), values):
-            sigma = math.sqrt(3 ** PauliString(3, word).weight / 4**3 / shadow.T)
+            sigma = math.sqrt(3 ** PauliString(3, word).weight / 4**3 / 200_000)
             assert abs(value - exact[word]) <= 5 * sigma
 
     def test_lowdeg_hits_accuracy_target_at_budget(self):
@@ -364,8 +373,7 @@ class TestEstimators:
         exact = pauli_tensor(rho).reshape(-1)
         hits = 0
         for seed in range(10):
-            shadow = collect_shadows(rho, budget, seed=seed)
-            words, values = estimate_lowdeg(shadow, 1)
+            words, values = estimate_lowdeg(*collect_shadows(rho, budget, seed=seed), 1)
             if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9
