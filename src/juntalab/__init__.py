@@ -31,7 +31,6 @@ from .shadows import (
 )
 from .dist_learn import (
     learn_junta_distribution,
-    learn_sparse_lowdeg_function,
     sample_count_dist,
     threshold_spectrum,
 )

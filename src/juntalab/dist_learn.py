@@ -1,11 +1,10 @@
-"""Learning junta distributions from samples and bounded sparse low-degree
-functions from labeled examples.
+"""Learning junta distributions from samples.
 
-Junta learner: for every subset S of at most k variables, estimate the
-coefficient ``p'(S) = (1 / (2^n T)) sum_s chi_S(x^s)``, zero everything with
-magnitude at or below ``eps / (2 * 2^n * sqrt(2^k))``, read the relevant
-variables off the surviving supports, and round the rebuilt function to a
-proper distribution by clipping negatives on the junta block and dividing by
+For every subset S of at most k variables, estimate the coefficient
+``p'(S) = (1 / (2^n T)) sum_s chi_S(x^s)``, zero everything with magnitude at
+or below ``eps / (2 * 2^n * sqrt(2^k))``, read the relevant variables off the
+surviving supports, and round the rebuilt function to a proper distribution
+by clipping negatives on the junta block and dividing by
 ``C = 2^(n-k) * sum p''|_K``. At the stated sample count the thresholded
 coefficients land within the analysis window with high probability, giving
 total variation error O(eps).
@@ -22,7 +21,8 @@ they reproduce the per-subset empirical means exactly, bit for bit equal to
 one transform over the full 2^n histogram. Samples are a 1-D int64 array of
 point masks, and a low-degree spectrum is a pair of arrays: ascending subset
 masks and their values. The learners take their parameters (k, eps, delta, c)
-as arguments and check them where they are used.
+as arguments and check them where they are used. The group width comes from
+``hypercube.group_width``, the search that the shadow estimator shares.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .hypercube import Distribution, RealCubeFunction, low_degree_masks, variables_to_mask, walsh_hadamard
+from .hypercube import Distribution, group_width, low_degree_masks, variables_to_mask, walsh_hadamard
 
 DEFAULT_C = 8.0
 
@@ -79,20 +79,6 @@ def sample_count_dist(n: int, k: int, eps: float, delta: float, c: float = DEFAU
     return max(1, math.ceil(c * 2**k * max(k, 1) * math.log(n / delta) / eps**2))
 
 
-def _group_width(n: int, k: int, size: int) -> int:
-    """The group width g in 1..n with the fewest element operations
-    G*T + C(G, r) * (r*T + b*2^b): G groups of g bits, blocks of r = min(k, G)
-    groups, b = min(n, r*g) bits a block."""
-
-    def cost(g: int) -> int:
-        groups = -(-n // g)
-        r = min(k, groups)
-        b = min(n, r * g)
-        return groups * size + math.comb(groups, r) * (r * size + b * (1 << b))
-
-    return min(range(1, max(n, 1) + 1), key=cost)
-
-
 def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the density relative to uniform, q = 2^n p, for every
     |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
@@ -113,7 +99,7 @@ def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     masks = low_degree_masks(n, k)
-    g = _group_width(n, k, points.size)
+    g = group_width(n, k, points.size, 2)
     # (lowest bit, width) of each group, most significant group first.
     groups = [(max(top - g, 0), min(top, g)) for top in range(n, 0, -g)]
     codes = [points >> low & (1 << width) - 1 for low, width in groups]
@@ -246,54 +232,6 @@ def learn_junta_distribution(
     T = sample_count_dist(n, k, eps, delta, c)
     masks, values = empirical_low_degree_spectrum(sampler.draw(T), n, k)
     return learn_junta_from_spectrum(masks, values, n, k, eps, sample_count=T)
-
-
-class SimulatedExampleOracle:
-    """Uniform examples (x, f(x)) from a known function, chunk-keyed RNG."""
-
-    def __init__(self, f: RealCubeFunction, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.n = f.n
-        self._values = f.values
-        self._seed = int(seed)
-        self._calls = 0
-
-    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([self._seed, self._calls])
-        self._calls += 1
-        points = rng.integers(0, 1 << self.n, size=count)
-        return points, self._values[points]
-
-
-def sample_count_sparse(n: int, m: int, deg: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
-    """ceil(c * m * ln(n^deg / delta) / eps) examples for a spectrum
-    eps-concentrated on m sets of degree at most deg."""
-    if not (0 < delta < 1 and eps > 0 and m >= 1 and 0 <= deg <= n and c > 0):
-        raise ValueError("invalid sample-count parameters")
-    log_term = deg * math.log(n) - math.log(delta) if n > 1 else -math.log(delta)
-    return max(1, math.ceil(c * m * log_term / eps))
-
-
-def learn_sparse_lowdeg_function(
-    oracle: SimulatedExampleOracle,
-    m: int,
-    deg: int,
-    eps: float,
-    delta: float,
-    c: float = DEFAULT_C,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate all degree <= deg coefficients to accuracy sqrt(eps / 4m) and
-    drop the ones at or below that same level, returning ascending masks and
-    values; for a [-1, 1]-valued function
-    whose spectrum is eps-concentrated on m low-degree sets the output g
-    satisfies sum_S |f(S) - g(S)|^2 = O(eps) with probability 1 - delta."""
-    n = oracle.n
-    T = sample_count_sparse(n, m, deg, eps, delta, c)
-    points, values = oracle.draw(T)
-    weights = np.bincount(points, weights=values, minlength=1 << n)
-    masks = low_degree_masks(n, deg)
-    return threshold_spectrum(masks, walsh_hadamard(weights)[masks] / T, math.sqrt(eps / (4.0 * m)))
 
 
 def random_junta_distribution(

@@ -18,6 +18,7 @@ dense vector never exceeds 2^24 entries.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 import numpy as np
 
@@ -83,7 +84,10 @@ class Distribution(RealCubeFunction):
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution values sum to {total}, outside 1 +/- {_SUM_TOL}")
         if total != 1.0:
-            super().__init__(n, self.values / total)
+            # The values are this object's own copy, so they divide in place.
+            self.values.flags.writeable = True
+            np.divide(self.values, total, out=self.values)
+            self.values.flags.writeable = False
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -138,7 +142,8 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance, half the l1 distance; always in [0, 1]."""
     if p.n != q.n:
         raise ValueError(f"distributions over {p.n} and {q.n} variables")
-    return 0.5 * float(np.abs(p.values - q.values).sum())
+    diff = p.values - q.values
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def popcount(masks) -> np.ndarray:
@@ -162,6 +167,27 @@ def low_degree_masks(n: int, k: int) -> np.ndarray:
         masks = np.concatenate([masks, masks[grow] | 1 << bit])
         sizes = np.concatenate([sizes, sizes[grow] + 1])
     return np.sort(masks)
+
+
+# The interpreter work of one histogram block in element operations: a block's
+# NumPy calls take some tens of microseconds, an element operation a few ns.
+BLOCK_COST = 1 << 14
+
+
+def group_width(n: int, k: int, size: int, base: int) -> int:
+    """The group width g in 1..n with the fewest element operations for a
+    block-histogram estimate over n columns, ``size`` samples and sets of at
+    most k columns: G*size + C(G, r) * (r*size + b*base^b + BLOCK_COST), for
+    G groups of g columns, blocks of r = min(k, G) groups, b = min(n, r*g)
+    columns a block and base^b bins."""
+
+    def cost(g: int) -> int:
+        groups = -(-n // g)
+        r = min(k, groups)
+        b = min(n, r * g)
+        return groups * size + math.comb(groups, r) * (r * size + b * base**b + BLOCK_COST)
+
+    return min(range(1, max(n, 1) + 1), key=cost)
 
 
 def degree(coeffs) -> int:

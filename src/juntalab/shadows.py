@@ -24,7 +24,14 @@ grouped into calls. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
 2 Y, 3 Z) and int8 +/-1 outcomes, which the estimator checks before it counts.
 Estimates count each column block's rows in one base-6 histogram, 6^m int64
 bins for m columns (365 KiB at m = 6, about 460 MiB at m = 10), and sum them
-as exact integers.
+as exact integers. The low-degree estimate, ``estimate_lowdeg``, cuts the n
+columns into contiguous groups and counts each block of min(k, #groups)
+groups once; these blocks hold every support of size at most k. The width is
+what ``hypercube.group_width`` picks for 6^m bins a block: one block of all
+six columns at n = 6, k = 2 and 148,992 rows, ten blocks of four columns at
+n = 10, k = 2 and 20,000 rows. The totals are exact, so no estimate depends
+on the width. At k = n the one block holds every column, so
+``shadows bench --n 10 --k 10`` allocates the 460 MiB histogram.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypercube import walsh_hadamard
+from .hypercube import group_width, walsh_hadamard
 from .qstate import _qubit_count, as_matrix, pauli_tensor, pauli_weight
 
 MAX_MEASURE_QUBITS = 10
@@ -199,13 +206,26 @@ def estimates_for_supports(
     return words, scale * np.concatenate(totals)[first] / float((1 << n) * basis_codes.shape[0])
 
 
+def _group_blocks(n: int, k: int, size: int):
+    """Blocks of min(k, #groups) contiguous column groups, whose widths
+    ``group_width`` picks for base-6 letter bins; every set of at most k
+    columns lies inside one. A generator, so that the estimator checks its
+    input before the search runs."""
+    g = group_width(n, k, size, 6)
+    groups = [range(at, min(at + g, n)) for at in range(0, n, g)]
+    for picked in itertools.combinations(groups, min(k, len(groups))):
+        yield list(itertools.chain(*picked))
+
+
 def estimate_lowdeg(basis_codes, outcomes, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimates for every Pauli word with support size at most k, from the
-    size-k column blocks, which hold every such word."""
+    blocks of column groups, keeping the words of weight at most k."""
     n = np.shape(basis_codes)[-1]
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return estimates_for_supports(basis_codes, outcomes, n, itertools.combinations(range(n), k))
+    words, values = estimates_for_supports(basis_codes, outcomes, n, _group_blocks(n, k, len(basis_codes)))
+    keep = pauli_weight(words) <= k
+    return words[keep], values[keep]
 
 
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:

@@ -1,29 +1,30 @@
-"""Junta-distribution learner and the sparse low-degree function learner."""
+"""Junta-distribution learner, and a sparse low-degree function learner
+kept here as a test of the Walsh transform on labeled examples."""
 
 import math
 
 import numpy as np
 import pytest
 
+from juntalab import dist_learn
 from juntalab.dist_learn import (
+    DEFAULT_C,
     DistributionSampler,
-    SimulatedExampleOracle,
     SimulatedSampler,
-    _group_width,
     empirical_low_degree_spectrum,
     empirical_relative_spectrum,
     learn_junta_distribution,
     learn_junta_from_spectrum,
-    learn_sparse_lowdeg_function,
     random_junta_distribution,
     sample_count_dist,
-    sample_count_sparse,
     select_junta_variables,
     threshold_spectrum,
 )
 from juntalab.hypercube import (
     Distribution,
+    RealCubeFunction,
     fourier_transform,
+    group_width,
     inverse_transform,
     low_degree_masks,
     tv_distance,
@@ -156,16 +157,28 @@ def dense_relative_spectrum(points, n, k):
 
 
 class TestBlockHistogramEstimator:
-    # (n, k, T) -> group width: 1, 2, 3, 4 (four equal groups), 5 (a narrower
-    # last group), the single block (k = n, k = 0, n = 1, T = 1) and the
-    # learn-dist benchmark cell.
-    CASES = [(10, 2, 1), (8, 2, 50), (12, 3, 500), (16, 2, 3000), (9, 1, 1000), (6, 6, 100),
-             (5, 0, 7), (1, 0, 5), (1, 1, 1), (10, 3, 22105), (20, 3, 25432)]
+    # (n, k, T) -> group width: 2, 3, 5 (each with a narrower last group),
+    # 4 (four equal groups, and five at the learn-dist benchmark cell), and the
+    # single block (T = 1, k = n, k = 0, small n and T, n = 1, where it is
+    # width 1). At n >= 2 width 1 never wins the search: it takes 2^k times
+    # the blocks of width 2 to save at most half their bins.
+    CASES = [(19, 5, 50), (14, 3, 100), (13, 2, 300), (16, 2, 3000), (20, 3, 25432),
+             (10, 2, 1), (8, 2, 50), (12, 3, 500), (9, 1, 1000), (6, 6, 100),
+             (5, 0, 7), (1, 0, 5), (1, 1, 1), (10, 3, 22105)]
 
     def test_sweep_covers_widths_and_single_block(self):
-        widths = {_group_width(n, k, T) for n, k, T in self.CASES}
+        widths = {group_width(n, k, T, 2) for n, k, T in self.CASES}
         assert {1, 2, 3, 4, 5} <= widths
-        assert any(_group_width(n, k, T) == n for n, k, T in self.CASES)
+        assert any(group_width(n, k, T, 2) == n > 1 for n, k, T in self.CASES)
+
+    def test_tiny_sample_gets_few_blocks(self):
+        def blocks(n, k, T):
+            groups = -(-n // group_width(n, k, T, 2))
+            return math.comb(groups, min(k, groups))
+
+        # Without a per-block cost these took C(10, 2) and C(24, 4) blocks.
+        assert blocks(10, 2, 1) == 1
+        assert blocks(24, 4, 1) <= 70
 
     @pytest.mark.parametrize("n,k,T", CASES)
     def test_bitwise_equal_to_dense_transform(self, n, k, T):
@@ -174,6 +187,16 @@ class TestBlockHistogramEstimator:
         want_masks, want = dense_relative_spectrum(points, n, k)
         assert np.array_equal(masks, want_masks)
         assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (8, 3), (5, 5)])
+    def test_bitwise_equal_at_every_width(self, n, k, monkeypatch):
+        points = np.random.default_rng(n).integers(0, 1 << n, 300)
+        want_masks, want = dense_relative_spectrum(points, n, k)
+        for g in range(1, n + 1):
+            monkeypatch.setattr(dist_learn, "group_width", lambda *args, g=g: g)
+            masks, values = empirical_relative_spectrum(points, n, k)
+            assert np.array_equal(masks, want_masks)
+            assert values.tobytes() == want.tobytes()
 
 
 class TestThreshold:
@@ -256,6 +279,54 @@ class TestJuntaLearner:
         for k, eps in [(-1, 0.2), (1, 0.0), (6, 0.2), (1, 1.0)]:
             with pytest.raises(ValueError, match="need 0 <= k <= n = 5 and 0 < eps < 1"):
                 learn_junta_from_spectrum(np.array([0]), np.array([1 / 32]), 5, k, eps)
+
+
+class SimulatedExampleOracle:
+    """Uniform examples (x, f(x)) from a known function, chunk-keyed RNG."""
+
+    def __init__(self, f: RealCubeFunction, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        self.n = f.n
+        self._values = f.values
+        self._seed = int(seed)
+        self._calls = 0
+
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng([self._seed, self._calls])
+        self._calls += 1
+        points = rng.integers(0, 1 << self.n, size=count)
+        return points, self._values[points]
+
+
+def sample_count_sparse(n: int, m: int, deg: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
+    """ceil(c * m * ln(n^deg / delta) / eps) examples for a spectrum
+    eps-concentrated on m sets of degree at most deg."""
+    if not (0 < delta < 1 and eps > 0 and m >= 1 and 0 <= deg <= n and c > 0):
+        raise ValueError("invalid sample-count parameters")
+    log_term = deg * math.log(n) - math.log(delta) if n > 1 else -math.log(delta)
+    return max(1, math.ceil(c * m * log_term / eps))
+
+
+def learn_sparse_lowdeg_function(
+    oracle: SimulatedExampleOracle,
+    m: int,
+    deg: int,
+    eps: float,
+    delta: float,
+    c: float = DEFAULT_C,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate all degree <= deg coefficients to accuracy sqrt(eps / 4m) and
+    drop the ones at or below that same level, returning ascending masks and
+    values; for a [-1, 1]-valued function
+    whose spectrum is eps-concentrated on m low-degree sets the output g
+    satisfies sum_S |f(S) - g(S)|^2 = O(eps) with probability 1 - delta."""
+    n = oracle.n
+    T = sample_count_sparse(n, m, deg, eps, delta, c)
+    points, values = oracle.draw(T)
+    weights = np.bincount(points, weights=values, minlength=1 << n)
+    masks = low_degree_masks(n, deg)
+    return threshold_spectrum(masks, walsh_hadamard(weights)[masks] / T, math.sqrt(eps / (4.0 * m)))
 
 
 class TestSparseLowDegreeLearner:

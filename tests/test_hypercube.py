@@ -261,6 +261,19 @@ class TestDistribution:
         p = Distribution(1, [0.5 + 4e-13, 0.5])
         assert float(p.values.sum()) == pytest.approx(1.0, abs=1e-15)
 
+    def test_renormalized_values_equal_one_division(self):
+        values = np.full(8, 0.125)
+        values[3] += 1e-13
+        total = values.sum()
+        assert total != 1.0 and abs(total - 1.0) <= 1e-12
+        kept = values.copy()
+        p = Distribution(3, values)
+        assert p.values.tobytes() == (values / total).tobytes()
+        assert not p.values.flags.writeable
+        assert values.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError):
+            p.values[0] = 0.0
+
     def test_empty_coefficient_is_two_to_minus_n(self):
         rng = np.random.default_rng(19)
         for n in (1, 4, 10):

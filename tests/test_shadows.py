@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from juntalab import shadows
 from juntalab.qstate import (
     DensityMatrix,
     PauliString,
@@ -19,6 +20,7 @@ from juntalab.shadows import (
     CHUNK,
     InvalidStateError,
     _born_rows,
+    _group_blocks,
     collect_chunks,
     collect_shadows,
     estimate_lowdeg,
@@ -69,6 +71,19 @@ def _per_support_estimates(codes, outs, n):
             words = assign @ 4 ** (n - 1 - np.array(cols, dtype=np.int64))
             values[words] = 3**j * totals / float((1 << n) * codes.shape[0])
     return values
+
+
+def lowdeg_by_size_k_blocks(codes, outs, k):
+    """The low-degree estimate from one block per size-k set of columns."""
+    n = codes.shape[1]
+    return estimates_for_supports(codes, outs, n, itertools.combinations(range(n), k))
+
+
+def random_shadows(n, T, seed):
+    """(T, n) basis codes and outcomes drawn uniformly; the estimator only counts them."""
+    rng = np.random.default_rng([n, T, seed])
+    codes = rng.integers(1, 4, size=(T, n), dtype=np.uint8)
+    return codes, (1 - 2 * rng.integers(0, 2, size=(T, n))).astype(np.int8)
 
 
 X_PLUS = np.array([1, 1]) / math.sqrt(2)
@@ -377,6 +392,43 @@ class TestEstimators:
             if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9
+
+
+class TestGroupedLowDegree:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("T", [1, 7, 300, 20000])
+    def test_bitwise_equal_to_size_k_blocks(self, n, T):
+        codes, outs = random_shadows(n, T, seed=1)
+        for k in range(n + 1):
+            words, values = estimate_lowdeg(codes, outs, k)
+            want_words, want = lowdeg_by_size_k_blocks(codes, outs, k)
+            assert words.tobytes() == want_words.tobytes()
+            assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,k,T,blocks", [(10, 2, 20000, 10), (6, 2, 148992, 1)])
+    def test_bitwise_equal_at_benchmark_sizes(self, n, k, T, blocks):
+        codes, outs = random_shadows(n, T, seed=2)
+        assert len(list(_group_blocks(n, k, T))) == blocks
+        words, values = estimate_lowdeg(codes, outs, k)
+        want_words, want = lowdeg_by_size_k_blocks(codes, outs, k)
+        assert words.tobytes() == want_words.tobytes()
+        assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("T", [1, 300, 20000, 10**6])
+    def test_blocks_cover_every_size_k_support(self, T):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                blocks = list(_group_blocks(n, k, T))
+                assert all(len(block) == len(set(block)) for block in blocks)
+                blocks = [set(block) for block in blocks]
+                for support in itertools.combinations(range(n), k):
+                    assert any(block >= set(support) for block in blocks), (n, k, T, support)
+
+    def test_checks_shape_before_the_width_search(self, monkeypatch):
+        # A 1-D input would otherwise search widths for one column per row.
+        monkeypatch.setattr(shadows, "group_width", lambda *args: pytest.fail("width search ran"))
+        with pytest.raises(ValueError, match="one shape"):
+            estimate_lowdeg(np.ones(50, dtype=np.uint8), np.ones(50, dtype=np.int8), 1)
 
 
 class TestSampleCount:
