@@ -11,12 +11,9 @@ from .hypercube import (
 )
 from .qstate import (
     DensityMatrix,
-    PauliString,
-    distribution_to_state,
     embed_on,
     frobenius_distance,
     partial_trace,
-    pauli_matrix,
     pauli_tensor,
     pauli_tensor_to_matrix,
     proxy_distance,

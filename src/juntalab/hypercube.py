@@ -146,26 +146,11 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
-def popcount(masks) -> np.ndarray:
-    """Number of set bits of each nonnegative integer, elementwise."""
-    masks = np.array(masks, dtype=np.int64)
-    if (masks < 0).any():
-        raise ValueError(f"popcount needs nonnegative integers, got {masks[masks < 0][0]}")
-    count = np.zeros(masks.shape, dtype=np.int64)
-    while masks.any():
-        count += masks & 1
-        masks >>= 1
-    return count
-
-
 def low_degree_masks(n: int, k: int) -> np.ndarray:
     """The masks of every subset of [n] with at most k elements, ascending."""
     masks = np.zeros(1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
     for bit in range(n):
-        grow = sizes < k
-        masks = np.concatenate([masks, masks[grow] | 1 << bit])
-        sizes = np.concatenate([sizes, sizes[grow] + 1])
+        masks = np.concatenate([masks, masks[np.bitwise_count(masks) < k] | 1 << bit])
     return np.sort(masks)
 
 
@@ -193,7 +178,7 @@ def group_width(n: int, k: int, size: int, base: int) -> int:
 def degree(coeffs) -> int:
     """Largest |S| carrying a nonzero coefficient of a dense spectrum; 0 for
     zero or constant spectra."""
-    return int(popcount(np.flatnonzero(coeffs)).max(initial=0))
+    return int(np.bitwise_count(np.flatnonzero(coeffs)).max(initial=0))
 
 
 def save_distribution(dist: Distribution, path) -> None:

@@ -26,6 +26,7 @@ from .hypercube import RealCubeFunction, require_fields
 from .qstate import (
     DensityMatrix,
     as_matrix,
+    complex_matrix,
     frobenius_distance,
     pauli_tensor,
     _qubit_count,
@@ -49,6 +50,8 @@ class SingleQubitGate:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError("single-qubit gate must be 2x2")
+        if not np.isfinite(mat).all():
+            raise ValueError("single-qubit gate has a non-finite entry")
         if float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))) > _UNITARY_TOL:
             raise ValueError("single-qubit gate is not unitary within 1e-10")
         mat.flags.writeable = False
@@ -434,8 +437,7 @@ def _gate_from_json(obj: dict, source: str) -> Gate:
     fields, integers = _GATE_FIELDS[kind]
     require_fields(obj, fields, source, integers)
     if kind == "u1":
-        mat = np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)
-        return SingleQubitGate(obj["q"], mat)
+        return SingleQubitGate(obj["q"], complex_matrix(obj, source))
     controls = obj["controls"]
     if not isinstance(controls, list) or any(type(c) is not int for c in controls):
         got = json.dumps(controls)
@@ -447,10 +449,7 @@ def load_circuit(path) -> Qac0Circuit:
     payload = require_fields(
         json.loads(Path(path).read_text()), ("n", "a", "layers", "sigma"), path, ("n", "a")
     )
-    sigma_obj = require_fields(payload["sigma"], ("re", "im"), f"{path} sigma")
-    sigma_mat = np.array(sigma_obj["re"], dtype=np.float64) + 1j * np.array(
-        sigma_obj["im"], dtype=np.float64
-    )
+    sigma = complex_matrix(payload["sigma"], f"{path} sigma")
     json_layers = payload["layers"]
     if not isinstance(json_layers, list) or not all(isinstance(layer, list) for layer in json_layers):
         raise ValueError(f"{path}: field 'layers' must be a list of lists of gates")
@@ -458,4 +457,4 @@ def load_circuit(path) -> Qac0Circuit:
         tuple(_gate_from_json(g, f"{path} layer {i} gate {j}") for j, g in enumerate(layer))
         for i, layer in enumerate(json_layers)
     )
-    return Qac0Circuit(payload["n"], payload["a"], layers, DensityMatrix(sigma_mat))
+    return Qac0Circuit(payload["n"], payload["a"], layers, DensityMatrix(sigma))

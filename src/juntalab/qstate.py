@@ -2,8 +2,8 @@
 
 Qubit ordering: qubit 1 is the most significant tensor factor everywhere, so
 the computational-basis index of a product state is the qubits' bit string
-read left to right. Pauli strings use codes I=0, X=1, Y=2, Z=3; the packed
-integer form of a string is its base-4 reading with qubit 1 as the most
+read left to right. Pauli letters use codes I=0, X=1, Y=2, Z=3; a Pauli
+word is packed as an integer, its base-4 reading with qubit 1 as the most
 significant digit, which is also the flat index into dense (4,)*n tensors.
 A full Pauli spectrum is such a tensor (``pauli_tensor``); a low-degree one
 is a pair of arrays, the ascending packed words and their values.
@@ -18,24 +18,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .hypercube import Distribution, popcount, require_fields, transform_digits
+from .hypercube import require_fields, transform_digits
 
 MAX_STATE_QUBITS = 12
-MAX_EXPAND_QUBITS = 10
 MAX_PROXY_QUBITS = 8
-
-PAULI_I = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULI_BY_CODE = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-PAULI_CHARS = "IXYZ"
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -56,68 +47,12 @@ def as_matrix(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A Pauli word on n qubits, packed two bits per qubit (base-4 digits)."""
-
-    n: int
-    packed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or not 0 <= self.packed < 4**self.n:
-            raise ValueError("packed Pauli string out of range")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0)
-
-    @classmethod
-    def from_codes(cls, codes: Sequence[int]) -> "PauliString":
-        packed = 0
-        for code in codes:
-            if not 0 <= code <= 3:
-                raise ValueError("Pauli codes must be 0..3")
-            packed = packed * 4 + code
-        return cls(len(codes), packed)
-
-    @classmethod
-    def from_str(cls, text: str) -> "PauliString":
-        try:
-            return cls.from_codes([PAULI_CHARS.index(ch) for ch in text])
-        except ValueError as exc:
-            raise ValueError(f"invalid Pauli string {text!r}") from exc
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        out = []
-        packed = self.packed
-        for _ in range(self.n):
-            out.append(packed & 3)
-            packed >>= 2
-        return tuple(reversed(out))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, code in enumerate(self.codes, start=1) if code)
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
-    def __str__(self) -> str:
-        return "".join(PAULI_CHARS[c] for c in self.codes)
-
-    def __index__(self) -> int:
-        return self.packed
-
-
 class DensityMatrix:
     """A 2^n x 2^n Hermitian, trace-1, (near-)PSD matrix.
 
-    Construction enforces Hermiticity and unit trace to 1e-10 and positive
-    semidefiniteness down to eigenvalues of -1e-9, which accommodates
-    thresholded spectral reconstructions; ``validate`` runs the strict
-    eigenvalue check when needed.
+    Construction enforces finite entries, Hermiticity and unit trace to 1e-10
+    and positive semidefiniteness down to eigenvalues of -1e-9, which
+    accommodates thresholded spectral reconstructions.
     """
 
     __slots__ = ("n", "entries")
@@ -129,6 +64,8 @@ class DensityMatrix:
         n = _qubit_count(mat.shape[0])
         if n > MAX_STATE_QUBITS:
             raise ValueError(f"states capped at {MAX_STATE_QUBITS} qubits")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a non-finite entry")
         if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(mat))
@@ -161,32 +98,6 @@ class DensityMatrix:
         vec = np.asarray(amplitudes, dtype=np.complex128)
         vec = vec / np.linalg.norm(vec)
         return cls(np.outer(vec, vec.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def validate(self) -> dict:
-        """Strict diagnostic: Hermiticity defect, trace defect, min eigenvalue."""
-        mat = self.entries
-        return {
-            "hermiticity_defect": float(np.max(np.abs(mat - mat.conj().T))),
-            "trace_defect": abs(complex(np.trace(mat)) - 1.0),
-            "min_eigenvalue": self.min_eigenvalue(),
-        }
-
-
-def pauli_matrix(pauli: PauliString) -> np.ndarray:
-    """Kronecker product of the single-qubit generators, qubit 1 leftmost."""
-    if pauli.n > MAX_STATE_QUBITS:
-        raise ValueError(f"pauli_matrix capped at {MAX_STATE_QUBITS} qubits")
-    out = np.ones((1, 1), dtype=np.complex128)
-    for code in pauli.codes:
-        out = np.kron(out, PAULI_BY_CODE[code])
-    return out
 
 
 def pauli_tensor(mat) -> np.ndarray:
@@ -224,7 +135,8 @@ def pauli_tensor_to_matrix(tensor) -> np.ndarray:
 def pauli_weight(words) -> np.ndarray:
     """Support size of each packed Pauli word: its count of nonzero base-4 digits."""
     words = np.asarray(words, dtype=np.int64)
-    return popcount((words | words >> 1) & 0x5555555555555555)
+    # int64, not bitwise_count's uint8, so that 3**weight cannot wrap.
+    return np.bitwise_count((words | words >> 1) & 0x5555555555555555).astype(np.int64)
 
 
 def scatter_pauli(words, values, n: int) -> np.ndarray:
@@ -338,13 +250,6 @@ def proxy_distance(rho, k: int) -> tuple[tuple[int, ...], float]:
     return best_set, best
 
 
-def distribution_to_state(p: Distribution) -> DensityMatrix:
-    """Diagonal embedding of a distribution; point masks index the diagonal."""
-    if p.n > MAX_EXPAND_QUBITS:
-        raise ValueError(f"diagonal embedding capped at {MAX_EXPAND_QUBITS} qubits")
-    return DensityMatrix.from_diagonal(p.values)
-
-
 def rho_eps(eps: float) -> DensityMatrix:
     """The single-qubit state (I + eps Z) / 2 = diag(1+eps, 1-eps) / 2."""
     if not 0.0 < eps < 0.5:
@@ -375,10 +280,28 @@ def save_state(state: DensityMatrix, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def complex_matrix(payload, source) -> np.ndarray:
+    """``re + 1j * im`` from the fields of those names of a JSON object;
+    ValueError naming ``source`` unless both are 2-D lists of numbers of one
+    shape."""
+    require_fields(payload, ("re", "im"), source)
+    parts = []
+    for name in ("re", "im"):
+        try:
+            parts.append(np.array(payload[name], dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError(f"{source}: field {name!r} must be a rectangular list of numbers") from None
+    re, im = parts
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValueError(
+            f"{source}: fields 're' and 'im' must be 2-D lists of one shape, got {re.shape} and {im.shape}"
+        )
+    return re + 1j * im
+
+
 def load_state(path) -> DensityMatrix:
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "re", "im"), path, ("n",))
-    mat = np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"], dtype=np.float64)
-    state = DensityMatrix(mat)
+    state = DensityMatrix(complex_matrix(payload, path))
     if state.n != payload["n"]:
         raise ValueError("state file qubit count does not match matrix size")
     return state

@@ -111,11 +111,6 @@ def junta_state_sample_count(n: int, k: int, eps: float, delta: float, c: float 
     return max(1, math.ceil(c * 12**k * log_term / eps**2))
 
 
-def coefficient_accuracy_target(n: int, k: int, eps: float) -> float:
-    """Per-coefficient accuracy the sample count is sized for."""
-    return eps / (4.0 * 2**k * 2**n)
-
-
 def pauli_threshold_cutoff(n: int, k: int, eps: float) -> float:
     """Coefficients with magnitude at or below this are zeroed."""
     return eps / (2.0 * 2**n * 2**k)

@@ -19,7 +19,8 @@ from juntalab.hypercube import (
     inverse_transform,
     tv_distance,
 )
-from juntalab.qstate import DensityMatrix, PauliString
+from juntalab.qstate import DensityMatrix, pauli_weight
+import paulis
 
 
 def report(criterion: int, detail: str) -> None:
@@ -73,16 +74,16 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
         exact = qstate.pauli_tensor(rho).reshape(-1)
         words, values = shadows.estimate_lowdeg(codes, outs, 2)
         for word, value in zip(words.tolist(), values):
-            pauli = PauliString(n, word)
-            second_moment = 3.0**pauli.weight / 4.0**n
+            weight = int(pauli_weight(word))
+            second_moment = 3.0**weight / 4.0**n
             bound = 5.0 * math.sqrt(second_moment / draws)
-            worst_sigma_ratio = max(worst_sigma_ratio, abs(value - exact[pauli.packed]) / bound)
-            if pauli.weight == 0:
+            worst_sigma_ratio = max(worst_sigma_ratio, abs(value - exact[word]) / bound)
+            if weight == 0:
                 continue
-            cols = [q - 1 for q in pauli.support]
-            letters = np.array([pauli.codes[c] for c in cols], dtype=np.uint8)
+            cols = [q - 1 for q in paulis.support(n, word)]
+            letters = np.array([paulis.codes(n, word)[c] for c in cols], dtype=np.uint8)
             matches = np.all(codes[:, cols] == letters, axis=1)
-            empirical = (9.0**pauli.weight / 4.0**n) * float(matches.mean())
+            empirical = (9.0**weight / 4.0**n) * float(matches.mean())
             worst_moment_rel = max(
                 worst_moment_rel, abs(empirical - second_moment) / second_moment
             )
@@ -130,7 +131,7 @@ def gap_separated_block(rng, floor: float) -> DensityMatrix:
     six random non-identity strings with signs and magnitudes in
     [floor, 1.75 floor]; the magnitude budget keeps the matrix PSD."""
     coeffs = np.zeros(16)
-    coeffs[PauliString.identity(2).packed] = 0.25
+    coeffs[0] = 0.25
     chosen = rng.choice(np.arange(1, 16), size=6, replace=False)
     for packed in chosen:
         magnitude = float(rng.uniform(floor, 1.75 * floor))

@@ -1,5 +1,6 @@
 """Experiment driver determinism, curves, and the command surface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -514,6 +515,46 @@ class TestLoadersNameMissingFields:
         assert "circuit.json" in err and "'sigma'" in err
 
 
+    def complex_field_case(self, target, tmp_path):
+        """(argv, file name, payload, the object holding its re/im, its source
+        in messages) for a state file, a circuit's sigma or a circuit's gate."""
+        if target == "state":
+            payload = {"n": 1, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+            argv = ["learn-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"]
+            return argv, "state.json", payload, payload, tmp_path / "state.json"
+        layer = (qac0.SingleQubitGate(1, np.eye(2)), qac0.ToffoliGate((2, 3), 4))
+        qac0.save_circuit(qac0.Qac0Circuit(2, 1, (layer,)), tmp_path / "full.json")
+        payload = json.loads((tmp_path / "full.json").read_text())
+        source = tmp_path / "circuit.json"
+        if target == "sigma":
+            holder, source = payload["sigma"], f"{source} sigma"
+        else:
+            holder, source = payload["layers"][0][0], f"{source} layer 0 gate 0"
+        return ["qac0", "analyze", "--circuit"], "circuit.json", payload, holder, source
+
+    @pytest.mark.parametrize("target", ["state", "sigma", "gate"])
+    def test_im_shape_must_equal_re_shape(self, target, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case(target, tmp_path)
+        shape = np.shape(holder["re"])
+        holder["im"] = [[0.0] * shape[1]]
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        want = f"fields 're' and 'im' must be 2-D lists of one shape, got {shape} and {(1, shape[1])}"
+        assert err == f"error: {source}: {want}\n"
+
+    @pytest.mark.parametrize("target", ["state", "sigma", "gate"])
+    def test_ragged_re_is_named(self, target, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case(target, tmp_path)
+        holder["re"][-1] = holder["re"][-1][:1]
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert err == f"error: {source}: field 're' must be a rectangular list of numbers\n"
+
+    @pytest.mark.parametrize("target", ["state", "gate"])
+    def test_nan_entry_is_rejected(self, target, tmp_path, capsys):
+        argv, name, payload, holder, _ = self.complex_field_case(target, tmp_path)
+        holder["re"][0][1] = float("nan")
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert "non-finite entry" in err
+
 # Metrics of one cell per runner, as json.dumps(metrics, sort_keys=True)
 # printed before spectra became index and value arrays; a change to any
 # learner or tester path that moves a record shows here.
@@ -550,3 +591,34 @@ PINNED_RECORDS = [
                          ids=[case[0] for case in PINNED_RECORDS])
 def test_pinned_records(command, params, seed, expected):
     assert json.dumps(CELL_RUNNERS[command](params, seed), sort_keys=True) == expected
+
+
+# command -> (tiny grid, sha256 of its records at seed 1 joined by newlines):
+# every runner's records, byte for byte, across library changes.
+PINNED_GRIDS = {
+    "learn-dist": ({"n": [6], "k": [1, 2], "eps": [0.25], "delta": [0.1]},
+                   "a70ac4ba70018589f4ece90303159eb630abaf46101a2f4760ebc9f3909935ff"),
+    "learn-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1]},
+                    "ae91808503a14192a493dd55640125c516d60dec6c186bb95ae3bcdccdecbde9"),
+    "test-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1], "case": ["close", "far"],
+                    "certifier": ["oracle", "frobenius"]},
+                   "635dc6f43ae9ae28d54faec767c8bb9e1b428d66e6bd4f0733dbdf183472c68b"),
+    "shadows-bench": ({"n": [3], "T": [2000]},
+                      "34b248d575c09f0c9cc0fd57cd638fb04a6a132f673468d7d8b9524449cd070e"),
+    "address-distance": ({"D": [1, 2], "k": [1]},
+                         "0045d8aeeb8f1d6589c3a6f46bbddd97f8ebe1b194f9411a3e55bbbec2603523"),
+    "qac0-analyze": ({"n": [2], "a": [1], "depth": [1, 2]},
+                     "d04f33e1f3e0b9916f4f7e34705c0ecc28b86aa405e3796bc70a43b7bd7d3112"),
+    "qac0-learn": ({"n": [2], "a": [1], "depth": [1], "eps": [0.5], "delta": [0.1]},
+                   "dfca8e234f5981d2af50d41a3752b0aca01c719e3ad2fffe254c9e501e603519"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:junta arity bound")
+@pytest.mark.parametrize("command", sorted(CELL_RUNNERS))
+def test_pinned_grid_records(command):
+    grid, digest = PINNED_GRIDS[command]
+    records = run_experiment(ExperimentSpec(command, grid, trials=1, seed=1))
+    assert all(record.status == "ok" for record in records)
+    lines = "\n".join(record.to_json_line() for record in records)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest

@@ -16,7 +16,6 @@ from juntalab.hypercube import (
     inverse_transform,
     load_distribution,
     low_degree_masks,
-    popcount,
     save_distribution,
     transform_digits,
     tv_distance,
@@ -232,14 +231,6 @@ class TestDegreeSupport:
 
 
 class TestMaskArrays:
-    def test_popcount_matches_bit_count(self):
-        masks = np.array([0, 1, 6, 255, (1 << 40) + 3, 0x5555555555555555])
-        assert popcount(masks).tolist() == [m.bit_count() for m in masks.tolist()]
-
-    def test_popcount_rejects_negative(self):
-        with pytest.raises(ValueError, match="-1"):
-            popcount([3, -1])
-
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (5, 2), (6, 6), (10, 3)])
     def test_low_degree_masks_ascending_and_complete(self, n, k):
         want = [m for m in range(1 << n) if m.bit_count() <= k]

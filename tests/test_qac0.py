@@ -14,9 +14,7 @@ from juntalab.hypercube import (
 )
 from juntalab.qstate import (
     DensityMatrix,
-    PauliString,
     partial_trace,
-    pauli_matrix,
     pauli_tensor,
     random_density_matrix,
 )
@@ -42,6 +40,7 @@ from juntalab.qac0 import (
     removal_pauli_mass_shift,
     save_circuit,
 )
+import paulis
 
 
 def toffoli_truth_table(controls, target, total):
@@ -92,10 +91,9 @@ def off_subset_mass_by_traces(mat, n, subset):
     """Oracle: per-string trace coefficients, summed over supports not in K."""
     total = 0.0
     for packed in range(4**n):
-        pauli = PauliString(n, packed)
-        if set(pauli.support) <= set(subset):
+        if set(paulis.support(n, packed)) <= set(subset):
             continue
-        coeff = complex(np.trace(pauli_matrix(pauli) @ mat)).real / (1 << n)
+        coeff = complex(np.trace(paulis.matrix(n, packed) @ mat)).real / (1 << n)
         total += coeff * coeff
     return total
 
@@ -110,6 +108,14 @@ class TestGates:
     def test_single_qubit_must_be_unitary(self):
         with pytest.raises(ValueError):
             SingleQubitGate(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_single_qubit_rejects_non_finite_entry(self, bad, where):
+        mat = np.eye(2, dtype=complex)
+        mat[where] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            SingleQubitGate(1, mat)
 
     def test_toffoli_validation(self):
         with pytest.raises(ValueError):
@@ -241,11 +247,9 @@ class TestBooleanChoi:
         choi = choi_of_boolean_function(RealCubeFunction(2, np.ones(4)))
         spec = pauli_tensor(choi).reshape(-1)
         for word in np.flatnonzero(spec).tolist():
-            pauli = PauliString(choi.n, word)
-            codes = pauli.codes
-            assert all(c in (0, 3) for c in codes)
+            assert all(c in (0, 3) for c in paulis.codes(choi.n, word))
             # only the empty set and the output-Z line survive
-            assert set(pauli.support) <= {1}
+            assert set(paulis.support(choi.n, word)) <= {1}
 
     def test_identity_function_diagonal(self):
         choi = choi_of_boolean_function(RealCubeFunction(1, [1.0, -1.0]))
@@ -260,14 +264,14 @@ class TestBooleanChoi:
         cspec = pauli_tensor(choi).reshape(-1)
         # diagonal state: every X/Y coefficient vanishes
         for word, value in enumerate(cspec):
-            if any(c in (1, 2) for c in PauliString(choi.n, word).codes):
+            if any(c in (1, 2) for c in paulis.codes(choi.n, word)):
                 assert abs(value) <= 1e-12
         ratios = []
         for mask in range(8):
             if fspec[mask] == 0.0:
                 continue
-            codes = [3] + [3 if mask >> (3 - i) & 1 else 0 for i in range(1, 4)]
-            ratio = cspec[PauliString.from_codes(codes).packed] / fspec[mask]
+            letters = "Z" + "".join("Z" if mask >> (3 - i) & 1 else "I" for i in range(1, 4))
+            ratio = cspec[paulis.word(letters)] / fspec[mask]
             ratios.append(ratio)
         assert ratios
         assert max(ratios) - min(ratios) <= 1e-12

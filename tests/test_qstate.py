@@ -10,13 +10,10 @@ import pytest
 from juntalab.hypercube import Distribution, fourier_transform
 from juntalab.qstate import (
     DensityMatrix,
-    PauliString,
-    distribution_to_state,
     embed_on,
     frobenius_distance,
     load_state,
     partial_trace,
-    pauli_matrix,
     pauli_tensor,
     pauli_tensor_to_matrix,
     pauli_weight,
@@ -28,14 +25,14 @@ from juntalab.qstate import (
     scatter_pauli,
     trace_distance,
 )
+import paulis
 
 
 def expansion_by_traces(mat, n):
     """Definition oracle: coefficient of P is Tr[P M] / 2^n, via dense products."""
     out = {}
     for packed in range(4**n):
-        p = PauliString(n, packed)
-        out[p] = complex(np.trace(pauli_matrix(p) @ mat)).real / (1 << n)
+        out[packed] = complex(np.trace(paulis.matrix(n, packed) @ mat)).real / (1 << n)
     return out
 
 
@@ -64,29 +61,30 @@ def partial_trace_by_sums(mat, n, keep):
 
 
 class TestPauliString:
+    """The test oracles' packed-word helpers, against hand-packed words."""
+
     def test_packing_round_trip(self):
-        p = PauliString.from_str("IZXY")
-        assert p.codes == (0, 3, 1, 2)
-        assert str(p) == "IZXY"
-        assert p.support == (2, 3, 4)
-        assert p.weight == 3
-        assert PauliString(4, p.packed) == p
+        packed = paulis.word("IZXY")
+        assert packed == 0b00_11_01_10
+        assert paulis.codes(4, packed) == (0, 3, 1, 2)
+        assert "".join("IXYZ"[c] for c in paulis.codes(4, packed)) == "IZXY"
+        assert paulis.support(4, packed) == (2, 3, 4)
+        assert pauli_weight(packed) == 3
 
     def test_identity(self):
-        p = PauliString.identity(3)
-        assert p.weight == 0 and str(p) == "III"
+        assert paulis.word("III") == 0 and paulis.support(3, 0) == () and pauli_weight(0) == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            PauliString.from_str("IZQ")
+            paulis.word("IZQ")
 
 
 class TestPauliMatrix:
     def test_identity(self):
-        assert np.array_equal(pauli_matrix(PauliString.from_str("II")), np.eye(4))
+        assert np.array_equal(paulis.matrix(2, paulis.word("II")), np.eye(4))
 
     def test_z_is_diag(self):
-        assert np.array_equal(pauli_matrix(PauliString.from_str("Z")), np.diag([1, -1]))
+        assert np.array_equal(paulis.matrix(1, paulis.word("Z")), np.diag([1, -1]))
 
     def test_xz_hand_product(self):
         # X on qubit 1 (most significant), Z on qubit 2
@@ -99,27 +97,27 @@ class TestPauliMatrix:
             ],
             dtype=complex,
         )
-        assert np.array_equal(pauli_matrix(PauliString.from_str("XZ")), expected)
+        assert np.array_equal(paulis.matrix(2, paulis.word("XZ")), expected)
 
 
 class TestPauliExpansion:
     def test_maximally_mixed(self):
         spec = pauli_tensor(DensityMatrix.maximally_mixed(3)).reshape(-1)
         assert np.count_nonzero(spec) == 1
-        assert spec[PauliString.identity(3).packed] == 2.0**-3
+        assert spec[0] == 2.0**-3
 
     def test_rho_eps_coefficients(self):
         spec = pauli_tensor(rho_eps(0.2))
-        assert spec[PauliString.from_str("I").packed] == pytest.approx(0.5, abs=1e-15)
-        assert spec[PauliString.from_str("Z").packed] == pytest.approx(0.1, abs=1e-15)
+        assert spec[paulis.word("I")] == pytest.approx(0.5, abs=1e-15)
+        assert spec[paulis.word("Z")] == pytest.approx(0.1, abs=1e-15)
         assert np.count_nonzero(spec) == 2
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(31)
         mat = random_density_matrix(2, rng).entries
         spec = pauli_tensor(mat).reshape(-1)
-        for p, expected in expansion_by_traces(mat, 2).items():
-            assert spec[p.packed] == pytest.approx(expected, abs=1e-12)
+        for packed, expected in expansion_by_traces(mat, 2).items():
+            assert spec[packed] == pytest.approx(expected, abs=1e-12)
 
     def test_reconstruction_round_trip(self):
         rng = np.random.default_rng(5)
@@ -143,7 +141,7 @@ class TestPauliExpansion:
         )
 
     def test_scatter_places_words(self):
-        words = np.array([0, PauliString.from_str("IZ").packed, PauliString.from_str("XY").packed])
+        words = np.array([0, paulis.word("IZ"), paulis.word("XY")])
         tensor = scatter_pauli(words, np.array([0.25, 0.25, -0.125]), 2)
         assert tensor.shape == (4, 4)
         assert tensor[0, 0] == 0.25 and tensor[0, 3] == 0.25 and tensor[1, 2] == -0.125
@@ -151,8 +149,15 @@ class TestPauliExpansion:
 
     def test_weight_counts_non_identity_letters(self):
         strings = ["IIII", "XIII", "IIIZ", "YZIX", "ZZZZ", "IYIY"]
-        words = [PauliString.from_str(text).packed for text in strings]
-        assert pauli_weight(words).tolist() == [PauliString.from_str(t).weight for t in strings]
+        weights = pauli_weight([paulis.word(text) for text in strings])
+        assert weights.tolist() == [4 - text.count("I") for text in strings]
+
+    def test_weight_is_int64_past_uint8_range(self):
+        # 3**weight scales shadow estimates; a uint8 weight would make 3**6 wrap to 217.
+        words = np.array([paulis.word("XYZXYZ"), paulis.word("Z" * 31)])
+        weights = pauli_weight(words)
+        assert weights.dtype == np.int64 and weights.tolist() == [6, 31]
+        assert (3 ** weights[0], 3 ** weights[1]) == (729, 3**31)
 
     def test_zero_qubits(self):
         tensor = pauli_tensor(np.eye(1))
@@ -309,28 +314,18 @@ class TestProxyDistance:
 
 
 class TestDistributionToState:
-    def test_uniform_is_maximally_mixed(self):
-        state = distribution_to_state(Distribution.uniform(3))
-        assert np.max(np.abs(state.entries - np.eye(8) / 8)) == 0.0
-
-    def test_point_mass_at_all_plus(self):
-        state = distribution_to_state(Distribution(2, [1, 0, 0, 0]))
-        want = np.zeros((4, 4))
-        want[0, 0] = 1.0
-        assert np.array_equal(state.entries, want)
-
     def test_spectrum_correspondence(self):
         rng = np.random.default_rng(53)
         w = rng.random(8)
         p = Distribution(3, w / w.sum())
         fspec = fourier_transform(p)
-        pspec = pauli_tensor(distribution_to_state(p)).reshape(-1)
+        pspec = pauli_tensor(DensityMatrix.from_diagonal(p.values)).reshape(-1)
         for packed in range(4**3):
-            codes = PauliString(3, packed).codes
-            if any(c in (1, 2) for c in codes):
+            letters = paulis.codes(3, packed)
+            if any(c in (1, 2) for c in letters):
                 assert abs(pspec[packed]) <= 1e-12
             else:
-                mask = sum(1 << (3 - i) for i, c in enumerate(codes, 1) if c == 3)
+                mask = sum(1 << (3 - i) for i, c in enumerate(letters, 1) if c == 3)
                 assert pspec[packed] == pytest.approx(fspec[mask], abs=1e-12)
 
 
@@ -368,11 +363,19 @@ class TestDensityMatrixValidation:
 
     def test_tolerates_tiny_negative(self):
         state = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
-        assert state.validate()["min_eigenvalue"] == pytest.approx(-5e-10, abs=1e-12)
+        assert np.linalg.eigvalsh(state.entries)[0] == pytest.approx(-5e-10, abs=1e-12)
 
     def test_pure_state(self):
         state = DensityMatrix.pure([1, 1])
-        assert state.validate()["min_eigenvalue"] >= -1e-12
+        assert np.linalg.eigvalsh(state.entries)[0] >= -1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entry(self, bad, where):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[where] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            DensityMatrix(mat)
 
 
 class TestStateJson:

@@ -9,7 +9,6 @@ import pytest
 
 from juntalab.qstate import (
     DensityMatrix,
-    PauliString,
     embed_on,
     frobenius_distance,
     pauli_weight,
@@ -22,7 +21,6 @@ from juntalab.state_learn import (
     LearnedState,
     SimulatedStateAccess,
     _collect_through_access,
-    coefficient_accuracy_target,
     junta_state_sample_count,
     learn_junta_state,
     learn_qac0_choi,
@@ -31,6 +29,7 @@ from juntalab.state_learn import (
     qac0_junta_arity,
     threshold_pauli,
 )
+import paulis
 
 
 def threshold_by_cases(estimates, k, eps, n):
@@ -39,7 +38,7 @@ def threshold_by_cases(estimates, k, eps, n):
     cutoff = eps / (2 * 2**n * math.sqrt(4**k))
     out = {}
     for word, value in estimates.items():
-        weight = PauliString(n, word).weight
+        weight = pauli_weight(word)
         if weight > k:
             continue
         if weight == 0:
@@ -47,12 +46,12 @@ def threshold_by_cases(estimates, k, eps, n):
         if abs(value) <= cutoff:
             continue
         out[word] = value
-    out[PauliString.identity(n).packed] = 2.0**-n
+    out[0] = 2.0**-n
     return out
 
 
 def packed(*texts):
-    return np.array([PauliString.from_str(text).packed for text in texts], dtype=np.int64)
+    return np.array([paulis.word(text) for text in texts], dtype=np.int64)
 
 
 class TestThresholdPauli:
@@ -61,14 +60,14 @@ class TestThresholdPauli:
         cutoff = pauli_threshold_cutoff(n, k, eps)
         words = packed("III", "IIZ", "XII")
         words, values = threshold_pauli(words, [2.0**-3, cutoff / 2, -cutoff / 2], k, eps, n)
-        assert words.tolist() == [PauliString.identity(3).packed]
+        assert words.tolist() == [0]
         assert values.tolist() == [2.0**-3]
 
     def test_boundary_value_is_zeroed(self):
         n, k, eps = 2, 1, 0.3
         cutoff = pauli_threshold_cutoff(n, k, eps)
         words, _ = threshold_pauli(packed("IZ"), [cutoff], k, eps, n)
-        assert PauliString.from_str("IZ").packed not in words.tolist()
+        assert paulis.word("IZ") not in words.tolist()
 
     def test_matches_case_oracle(self):
         rng = np.random.default_rng(7)
@@ -163,9 +162,6 @@ class TestSampleCount:
         want = math.ceil(8 * 144 * (2 * math.log(18) - math.log(0.1)) / 0.25**2)
         assert junta_state_sample_count(6, 2, 0.25, 0.1, 8.0) == want
 
-    def test_accuracy_target(self):
-        assert coefficient_accuracy_target(6, 2, 0.25) == 0.25 / (4 * 4 * 64)
-
 
 class TestLearnJuntaState:
     def test_maximally_mixed_exact(self):
@@ -173,7 +169,7 @@ class TestLearnJuntaState:
         access = SimulatedStateAccess(truth, seed=1)
         result = learn_junta_state(access, 1, 0.3, 0.1, basis_seed=2)
         assert np.array_equal(result.matrix, truth.entries)
-        assert result.words.tolist() == [PauliString.identity(3).packed]
+        assert result.words.tolist() == [0]
         assert result.values.tolist() == [2.0**-3]
 
     def test_planted_junta_within_bound(self):
@@ -380,10 +376,8 @@ class TestPsdSpectrumConsistency:
         access = SimulatedStateAccess(truth, seed=12)
         result = learn_junta_state(access, 1, 0.3, 0.1, basis_seed=13)
         rebuilt = np.zeros_like(result.matrix)
-        from juntalab.qstate import pauli_matrix
-
         for word, value in zip(result.words.tolist(), result.values):
-            rebuilt = rebuilt + value * pauli_matrix(PauliString(3, word))
+            rebuilt = rebuilt + value * paulis.matrix(3, word)
         assert np.max(np.abs(rebuilt - result.matrix)) <= 1e-10
 
     def test_projection_eigenvalues_nonnegative(self):
