@@ -3,7 +3,9 @@
 Grid experiments are replayable: every cell/trial derives its own integer
 seed from (master seed, cell index, trial index), records are canonically
 ordered and serialized with sorted keys, and no wall-clock data enters the
-record stream, so reruns at any thread count produce byte-identical output.
+record stream, so reruns give byte-identical output at any ``--threads``:
+min(threads, jobs, usable CPUs) workers, this process and forked children
+that pickle their records into a pipe (serial without ``os.fork``).
 Each single-run command is one call of its grid runner in ``CELL_RUNNERS``
 with the loaded truth file (or, where the truth is optional, the instance
 planted from ``--seed``), so it prints the metrics a grid record would hold
@@ -18,10 +20,11 @@ import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from collections.abc import Hashable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -317,7 +320,9 @@ class ResultRecord:
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     """One record per (cell, trial); failures are recorded, never raised.
 
-    Output ordering is canonical (cell, then trial) regardless of scheduling.
+    Job j runs in worker j % min(threads, jobs, usable CPUs); worker 0 is this
+    process, the others are forked children that pickle their records into a
+    pipe (ChildProcessError if one fails). Output order is (cell, then trial).
     """
     runner = CELL_RUNNERS[spec.command]
     cells = spec.cells()
@@ -333,11 +338,35 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]
         except Exception as exc:  # recorded per cell, grid keeps going
             return ResultRecord(spec.command, ci, ti, params, seed, "error", {}, repr(exc))
 
-    if threads <= 1:
-        records = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, jobs))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    workers = max(1, min(threads, len(jobs), len(cpus))) if hasattr(os, "fork") else 1
+    children = {}  # pid -> (worker index, read end of its pipe), until reaped
+    try:
+        for index in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # os._exit: never unwind into the caller or flush its buffers
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump([work(job) for job in jobs[index::workers]], pipe)
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            os.close(write)
+            children[pid] = index, os.fdopen(read, "rb")
+        records = [work(job) for job in jobs[::workers]]
+        for pid, (index, pipe) in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                raise ChildProcessError(f"worker {index} of {workers} failed: wait status {status}")
+            records += pickle.loads(payload)
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     records.sort(key=lambda r: (r.cell_index, r.trial_index))
     return records
 
@@ -561,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a grid experiment spec")
     p.add_argument("spec", help="experiment spec JSON file")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${THREADS_ENV}, else 1)")
+                   help=f"worker processes (default: ${THREADS_ENV}, else 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 

@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +83,110 @@ class TestRunExperiment:
             ExperimentSpec(command="learn-dist", grid={"n": []}, trials=1, seed=0)
         with pytest.raises(ValueError):
             ExperimentSpec(command="learn-dist", grid={"n": [4]}, trials=0, seed=0)
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _counted_forks(monkeypatch, limit):
+    """Patch os.fork to count its calls and refuse any past ``limit``."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        if len(calls) > limit:
+            raise OSError(f"fork call {len(calls)} is past the limit of {limit}")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"command": "address-distance", "grid": {"D": [1, 2, 3], "k": [1]}, "seed": 0}
+        ))
+        return path
+
+    def test_worker_count_is_capped_by_jobs_and_cpus(self, spec_path, tmp_path, monkeypatch):
+        serial = tmp_path / "serial.jsonl"
+        assert main(["run", str(spec_path), "--out", str(serial)]) == 0
+        out = tmp_path / "out.jsonl"
+        # (usable CPUs, os.sched_getaffinity present, os.fork present) -> forks for 3 jobs
+        for cpus, affinity, fork, forks in ((64, True, True, 2), (1, True, True, 0),
+                                           (2, False, True, 1), (64, True, False, 0)):
+            with monkeypatch.context() as patch:
+                _usable_cpus(patch, cpus)
+                if not affinity:
+                    patch.delattr(os, "sched_getaffinity")
+                    patch.setattr(os, "cpu_count", lambda: cpus)
+                calls = _counted_forks(patch, limit=2)
+                if not fork:
+                    patch.delattr(os, "fork")
+                assert main(["run", str(spec_path), "--threads", "64", "--out", str(out)]) == 0
+            assert len(calls) == forks
+            assert out.read_bytes() == serial.read_bytes()
+        _assert_no_child_left()
+
+    def test_failed_worker_is_named_and_reaped(self, spec_path, monkeypatch, capsys):
+        test_pid, runner = os.getpid(), CELL_RUNNERS["address-distance"]
+
+        def dies_in_child(params, seed, truth=None):
+            if os.getpid() != test_pid:
+                os._exit(3)
+            return runner(params, seed, truth)
+
+        monkeypatch.setitem(CELL_RUNNERS, "address-distance", dies_in_child)
+        _usable_cpus(monkeypatch, 2)
+        assert main(["run", str(spec_path), "--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: worker 1 of 2 failed: wait status 768\n"
+        _assert_no_child_left()
+
+    def test_interrupt_in_this_process_kills_the_children(self, monkeypatch):
+        test_pid = os.getpid()
+
+        def interrupted_here(params, seed, truth=None):
+            if os.getpid() == test_pid:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setitem(CELL_RUNNERS, "address-distance", interrupted_here)
+        _usable_cpus(monkeypatch, 3)
+        spec = ExperimentSpec("address-distance", {"D": [1, 2, 3], "k": [1]}, trials=1, seed=0)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec, threads=3)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_stdout_holds_each_record_once(self, spec_path):
+        """A child that flushed the stdout buffer it inherited would print
+        its content twice; the line printed first is still buffered when the
+        workers fork."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env.pop("PYTHONUNBUFFERED", None)  # it would flush the first line before the fork
+        script = ("import sys; from juntalab.cli import main; print('first');"
+                  f" sys.exit(main(['run', {str(spec_path)!r}, '--threads', '2']))")
+        for argv in (["-m", "juntalab.cli", "run", str(spec_path), "--threads", "2"], ["-c", script]):
+            done = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert done.returncode == 0, done.stderr
+            spec = ExperimentSpec.from_dict(json.loads(spec_path.read_text()))
+            lines = "".join(r.to_json_line() + "\n" for r in run_experiment(spec))
+            assert done.stdout == ("first\n" if argv[0] == "-c" else "") + lines
 
 
 class TestEmitCurve:
@@ -616,9 +725,18 @@ PINNED_GRIDS = {
 
 @pytest.mark.filterwarnings("ignore:junta arity bound")
 @pytest.mark.parametrize("command", sorted(CELL_RUNNERS))
-def test_pinned_grid_records(command):
+def test_pinned_grid_records(command, monkeypatch):
+    """At 1, 2 and 3 workers; three trials so that every worker has a job.
+    Trial 0 of each cell is the record a one-trial grid holds."""
     grid, digest = PINNED_GRIDS[command]
-    records = run_experiment(ExperimentSpec(command, grid, trials=1, seed=1))
-    assert all(record.status == "ok" for record in records)
-    lines = "\n".join(record.to_json_line() for record in records)
-    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+    _usable_cpus(monkeypatch, 3)
+    forks = _counted_forks(monkeypatch, limit=3)
+    runs = []
+    for workers in (1, 2, 3):
+        records = run_experiment(ExperimentSpec(command, grid, trials=3, seed=1), threads=workers)
+        assert all(record.status == "ok" for record in records)
+        lines = "\n".join(record.to_json_line() for record in records if record.trial_index == 0)
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
+        assert len(forks) == workers * (workers - 1) // 2
+        runs.append([record.to_json_line() for record in records])
+    assert runs[0] == runs[1] == runs[2]
