@@ -40,9 +40,7 @@ from .state_learn import (
     threshold_pauli,
 )
 from .state_test import (
-    FrobeniusCertifier,
-    OracleCertifier,
-    TestVerdict,
+    frobenius_bound,
     local_tomography,
     test_junta,
 )

@@ -25,7 +25,7 @@ import signal
 import sys
 import time
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .hypercube import (
 )
 
 ARTIFACT_VERSION = "juntalab-0.1.0"
-THREADS_ENV = "JUNTALAB_THREADS"
 
 
 def _derive_seed(*parts: int) -> int:
@@ -49,26 +48,15 @@ def _derive_seed(*parts: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def frobenius_merit(truth, approx, scale_qubits: int) -> float:
     """Dimension-scaled squared Frobenius error 2^scale_qubits * ||a - b||_F^2."""
     return float(2**scale_qubits * qstate.frobenius_distance(truth, approx) ** 2)
 
 
-def support_recovered(truth: qstate.DensityMatrix, words: np.ndarray, drop_tol: float = 1e-12) -> bool:
+def support_recovered(truth: qstate.DensityMatrix, words: np.ndarray) -> bool:
     """Whether the learned packed Pauli words (ascending) are exactly the
-    truth's words with a coefficient above ``drop_tol`` in magnitude."""
-    exact = np.flatnonzero(np.abs(qstate.pauli_tensor(truth)) > drop_tol)
+    truth's words with a coefficient above 1e-12 in magnitude."""
+    exact = np.flatnonzero(np.abs(qstate.pauli_tensor(truth)) > 1e-12)
     return np.array_equal(exact, words)
 
 
@@ -130,7 +118,7 @@ def _run_learn_state(params: dict, seed: int, truth=None) -> dict:
 def _run_test_state(params: dict, seed: int, truth=None) -> dict:
     k = int(params["k"])
     eps, delta = float(params["eps"]), float(params["delta"])
-    certifier_kind = str(params.get("certifier", "oracle"))
+    certifier = str(params.get("certifier", "oracle"))
     want = None
     if truth is None:
         n, case = int(params["n"]), str(params.get("case", "close"))
@@ -145,18 +133,14 @@ def _run_test_state(params: dict, seed: int, truth=None) -> dict:
         else:
             raise ValueError(f"unknown case {case!r}")
     access = state_learn.SimulatedStateAccess(truth, _derive_seed(seed, 1))
-    if certifier_kind == "oracle":
-        certifier = state_test.OracleCertifier(truth)
-    elif certifier_kind == "frobenius":
-        certifier = state_test.FrobeniusCertifier(seed=_derive_seed(seed, 2))
-    else:
-        raise ValueError(f"unknown certifier {certifier_kind!r}")
-    verdict = state_test.test_junta(
-        access, k, eps, delta, certifier, seed=_derive_seed(seed, 3)
+    if certifier not in ("oracle", "frobenius"):
+        raise ValueError(f"unknown certifier {certifier!r}")
+    metrics = state_test.test_junta(
+        access, k, eps, delta, oracle=truth if certifier == "oracle" else None,
+        seed=_derive_seed(seed, 3), certifier_seed=_derive_seed(seed, 2),
     )
-    metrics = verdict.to_dict()
     if want is not None:
-        metrics["correct"] = verdict.decision == want
+        metrics["correct"] = metrics["decision"] == want
     return metrics
 
 
@@ -290,35 +274,9 @@ class ExperimentSpec:
         return [dict(zip(keys, combo)) for combo in itertools.product(*(self.grid[k] for k in keys))]
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    command: str
-    cell_index: int
-    trial_index: int
-    parameters: dict
-    seed: int
-    status: str
-    metrics: dict = field(default_factory=dict)
-    error: str | None = None
-
-    def to_json_line(self) -> str:
-        payload = {
-            "command": self.command,
-            "cell": self.cell_index,
-            "trial": self.trial_index,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "status": self.status,
-            "metrics": self.metrics,
-            "version": ARTIFACT_VERSION,
-        }
-        if self.error is not None:
-            payload["error"] = self.error
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
+def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[dict]:
     """One record per (cell, trial); failures are recorded, never raised.
+    A record is the dict ``json_line`` serializes.
 
     Job j runs in worker j % min(threads, jobs, usable CPUs); worker 0 is this
     process, the others are forked children that pickle their records into a
@@ -328,15 +286,16 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]
     cells = spec.cells()
     jobs = [(ci, ti) for ci in range(len(cells)) for ti in range(spec.trials)]
 
-    def work(job: tuple[int, int]) -> ResultRecord:
+    def work(job: tuple[int, int]) -> dict:
         ci, ti = job
         params = cells[ci]
         seed = _derive_seed(spec.seed, ci, ti)
+        record = {"command": spec.command, "cell": ci, "trial": ti, "parameters": params,
+                  "seed": seed, "version": ARTIFACT_VERSION}
         try:
-            metrics = runner(params, seed)
-            return ResultRecord(spec.command, ci, ti, params, seed, "ok", metrics)
+            return {**record, "status": "ok", "metrics": runner(params, seed)}
         except Exception as exc:  # recorded per cell, grid keeps going
-            return ResultRecord(spec.command, ci, ti, params, seed, "error", {}, repr(exc))
+            return {**record, "status": "error", "metrics": {}, "error": repr(exc)}
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     workers = max(1, min(threads, len(jobs), len(cpus))) if hasattr(os, "fork") else 1
@@ -367,15 +326,17 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    records.sort(key=lambda r: (r.cell_index, r.trial_index))
+    records.sort(key=lambda r: (r["cell"], r["trial"]))
     return records
 
 
-def write_records(records: list[ResultRecord], path) -> None:
-    Path(path).write_text("\n".join(r.to_json_line() for r in records) + "\n")
+def json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def load_records(path) -> list[ResultRecord]:
+def load_records(path) -> list[dict]:
+    """The records of a JSON-lines file, each checked for the fields and
+    types that ``emit_curve`` reads; ``metrics`` defaults to ``{}``."""
     records = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
@@ -389,39 +350,29 @@ def load_records(path) -> list[ResultRecord]:
             if not isinstance(payload.get(name, {}), dict):
                 got = json.dumps(payload[name])
                 raise ValueError(f"{source}: field {name!r} must be an object, got {got}")
-        records.append(
-            ResultRecord(
-                command=payload["command"],
-                cell_index=payload["cell"],
-                trial_index=payload["trial"],
-                parameters=payload["parameters"],
-                seed=payload["seed"],
-                status=payload["status"],
-                metrics=payload.get("metrics", {}),
-                error=payload.get("error"),
-            )
-        )
+        payload.setdefault("metrics", {})
+        records.append(payload)
     return records
 
 
 def emit_curve(records, x_param: str, y_metric: str, aggregator: str = "mean", q: float = 0.9) -> str:
     """CSV with one row per x value: aggregated metric and trial count."""
-    usable = [r for r in records if r.status == "ok"]
+    usable = [r for r in records if r["status"] == "ok"]
     if not usable:
         raise ValueError("no successful records selected")
-    commands = {r.command for r in usable}
+    commands = {r["command"] for r in usable}
     if len(commands) != 1:
         raise ValueError(f"records mix commands {sorted(commands)}")
     if aggregator not in ("mean", "quantile"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
     groups: dict = {}
     for record in usable:
-        if x_param not in record.parameters:
+        if x_param not in record["parameters"]:
             raise ValueError(f"records missing parameter {x_param!r}")
-        if y_metric not in record.metrics:
+        if y_metric not in record["metrics"]:
             raise ValueError(f"records missing metric {y_metric!r}")
-        x_value, y_value = record.parameters[x_param], record.metrics[y_metric]
-        where = f"record (cell {record.cell_index}, trial {record.trial_index})"
+        x_value, y_value = record["parameters"][x_param], record["metrics"][y_metric]
+        where = f"record (cell {record['cell']}, trial {record['trial']})"
         if not isinstance(y_value, (int, float)):
             raise ValueError(f"metric {y_metric!r} of {where} is not a number: {json.dumps(y_value)}")
         if not isinstance(x_value, Hashable):
@@ -479,17 +430,16 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"invalid experiment spec: {exc}", file=sys.stderr)
         return 1
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         raise ValueError(f"--threads must be a positive integer, got {args.threads}")
-    threads = args.threads if args.threads is not None else default_thread_count()
-    records = run_experiment(spec, threads=threads)
+    records = run_experiment(spec, threads=args.threads)
+    lines = "".join(json_line(r) + "\n" for r in records)
     out = args.out or spec.out
     if out:
-        write_records(records, out)
+        Path(out).write_text(lines)
     else:
-        for record in records:
-            print(record.to_json_line())
-    failures = sum(r.status != "ok" for r in records)
+        print(lines, end="")
+    failures = sum(r["status"] != "ok" for r in records)
     if failures:
         print(f"{failures}/{len(records)} records failed", file=sys.stderr)
         return 2
@@ -589,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a grid experiment spec")
     p.add_argument("spec", help="experiment spec JSON file")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default: ${THREADS_ENV}, else 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 

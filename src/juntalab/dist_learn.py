@@ -235,11 +235,11 @@ def learn_junta_distribution(
 
 
 def random_junta_distribution(
-    n: int, k: int, rng: np.random.Generator, dirichlet_scale: float = 1.0
+    n: int, k: int, rng: np.random.Generator
 ) -> tuple[Distribution, tuple[int, ...]]:
-    """A planted k-junta: Dirichlet weights on a random k-variable block,
+    """A planted k-junta: flat Dirichlet weights on a random k-variable block,
     uniform on the rest. Returns the distribution and its relevant variables."""
     variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
-    block = rng.dirichlet([dirichlet_scale] * (1 << k)) if k else np.array([1.0])
+    block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
     dense = _broadcast_junta(block, n, variables)
     return Distribution(n, dense / dense.sum()), variables

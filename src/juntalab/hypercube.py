@@ -203,7 +203,14 @@ def require_fields(payload, fields, source, integers=()) -> dict:
 
 
 def load_distribution(path) -> Distribution:
+    """The distribution of a JSON file ``{"n", "values"}``; the header ``n``
+    is checked against the cap, then against the length of the body."""
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path, ("n",))
-    if not isinstance(payload["values"], list):
+    n, values = payload["n"], payload["values"]
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"{path}: field 'n' must be in [1, {MAX_VARS}], got {n}")
+    if not isinstance(values, list):
         raise ValueError(f"{path}: field 'values' must be a list of numbers")
-    return Distribution(payload["n"], payload["values"])
+    if len(values) != 1 << n:
+        raise ValueError(f"{path}: header n={n} needs {1 << n} values, body has {len(values)}")
+    return Distribution(n, values)

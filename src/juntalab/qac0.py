@@ -179,16 +179,14 @@ def choi_state_full(circuit: Qac0Circuit) -> DensityMatrix:
     return DensityMatrix(_choi_from_isometry(unitary, m - 1, 1 << m))
 
 
-def choi_state_with_ancilla(circuit: Qac0Circuit, sigma: DensityMatrix | None = None) -> DensityMatrix:
-    """Choi state of the n-to-1 channel with the ancilla register set to sigma."""
+def choi_state_with_ancilla(circuit: Qac0Circuit) -> DensityMatrix:
+    """Choi state of the n-to-1 channel with the ancilla register set to the
+    circuit's sigma."""
     if circuit.n > MAX_BOOLEAN_CHOI_INPUTS:
         raise ValueError(f"ancilla Choi states capped at {MAX_BOOLEAN_CHOI_INPUTS} inputs")
-    sigma = sigma if sigma is not None else circuit.sigma
-    if sigma.n != circuit.a + 1:
-        raise ValueError("sigma must live on the ancilla+output register")
     unitary = circuit_unitary(circuit)
     in_dim = 1 << circuit.n
-    w, v = np.linalg.eigh(sigma.entries)
+    w, v = np.linalg.eigh(circuit.sigma.entries)
     choi = np.zeros((2 * in_dim, 2 * in_dim), dtype=np.complex128)
     for weight, column in zip(w, v.T):
         if weight < 1e-14:
@@ -213,15 +211,15 @@ def choi_of_boolean_function(f: RealCubeFunction) -> DensityMatrix:
     return DensityMatrix.from_diagonal(diag)
 
 
-def ancilla_choi_relation_residual(circuit: Qac0Circuit, sigma: DensityMatrix | None = None) -> float:
+def ancilla_choi_relation_residual(circuit: Qac0Circuit) -> float:
     """Max per-coefficient gap in the ancilla contraction identity
-    rho_sigma^(P) = 2^(a+1) sum_Q rho_full^(P (x) Q) Tr[Q sigma^T]."""
-    sigma = sigma if sigma is not None else circuit.sigma
+    rho_sigma^(P) = 2^(a+1) sum_Q rho_full^(P (x) Q) Tr[Q sigma^T],
+    with sigma the circuit's."""
     full = choi_state_full(circuit)
-    reduced = choi_state_with_ancilla(circuit, sigma)
+    reduced = choi_state_with_ancilla(circuit)
     n, a = circuit.n, circuit.a
     coeff_matrix = pauli_tensor(full.entries).reshape(4 ** (n + 1), 4 ** (a + 1))
-    traces = (1 << (a + 1)) * pauli_tensor(sigma.entries.T).reshape(-1)
+    traces = (1 << (a + 1)) * pauli_tensor(circuit.sigma.entries.T).reshape(-1)
     rhs = (1 << (a + 1)) * (coeff_matrix @ traces)
     lhs = pauli_tensor(reduced.entries).reshape(-1)
     return float(np.max(np.abs(lhs - rhs)))
@@ -373,17 +371,10 @@ def haar_single_qubit(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_circuit(
-    n: int,
-    a: int,
-    depth: int,
-    rng: np.random.Generator,
-    max_toffoli_arity: int = 3,
-    toffoli_prob: float = 0.5,
-    sigma: DensityMatrix | None = None,
-) -> Qac0Circuit:
-    """Random layered circuit for experiments: each layer packs disjoint
-    Toffolis (arity capped) and Haar single-qubit gates, leaving some qubits
+def random_circuit(n: int, a: int, depth: int, rng: np.random.Generator) -> Qac0Circuit:
+    """Random layered circuit for experiments, with the default sigma: each
+    layer packs disjoint Toffolis (each free qubit opens one with probability
+    1/2, of arity 2 or 3) and Haar single-qubit gates, leaving some qubits
     idle."""
     total = n + a + 1
     layers = []
@@ -392,8 +383,8 @@ def random_circuit(
         rng.shuffle(available)
         gates: list[Gate] = []
         while available:
-            if len(available) >= 2 and rng.random() < toffoli_prob:
-                arity = int(rng.integers(2, min(max_toffoli_arity, len(available)) + 1))
+            if len(available) >= 2 and rng.random() < 0.5:
+                arity = int(rng.integers(2, min(3, len(available)) + 1))
                 qubits = [available.pop() for _ in range(arity)]
                 gates.append(ToffoliGate(tuple(qubits[:-1]), qubits[-1]))
             else:
@@ -401,7 +392,7 @@ def random_circuit(
                 if rng.random() < 0.5:
                     gates.append(SingleQubitGate(qubit, haar_single_qubit(rng)))
         layers.append(tuple(gates))
-    return Qac0Circuit(n, a, tuple(layers), sigma)
+    return Qac0Circuit(n, a, tuple(layers))
 
 
 def _gate_to_json(gate: Gate) -> dict:

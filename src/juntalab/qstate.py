@@ -300,8 +300,15 @@ def complex_matrix(payload, source) -> np.ndarray:
 
 
 def load_state(path) -> DensityMatrix:
+    """The state of a JSON file ``{"n", "re", "im"}``; the header ``n`` is
+    checked against the cap, then against the shape of the body."""
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "re", "im"), path, ("n",))
-    state = DensityMatrix(complex_matrix(payload, path))
-    if state.n != payload["n"]:
-        raise ValueError("state file qubit count does not match matrix size")
-    return state
+    n = payload["n"]
+    if not 0 <= n <= MAX_STATE_QUBITS:
+        raise ValueError(f"{path}: field 'n' must be in [0, {MAX_STATE_QUBITS}], got {n}")
+    entries = complex_matrix(payload, path)
+    if entries.shape != (1 << n, 1 << n):
+        raise ValueError(
+            f"{path}: header n={n} needs a {1 << n}x{1 << n} matrix, body has shape {entries.shape}"
+        )
+    return DensityMatrix(entries)

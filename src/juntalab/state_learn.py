@@ -48,11 +48,7 @@ class StateAccess(Protocol):
     def copies_used(self) -> int: ...
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
-        """One outcome row per basis row; a call over the copy budget consumes nothing."""
-
-
-class AccessExhaustedError(RuntimeError):
-    """The copy budget of a StateAccess ran out."""
+        """One outcome row per basis row; each row spends one copy."""
 
 
 class SimulatedStateAccess:
@@ -60,17 +56,16 @@ class SimulatedStateAccess:
 
     Piece i of the outcome stream, CHUNK rows, draws from an RNG keyed (seed, i)
     whatever the basis words: one call over several chunks equals one call per
-    chunk. A ``max_copies`` budget, checked for each whole call, makes it exhaustible.
+    chunk.
     """
 
-    def __init__(self, rho: DensityMatrix, seed: int, max_copies: int | None = None) -> None:
+    def __init__(self, rho: DensityMatrix, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.n, self._coeffs = _measurement_coefficients(rho)
         self._seed = int(seed)
         self._calls = 0
         self._copies = 0
-        self._max_copies = max_copies
 
     @property
     def copies_used(self) -> int:
@@ -79,8 +74,6 @@ class SimulatedStateAccess:
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
         codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
         rows = codes.shape[0]
-        if self._max_copies is not None and self._copies + rows > self._max_copies:
-            raise AccessExhaustedError(f"budget of {self._max_copies} copies cannot cover {rows} more measurements")
         pieces = range(self._calls, self._calls + -(-rows // CHUNK))
         self._calls, self._copies = pieces.stop, self._copies + rows
         rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]

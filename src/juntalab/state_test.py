@@ -1,31 +1,26 @@
-"""Junta-state property tester with pluggable tomography and certification.
+"""Junta-state property tester: one statistic per subset, one rule.
 
 The tester sweeps every size-k qubit subset: it tomographs the reduced state
-on the subset, embeds it against the maximally mixed complement, and asks a
-certifier whether that candidate is 3*eps-close or 6*eps-far from the hidden
-state. The state is declared junta-close iff some subset certifies close.
-Each subroutine runs at failure budget delta / n^k.
+on the subset, embeds it against the maximally mixed complement, and computes
+one distance statistic between that candidate and the hidden state. A subset
+is far iff its statistic exceeds 1.5 * (3 eps), the midpoint of the
+(3 eps, 6 eps) certification gap, and the state is declared junta-close iff
+some subset is not far. Each subroutine runs at failure budget delta / n^k.
 
-Shipped certifiers:
-
-* ``OracleCertifier`` knows the hidden state exactly, uses zero copies, and
-  thresholds the true trace distance at the midpoint; it isolates the
-  tester's combinatorial logic from subroutine noise.
-* ``FrobeniusCertifier`` estimates the squared Frobenius distance from
-  single-copy shadows and certifies through the bound
-  ||.||_tr <= 2^(n/2) ||.||_F. Its far verdicts are sound whenever the
-  estimate is accurate; close verdicts rely on the difference spreading over
-  many eigenvalues, which holds for the junta-vs-mixed candidates this
-  tester feeds it. It refuses above 6 qubits, where the budget outgrows
-  desk scale.
+The statistic is the exact trace distance to ``oracle`` when the caller knows
+the hidden state (zero copies; it isolates the tester's combinatorial logic
+from subroutine noise), and otherwise ``frobenius_bound``: the trace-distance
+upper bound 2^(n/2) ||.||_F from a shadow estimate of the Frobenius distance.
+Its far verdicts are sound whenever the estimate is accurate; close verdicts
+rely on the difference spreading over many eigenvalues, which holds for the
+junta-vs-mixed candidates this tester builds, so they are heuristic. It
+refuses above 6 qubits, where the budget outgrows desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -49,21 +44,8 @@ CLOSE = "close"
 FAR = "far"
 
 
-@dataclass(frozen=True)
-class CertificationResult:
-    verdict: str
-    statistic: float
-    copies_used: int
-
-
-class Certifier(Protocol):
-    """Given access to the hidden state and a known reference, declare
-    ``close`` if their trace distance is <= eps and ``far`` if >= 2 eps,
-    each with probability >= 1 - delta."""
-
-    def __call__(
-        self, access: StateAccess, reference: DensityMatrix, eps: float, delta: float
-    ) -> CertificationResult: ...
+def _stream_seed(seed: int, index: int) -> int:
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def tomography_coefficient_accuracy(kappa: int, eps: float) -> float:
@@ -113,9 +95,9 @@ def local_tomography(
 
 
 def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_CERTIFIER_C) -> int:
-    """Budget for the Frobenius certifier: ceil(c * 28^(n/2) * ln(2/delta) / eps^2).
+    """Budget for ``frobenius_bound``: ceil(c * 28^(n/2) * ln(2/delta) / eps^2).
 
-    The unbiased quadratic estimator below has standard deviation about
+    Its unbiased quadratic estimator has standard deviation about
     sqrt(2) * 7^(n/2) / T around the squared Frobenius distance; this budget
     pushes the deviation far under the decision margin eps^2 / 2^n.
     """
@@ -124,92 +106,39 @@ def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_
     return max(1, math.ceil(c * 28.0 ** (n / 2.0) * math.log(2.0 / delta) / eps**2))
 
 
-class FrobeniusCertifier:
-    """Certify closeness through shadow-estimated Frobenius distance.
+def frobenius_bound(
+    access: StateAccess,
+    reference: DensityMatrix,
+    eps: float,
+    delta: float,
+    seed: int = 0,
+    c: float = DEFAULT_CERTIFIER_C,
+) -> tuple[float, int]:
+    """(2^(n/2) * sqrt(D), copies spent), an upper bound on the trace distance
+    between the hidden state and ``reference`` when D is accurate.
 
-    Declares far iff the certified trace-distance upper bound
-    2^(n/2) * sqrt(D) exceeds the midpoint 1.5 * eps, where D estimates
-    2^n * sum_P (rho^(P) - ref^(P))^2 = ||rho - ref||_F^2 without bias:
-    each squared coefficient error is debiased with the exact single-sample
-    second moment 3^|supp P| / 4^n of the shadow estimator.
+    D estimates 2^n * sum_P (rho^(P) - ref^(P))^2 = ||rho - ref||_F^2 without
+    bias: each squared coefficient error is debiased with the exact
+    single-sample second moment 3^|supp P| / 4^n of the shadow estimator. The
+    budget ``certifier_sample_count(n, eps, delta, c)`` resolves the distances
+    eps and 2 eps.
     """
-
-    def __init__(self, c: float = DEFAULT_CERTIFIER_C, seed: int = 0) -> None:
-        self.c = float(c)
-        self.seed = int(seed)
-        self._calls = 0
-
-    def __call__(
-        self, access: StateAccess, reference: DensityMatrix, eps: float, delta: float
-    ) -> CertificationResult:
-        n = access.n
-        if n > MAX_TEST_QUBITS:
-            raise ValueError(
-                "Frobenius certification refuses above "
-                f"{MAX_TEST_QUBITS} qubits; supply an oracle certifier"
-            )
-        if reference.n != n:
-            raise ValueError("reference dimension mismatch")
-        T = certifier_sample_count(n, eps, delta, self.c)
-        call_seed = int(np.random.SeedSequence([self.seed, self._calls]).generate_state(1)[0])
-        self._calls += 1
-        codes, outs = _collect_through_access(access, T, call_seed)
-        # One block of every column: the words are all 4^n packed words in order.
-        words, est_flat = estimates_for_supports(codes, outs, n, [range(n)])
-        ref_flat = pauli_tensor(reference).reshape(-1)
-        second_moment = 3.0 ** pauli_weight(words) / 4.0**n
-        variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)
-        d_hat = float((1 << n) * np.sum((est_flat - ref_flat) ** 2 - variance_hat))
-        bound = 2.0 ** (n / 2.0) * math.sqrt(max(d_hat, 0.0))
-        verdict = FAR if bound > 1.5 * eps else CLOSE
-        return CertificationResult(verdict, bound, T)
-
-
-class OracleCertifier:
-    """Test-harness certifier: thresholds the exact trace distance, zero copies."""
-
-    def __init__(self, truth: DensityMatrix) -> None:
-        self.truth = truth
-
-    def __call__(
-        self, access: StateAccess, reference: DensityMatrix, eps: float, delta: float
-    ) -> CertificationResult:
-        distance = trace_distance(self.truth, reference)
-        return CertificationResult(CLOSE if distance <= 1.5 * eps else FAR, distance, 0)
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    variables: tuple[int, ...]
-    verdict: str
-    statistic: float
-    tomography_copies: int
-    certification_copies: int
-
-
-@dataclass(frozen=True)
-class TestVerdict:
-    decision: str
-    best_variables: tuple[int, ...]
-    copies_used: int
-    transcript: tuple[SubsetReport, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "best_K": list(self.best_variables),
-            "copies_used": self.copies_used,
-            "transcript": [
-                {
-                    "K": list(r.variables),
-                    "verdict": r.verdict,
-                    "statistic": r.statistic,
-                    "tomography_copies": r.tomography_copies,
-                    "certification_copies": r.certification_copies,
-                }
-                for r in self.transcript
-            ],
-        }
+    n = access.n
+    if n > MAX_TEST_QUBITS:
+        raise ValueError(
+            f"the Frobenius bound refuses above {MAX_TEST_QUBITS} qubits; supply an oracle"
+        )
+    if reference.n != n:
+        raise ValueError("reference dimension mismatch")
+    T = certifier_sample_count(n, eps, delta, c)
+    codes, outs = _collect_through_access(access, T, seed)
+    # One block of every column: the words are all 4^n packed words in order.
+    words, est_flat = estimates_for_supports(codes, outs, n, [range(n)])
+    ref_flat = pauli_tensor(reference).reshape(-1)
+    second_moment = 3.0 ** pauli_weight(words) / 4.0**n
+    variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)
+    d_hat = float((1 << n) * np.sum((est_flat - ref_flat) ** 2 - variance_hat))
+    return 2.0 ** (n / 2.0) * math.sqrt(max(d_hat, 0.0)), T
 
 
 JUNTA_CLOSE = "junta-close"
@@ -221,17 +150,21 @@ def test_junta(
     k: int,
     eps: float,
     delta: float,
-    certifier: Certifier,
-    c_tomography: float = DEFAULT_TOMOGRAPHY_C,
+    oracle: DensityMatrix | None = None,
     seed: int = 0,
-) -> TestVerdict:
-    """Accept iff some size-k subset's tomographed junta candidate certifies
-    close at the (3 eps, 6 eps) thresholds.
+    certifier_seed: int = 0,
+    c_tomography: float = DEFAULT_TOMOGRAPHY_C,
+    c_certifier: float = DEFAULT_CERTIFIER_C,
+) -> dict:
+    """Accept iff some size-k subset's tomographed junta candidate is not far
+    at the (3 eps, 6 eps) thresholds.
 
-    Every subset is evaluated (no early exit), so the copy count is the
+    Subset i tomographs with basis seed (seed, i) and, without ``oracle``,
+    bounds with seed (certifier_seed, i), so equal arguments replay. Every
+    subset is evaluated (no early exit), so the copy count is the
     deterministic sum of the per-subset budgets and the transcript is
-    complete. ``best_variables`` is the subset with the smallest certified
-    statistic, ties to the lexicographically first.
+    complete. ``best_K`` is the subset with the smallest statistic, ties to
+    the lexicographically first.
     """
     n = access.n
     if n > MAX_TEST_QUBITS:
@@ -239,21 +172,31 @@ def test_junta(
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     delta_sub = delta / n**k
-    reports = []
+    transcript = []
     for index, subset in enumerate(itertools.combinations(range(1, n + 1), k)):
-        tomo_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
         before = access.copies_used
-        reduced = local_tomography(access, subset, eps, delta_sub, c_tomography, tomo_seed)
-        tomo_copies = access.copies_used - before
+        reduced = local_tomography(access, subset, eps, delta_sub, c_tomography, _stream_seed(seed, index))
+        tomography_copies = access.copies_used - before
         candidate = embed_on(reduced, subset, n)
-        result = certifier(access, candidate, 3.0 * eps, delta_sub)
-        reports.append(
-            SubsetReport(subset, result.verdict, result.statistic, tomo_copies, result.copies_used)
-        )
-    decision = JUNTA_CLOSE if any(r.verdict == CLOSE for r in reports) else JUNTA_FAR
-    best = min(reports, key=lambda r: r.statistic)
-    copies = sum(r.tomography_copies + r.certification_copies for r in reports)
-    return TestVerdict(decision, best.variables, copies, tuple(reports))
+        if oracle is None:
+            statistic, certification_copies = frobenius_bound(
+                access, candidate, 3.0 * eps, delta_sub, _stream_seed(certifier_seed, index), c_certifier
+            )
+        else:
+            statistic, certification_copies = trace_distance(oracle, candidate), 0
+        transcript.append({
+            "K": list(subset),
+            "verdict": FAR if statistic > 1.5 * (3.0 * eps) else CLOSE,
+            "statistic": statistic,
+            "tomography_copies": tomography_copies,
+            "certification_copies": certification_copies,
+        })
+    return {
+        "decision": JUNTA_CLOSE if any(r["verdict"] == CLOSE for r in transcript) else JUNTA_FAR,
+        "best_K": min(transcript, key=lambda r: r["statistic"])["K"],
+        "copies_used": sum(r["tomography_copies"] + r["certification_copies"] for r in transcript),
+        "transcript": transcript,
+    }
 
 
 def test_junta_copy_budget(
@@ -265,7 +208,8 @@ def test_junta_copy_budget(
     c_tomography: float = DEFAULT_TOMOGRAPHY_C,
     c_certifier: float = DEFAULT_CERTIFIER_C,
 ) -> int:
-    """Exact copy count test_junta will consume at these parameters."""
+    """Exact copy count test_junta will consume at these parameters, with
+    ``frobenius_certifier`` true when it runs without an oracle."""
     delta_sub = delta / n**k
     per_subset = tomography_sample_count(n, k, eps, delta_sub, c_tomography)
     if frobenius_certifier:

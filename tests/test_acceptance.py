@@ -7,6 +7,7 @@ Each test prints a single PASS line with its measured numbers (visible with
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,8 +190,7 @@ def test_criterion_05_light_cone_junta_law():
     for _ in range(50):
         n = int(rng.integers(1, 4))  # n+a+1 in [2, 5], within every cap
         a = int(rng.integers(0, min(2, 5 - n - 1) + 1))
-        circuit = qac0.random_circuit(n, a, depth=int(rng.integers(1, 3)), rng=rng,
-                                      max_toffoli_arity=3)
+        circuit = qac0.random_circuit(n, a, depth=int(rng.integers(1, 3)), rng=rng)
         cone = qac0.light_cone(circuit, circuit.output_qubit)
         choi = qac0.choi_state_full(circuit)
         _, residual = qac0.concentration_search(choi, len(cone) + 1)
@@ -207,8 +207,8 @@ def test_criterion_06_ancilla_choi_relation():
         n = int(rng.integers(1, 4))
         a = int(rng.integers(0, 2))
         sigma = qstate.random_density_matrix(a + 1, rng)
-        circuit = qac0.random_circuit(n, a, depth=int(rng.integers(1, 3)), rng=rng,
-                                      sigma=sigma)
+        circuit = replace(qac0.random_circuit(n, a, depth=int(rng.integers(1, 3)), rng=rng),
+                          sigma=sigma)
         worst = max(worst, qac0.ancilla_choi_relation_residual(circuit))
     assert worst <= 1e-9
     report(6, f"worst per-coefficient gap {worst:.2e} over 20 circuits")
@@ -275,23 +275,20 @@ def test_criterion_09_junta_tester():
     for seed in range(5):
         truth = close_instance(instance_rng)
         access = state_learn.SimulatedStateAccess(truth, seed=1000 + seed)
-        verdict = state_test.test_junta(access, k, eps, delta,
-                                        state_test.OracleCertifier(truth), seed=seed)
-        assert verdict.decision == state_test.JUNTA_CLOSE
-        assert verdict.copies_used == oracle_budget
+        verdict = state_test.test_junta(access, k, eps, delta, oracle=truth, seed=seed)
+        assert verdict["decision"] == state_test.JUNTA_CLOSE
+        assert verdict["copies_used"] == oracle_budget
         truth = far_instance()
         access = state_learn.SimulatedStateAccess(truth, seed=2000 + seed)
-        verdict = state_test.test_junta(access, k, eps, delta,
-                                        state_test.OracleCertifier(truth), seed=seed)
-        assert verdict.decision == state_test.JUNTA_FAR
-        assert verdict.copies_used == oracle_budget
-    # determinism: an identical rerun reproduces the verdict object
+        verdict = state_test.test_junta(access, k, eps, delta, oracle=truth, seed=seed)
+        assert verdict["decision"] == state_test.JUNTA_FAR
+        assert verdict["copies_used"] == oracle_budget
+    # determinism: an identical rerun reproduces the verdict
     truth = close_instance(np.random.default_rng(5))
     runs = []
     for _ in range(2):
         access = state_learn.SimulatedStateAccess(truth, seed=123)
-        runs.append(state_test.test_junta(access, k, eps, delta,
-                                          state_test.OracleCertifier(truth), seed=7))
+        runs.append(state_test.test_junta(access, k, eps, delta, oracle=truth, seed=7))
     assert runs[0] == runs[1]
 
     frob_budget = state_test.test_junta_copy_budget(n, k, eps, delta, frobenius_certifier=True)
@@ -299,18 +296,14 @@ def test_criterion_09_junta_tester():
     for seed in range(20):
         truth = close_instance(instance_rng)
         access = state_learn.SimulatedStateAccess(truth, seed=3000 + seed)
-        verdict = state_test.test_junta(
-            access, k, eps, delta, state_test.FrobeniusCertifier(seed=seed), seed=seed
-        )
-        assert verdict.copies_used == frob_budget
-        correct_close += verdict.decision == state_test.JUNTA_CLOSE
+        verdict = state_test.test_junta(access, k, eps, delta, seed=seed, certifier_seed=seed)
+        assert verdict["copies_used"] == frob_budget
+        correct_close += verdict["decision"] == state_test.JUNTA_CLOSE
         truth = far_instance()
         access = state_learn.SimulatedStateAccess(truth, seed=4000 + seed)
-        verdict = state_test.test_junta(
-            access, k, eps, delta, state_test.FrobeniusCertifier(seed=100 + seed), seed=seed
-        )
-        assert verdict.copies_used == frob_budget
-        correct_far += verdict.decision == state_test.JUNTA_FAR
+        verdict = state_test.test_junta(access, k, eps, delta, seed=seed, certifier_seed=100 + seed)
+        assert verdict["copies_used"] == frob_budget
+        correct_far += verdict["decision"] == state_test.JUNTA_FAR
     assert correct_close >= 18 and correct_far >= 18
     report(
         9,

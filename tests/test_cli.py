@@ -15,13 +15,12 @@ from juntalab import dist_learn, qac0, qstate
 from juntalab.cli import (
     CELL_RUNNERS,
     ExperimentSpec,
-    ResultRecord,
     _planted_junta_state,
     emit_curve,
+    json_line,
     load_records,
     main,
     run_experiment,
-    write_records,
 )
 from juntalab.hypercube import save_distribution
 from juntalab.qstate import save_state
@@ -47,21 +46,18 @@ class TestRunExperiment:
         )
         records = run_experiment(spec)
         assert len(records) == 2 * 3 * 5
-        assert all(r.status == "ok" for r in records)
+        assert all(r["status"] == "ok" for r in records)
 
-    def test_byte_identical_across_thread_counts(self, small_spec, tmp_path):
+    def test_byte_identical_across_thread_counts(self, small_spec):
         first = run_experiment(small_spec, threads=1)
         second = run_experiment(small_spec, threads=4)
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_records(first, a)
-        write_records(second, b)
-        assert a.read_bytes() == b.read_bytes()
+        assert [json_line(r) for r in first] == [json_line(r) for r in second]
 
     def test_replay_from_record_seed(self, small_spec):
         records = run_experiment(small_spec)
         record = records[-1]
-        again = CELL_RUNNERS[record.command](record.parameters, record.seed)
-        assert again == record.metrics
+        again = CELL_RUNNERS[record["command"]](record["parameters"], record["seed"])
+        assert again == record["metrics"]
 
     def test_failures_recorded_not_raised(self):
         spec = ExperimentSpec(
@@ -73,8 +69,8 @@ class TestRunExperiment:
         )
         records = run_experiment(spec)
         assert len(records) == 1
-        assert records[0].status == "error"
-        assert "nonsense" in records[0].error
+        assert records[0]["status"] == "error"
+        assert "nonsense" in records[0]["error"]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -185,7 +181,7 @@ class TestWorkerProcesses:
                                   env=env, timeout=60)
             assert done.returncode == 0, done.stderr
             spec = ExperimentSpec.from_dict(json.loads(spec_path.read_text()))
-            lines = "".join(r.to_json_line() + "\n" for r in run_experiment(spec))
+            lines = "".join(json_line(r) + "\n" for r in run_experiment(spec))
             assert done.stdout == ("first\n" if argv[0] == "-c" else "") + lines
 
 
@@ -218,14 +214,18 @@ class TestEmitCurve:
         with pytest.raises(ValueError):
             emit_curve([], "T", "metric")
 
+    @staticmethod
+    def record(command):
+        return {"command": command, "cell": 0, "trial": 0, "parameters": {"n": 4}, "seed": 1,
+                "status": "ok", "metrics": {"tv_exact": 0.1}}
+
     def test_mixed_commands_error(self):
-        a = ResultRecord("learn-dist", 0, 0, {"n": 4}, 1, "ok", {"tv_exact": 0.1})
-        b = ResultRecord("learn-state", 0, 0, {"n": 4}, 1, "ok", {"tv_exact": 0.1})
+        a, b = self.record("learn-dist"), self.record("learn-state")
         with pytest.raises(ValueError):
             emit_curve([a, b], "n", "tv_exact")
 
     def test_missing_metric_errors(self):
-        a = ResultRecord("learn-dist", 0, 0, {"n": 4}, 1, "ok", {"tv_exact": 0.1})
+        a = self.record("learn-dist")
         with pytest.raises(ValueError):
             emit_curve([a], "n", "nope")
 
@@ -234,13 +234,13 @@ class TestJsonLines:
     def test_round_trip(self, small_spec, tmp_path):
         records = run_experiment(small_spec)
         path = tmp_path / "records.jsonl"
-        write_records(records, path)
+        path.write_text("".join(json_line(r) + "\n" for r in records))
         back = load_records(path)
         assert back == records
 
     def test_record_has_no_timing(self, small_spec):
         record = run_experiment(small_spec)[0]
-        payload = json.loads(record.to_json_line())
+        payload = json.loads(json_line(record))
         assert "elapsed_ms" not in payload["metrics"]
         assert payload["version"].startswith("juntalab-")
 
@@ -353,32 +353,6 @@ class TestCommands:
         failing_path = tmp_path / "failing.json"
         failing_path.write_text(json.dumps(failing))
         assert main(["run", str(failing_path), "--out", str(tmp_path / "f.jsonl")]) == 2
-
-    def test_thread_env_default(self, monkeypatch):
-        from juntalab.cli import default_thread_count
-
-        monkeypatch.setenv("JUNTALAB_THREADS", "5")
-        assert default_thread_count() == 5
-        for bad in ("bogus", "0"):
-            monkeypatch.setenv("JUNTALAB_THREADS", bad)
-            with pytest.raises(ValueError, match=f"positive integer, got '{bad}'"):
-                default_thread_count()
-        monkeypatch.delenv("JUNTALAB_THREADS")
-        assert default_thread_count() == 1
-
-    def test_bad_thread_env_fails_only_run(self, tmp_path, monkeypatch, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(
-            {"command": "address-distance", "grid": {"D": [1], "k": [0]}, "seed": 0}
-        ))
-        monkeypatch.setenv("JUNTALAB_THREADS", "bogus")
-        assert main(["address", "distance", "--D", "1", "--k", "0"]) == 0
-        assert main(["run", str(spec_path), "--threads", "2"]) == 0
-        capsys.readouterr()
-        assert main(["run", str(spec_path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: JUNTALAB_THREADS must be a positive integer, got 'bogus'\n"
-        )
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_run_rejects_threads_below_one(self, threads, tmp_path, capsys):
@@ -734,9 +708,22 @@ def test_pinned_grid_records(command, monkeypatch):
     runs = []
     for workers in (1, 2, 3):
         records = run_experiment(ExperimentSpec(command, grid, trials=3, seed=1), threads=workers)
-        assert all(record.status == "ok" for record in records)
-        lines = "\n".join(record.to_json_line() for record in records if record.trial_index == 0)
+        assert all(record["status"] == "ok" for record in records)
+        lines = "\n".join(json_line(record) for record in records if record["trial"] == 0)
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
         assert len(forks) == workers * (workers - 1) // 2
-        runs.append([record.to_json_line() for record in records])
+        runs.append([json_line(record) for record in records])
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_pinned_test_state_records_at_k0_and_k2():
+    """The pinned test-state grid holds only k = 1; these are the empty
+    subset (no tomography copies) and the pairs of n = 3, for both
+    statistics and both cases."""
+    grid = {"n": [3], "k": [0, 2], "eps": [0.3], "delta": [0.1], "case": ["close", "far"],
+            "certifier": ["oracle", "frobenius"]}
+    records = run_experiment(ExperimentSpec("test-state", grid, trials=1, seed=1))
+    lines = "\n".join(json_line(record) for record in records)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "6c0561f2d56f8778aa72004d4dcbe8c3dd9d1469907bb18644eba087245c543c"
+    )

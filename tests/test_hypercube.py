@@ -293,3 +293,18 @@ class TestJson:
         assert set(payload) == {"n", "values"}
         assert payload["n"] == 2
         assert len(payload["values"]) == 4
+
+    @pytest.mark.parametrize("n, count", [(2, 8), (3, 7), (3, 9)],
+                             ids=["wrong_n", "truncated_body", "extra_rows"])
+    def test_header_checked_against_body(self, n, count, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"n": n, "values": [1.0 / count] * count}))
+        with pytest.raises(ValueError) as info:
+            load_distribution(path)
+        assert str(info.value) == f"{path}: header n={n} needs {1 << n} values, body has {count}"
+
+    def test_header_checked_against_cap_first(self, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"n": 10**9, "values": [1.0]}))
+        with pytest.raises(ValueError, match=r"dist.json: field 'n' must be in \[1, 24\], got 1000000000"):
+            load_distribution(path)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ class TestChoiStateWithAncilla:
         rng = np.random.default_rng(4)
         for _ in range(6):
             sigma = random_density_matrix(2, rng)
-            circuit = random_circuit(2, 1, 2, rng, sigma=sigma)
+            circuit = replace(random_circuit(2, 1, 2, rng), sigma=sigma)
             assert ancilla_choi_relation_residual(circuit) <= 1e-9
 
     def test_maximally_mixed_sigma_trivial_circuit(self):
@@ -237,9 +238,8 @@ class TestChoiStateWithAncilla:
         assert np.max(np.abs(reduced_refs.entries - np.eye(4) / 4)) <= 1e-12
 
     def test_sigma_dimension_checked(self):
-        circuit = Qac0Circuit(1, 0, ())
-        with pytest.raises(ValueError):
-            choi_state_with_ancilla(circuit, DensityMatrix.maximally_mixed(2))
+        with pytest.raises(ValueError, match="sigma must live on the ancilla"):
+            Qac0Circuit(1, 0, (), DensityMatrix.maximally_mixed(2))
 
 
 class TestBooleanChoi:
@@ -372,7 +372,7 @@ class TestLightCone:
     def test_depth_two_fanin_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            circuit = random_circuit(3, 1, 2, rng, max_toffoli_arity=3)
+            circuit = random_circuit(3, 1, 2, rng)
             cone = light_cone(circuit, circuit.output_qubit)
             assert len(cone) <= 3**2
 
@@ -507,7 +507,8 @@ class TestJuntaDistance:
 class TestCircuitJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        circuit = random_circuit(2, 1, 2, rng, sigma=random_density_matrix(2, rng))
+        sigma = random_density_matrix(2, rng)
+        circuit = replace(random_circuit(2, 1, 2, rng), sigma=sigma)
         path = tmp_path / "circuit.json"
         save_circuit(circuit, path)
         back = load_circuit(path)
@@ -533,7 +534,7 @@ class TestRandomCircuit:
     def test_respects_arity_cap(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
-            circuit = random_circuit(3, 1, 2, rng, max_toffoli_arity=3)
+            circuit = random_circuit(3, 1, 2, rng)
             for layer in circuit.layers:
                 for gate in layer:
                     if isinstance(gate, ToffoliGate):

@@ -391,3 +391,20 @@ class TestStateJson:
         save_state(DensityMatrix.maximally_mixed(1), path)
         payload = json.loads(path.read_text())
         assert set(payload) == {"n", "re", "im"}
+
+    @pytest.mark.parametrize("n, rows, shape", [(1, 4, (4, 4)), (2, 3, (3, 4)), (2, 5, (5, 4))],
+                             ids=["wrong_n", "truncated_body", "extra_rows"])
+    def test_header_checked_against_body(self, n, rows, shape, tmp_path):
+        path = tmp_path / "state.json"
+        body = (np.eye(4) / 4).tolist() + [[0.0] * 4]
+        path.write_text(json.dumps({"n": n, "re": body[:rows], "im": [[0.0] * 4] * rows}))
+        with pytest.raises(ValueError) as info:
+            load_state(path)
+        side = 1 << n
+        assert str(info.value) == f"{path}: header n={n} needs a {side}x{side} matrix, body has shape {shape}"
+
+    def test_header_checked_against_cap_first(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 10**9, "re": [[1.0]], "im": [[0.0]]}))
+        with pytest.raises(ValueError, match=r"state.json: field 'n' must be in \[0, 12\], got 1000000000"):
+            load_state(path)

@@ -238,18 +238,6 @@ class TestSimulatedAccess:
         # The next call continues the same outcome stream.
         assert whole.measure_chunk(codes[:300]).tobytes() == parts.measure_chunk(codes[:300]).tobytes()
 
-    def test_call_over_budget_consumes_nothing(self):
-        from juntalab.state_learn import AccessExhaustedError
-
-        truth = random_density_matrix(2, np.random.default_rng(12))
-        codes = np.random.default_rng(13).integers(1, 4, size=(2 * CHUNK, 2), dtype=np.uint8)
-        access = SimulatedStateAccess(truth, seed=6, max_copies=CHUNK + 10)
-        with pytest.raises(AccessExhaustedError):
-            access.measure_chunk(codes)
-        assert access.copies_used == 0
-        fresh = SimulatedStateAccess(truth, seed=6)
-        assert access.measure_chunk(codes[:CHUNK]).tobytes() == fresh.measure_chunk(codes[:CHUNK]).tobytes()
-
     def test_pinned_digest(self):
         # Pins the learner's basis stream and the access's outcome stream.
         truth = random_density_matrix(4, np.random.default_rng(22))
@@ -258,14 +246,6 @@ class TestSimulatedAccess:
         assert digest.hexdigest() == (
             "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
         )
-
-    def test_exhaustion_propagates(self):
-        from juntalab.state_learn import AccessExhaustedError
-
-        truth = DensityMatrix.maximally_mixed(2)
-        access = SimulatedStateAccess(truth, seed=0, max_copies=10)
-        with pytest.raises(AccessExhaustedError):
-            learn_junta_state(access, 1, 0.3, 0.1)
 
 
 class TestSquaredCoefficientGuarantee:

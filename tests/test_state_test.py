@@ -1,5 +1,6 @@
-"""Junta tester: local tomography, certifiers, and the subset sweep."""
+"""Junta tester: local tomography, the two statistics, and the subset sweep."""
 
+import json
 import math
 
 import numpy as np
@@ -18,9 +19,8 @@ from juntalab.state_test import (
     FAR,
     JUNTA_CLOSE,
     JUNTA_FAR,
-    FrobeniusCertifier,
-    OracleCertifier,
     certifier_sample_count,
+    frobenius_bound,
     local_tomography,
     tomography_coefficient_accuracy,
     tomography_sample_count,
@@ -68,31 +68,41 @@ class TestLocalTomography:
 
 
 class TestOracleCertifier:
+    """The statistic with an oracle: its exact trace distance, zero copies."""
+
     def test_thresholds(self):
-        truth = DensityMatrix.maximally_mixed(2)
-        certifier = OracleCertifier(truth)
-        access = SimulatedStateAccess(truth, seed=0)
-        assert certifier(access, truth, 0.1, 0.1).verdict == CLOSE
-        far_ref = pure_basis_state(2)
-        result = certifier(access, far_ref, 0.1, 0.1)
-        assert result.verdict == FAR
-        assert result.copies_used == 0
-        assert result.statistic == pytest.approx(trace_distance(truth, far_ref))
+        # k = 0: the one candidate is the maximally mixed state, at no copies
+        mixed = DensityMatrix.maximally_mixed(2)
+        access = SimulatedStateAccess(mixed, seed=0)
+        (close,) = run_junta_test(access, 0, 0.1, 0.1, oracle=mixed)["transcript"]
+        assert close["verdict"] == CLOSE
+        far_oracle = pure_basis_state(2)
+        result = run_junta_test(access, 0, 0.1, 0.1, oracle=far_oracle)
+        (far,) = result["transcript"]
+        assert far["verdict"] == FAR
+        assert far["statistic"] == trace_distance(far_oracle, mixed) == pytest.approx(1.5)
+        assert far["certification_copies"] == result["copies_used"] == access.copies_used == 0
+        # far iff the statistic exceeds 1.5 * (3 eps)
+        for eps, verdict in ((0.34, CLOSE), (0.33, FAR)):
+            (report,) = run_junta_test(access, 0, eps, 0.1, oracle=far_oracle)["transcript"]
+            assert report["verdict"] == verdict
 
 
 class TestFrobeniusCertifier:
+    """The statistic without an oracle: ``frobenius_bound``."""
+
     def test_reference_equals_hidden(self):
         truth = random_density_matrix(3, np.random.default_rng(2))
         access = SimulatedStateAccess(truth, seed=1)
-        result = FrobeniusCertifier(seed=4)(access, truth, 0.3, 0.1)
-        assert result.verdict == CLOSE
-        assert result.copies_used == certifier_sample_count(3, 0.3, 0.1)
+        bound, copies = frobenius_bound(access, truth, 0.3, 0.1, seed=4)
+        assert bound <= 1.5 * 0.3
+        assert copies == certifier_sample_count(3, 0.3, 0.1) == access.copies_used
 
     def test_orthogonal_pure_states_are_far(self):
         truth = pure_basis_state(2, 0)
         reference = pure_basis_state(2, 3)
         access = SimulatedStateAccess(truth, seed=2)
-        assert FrobeniusCertifier(seed=5)(access, reference, 0.3, 0.1).verdict == FAR
+        assert frobenius_bound(access, reference, 0.3, 0.1, seed=5)[0] > 1.5 * 0.3
 
     def test_planted_diffuse_two_eps_instance(self):
         # diagonal pair at trace distance exactly 2 eps, spread over all entries
@@ -103,13 +113,13 @@ class TestFrobeniusCertifier:
         assert trace_distance(truth, reference) == pytest.approx(2 * eps, abs=1e-12)
         for seed in (0, 1, 2):
             access = SimulatedStateAccess(truth, seed=seed)
-            assert FrobeniusCertifier(seed=seed)(access, reference, eps, 0.1).verdict == FAR
+            assert frobenius_bound(access, reference, eps, 0.1, seed=seed)[0] > 1.5 * eps
 
     def test_refuses_large_n(self):
         truth = DensityMatrix.maximally_mixed(7)
         access = SimulatedStateAccess(truth, seed=0)
-        with pytest.raises(ValueError, match="oracle certifier"):
-            FrobeniusCertifier()(access, truth, 0.3, 0.1)
+        with pytest.raises(ValueError, match="supply an oracle"):
+            frobenius_bound(access, truth, 0.3, 0.1)
 
     def test_budget_formula(self):
         want = math.ceil(2 * 28.0**1.5 * math.log(2 / 0.1) / 0.3**2)
@@ -120,47 +130,46 @@ class TestTestJunta:
     def test_planted_close_with_oracle(self):
         truth = embed_on(random_density_matrix(1, np.random.default_rng(3)), (2,), 4)
         access = SimulatedStateAccess(truth, seed=3)
-        verdict = run_junta_test(access, 1, 0.1, 0.1, OracleCertifier(truth), seed=1)
-        assert verdict.decision == JUNTA_CLOSE
-        assert verdict.best_variables == (2,)
+        result = run_junta_test(access, 1, 0.1, 0.1, oracle=truth, seed=1)
+        assert result["decision"] == JUNTA_CLOSE
+        assert result["best_K"] == [2]
 
     def test_planted_far_with_oracle(self):
         truth = pure_basis_state(4)
         access = SimulatedStateAccess(truth, seed=4)
-        verdict = run_junta_test(access, 1, 0.1, 0.1, OracleCertifier(truth), seed=2)
-        assert verdict.decision == JUNTA_FAR
-        assert all(r.verdict == FAR for r in verdict.transcript)
+        result = run_junta_test(access, 1, 0.1, 0.1, oracle=truth, seed=2)
+        assert result["decision"] == JUNTA_FAR
+        assert all(r["verdict"] == FAR for r in result["transcript"])
 
     def test_k_zero_accepts_maximally_mixed(self):
         truth = DensityMatrix.maximally_mixed(3)
         access = SimulatedStateAccess(truth, seed=9)
-        verdict = run_junta_test(access, 0, 0.2, 0.1, OracleCertifier(truth), seed=1)
-        assert verdict.decision == JUNTA_CLOSE
-        assert verdict.best_variables == ()
-        assert verdict.copies_used == 0  # tomography on the empty set is free
+        result = run_junta_test(access, 0, 0.2, 0.1, oracle=truth, seed=1)
+        assert result["decision"] == JUNTA_CLOSE
+        assert result["best_K"] == []
+        assert result["copies_used"] == 0  # tomography on the empty set is free
 
     def test_k_equals_n_always_close(self):
         truth = random_density_matrix(2, np.random.default_rng(6))
         access = SimulatedStateAccess(truth, seed=5)
-        verdict = run_junta_test(access, 2, 0.2, 0.1, OracleCertifier(truth), seed=3)
-        assert verdict.decision == JUNTA_CLOSE
+        result = run_junta_test(access, 2, 0.2, 0.1, oracle=truth, seed=3)
+        assert result["decision"] == JUNTA_CLOSE
 
     def test_copy_accounting_matches_budget(self):
         truth = embed_on(random_density_matrix(1, np.random.default_rng(7)), (1,), 4)
         access = SimulatedStateAccess(truth, seed=6)
-        verdict = run_junta_test(access, 1, 0.1, 0.1, OracleCertifier(truth), seed=4)
+        result = run_junta_test(access, 1, 0.1, 0.1, oracle=truth, seed=4)
         budget = junta_copy_budget(4, 1, 0.1, 0.1, frobenius_certifier=False)
-        assert verdict.copies_used == budget == access.copies_used
-        assert len(verdict.transcript) == 4
+        assert result["copies_used"] == budget == access.copies_used
+        assert len(result["transcript"]) == 4
 
     def test_frobenius_budget(self):
         truth = embed_on(random_density_matrix(1, np.random.default_rng(8)), (3,), 4)
         access = SimulatedStateAccess(truth, seed=7)
-        certifier = FrobeniusCertifier(seed=11)
-        verdict = run_junta_test(access, 1, 0.1, 0.1, certifier, seed=5)
+        result = run_junta_test(access, 1, 0.1, 0.1, seed=5, certifier_seed=11)
         budget = junta_copy_budget(4, 1, 0.1, 0.1, frobenius_certifier=True)
-        assert verdict.decision == JUNTA_CLOSE
-        assert verdict.copies_used == budget == access.copies_used
+        assert result["decision"] == JUNTA_CLOSE
+        assert result["copies_used"] == budget == access.copies_used
 
     def test_monotone_in_eps(self):
         # mid-range instance: accepted at a generous eps, rejected at a tiny one
@@ -172,20 +181,33 @@ class TestTestJunta:
             accepted = {}
             for eps in (0.05, 0.4):
                 access = SimulatedStateAccess(mixed, seed=seed)
-                verdict = run_junta_test(access, 1, eps, 0.1, OracleCertifier(mixed), seed=seed)
-                accepted[eps] = verdict.decision == JUNTA_CLOSE
+                result = run_junta_test(access, 1, eps, 0.1, oracle=mixed, seed=seed)
+                accepted[eps] = result["decision"] == JUNTA_CLOSE
             assert accepted[0.4] >= accepted[0.05]
 
     def test_transcript_serialization(self):
         truth = embed_on(random_density_matrix(1, np.random.default_rng(10)), (2,), 3)
         access = SimulatedStateAccess(truth, seed=8)
-        verdict = run_junta_test(access, 1, 0.15, 0.1, OracleCertifier(truth), seed=6)
-        payload = verdict.to_dict()
-        assert set(payload) == {"decision", "best_K", "copies_used", "transcript"}
-        assert len(payload["transcript"]) == 3
+        result = run_junta_test(access, 1, 0.15, 0.1, oracle=truth, seed=6)
+        assert set(result) == {"decision", "best_K", "copies_used", "transcript"}
+        assert len(result["transcript"]) == 3
+        assert set(result["transcript"][0]) == {
+            "K", "verdict", "statistic", "tomography_copies", "certification_copies",
+        }
+        assert json.loads(json.dumps(result)) == result
+
+    def test_replay_from_equal_arguments(self):
+        """Equal arguments on fresh accesses with equal seeds give equal
+        results: the Frobenius seeds come from the arguments alone."""
+        truth = embed_on(random_density_matrix(1, np.random.default_rng(11)), (2,), 3)
+        runs = [
+            run_junta_test(SimulatedStateAccess(truth, seed=12), 1, 0.2, 0.1, seed=3, certifier_seed=4)
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
     def test_qubit_cap(self):
         truth = DensityMatrix.maximally_mixed(7)
         access = SimulatedStateAccess(truth, seed=0)
         with pytest.raises(ValueError):
-            run_junta_test(access, 1, 0.1, 0.1, OracleCertifier(truth))
+            run_junta_test(access, 1, 0.1, 0.1, oracle=truth)
