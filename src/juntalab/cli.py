@@ -77,8 +77,11 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
         instance_rng = np.random.default_rng([seed, 0])
         truth, variables = dist_learn.random_junta_distribution(int(params["n"]), k, instance_rng)
         planted["planted_variables"] = list(variables)
-    sampler = dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1))
-    result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
+    # The sampler is passed inline so that its 2^n cumulative is freed
+    # before tv_distance allocates the difference.
+    result = dist_learn.learn_junta_distribution(
+        dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1)), k, eps, delta, c
+    )
     return {
         "T": result.sample_count,
         "tv_exact": tv_distance(result.distribution, truth),

@@ -66,7 +66,8 @@ class SimulatedSampler:
         uniforms = rng.random(count)
         # Ascending needles walk the cumulative in order, which is cache
         # friendly; the scatter puts each point back at its uniform's draw.
-        order = np.argsort(uniforms, kind="stable")
+        # Equal uniforms find equal points, so the order among ties is free.
+        order = np.argsort(uniforms)
         points = np.empty(count, dtype=np.int64)
         points[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
         return np.minimum(points, (1 << self.n) - 1)
@@ -153,11 +154,16 @@ def select_junta_variables(masks, values, n: int, k: int) -> tuple[int, ...]:
 
 def _broadcast_junta(block: np.ndarray, n: int, variables: tuple[int, ...]) -> np.ndarray:
     """The 2^n values of the function of ``variables`` alone whose 2^|K|
-    block reads them in order, the first one most significant."""
-    shape = [1] * n
-    for var in variables:
-        shape[var - 1] = 2
-    return np.broadcast_to(block.reshape(shape), (2,) * n).reshape(-1)
+    block reads them in order, the first one most significant, as a fresh
+    array. Each run of adjacent variables, in or out of ``variables``, is
+    one axis of the copy, so at most 2|K| + 1 axes take the broadcast."""
+    runs = [(inside, len(list(run))) for inside, run in
+            itertools.groupby(var in variables for var in range(1, n + 1))]
+    dense = np.empty(1 << n)
+    dense.reshape([1 << width for _, width in runs])[...] = block.reshape(
+        [1 << width if inside else 1 for inside, width in runs]
+    )
+    return dense
 
 
 def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> Distribution:
@@ -181,7 +187,7 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
         # Unreachable through the learner (the empty set always survives with
         # positive weight), but adversarial spectra land on uniform.
         return Distribution.uniform(n)
-    return Distribution(n, _broadcast_junta(block / normalizer, n, variables))
+    return Distribution._adopt(n, _broadcast_junta(block / normalizer, n, variables))
 
 
 @dataclass
@@ -242,4 +248,5 @@ def random_junta_distribution(
     variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
     block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
     dense = _broadcast_junta(block, n, variables)
-    return Distribution(n, dense / dense.sum()), variables
+    dense /= dense.sum()
+    return Distribution._adopt(n, dense), variables

@@ -13,6 +13,12 @@ Spectra are plain arrays. A full spectrum is a dense vector indexed by
 subset mask; a low-degree spectrum is a pair of arrays, the ascending
 unique int64 masks and their float64 values. ``n`` is capped at 24 so a
 dense vector never exceeds 2^24 entries.
+
+Dense functions own their values. ``RealCubeFunction(n, values)`` and
+``Distribution(n, values)`` copy ``values``, so a caller's array is never
+renormalized or frozen; the package's own builders hand over the fresh
+arrays they make through ``_adopt``, which checks, renormalizes and freezes
+them in place, with no copy.
 """
 
 from __future__ import annotations
@@ -53,15 +59,29 @@ class RealCubeFunction:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values) -> None:
+        self._own(n, np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, n: int, arr: np.ndarray):
+        """An instance holding ``arr``, a fresh float64 array that no one
+        else references, checked as the constructor checks its copy."""
+        self = object.__new__(cls)
+        self._own(n, arr)
+        return self
+
+    def _own(self, n: int, arr: np.ndarray) -> None:
         _check_nvars(n)
-        arr = np.array(values, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
+        self._check(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("function values must be finite")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -76,22 +96,25 @@ class Distribution(RealCubeFunction):
 
     __slots__ = ()
 
-    def __init__(self, n: int, values) -> None:
-        super().__init__(n, values)
-        if np.any(self.values < 0.0):
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        # A min and a sum are finite when every entry is (NaN and -inf reach
+        # the min, +inf the sum); only otherwise are the entries scanned, to
+        # tell them from finite ones whose sum overflows.
+        with np.errstate(all="ignore"):
+            low, total = float(arr.min()), float(arr.sum())
+        if not (math.isfinite(low) and math.isfinite(total)):
+            RealCubeFunction._check(arr)
+        if low < 0.0:
             raise ValueError("distribution values must be nonnegative")
-        total = float(self.values.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution values sum to {total}, outside 1 +/- {_SUM_TOL}")
         if total != 1.0:
-            # The values are this object's own copy, so they divide in place.
-            self.values.flags.writeable = True
-            np.divide(self.values, total, out=self.values)
-            self.values.flags.writeable = False
+            np.divide(arr, total, out=arr)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        return cls(n, np.full(1 << n, 2.0**-n))
+        return cls._adopt(n, np.full(1 << n, 2.0**-n))
 
 
 def transform_digits(matrix, values, digits: int) -> np.ndarray:
@@ -135,7 +158,7 @@ def inverse_transform(coeffs) -> RealCubeFunction:
     """Evaluate f(x) = sum_S c(S) chi_S(x) on the whole cube from the dense
     vector of all 2^n coefficients."""
     values = walsh_hadamard(coeffs)
-    return RealCubeFunction(values.size.bit_length() - 1, values)
+    return RealCubeFunction._adopt(values.size.bit_length() - 1, values)
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:

@@ -340,7 +340,7 @@ def address_function(d: int) -> RealCubeFunction:
     idx = np.arange(1 << n)
     address = (idx >> cells) + 1
     bit = (idx >> (cells - address)) & 1
-    return RealCubeFunction(n, (1 - 2 * bit).astype(np.float64))
+    return RealCubeFunction._adopt(n, (1 - 2 * bit).astype(np.float64))
 
 
 def boolean_distance_to_junta(f: RealCubeFunction, k: int) -> float:

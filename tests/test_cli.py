@@ -716,6 +716,20 @@ def test_pinned_grid_records(command, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_pinned_learn_dist_records_at_benchmark_size(monkeypatch):
+    """The benchmark's n = 20, k = 3 cell beside n = 12 and k = 0, at 1 and
+    2 workers: the dense truth, sampler, rounding and TV replay at 2^20."""
+    grid = {"n": [12, 20], "k": [0, 3], "eps": [0.2], "delta": [0.1]}
+    _usable_cpus(monkeypatch, 2)
+    for workers in (1, 2):
+        records = run_experiment(ExperimentSpec("learn-dist", grid, trials=1, seed=1), threads=workers)
+        assert all(record["status"] == "ok" for record in records)
+        lines = "\n".join(json_line(record) for record in records)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "3042f3440926b8675f77f59abf98c905218b23e515ad463b65c2b84b7f9ea07f"
+        )
+
+
 def test_pinned_test_state_records_at_k0_and_k2():
     """The pinned test-state grid holds only k = 1; these are the empty
     subset (no tomography copies) and the pairs of n = 3, for both

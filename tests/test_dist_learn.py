@@ -56,6 +56,37 @@ def low_degree_value(points: np.ndarray, n: int, k: int, mask: int) -> float:
     return values[np.searchsorted(masks, mask)]
 
 
+def broadcast_reference(block, n, variables):
+    """The dense junta as one broadcast axis per variable, then copied."""
+    shape = [1] * n
+    for var in variables:
+        shape[var - 1] = 2
+    return np.broadcast_to(block.reshape(shape), (2,) * n).reshape(-1)
+
+
+def round_reference(masks, values, n, variables):
+    """The rounding's block, broadcast per variable and copied again by
+    the Distribution constructor."""
+    k = len(variables)
+    inside = masks & ~variables_to_mask(variables, n) == 0
+    local = np.zeros(np.count_nonzero(inside), dtype=np.int64)
+    for var in variables:
+        local = local << 1 | masks[inside] >> (n - var) & 1
+    block = np.zeros(1 << k)
+    block[local] = values[inside]
+    block = np.clip(walsh_hadamard(block), 0.0, None)
+    normalizer = float(2 ** (n - k) * block.sum())
+    return Distribution(n, broadcast_reference(block / normalizer, n, variables))
+
+
+# k = 0, k = n, adjacent runs, the first and the last variable.
+JUNTA_SETS = [
+    (1, ()), (1, (1,)), (5, ()), (5, (1, 2, 3, 4, 5)), (8, (1,)), (8, (8,)),
+    (12, (1, 12)), (10, (2, 4, 6, 8, 10)), (16, (7, 8, 9)), (16, (1, 2, 15, 16)),
+    (16, (3, 9, 15)),
+]
+
+
 def dense_spectrum(n, coeffs):
     """The 2^n coefficient vector with the given {mask: value} entries."""
     dense = np.zeros(1 << n)
@@ -220,6 +251,43 @@ class TestThreshold:
         masks, kept = threshold_spectrum(np.arange(16), values, tau)
         want = {m: float(v) for m, v in enumerate(values) if abs(v) > tau}
         assert dict(zip(masks.tolist(), kept.tolist())) == want
+
+
+class TestDenseBuilders:
+    """The dense 2^n arrays are bitwise equal to the per-variable broadcast
+    and constructor copies that they replace."""
+
+    @pytest.mark.parametrize("n,variables", JUNTA_SETS)
+    def test_broadcast_matches_per_variable_axes(self, n, variables):
+        block = np.random.default_rng(n).random(1 << len(variables))
+        got = dist_learn._broadcast_junta(block, n, variables)
+        assert got.tobytes() == broadcast_reference(block, n, variables).tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, block)
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (6, 0), (6, 6), (12, 3), (16, 4)])
+    def test_random_junta_distribution_matches_copying_path(self, n, k):
+        for seed in range(3):
+            got, variables = random_junta_distribution(n, k, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            want_variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
+            block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
+            dense = broadcast_reference(block, n, want_variables)
+            assert variables == want_variables
+            assert got.values.tobytes() == Distribution(n, dense / dense.sum()).values.tobytes()
+
+    @pytest.mark.parametrize("n,variables", JUNTA_SETS)
+    def test_round_to_distribution_matches_copying_path(self, n, variables):
+        rng = np.random.default_rng(len(variables) + n)
+        masks = low_degree_masks(n, min(n, 3))
+        for noise in (0.0, 0.05, 0.5):
+            truth = random_junta_distribution(n, len(variables), rng)[0]
+            relative = fourier_transform(truth)[masks] * float(1 << n)
+            relative += noise * rng.standard_normal(masks.size)
+            relative[0] = 1.0
+            got = dist_learn.round_to_distribution(masks, relative, n, variables)
+            want = round_reference(masks, relative, n, variables)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestJuntaLearner:
@@ -398,6 +466,20 @@ class TestSampleSetValidation:
         uniforms = np.random.default_rng([7, 0]).random(500)
         want = [min(int(np.searchsorted(cumulative, u, side="right")), 255) for u in uniforms]
         assert SimulatedSampler(truth, seed=7).draw(500).tolist() == want
+
+    def test_sampler_matches_unsorted_search_per_call(self):
+        """Call i equals the search of call i's (seed, i) uniforms in draw
+        order, also where zero-probability points leave the cumulative flat."""
+        values = np.zeros(64)
+        values[[3, 4, 40, 63]] = [0.1, 0.4, 0.25, 0.25]
+        for truth in (Distribution(6, values), random_junta_distribution(10, 3, np.random.default_rng(8))[0]):
+            sampler = SimulatedSampler(truth, seed=11)
+            for call, count in enumerate((1, 1000, 4097)):
+                uniforms = np.random.default_rng([11, call]).random(count)
+                want = np.minimum(
+                    np.searchsorted(np.cumsum(truth.values), uniforms, side="right"), 2**truth.n - 1
+                )
+                assert np.array_equal(sampler.draw(count), want)
 
     def test_sampler_deterministic_replay(self):
         truth, _ = random_junta_distribution(5, 2, np.random.default_rng(3))

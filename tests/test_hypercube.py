@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,57 @@ class TestDistribution:
         assert values.tobytes() == kept.tobytes()
         with pytest.raises(ValueError):
             p.values[0] = 0.0
+
+    def test_constructor_copies_and_leaves_the_input_writeable(self):
+        values = np.full(8, 0.125)
+        values[3] += 1e-13
+        kept = values.copy()
+        for cls in (RealCubeFunction, Distribution):
+            f = cls(3, values)
+            assert f.values is not values and not f.values.flags.writeable
+            assert values.flags.writeable and values.tobytes() == kept.tobytes()
+
+    def test_adopt_keeps_the_array_renormalized_and_read_only(self):
+        values = np.full(8, 0.125)
+        values[3] += 1e-13
+        want = values / values.sum()
+        p = Distribution._adopt(3, values)
+        assert p.values is values
+        assert not values.flags.writeable
+        assert values.tobytes() == want.tobytes()
+        f = RealCubeFunction._adopt(3, np.arange(8.0))
+        assert not f.values.flags.writeable and f.values.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("values,message", [
+        ([np.nan, 1.0], "function values must be finite"),
+        ([np.nan, -1.0], "function values must be finite"),
+        ([np.inf, 0.0], "function values must be finite"),
+        ([-np.inf, 1.0], "function values must be finite"),
+        ([np.inf, -np.inf], "function values must be finite"),
+        ([1.5, -0.5], "distribution values must be nonnegative"),
+        ([-1e308, -1e308], "distribution values must be nonnegative"),
+        ([0.5, 0.5 + 2e-12], "distribution values sum to 1.000000000002, outside 1 +/- 1e-12"),
+        ([0.25, 0.25], "distribution values sum to 0.5, outside 1 +/- 1e-12"),
+        ([1e308, 1e308], "distribution values sum to inf, outside 1 +/- 1e-12"),
+    ])
+    def test_rejections_on_both_paths(self, values, message):
+        """The constructor and ``_adopt`` reject the same inputs with the
+        same messages, and a rejected array is left as it was."""
+        finite = message.startswith("function")
+        for cls in (Distribution, RealCubeFunction) if finite else (Distribution,):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cls(1, values)
+            arr = np.array(values)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cls._adopt(1, arr)
+            assert arr.flags.writeable
+            assert arr.tobytes() == np.array(values).tobytes()
+
+    def test_adopt_checks_the_shape(self):
+        with pytest.raises(ValueError, match=re.escape("expected 4 values for n=2, got shape (3,)")):
+            Distribution._adopt(2, np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="variable count"):
+            RealCubeFunction._adopt(0, np.ones(1))
 
     def test_empty_coefficient_is_two_to_minus_n(self):
         rng = np.random.default_rng(19)
