@@ -195,7 +195,6 @@ class DistLearnResult:
     distribution: Distribution
     sample_count: int
     surviving_masks: np.ndarray
-    surviving_values: np.ndarray
     junta_variables: tuple[int, ...]
 
 
@@ -225,7 +224,6 @@ def learn_junta_from_spectrum(
         distribution=round_to_distribution(masks, relative, n, variables),
         sample_count=sample_count,
         surviving_masks=masks,
-        surviving_values=relative / scale,
         junta_variables=variables,
     )
 

@@ -204,11 +204,6 @@ def degree(coeffs) -> int:
     return int(np.bitwise_count(np.flatnonzero(coeffs)).max(initial=0))
 
 
-def save_distribution(dist: Distribution, path) -> None:
-    payload = {"n": dist.n, "values": [float(v) for v in dist.values]}
-    Path(path).write_text(json.dumps(payload))
-
-
 def require_fields(payload, fields, source, integers=()) -> dict:
     """``payload`` if it is a JSON object holding every one of ``fields``,
     each of ``integers`` among them an integer; otherwise a ValueError that
@@ -225,15 +220,29 @@ def require_fields(payload, fields, source, integers=()) -> dict:
     return payload
 
 
+def number_array(value, source, name: str) -> np.ndarray:
+    """The field ``name`` of ``source``, a list or rectangular nest of lists of JSON numbers, as
+    float64; strings, booleans, null and objects get a ValueError naming the file and the field."""
+    if type(value) is not list:
+        raise ValueError(f"{source}: field {name!r} must be a list of numbers")
+    # A nest that is not rectangular leaves lists among the object array's entries.
+    entries = np.array(value, dtype=object)
+    for entry in entries.flat:
+        if type(entry) is list:
+            raise ValueError(f"{source}: field {name!r} must be a rectangular list of numbers")
+        if type(entry) is not int and type(entry) is not float:
+            raise ValueError(f"{source}: field {name!r} must hold numbers only, got {json.dumps(entry)}")
+    return entries.astype(np.float64)
+
+
 def load_distribution(path) -> Distribution:
     """The distribution of a JSON file ``{"n", "values"}``; the header ``n``
     is checked against the cap, then against the length of the body."""
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path, ("n",))
-    n, values = payload["n"], payload["values"]
+    n = payload["n"]
     if not 1 <= n <= MAX_VARS:
         raise ValueError(f"{path}: field 'n' must be in [1, {MAX_VARS}], got {n}")
-    if not isinstance(values, list):
-        raise ValueError(f"{path}: field 'values' must be a list of numbers")
+    values = number_array(payload["values"], path, "values")
     if len(values) != 1 << n:
         raise ValueError(f"{path}: header n={n} needs {1 << n} values, body has {len(values)}")
     return Distribution(n, values)

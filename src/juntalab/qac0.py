@@ -395,28 +395,6 @@ def random_circuit(n: int, a: int, depth: int, rng: np.random.Generator) -> Qac0
     return Qac0Circuit(n, a, tuple(layers))
 
 
-def _gate_to_json(gate: Gate) -> dict:
-    if isinstance(gate, SingleQubitGate):
-        return {
-            "type": "u1",
-            "q": gate.qubit,
-            "re": gate.matrix.real.tolist(),
-            "im": gate.matrix.imag.tolist(),
-        }
-    return {"type": "toffoli", "controls": list(gate.controls), "target": gate.target}
-
-
-def save_circuit(circuit: Qac0Circuit, path) -> None:
-    sigma = circuit.sigma.entries
-    payload = {
-        "n": circuit.n,
-        "a": circuit.a,
-        "layers": [[_gate_to_json(g) for g in layer] for layer in circuit.layers],
-        "sigma": {"n": circuit.sigma.n, "re": sigma.real.tolist(), "im": sigma.imag.tolist()},
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
 # gate type -> (required fields, integer fields among them)
 _GATE_FIELDS = {"u1": (("q", "re", "im"), ("q",)), "toffoli": (("controls", "target"), ("target",))}
 

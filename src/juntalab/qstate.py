@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .hypercube import require_fields, transform_digits
+from .hypercube import number_array, require_fields, transform_digits
 
 MAX_STATE_QUBITS = 12
 MAX_PROXY_QUBITS = 8
@@ -83,11 +82,6 @@ class DensityMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        dim = 1 << n
-        return cls(np.eye(dim) / dim)
 
     @classmethod
     def from_diagonal(cls, diagonal) -> "DensityMatrix":
@@ -237,17 +231,11 @@ def proxy_distance(rho, k: int) -> tuple[tuple[int, ...], float]:
         raise ValueError(f"proxy distance capped at {MAX_PROXY_QUBITS} qubits")
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    best_set: tuple[int, ...] | None = None
-    best = math.inf
-    for subset in itertools.combinations(range(1, n + 1), k):
-        reduced = partial_trace(mat, subset)
-        candidate = embed_on(reduced, subset, n)
-        dist = trace_distance(mat, candidate)
-        if dist < best:
-            best = dist
-            best_set = subset
-    assert best_set is not None
-    return best_set, best
+    distances = (
+        (subset, trace_distance(mat, embed_on(partial_trace(mat, subset), subset, n)))
+        for subset in itertools.combinations(range(1, n + 1), k)
+    )
+    return min(distances, key=lambda pair: pair[1])
 
 
 def rho_eps(eps: float) -> DensityMatrix:
@@ -285,13 +273,7 @@ def complex_matrix(payload, source) -> np.ndarray:
     ValueError naming ``source`` unless both are 2-D lists of numbers of one
     shape."""
     require_fields(payload, ("re", "im"), source)
-    parts = []
-    for name in ("re", "im"):
-        try:
-            parts.append(np.array(payload[name], dtype=np.float64))
-        except (TypeError, ValueError):
-            raise ValueError(f"{source}: field {name!r} must be a rectangular list of numbers") from None
-    re, im = parts
+    re, im = (number_array(payload[name], source, name) for name in ("re", "im"))
     if re.ndim != 2 or re.shape != im.shape:
         raise ValueError(
             f"{source}: fields 're' and 'im' must be 2-D lists of one shape, got {re.shape} and {im.shape}"

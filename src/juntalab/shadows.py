@@ -49,14 +49,12 @@ MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
 
 
-class InvalidStateError(ValueError):
-    """An outcome probability fell below the PSD tolerance."""
-
-
 def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
     """Qubit count and flat Pauli tensor of a state that may be measured."""
     mat = as_matrix(rho)
     n = _qubit_count(mat.shape[0])
+    if n < 1:
+        raise ValueError("measurement needs a state of at least 1 qubit, got 0")
     if n > MAX_MEASURE_QUBITS:
         raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
     return n, pauli_tensor(mat).reshape(-1)
@@ -80,7 +78,7 @@ def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     probs = walsh_hadamard(coeffs[index])
     low = float(probs.min())
     if low < -1e-9:
-        raise InvalidStateError(f"negative outcome probability {low:.3e}")
+        raise ValueError(f"negative outcome probability {low:.3e}")
     np.maximum(probs, 0.0, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs

@@ -1,4 +1,5 @@
-"""Packed Pauli words for test oracles: text, codes I=0 X=1 Y=2 Z=3, support, matrices."""
+"""Packed Pauli words for test oracles: text, codes I=0 X=1 Y=2 Z=3, support, matrices;
+and the circuit truth-file object that test fixtures write."""
 
 import numpy as np
 
@@ -23,3 +24,16 @@ def matrix(n: int, packed: int) -> np.ndarray:
     for code in codes(n, packed):
         out = np.kron(out, MATRICES[code])
     return out
+
+
+def circuit_json(circuit) -> dict:
+    """The JSON object of a circuit file, as ``qac0.load_circuit`` reads it."""
+
+    def gate(g) -> dict:
+        if hasattr(g, "matrix"):
+            return {"type": "u1", "q": g.qubit, "re": g.matrix.real.tolist(), "im": g.matrix.imag.tolist()}
+        return {"type": "toffoli", "controls": list(g.controls), "target": g.target}
+
+    sigma = circuit.sigma.entries
+    return {"n": circuit.n, "a": circuit.a, "layers": [[gate(g) for g in layer] for layer in circuit.layers],
+            "sigma": {"n": circuit.sigma.n, "re": sigma.real.tolist(), "im": sigma.imag.tolist()}}

@@ -22,8 +22,8 @@ from juntalab.cli import (
     main,
     run_experiment,
 )
-from juntalab.hypercube import save_distribution
 from juntalab.qstate import save_state
+import paulis
 
 
 @pytest.fixture
@@ -249,7 +249,7 @@ class TestCommands:
     def test_learn_dist_command(self, tmp_path, capsys):
         truth, _ = dist_learn.random_junta_distribution(6, 2, np.random.default_rng(1))
         truth_path = tmp_path / "p.json"
-        save_distribution(truth, truth_path)
+        truth_path.write_text(json.dumps({"n": truth.n, "values": truth.values.tolist()}))
         before = truth_path.read_bytes()
         rc = main(
             [
@@ -306,7 +306,7 @@ class TestCommands:
         rng = np.random.default_rng(4)
         circuit = qac0.random_circuit(2, 1, 2, rng)
         circuit_path = tmp_path / "circuit.json"
-        qac0.save_circuit(circuit, circuit_path)
+        circuit_path.write_text(json.dumps(paulis.circuit_json(circuit)))
 
         rc = main(["qac0", "choi", "--circuit", str(circuit_path),
                    "--out", str(tmp_path / "choi.json")])
@@ -446,13 +446,15 @@ def save_planted_instance(command, params, seed, path):
     """Write the instance the grid runner plants for (params, seed)."""
     rng = np.random.default_rng([seed, 0])
     if command == "learn-dist":
-        save_distribution(dist_learn.random_junta_distribution(params["n"], params["k"], rng)[0], path)
+        truth = dist_learn.random_junta_distribution(params["n"], params["k"], rng)[0]
+        path.write_text(json.dumps({"n": truth.n, "values": truth.values.tolist()}))
     elif command in ("learn-state", "test-state"):
         save_state(_planted_junta_state(params["n"], params["k"], rng)[0], path)
     elif command == "shadows-bench":
         save_state(qstate.random_density_matrix(params["n"], rng), path)
     else:
-        qac0.save_circuit(qac0.random_circuit(params["n"], params["a"], params["depth"], rng), path)
+        circuit = qac0.random_circuit(params["n"], params["a"], params["depth"], rng)
+        path.write_text(json.dumps(paulis.circuit_json(circuit)))
 
 
 @pytest.mark.parametrize("command,params,argv", ONE_PATH_CASES, ids=[c[0] for c in ONE_PATH_CASES])
@@ -561,9 +563,7 @@ class TestLoadersNameMissingFields:
     ])
     def test_circuit_integer_fields(self, gate, field, value, tmp_path, capsys):
         layer = (qac0.SingleQubitGate(1, np.eye(2)), qac0.ToffoliGate((2, 3), 4))
-        path = tmp_path / "full.json"
-        qac0.save_circuit(qac0.Qac0Circuit(2, 1, (layer,)), path)
-        payload = json.loads(path.read_text())
+        payload = paulis.circuit_json(qac0.Qac0Circuit(2, 1, (layer,)))
         (payload if gate is None else payload["layers"][0][gate])[field] = value
         err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
                           "circuit.json", json.dumps(payload))
@@ -575,9 +575,7 @@ class TestLoadersNameMissingFields:
     @pytest.mark.parametrize("layers", [5, [5]])
     def test_circuit_layers_type(self, layers, tmp_path, capsys):
         circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))
-        path = tmp_path / "full.json"
-        qac0.save_circuit(circuit, path)
-        payload = json.loads(path.read_text())
+        payload = paulis.circuit_json(circuit)
         payload["layers"] = layers
         err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
                           "circuit.json", json.dumps(payload))
@@ -585,9 +583,7 @@ class TestLoadersNameMissingFields:
 
     def test_circuit(self, tmp_path, capsys):
         circuit = qac0.random_circuit(2, 1, 1, np.random.default_rng(0))
-        path = tmp_path / "full.json"
-        qac0.save_circuit(circuit, path)
-        payload = json.loads(path.read_text())
+        payload = paulis.circuit_json(circuit)
         del payload["layers"][0][0]["type"]
         err = self.run_on(tmp_path, capsys, ["qac0", "analyze", "--circuit"],
                           "circuit.json", json.dumps(payload))
@@ -606,8 +602,7 @@ class TestLoadersNameMissingFields:
             argv = ["learn-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"]
             return argv, "state.json", payload, payload, tmp_path / "state.json"
         layer = (qac0.SingleQubitGate(1, np.eye(2)), qac0.ToffoliGate((2, 3), 4))
-        qac0.save_circuit(qac0.Qac0Circuit(2, 1, (layer,)), tmp_path / "full.json")
-        payload = json.loads((tmp_path / "full.json").read_text())
+        payload = paulis.circuit_json(qac0.Qac0Circuit(2, 1, (layer,)))
         source = tmp_path / "circuit.json"
         if target == "sigma":
             holder, source = payload["sigma"], f"{source} sigma"
@@ -637,6 +632,50 @@ class TestLoadersNameMissingFields:
         holder["re"][0][1] = float("nan")
         err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
         assert "non-finite entry" in err
+
+    @pytest.mark.parametrize("bad", ["0.25", True, None, {}], ids=["string", "boolean", "null", "object"])
+    def test_distribution_values_must_be_numbers(self, bad, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "dist.json", json.dumps({"n": 2, "values": [0.25, 0.25, 0.25, bad]}))
+        got = json.dumps(bad)
+        assert err == f"error: {tmp_path / 'dist.json'}: field 'values' must hold numbers only, got {got}\n"
+
+    @pytest.mark.parametrize("bad", ["0", False, None, {}], ids=["string", "boolean", "null", "object"])
+    @pytest.mark.parametrize("target", ["state", "sigma", "gate"])
+    def test_state_and_circuit_entries_must_be_numbers(self, target, bad, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case(target, tmp_path)
+        holder["im"][0][1] = bad
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert err == f"error: {source}: field 'im' must hold numbers only, got {json.dumps(bad)}\n"
+
+
+ZERO_QUBIT_COMMANDS = {
+    "learn-state": ["learn-state", "--k", "0", "--eps", "0.3", "--delta", "0.1", "--truth"],
+    "test-state": ["test-state", "--k", "0", "--eps", "0.3", "--delta", "0.1", "--truth"],
+    "shadows-bench": ["shadows", "bench", "--n", "0", "--T", "100", "--truth"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_QUBIT_COMMANDS.values(), ids=ZERO_QUBIT_COMMANDS)
+def test_zero_qubit_truth_is_refused(argv, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": 0, "re": [[1]], "im": [[0]]}))
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: measurement needs a state of at least 1 qubit, got 0\n"
+
+
+@pytest.mark.parametrize("command, params", [
+    ("learn-state", {"n": 0, "k": 0, "eps": 0.3, "delta": 0.1}),
+    ("test-state", {"n": 0, "k": 0, "eps": 0.3, "delta": 0.1}),
+    ("shadows-bench", {"n": 0, "T": 100}),
+], ids=["learn-state", "test-state", "shadows-bench"])
+def test_zero_qubit_planted_cell_is_refused(command, params):
+    with pytest.raises(ValueError, match="^measurement needs a state of at least 1 qubit, got 0$"):
+        CELL_RUNNERS[command](params, 1)
+
 
 # Metrics of one cell per runner, as json.dumps(metrics, sort_keys=True)
 # printed before spectra became index and value arrays; a change to any

@@ -39,7 +39,6 @@ from juntalab.qac0 import (
     random_circuit,
     remove_long_toffolis,
     removal_pauli_mass_shift,
-    save_circuit,
 )
 import paulis
 
@@ -229,7 +228,7 @@ class TestChoiStateWithAncilla:
     def test_maximally_mixed_sigma_trivial_circuit(self):
         # no gates: the output register carries sigma's output marginal and
         # the references stay maximally mixed
-        sigma = DensityMatrix.maximally_mixed(1)
+        sigma = DensityMatrix(np.eye(2) / 2)
         circuit = Qac0Circuit(2, 0, (), sigma)
         choi = choi_state_with_ancilla(circuit)
         reduced_out = partial_trace(choi, (1,))
@@ -239,7 +238,7 @@ class TestChoiStateWithAncilla:
 
     def test_sigma_dimension_checked(self):
         with pytest.raises(ValueError, match="sigma must live on the ancilla"):
-            Qac0Circuit(1, 0, (), DensityMatrix.maximally_mixed(2))
+            Qac0Circuit(1, 0, (), DensityMatrix(np.eye(4) / 4))
 
 
 class TestBooleanChoi:
@@ -387,7 +386,7 @@ class TestConcentrationSearch:
         assert residual <= 1e-12
 
     def test_maximally_mixed_lexicographic(self):
-        subset, residual = concentration_search(DensityMatrix.maximally_mixed(3), 1)
+        subset, residual = concentration_search(DensityMatrix(np.eye(8) / 8), 1)
         assert subset == (1,)
         assert residual == 0.0
 
@@ -510,24 +509,26 @@ class TestCircuitJson:
         sigma = random_density_matrix(2, rng)
         circuit = replace(random_circuit(2, 1, 2, rng), sigma=sigma)
         path = tmp_path / "circuit.json"
-        save_circuit(circuit, path)
+        path.write_text(json.dumps(paulis.circuit_json(circuit)))
         back = load_circuit(path)
         assert np.max(np.abs(circuit_unitary(back) - circuit_unitary(circuit))) <= 1e-12
         assert np.max(np.abs(back.sigma.entries - circuit.sigma.entries)) <= 1e-15
         assert back.n == circuit.n and back.a == circuit.a
 
     def test_format(self, tmp_path):
-        circuit = Qac0Circuit(
-            1, 0, ((ToffoliGate((1,), 2),), (SingleQubitGate(1, np.eye(2)),))
-        )
         path = tmp_path / "circuit.json"
-        save_circuit(circuit, path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"n", "a", "layers", "sigma"}
-        toffoli = payload["layers"][0][0]
-        assert toffoli == {"type": "toffoli", "controls": [1], "target": 2}
-        single = payload["layers"][1][0]
-        assert set(single) == {"type", "q", "re", "im"}
+        path.write_text(json.dumps({
+            "n": 1, "a": 0,
+            "layers": [[{"type": "toffoli", "controls": [1], "target": 2}],
+                       [{"type": "u1", "q": 1, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}]],
+            "sigma": {"n": 1, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        }))
+        circuit = load_circuit(path)
+        assert (circuit.n, circuit.a, circuit.depth, circuit.size) == (1, 0, 2, 1)
+        toffoli, single = circuit.layers[0][0], circuit.layers[1][0]
+        assert (toffoli.controls, toffoli.target) == ((1,), 2)
+        assert single.qubit == 1 and np.array_equal(single.matrix, [[0, 1], [1, 0]])
+        assert np.array_equal(circuit.sigma.entries, [[1, 0], [0, 0]])
 
 
 class TestRandomCircuit:

@@ -102,7 +102,7 @@ class TestPauliMatrix:
 
 class TestPauliExpansion:
     def test_maximally_mixed(self):
-        spec = pauli_tensor(DensityMatrix.maximally_mixed(3)).reshape(-1)
+        spec = pauli_tensor(DensityMatrix(np.eye(8) / 8)).reshape(-1)
         assert np.count_nonzero(spec) == 1
         assert spec[0] == 2.0**-3
 
@@ -207,7 +207,7 @@ class TestDistances:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            trace_distance(DensityMatrix.maximally_mixed(1), DensityMatrix.maximally_mixed(2))
+            trace_distance(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(4) / 4))
 
 
 class TestPartialTrace:
@@ -285,7 +285,7 @@ class TestProxyDistance:
         assert value <= 1e-10
 
     def test_maximally_mixed_ties_lexicographic(self):
-        subset, value = proxy_distance(DensityMatrix.maximally_mixed(3), 1)
+        subset, value = proxy_distance(DensityMatrix(np.eye(8) / 8), 1)
         assert subset == (1,)
         assert value <= 1e-12
 
@@ -388,7 +388,7 @@ class TestStateJson:
 
     def test_format_keys(self, tmp_path):
         path = tmp_path / "state.json"
-        save_state(DensityMatrix.maximally_mixed(1), path)
+        save_state(DensityMatrix(np.eye(2) / 2), path)
         payload = json.loads(path.read_text())
         assert set(payload) == {"n", "re", "im"}
 

@@ -18,7 +18,6 @@ from juntalab.qstate import (
 )
 from juntalab.shadows import (
     CHUNK,
-    InvalidStateError,
     _born_rows,
     _group_blocks,
     collect_chunks,
@@ -201,12 +200,12 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("count", [1, 4, 6])
     def test_rejects_uniforms_not_one_per_row(self, count):
-        coeffs = pauli_tensor(DensityMatrix.maximally_mixed(2)).reshape(-1)
+        coeffs = pauli_tensor(DensityMatrix(np.eye(4) / 4)).reshape(-1)
         with pytest.raises(ValueError, match="one uniform per row"):
             sample_outcomes(coeffs, np.ones((5, 2), dtype=np.uint8), np.full(count, 0.5))
 
     def test_rejects_codes_not_2d(self):
-        coeffs = pauli_tensor(DensityMatrix.maximally_mixed(2)).reshape(-1)
+        coeffs = pauli_tensor(DensityMatrix(np.eye(4) / 4)).reshape(-1)
         with pytest.raises(ValueError, match="2-D"):
             sample_outcomes(coeffs, np.ones(2, dtype=np.uint8), np.full(2, 0.5))
 
@@ -215,13 +214,13 @@ class TestInvalidState:
     def test_negative_diagonal_rejected(self):
         bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
         rows = np.full((1, 1), 3, dtype=np.uint8)  # Z
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="negative outcome probability"):
             sample_outcomes(pauli_tensor(bad).reshape(-1), rows, np.full(1, 0.5))
 
 
 class TestCollectShadows:
     def test_rejects_zero_samples(self):
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             collect_shadows(rho, 0, seed=1)
 
@@ -258,7 +257,7 @@ class TestCollectShadows:
         assert all(pieces == -(-rows // CHUNK) for rows, pieces in calls)
 
     def test_basis_marginals_uniform(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(4) / 4)
         codes, _ = collect_shadows(rho, 100_000, seed=7)
         T = len(codes)
         for qubit in range(2):
@@ -334,7 +333,7 @@ class TestEstimators:
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
-        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
         for bad in (0, 4):
             bad_codes = codes.copy()
             bad_codes[3, 1] = bad
@@ -342,7 +341,7 @@ class TestEstimators:
                 estimates_for_supports(bad_codes, outs, 2, [(0, 1)])
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
-        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
         for bad in (0, 2):
             bad_outs = outs.copy()
             bad_outs[5, 0] = bad
@@ -351,12 +350,12 @@ class TestEstimators:
 
     @pytest.mark.parametrize("block", [(1, 1), (0, 2), (-1,)])
     def test_rejects_repeated_or_out_of_range_block_columns(self, block):
-        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
         with pytest.raises(ValueError, match="distinct columns in 0..1"):
             estimates_for_supports(codes, outs, 2, [(0,), block])
 
     def test_rejects_outcomes_of_another_shape(self):
-        codes, outs = collect_shadows(DensityMatrix.maximally_mixed(2), 20, seed=1)
+        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
         for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
                                     (codes[:, :1], outs[:, :1]), (codes[0], outs[0])]:
             shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
@@ -366,7 +365,7 @@ class TestEstimators:
             estimates_for_supports(codes[:0], outs[:0], 2, [(0, 1)])
 
     def test_lowdeg_k_zero(self):
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = DensityMatrix(np.eye(8) / 8)
         words, values = estimate_lowdeg(*collect_shadows(rho, 10, seed=2), 0)
         assert words.tolist() == [0]
         assert values.tolist() == [2.0**-3]

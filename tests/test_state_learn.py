@@ -165,7 +165,7 @@ class TestSampleCount:
 
 class TestLearnJuntaState:
     def test_maximally_mixed_exact(self):
-        truth = DensityMatrix.maximally_mixed(3)
+        truth = DensityMatrix(np.eye(8) / 8)
         access = SimulatedStateAccess(truth, seed=1)
         result = learn_junta_state(access, 1, 0.3, 0.1, basis_seed=2)
         assert np.array_equal(result.matrix, truth.entries)
@@ -199,7 +199,7 @@ class TestLearnJuntaState:
 
 class TestSimulatedAccess:
     def test_copy_counter(self):
-        truth = DensityMatrix.maximally_mixed(2)
+        truth = DensityMatrix(np.eye(4) / 4)
         access = SimulatedStateAccess(truth, seed=0)
         access.measure_chunk(np.array([[1, 3]], dtype=np.uint8))
         access.measure_chunk(np.array([[1, 2], [3, 3]], dtype=np.uint8))
@@ -314,7 +314,7 @@ class TestLearnQac0Choi:
         access = SimulatedStateAccess(truth, seed=8)
         result = learn_qac0_choi(access, 1, 1, 0, 3.9, 0.1, basis_seed=9)
         assert result.junta_arity == 0
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix(np.eye(4) / 4)
         assert np.array_equal(result.matrix, mixed.entries)
         merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
         exact = 2 ** circuit.n * frobenius_distance(truth, mixed) ** 2

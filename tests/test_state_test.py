@@ -37,7 +37,7 @@ def pure_basis_state(n: int, index: int = 0) -> DensityMatrix:
 
 class TestLocalTomography:
     def test_empty_subset_is_scalar(self):
-        access = SimulatedStateAccess(DensityMatrix.maximally_mixed(2), seed=0)
+        access = SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=0)
         reduced = local_tomography(access, (), 0.1, 0.1)
         assert reduced.entries.shape == (1, 1)
         assert access.copies_used == 0
@@ -50,10 +50,10 @@ class TestLocalTomography:
             assert trace_distance(reduced, DensityMatrix.pure([1, 0])) <= 0.1
 
     def test_maximally_mixed_hidden_state(self):
-        truth = DensityMatrix.maximally_mixed(3)
+        truth = DensityMatrix(np.eye(8) / 8)
         access = SimulatedStateAccess(truth, seed=5)
         reduced = local_tomography(access, (2,), 0.15, 0.1, basis_seed=3)
-        assert trace_distance(reduced, DensityMatrix.maximally_mixed(1)) <= 0.15
+        assert trace_distance(reduced, DensityMatrix(np.eye(2) / 2)) <= 0.15
 
     def test_budget_formula(self):
         accuracy = tomography_coefficient_accuracy(1, 0.1) / 2 ** (4 - 1)
@@ -62,7 +62,7 @@ class TestLocalTomography:
         )
 
     def test_subset_cap(self):
-        access = SimulatedStateAccess(DensityMatrix.maximally_mixed(6), seed=0)
+        access = SimulatedStateAccess(DensityMatrix(np.eye(64) / 64), seed=0)
         with pytest.raises(ValueError):
             local_tomography(access, (1, 2, 3, 4, 5), 0.1, 0.1)
 
@@ -72,7 +72,7 @@ class TestOracleCertifier:
 
     def test_thresholds(self):
         # k = 0: the one candidate is the maximally mixed state, at no copies
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix(np.eye(4) / 4)
         access = SimulatedStateAccess(mixed, seed=0)
         (close,) = run_junta_test(access, 0, 0.1, 0.1, oracle=mixed)["transcript"]
         assert close["verdict"] == CLOSE
@@ -109,14 +109,14 @@ class TestFrobeniusCertifier:
         eps = 0.3
         delta = np.array([1, 1, 1, 1, -1, -1, -1, -1]) * (2 * eps / 8)
         truth = DensityMatrix.from_diagonal(np.full(8, 1 / 8) + delta)
-        reference = DensityMatrix.maximally_mixed(3)
+        reference = DensityMatrix(np.eye(8) / 8)
         assert trace_distance(truth, reference) == pytest.approx(2 * eps, abs=1e-12)
         for seed in (0, 1, 2):
             access = SimulatedStateAccess(truth, seed=seed)
             assert frobenius_bound(access, reference, eps, 0.1, seed=seed)[0] > 1.5 * eps
 
     def test_refuses_large_n(self):
-        truth = DensityMatrix.maximally_mixed(7)
+        truth = DensityMatrix(np.eye(128) / 128)
         access = SimulatedStateAccess(truth, seed=0)
         with pytest.raises(ValueError, match="supply an oracle"):
             frobenius_bound(access, truth, 0.3, 0.1)
@@ -142,7 +142,7 @@ class TestTestJunta:
         assert all(r["verdict"] == FAR for r in result["transcript"])
 
     def test_k_zero_accepts_maximally_mixed(self):
-        truth = DensityMatrix.maximally_mixed(3)
+        truth = DensityMatrix(np.eye(8) / 8)
         access = SimulatedStateAccess(truth, seed=9)
         result = run_junta_test(access, 0, 0.2, 0.1, oracle=truth, seed=1)
         assert result["decision"] == JUNTA_CLOSE
@@ -207,7 +207,7 @@ class TestTestJunta:
         assert runs[0] == runs[1]
 
     def test_qubit_cap(self):
-        truth = DensityMatrix.maximally_mixed(7)
+        truth = DensityMatrix(np.eye(128) / 128)
         access = SimulatedStateAccess(truth, seed=0)
         with pytest.raises(ValueError):
             run_junta_test(access, 1, 0.1, 0.1, oracle=truth)
