@@ -13,16 +13,11 @@ Coefficients are handled internally at the scale ``q = 2^n p`` (the density
 relative to uniform) so nothing underflows at large n; the public API speaks
 the mean-of-characters convention, i.e. q / 2^n.
 
-Estimating all low-degree coefficients at once never touches 2^n bins: the
-bit positions are cut into contiguous groups, every |S| <= k lies in a block
-of min(k, #groups) groups, and each block's b bits of the samples are
-histogrammed into 2^b bins and Walsh-transformed. The sums are integers, so
-they reproduce the per-subset empirical means exactly, bit for bit equal to
-one transform over the full 2^n histogram. Samples are a 1-D int64 array of
-point masks, and a low-degree spectrum is a pair of arrays: ascending subset
-masks and their values. The learners take their parameters (k, eps, delta, c)
-as arguments and check them where they are used. The group width comes from
-``hypercube.group_width``, the search that the shadow estimator shares.
+Estimating all low-degree coefficients never touches 2^n bins: the sums are
+the exact ``hypercube.block_totals`` of the samples' bits. Samples are a 1-D
+int64 array of point masks, and a low-degree spectrum is a pair of arrays:
+ascending subset masks and their values. The learners take their parameters
+(k, eps, delta, c) as arguments and check them where they are used.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .hypercube import Distribution, group_width, low_degree_masks, variables_to_mask, walsh_hadamard
+from .hypercube import Distribution, block_totals, variables_to_mask, walsh_hadamard
 
 DEFAULT_C = 8.0
 
@@ -84,37 +79,17 @@ def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.
     """Coefficients of the density relative to uniform, q = 2^n p, for every
     |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
 
-    The n bit positions are cut into contiguous groups; a block is the union
-    of min(k, #groups) groups, so every |S| <= k lies inside some block. Each
-    block packs its groups' bits of every point into a b-bit key, histograms
-    the keys into 2^b bins and Walsh-transforms them; entry S of that
-    transform is the sum over the samples of chi_S. The sums are integers, so
-    they are exact and equal to those of one transform over the 2^n
-    histogram. With a single group the key is the point itself.
-    This is the internal working scale -- it keeps magnitudes O(1) at any n."""
+    The sums of chi_S are the block totals of the points' bits under the 2 x 2
+    Hadamard matrix, in float64 for BLAS speed. This is the internal working
+    scale -- it keeps magnitudes O(1) at any n."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     if points.ndim != 1 or points.size == 0:
         raise ValueError(f"need a nonempty 1-D array of sample points, got shape {points.shape}")
     if points.min() < 0 or points.max() >= 1 << n:
         raise ValueError(f"sample points must lie in [0, 2^{n}), got {points.min()}..{points.max()}")
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    masks = low_degree_masks(n, k)
-    g = group_width(n, k, points.size, 2)
-    # (lowest bit, width) of each group, most significant group first.
-    groups = [(max(top - g, 0), min(top, g)) for top in range(n, 0, -g)]
-    codes = [points >> low & (1 << width) - 1 for low, width in groups]
-    totals = np.empty(masks.size)
-    for block in itertools.combinations(range(len(groups)), min(k, len(groups))):
-        key, packed, bits, b = np.zeros_like(points), np.zeros_like(masks), 0, 0
-        for j in block:
-            low, width = groups[j]
-            key = key << width | codes[j]
-            packed = packed << width | masks >> low & (1 << width) - 1
-            bits |= (1 << width) - 1 << low
-            b += width
-        inside = masks & ~bits == 0
-        totals[inside] = walsh_hadamard(np.bincount(key, minlength=1 << b))[packed[inside]]
+    masks, totals = block_totals(
+        [[1.0, 1.0], [1.0, -1.0]], lambda cols: points >> (n - cols.stop) & (1 << len(cols)) - 1, points.size, n, k
+    )
     return masks, totals / points.size
 
 

@@ -23,8 +23,10 @@ them in place, with no copy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from pathlib import Path
 import numpy as np
 
@@ -128,6 +130,7 @@ def transform_digits(matrix, values, digits: int) -> np.ndarray:
     matrix = np.asarray(matrix)
     r, c = matrix.shape
     flat = np.asarray(values).reshape(-1)
+    del values  # so that an input no caller keeps is freed after the first product
     lead = flat.size // c**digits
     for _ in range(digits):
         flat = matrix @ flat.reshape(-1, c).T
@@ -169,14 +172,6 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
-def low_degree_masks(n: int, k: int) -> np.ndarray:
-    """The masks of every subset of [n] with at most k elements, ascending."""
-    masks = np.zeros(1, dtype=np.int64)
-    for bit in range(n):
-        masks = np.concatenate([masks, masks[np.bitwise_count(masks) < k] | 1 << bit])
-    return np.sort(masks)
-
-
 # The interpreter work of one histogram block in element operations: a block's
 # NumPy calls take some tens of microseconds, an element operation a few ns.
 BLOCK_COST = 1 << 14
@@ -196,6 +191,46 @@ def group_width(n: int, k: int, size: int, base: int) -> int:
         return groups * size + math.comb(groups, r) * (r * size + b * base**b + BLOCK_COST)
 
     return min(range(1, max(n, 1) + 1), key=cost)
+
+
+def block_totals(matrix, keys, rows: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending packed words of weight at most k over n columns, with their
+    exact int64 totals: a row of codes x adds prod_i matrix[w_i, x_i] to word
+    w, for an r x c ``matrix`` with entries in {-1, 0, 1} whose row 0, the
+    identity letter, is all ones. Words are base-r digits and ``keys(cols)``
+    gives the ``rows`` rows' base-c codes over a range of columns, column 0
+    most significant in both.
+
+    Blocks of min(k, #groups) contiguous groups, of the width ``group_width``
+    picks, hold every such word; each block's c^b-bin histogram goes through
+    ``transform_digits`` in the matrix's dtype. Every partial sum is an
+    integer of magnitude at most ``rows``, so a float64 matrix is exact too.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("k out of range")
+    matrix = np.asarray(matrix)
+    r, c = matrix.shape
+    g = group_width(n, k, rows, c)
+    groups = []  # keys, width, packed words and weights of each group's r^width words; none at k = 0
+    for cols in [range(at, min(at + g, n)) for at in range(0, n, g)] if k else []:
+        local = np.arange(r ** len(cols))
+        weight = sum(local // r**i % r > 0 for i in range(len(cols)))
+        groups.append((keys(cols), len(cols), local * r ** (n - cols.stop), weight))
+    found, totals, key = [], [], np.empty(rows, dtype=np.int64)
+    for block in itertools.combinations(groups, min(k, len(groups))):
+        key.fill(0)
+        digits, words, weight = 0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for group_key, width, group_words, group_weight in block:
+            key *= c**width
+            key += group_key
+            digits += width
+            words = np.add.outer(words, group_words).reshape(-1)
+            weight = np.add.outer(weight, group_weight).reshape(-1)
+        keep = weight <= k
+        found.append(words[keep])
+        totals.append(transform_digits(matrix, np.bincount(key, minlength=c**digits), digits)[0, keep])
+    words, first = np.unique(np.concatenate(found), return_index=True)
+    return words, np.concatenate(totals)[first].astype(np.int64)
 
 
 def degree(coeffs) -> int:
@@ -221,8 +256,8 @@ def require_fields(payload, fields, source, integers=()) -> dict:
 
 
 def number_array(value, source, name: str) -> np.ndarray:
-    """The field ``name`` of ``source``, a list or rectangular nest of lists of JSON numbers, as
-    float64; strings, booleans, null and objects get a ValueError naming the file and the field."""
+    """The field ``name`` of ``source``, a list or rectangular nest of lists of JSON numbers, as float64;
+    strings, booleans, null, objects and integers past float64 get a ValueError naming file and field."""
     if type(value) is not list:
         raise ValueError(f"{source}: field {name!r} must be a list of numbers")
     # A nest that is not rectangular leaves lists among the object array's entries.
@@ -232,6 +267,8 @@ def number_array(value, source, name: str) -> np.ndarray:
             raise ValueError(f"{source}: field {name!r} must be a rectangular list of numbers")
         if type(entry) is not int and type(entry) is not float:
             raise ValueError(f"{source}: field {name!r} must hold numbers only, got {json.dumps(entry)}")
+        if type(entry) is int and abs(entry) > sys.float_info.max:
+            raise ValueError(f"{source}: field {name!r} holds {entry}, past the float64 range")
     return entries.astype(np.float64)
 
 

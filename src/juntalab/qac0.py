@@ -418,7 +418,13 @@ def load_circuit(path) -> Qac0Circuit:
     payload = require_fields(
         json.loads(Path(path).read_text()), ("n", "a", "layers", "sigma"), path, ("n", "a")
     )
-    sigma = complex_matrix(payload["sigma"], f"{path} sigma")
+    source, a = f"{path} sigma", payload["a"]
+    sigma_n = require_fields(payload["sigma"], ("n",), source, ("n",))["n"]
+    if not sigma_n == a + 1 <= MAX_CIRCUIT_QUBITS:
+        raise ValueError(f"{source}: header n={sigma_n} must equal a + 1 = {a + 1}, at most {MAX_CIRCUIT_QUBITS}")
+    sigma = complex_matrix(payload["sigma"], source)
+    if sigma.shape != (1 << sigma_n,) * 2:
+        raise ValueError(f"{source}: header n={sigma_n} needs shape {(1 << sigma_n,) * 2}, body has {sigma.shape}")
     json_layers = payload["layers"]
     if not isinstance(json_layers, list) or not all(isinstance(layer, list) for layer in json_layers):
         raise ValueError(f"{path}: field 'layers' must be a list of lists of gates")

@@ -22,27 +22,18 @@ draws its words, then its uniforms, from an RNG keyed ``(seed, c)``, so the
 shadows are a pure function of ``(state, T, seed)`` no matter how chunks are
 grouped into calls. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
 2 Y, 3 Z) and int8 +/-1 outcomes, which the estimator checks before it counts.
-Estimates count each column block's rows in one base-6 histogram, 6^m int64
-bins for m columns (365 KiB at m = 6, about 460 MiB at m = 10), and sum them
-as exact integers. The low-degree estimate, ``estimate_lowdeg``, cuts the n
-columns into contiguous groups and counts each block of min(k, #groups)
-groups once; these blocks hold every support of size at most k. The width is
-what ``hypercube.group_width`` picks for 6^m bins a block: one block of all
-six columns at n = 6, k = 2 and 148,992 rows, ten blocks of four columns at
-n = 10, k = 2 and 20,000 rows. The totals are exact, so no estimate depends
-on the width. At k = n the one block holds every column, so
-``shadows bench --n 10 --k 10`` allocates the 460 MiB histogram.
+``estimate_lowdeg`` sums the ``hypercube.block_totals`` of each row's letter
+code 2(Q - 1) + [x == -1]; a block of m columns counts 6^m bins (365 KiB at
+m = 6, 460 MiB at m = 10, the one block of ``shadows bench --n 10 --k 10``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypercube import group_width, walsh_hadamard
+from .hypercube import block_totals, walsh_hadamard
 from .qstate import _qubit_count, as_matrix, pauli_tensor, pauli_weight
 
 MAX_MEASURE_QUBITS = 10
@@ -160,22 +151,16 @@ def collect_shadows(rho, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 _LETTER_SUMS = np.array([[1] * 6, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]])
 
 
-def estimates_for_supports(
-    basis_codes: np.ndarray,
-    outcomes: np.ndarray,
-    n: int,
-    supports: Iterable[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of every Pauli word whose support lies inside one of the
-    0-based column blocks ``supports``, as ascending unique packed words and
-    their values: m passes of the 4 x 6 letter matrix turn a block's base-6
-    histogram of letter codes (6^m int64 bins) into its 4^m exact totals.
-    """
+def estimate_lowdeg(basis_codes, outcomes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates 3^|P| total(P) / (2^n T) of every Pauli word P with support
+    size at most k, as ascending packed words and their values; total(P) is
+    the block total of the rows' letter codes under the 4 x 6 letter matrix."""
     basis_codes, outcomes = np.asarray(basis_codes), np.asarray(outcomes)
-    if basis_codes.ndim != 2 or basis_codes.shape[1] != n or outcomes.shape != basis_codes.shape:
+    if basis_codes.ndim != 2 or outcomes.shape != basis_codes.shape:
         shapes = f"basis codes of shape {basis_codes.shape} and outcomes of shape {outcomes.shape}"
-        raise ValueError(f"need basis codes and outcomes of one shape (T, {n}), got {shapes}")
-    if basis_codes.shape[0] == 0:
+        raise ValueError(f"need basis codes and outcomes of one shape (T, n), got {shapes}")
+    T, n = basis_codes.shape
+    if T == 0:
         raise ValueError("need at least one sample")
     # Checked before the letter arithmetic, which would wrap silently on a bad unsigned code.
     if basis_codes.min() < 1 or basis_codes.max() > 3:
@@ -183,47 +168,16 @@ def estimates_for_supports(
     if np.any(np.abs(outcomes) != 1):
         raise ValueError("outcomes must be +/-1")
     letters = np.ascontiguousarray((2 * (basis_codes - 1) + (outcomes < 0)).T)
-    words, totals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for block in supports:
-        cols = [int(col) for col in block]
-        if len(set(cols)) != len(cols) or any(not 0 <= col < n for col in cols):
-            raise ValueError(f"block {tuple(cols)} must list distinct columns in 0..{n - 1}")
-        key = np.zeros(basis_codes.shape[0], dtype=np.int64)
+
+    def keys(cols):
+        key = np.zeros(T, dtype=np.int64)
         for col in cols:
-            key = key * 6 + letters[col]
-        hist = np.bincount(key, minlength=6 ** len(cols))
-        block_words = np.zeros(1, dtype=np.int64)
-        for j, col in enumerate(cols):
-            # Column j turns into Pauli letters and stays ahead of the later columns.
-            hist = _LETTER_SUMS @ hist.reshape(4**j, 6, -1)
-            block_words = (block_words[:, None] + (np.arange(4) << 2 * (n - 1 - col))).reshape(-1)
-        words.append(block_words)
-        totals.append(hist.reshape(-1))
-    words, first = np.unique(np.concatenate(words), return_index=True)
-    scale = 3 ** pauli_weight(words)
-    return words, scale * np.concatenate(totals)[first] / float((1 << n) * basis_codes.shape[0])
+            key *= 6
+            key += letters[col]
+        return key
 
-
-def _group_blocks(n: int, k: int, size: int):
-    """Blocks of min(k, #groups) contiguous column groups, whose widths
-    ``group_width`` picks for base-6 letter bins; every set of at most k
-    columns lies inside one. A generator, so that the estimator checks its
-    input before the search runs."""
-    g = group_width(n, k, size, 6)
-    groups = [range(at, min(at + g, n)) for at in range(0, n, g)]
-    for picked in itertools.combinations(groups, min(k, len(groups))):
-        yield list(itertools.chain(*picked))
-
-
-def estimate_lowdeg(basis_codes, outcomes, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates for every Pauli word with support size at most k, from the
-    blocks of column groups, keeping the words of weight at most k."""
-    n = np.shape(basis_codes)[-1]
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    words, values = estimates_for_supports(basis_codes, outcomes, n, _group_blocks(n, k, len(basis_codes)))
-    keep = pauli_weight(words) <= k
-    return words[keep], values[keep]
+    words, totals = block_totals(_LETTER_SUMS, keys, T, n, k)
+    return words, 3 ** pauli_weight(words) * totals / float((1 << n) * T)
 
 
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:

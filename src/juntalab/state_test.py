@@ -32,7 +32,7 @@ from .qstate import (
     pauli_weight,
     trace_distance,
 )
-from .shadows import estimates_for_supports, shadow_sample_count
+from .shadows import estimate_lowdeg, shadow_sample_count
 from .state_learn import StateAccess, _collect_through_access, psd_project
 
 DEFAULT_TOMOGRAPHY_C = 8.0
@@ -74,9 +74,8 @@ def local_tomography(
 ) -> DensityMatrix:
     """Learn the reduced state on ``subset`` to trace error eps, whp.
 
-    Estimates the 4^|subset| full-state coefficients supported inside the
-    subset as one column block, rescales them by 2^(n - |subset|) into
-    reduced-state coefficients, and PSD-projects the rebuilt matrix.
+    Estimates the reduced state's 4^|subset| Pauli coefficients from the
+    subset's columns of the shadows and PSD-projects the rebuilt matrix.
     """
     n = access.n
     subset = tuple(sorted(int(q) for q in subset))
@@ -89,9 +88,9 @@ def local_tomography(
         return DensityMatrix(np.ones((1, 1)))
     T = tomography_sample_count(n, kappa, eps, delta, c)
     codes, outs = _collect_through_access(access, T, basis_seed)
-    _, values = estimates_for_supports(codes, outs, n, [[q - 1 for q in subset]])
-    reduced = values.reshape((4,) * kappa)  # ascending words over ascending columns
-    return psd_project(pauli_tensor_to_matrix(float(1 << (n - kappa)) * reduced))
+    cols = [q - 1 for q in subset]
+    _, values = estimate_lowdeg(codes[:, cols], outs[:, cols], kappa)
+    return psd_project(pauli_tensor_to_matrix(values.reshape((4,) * kappa)))
 
 
 def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_CERTIFIER_C) -> int:
@@ -132,8 +131,8 @@ def frobenius_bound(
         raise ValueError("reference dimension mismatch")
     T = certifier_sample_count(n, eps, delta, c)
     codes, outs = _collect_through_access(access, T, seed)
-    # One block of every column: the words are all 4^n packed words in order.
-    words, est_flat = estimates_for_supports(codes, outs, n, [range(n)])
+    # At k = n the words are all 4^n packed words in order.
+    words, est_flat = estimate_lowdeg(codes, outs, n)
     ref_flat = pauli_tensor(reference).reshape(-1)
     second_moment = 3.0 ** pauli_weight(words) / 4.0**n
     variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)

@@ -649,6 +649,41 @@ class TestLoadersNameMissingFields:
         err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
         assert err == f"error: {source}: field 'im' must hold numbers only, got {json.dumps(bad)}\n"
 
+    def test_distribution_integer_past_float64_is_named(self, tmp_path, capsys):
+        err = self.run_on(tmp_path, capsys,
+                          ["learn-dist", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth"],
+                          "dist.json", '{"n": 1, "values": [1' + "0" * 340 + ', 0]}')
+        want = f"field 'values' holds 1{'0' * 340}, past the float64 range"
+        assert err == f"error: {tmp_path / 'dist.json'}: {want}\n"
+
+    @pytest.mark.parametrize("target", ["state", "sigma", "gate"])
+    def test_state_and_circuit_integer_past_float64_is_named(self, target, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case(target, tmp_path)
+        holder["re"][0][1] = -(10**340)
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert err == f"error: {source}: field 're' holds {-(10**340)}, past the float64 range\n"
+
+    @pytest.mark.parametrize("header, want", [
+        (7, "header n=7 must equal a + 1 = 2, at most 10"),
+        (1, "header n=1 must equal a + 1 = 2, at most 10"),
+        ("2", 'field \'n\' must be an integer, got "2"'),
+        (None, "missing field 'n'"),
+    ], ids=["past-a", "below-a", "string", "missing"])
+    def test_circuit_sigma_header_is_checked_against_a(self, header, want, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case("sigma", tmp_path)
+        if header is None:
+            del holder["n"]
+        else:
+            holder["n"] = header
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert err == f"error: {source}: {want}\n"
+
+    def test_circuit_sigma_header_is_checked_against_body(self, tmp_path, capsys):
+        argv, name, payload, holder, source = self.complex_field_case("sigma", tmp_path)
+        holder["re"], holder["im"] = [[1, 0], [0, 0]], [[0, 0], [0, 0]]
+        err = self.run_on(tmp_path, capsys, argv, name, json.dumps(payload))
+        assert err == f"error: {source}: header n=2 needs shape (4, 4), body has (2, 2)\n"
+
 
 ZERO_QUBIT_COMMANDS = {
     "learn-state": ["learn-state", "--k", "0", "--eps", "0.3", "--delta", "0.1", "--truth"],

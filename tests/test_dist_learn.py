@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from juntalab import dist_learn
+from juntalab import dist_learn, hypercube
 from juntalab.dist_learn import (
     DEFAULT_C,
     DistributionSampler,
@@ -23,14 +23,19 @@ from juntalab.dist_learn import (
 from juntalab.hypercube import (
     Distribution,
     RealCubeFunction,
+    block_totals,
     fourier_transform,
     group_width,
     inverse_transform,
-    low_degree_masks,
     tv_distance,
     variables_to_mask,
     walsh_hadamard,
 )
+
+
+def low_degree_masks(n: int, k: int) -> np.ndarray:
+    """The masks of every subset of [n] with at most k elements, ascending."""
+    return np.flatnonzero(np.bitwise_count(np.arange(1 << n)) <= k)
 
 
 def empirical_coefficient(points: np.ndarray, n: int, subset: int) -> float:
@@ -224,10 +229,26 @@ class TestBlockHistogramEstimator:
         points = np.random.default_rng(n).integers(0, 1 << n, 300)
         want_masks, want = dense_relative_spectrum(points, n, k)
         for g in range(1, n + 1):
-            monkeypatch.setattr(dist_learn, "group_width", lambda *args, g=g: g)
+            monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
             masks, values = empirical_relative_spectrum(points, n, k)
             assert np.array_equal(masks, want_masks)
             assert values.tobytes() == want.tobytes()
+
+    def test_kernel_at_every_width_at_the_benchmark_cell(self, monkeypatch):
+        # The learn-dist-n20 cell, with the caller's float64 Hadamard matrix;
+        # widths of seven or more make one block of all 20 bits.
+        n, k, T = 20, 3, 25432
+        points = np.random.default_rng(20).integers(0, 1 << n, T)
+        want_masks, want = dense_relative_spectrum(points, n, k)
+        bits = [points >> n - 1 - col & 1 for col in range(n)]
+        for g in range(1, n + 1):
+            monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
+            masks, totals = block_totals(
+                [[1.0, 1.0], [1.0, -1.0]], lambda cols: sum(bits[col] << cols.stop - 1 - col for col in cols), T, n, k
+            )
+            assert masks.dtype == totals.dtype == np.int64
+            assert masks.tobytes() == want_masks.tobytes()
+            assert (totals / T).tobytes() == want.tobytes()
 
 
 class TestThreshold:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from juntalab.hypercube import (
     Distribution,
     RealCubeFunction,
+    block_totals,
     degree,
     fourier_transform,
     inverse_transform,
     load_distribution,
-    low_degree_masks,
     transform_digits,
     tv_distance,
     variables_to_mask,
@@ -233,10 +233,12 @@ class TestDegreeSupport:
 class TestMaskArrays:
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (5, 2), (6, 6), (10, 3)])
     def test_low_degree_masks_ascending_and_complete(self, n, k):
+        # The masks of the block totals of one all-+1 point, counted once each.
         want = [m for m in range(1 << n) if m.bit_count() <= k]
-        got = low_degree_masks(n, k)
-        assert got.dtype == np.int64
-        assert got.tolist() == want
+        masks, totals = block_totals([[1, 1], [1, -1]], lambda cols: np.zeros(1, dtype=np.int64), 1, n, k)
+        assert masks.dtype == totals.dtype == np.int64
+        assert masks.tolist() == want
+        assert totals.tolist() == [1] * len(want)
 
 
 class TestDistribution:

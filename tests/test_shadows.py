@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from juntalab import shadows
+from juntalab import hypercube
+from juntalab.hypercube import block_totals
 from juntalab.qstate import (
     DensityMatrix,
     pauli_tensor,
@@ -18,12 +19,11 @@ from juntalab.qstate import (
 )
 from juntalab.shadows import (
     CHUNK,
+    _LETTER_SUMS,
     _born_rows,
-    _group_blocks,
     collect_chunks,
     collect_shadows,
     estimate_lowdeg,
-    estimates_for_supports,
     sample_outcomes,
     shadow_sample_count,
 )
@@ -54,12 +54,14 @@ def born_rows(rho, words):
     return _born_rows(pauli_tensor(rho).reshape(-1), np.array(words, dtype=np.uint8))
 
 
-def _per_support_estimates(codes, outs, n):
-    """All 4^n estimates from one grouped pass per support set: for each
-    support, base-3 keys over its columns and +/-1 outcome products,
-    summed with one bincount (first column most significant)."""
+def _per_support_estimates(codes, outs, k):
+    """The estimates of every word of weight at most k, ascending, from one
+    grouped pass per support set: for each support, base-3 keys over its
+    columns and +/-1 outcome products, summed with one bincount (first
+    column most significant)."""
+    n = codes.shape[1]
     values = np.empty(4**n)
-    for j in range(n + 1):
+    for j in range(k + 1):
         for cols in itertools.combinations(range(n), j):
             key = np.zeros(codes.shape[0], dtype=np.int64)
             weight = np.ones(codes.shape[0], dtype=np.int64)
@@ -70,13 +72,15 @@ def _per_support_estimates(codes, outs, n):
             assign = np.arange(3**j)[:, None] // 3 ** np.arange(j - 1, -1, -1) % 3 + 1
             words = assign @ 4 ** (n - 1 - np.array(cols, dtype=np.int64))
             values[words] = 3**j * totals / float((1 << n) * codes.shape[0])
-    return values
+    words = np.flatnonzero(pauli_weight(np.arange(4**n)) <= k)
+    return words, values[words]
 
 
-def lowdeg_by_size_k_blocks(codes, outs, k):
-    """The low-degree estimate from one block per size-k set of columns."""
-    n = codes.shape[1]
-    return estimates_for_supports(codes, outs, n, itertools.combinations(range(n), k))
+def letter_keys(codes, outs):
+    """``keys`` for ``block_totals``: each row's base-6 letter codes
+    2(Q - 1) + [x == -1] over a range of columns, by one product."""
+    letters = 2 * (codes.astype(np.int64) - 1) + (outs < 0)
+    return lambda cols: letters[:, cols] @ 6 ** np.arange(len(cols) - 1, -1, -1)
 
 
 def random_shadows(n, T, seed):
@@ -305,31 +309,30 @@ class TestEstimators:
         assert words.tolist() == want
         assert len(want) == 1 + 3 * 3 + 3 * 9
 
-    def test_supports_in_any_order_give_ascending_unique_words(self):
+    def test_supports_in_any_order_give_ascending_unique_words(self, monkeypatch):
+        # At widths 1 and 2 the blocks of groups overlap; each word still
+        # comes out once, in ascending order.
         rho = random_density_matrix(3, np.random.default_rng(12))
         codes, outs = collect_shadows(rho, 500, seed=4)
-        blocks = [(1, 2), (0,), (1, 2), ()]
-        words, values = estimates_for_supports(codes, outs, 3, blocks)
-        # Every word whose (1-based) support lies inside some block.
-        inside = [{2, 3}, {1}, set()]
-        want = [w for w in range(4**3) if any(set(paulis.support(3, w)) <= b for b in inside)]
-        assert words.tolist() == want
-        for word, value in zip(want, values):
-            assert value == estimate_coefficient(codes, outs, word)
+        for g in (1, 2, 3):
+            monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
+            words, values = estimate_lowdeg(codes, outs, 2)
+            assert words.tolist() == [w for w in range(4**3) if pauli_weight(w) <= 2]
+            for word, value in zip(words.tolist(), values):
+                assert value == estimate_coefficient(codes, outs, word)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("T", [1, 700])
     def test_full_block_equals_both_oracles_bitwise(self, n, T):
         rho = random_density_matrix(n, np.random.default_rng(30 + n))
         codes, outs = collect_shadows(rho, T, seed=31)
-        oracle = _per_support_estimates(codes, outs, n)
-        for blocks in ([range(n)], [(), tuple(reversed(range(n))), range(n), ()]):
-            words, values = estimates_for_supports(codes, outs, n, blocks)
-            assert words.tolist() == list(range(4**n))
-            assert values.tobytes() == oracle.tobytes()
-            for word, value in zip(words.tolist(), values):
-                assert value == estimate_coefficient(codes, outs, word)
-        words, values = estimates_for_supports(codes, outs, n, [()])
+        want_words, want = _per_support_estimates(codes, outs, n)
+        words, values = estimate_lowdeg(codes, outs, n)
+        assert words.tolist() == want_words.tolist() == list(range(4**n))
+        assert values.tobytes() == want.tobytes()
+        for word, value in zip(words.tolist(), values):
+            assert value == estimate_coefficient(codes, outs, word)
+        words, values = estimate_lowdeg(codes, outs, 0)
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
@@ -338,7 +341,7 @@ class TestEstimators:
             bad_codes = codes.copy()
             bad_codes[3, 1] = bad
             with pytest.raises(ValueError, match="basis codes must be"):
-                estimates_for_supports(bad_codes, outs, 2, [(0, 1)])
+                estimate_lowdeg(bad_codes, outs, 2)
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
         codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
@@ -346,23 +349,17 @@ class TestEstimators:
             bad_outs = outs.copy()
             bad_outs[5, 0] = bad
             with pytest.raises(ValueError, match="outcomes must be"):
-                estimates_for_supports(codes, bad_outs, 2, [(0, 1)])
-
-    @pytest.mark.parametrize("block", [(1, 1), (0, 2), (-1,)])
-    def test_rejects_repeated_or_out_of_range_block_columns(self, block):
-        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
-        with pytest.raises(ValueError, match="distinct columns in 0..1"):
-            estimates_for_supports(codes, outs, 2, [(0,), block])
+                estimate_lowdeg(codes, bad_outs, 2)
 
     def test_rejects_outcomes_of_another_shape(self):
         codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
         for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
-                                    (codes[:, :1], outs[:, :1]), (codes[0], outs[0])]:
+                                    (codes[:, :1], outs[:, :2]), (codes[0], outs[0])]:
             shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
-            with pytest.raises(ValueError, match=re.escape(f"one shape (T, 2), got {shapes}")):
-                estimates_for_supports(bad_codes, bad_outs, 2, [(0, 1)])
+            with pytest.raises(ValueError, match=re.escape(f"one shape (T, n), got {shapes}")):
+                estimate_lowdeg(bad_codes, bad_outs, 1)
         with pytest.raises(ValueError, match="at least one sample"):
-            estimates_for_supports(codes[:0], outs[:0], 2, [(0, 1)])
+            estimate_lowdeg(codes[:0], outs[:0], 1)
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix(np.eye(8) / 8)
@@ -401,32 +398,47 @@ class TestGroupedLowDegree:
         codes, outs = random_shadows(n, T, seed=1)
         for k in range(n + 1):
             words, values = estimate_lowdeg(codes, outs, k)
-            want_words, want = lowdeg_by_size_k_blocks(codes, outs, k)
+            want_words, want = _per_support_estimates(codes, outs, k)
             assert words.tobytes() == want_words.tobytes()
             assert values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n,k,T,blocks", [(10, 2, 20000, 10), (6, 2, 148992, 1)])
     def test_bitwise_equal_at_benchmark_sizes(self, n, k, T, blocks):
         codes, outs = random_shadows(n, T, seed=2)
-        assert len(list(_group_blocks(n, k, T))) == blocks
+        groups = -(-n // hypercube.group_width(n, k, T, 6))
+        assert math.comb(groups, min(k, groups)) == blocks
         words, values = estimate_lowdeg(codes, outs, k)
-        want_words, want = lowdeg_by_size_k_blocks(codes, outs, k)
+        want_words, want = _per_support_estimates(codes, outs, k)
         assert words.tobytes() == want_words.tobytes()
         assert values.tobytes() == want.tobytes()
 
+    # Widths of five or more put all ten columns of (10, 2, 20000) in one
+    # block of 6^10 bins (460 MiB), which this test does not allocate.
+    @pytest.mark.parametrize("n,k,T,widths", [(6, 2, 148992, range(1, 7)), (10, 2, 20000, range(1, 5))])
+    def test_kernel_at_every_width_equals_per_support_oracle(self, n, k, T, widths, monkeypatch):
+        codes, outs = random_shadows(n, T, seed=3)
+        want_words, want = _per_support_estimates(codes, outs, k)
+        for g in widths:
+            monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
+            words, totals = block_totals(_LETTER_SUMS, letter_keys(codes, outs), T, n, k)
+            assert words.dtype == totals.dtype == np.int64
+            assert words.tobytes() == want_words.tobytes()
+            values = 3 ** pauli_weight(words) * totals / float((1 << n) * T)
+            assert values.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("T", [1, 300, 20000, 10**6])
     def test_blocks_cover_every_size_k_support(self, T):
-        for n in range(1, 11):
+        # The kernel returns every word of weight at most k at the widths the
+        # search picks for T rows; the keys of one row broadcast to all T.
+        for n in range(1, 8):
+            keys = letter_keys(*random_shadows(n, 1, seed=4))
             for k in range(n + 1):
-                blocks = list(_group_blocks(n, k, T))
-                assert all(len(block) == len(set(block)) for block in blocks)
-                blocks = [set(block) for block in blocks]
-                for support in itertools.combinations(range(n), k):
-                    assert any(block >= set(support) for block in blocks), (n, k, T, support)
+                words, _ = block_totals(_LETTER_SUMS, keys, T, n, k)
+                assert words.tolist() == [w for w in range(4**n) if pauli_weight(w) <= k], (n, k, T)
 
     def test_checks_shape_before_the_width_search(self, monkeypatch):
         # A 1-D input would otherwise search widths for one column per row.
-        monkeypatch.setattr(shadows, "group_width", lambda *args: pytest.fail("width search ran"))
+        monkeypatch.setattr(hypercube, "group_width", lambda *args: pytest.fail("width search ran"))
         with pytest.raises(ValueError, match="one shape"):
             estimate_lowdeg(np.ones(50, dtype=np.uint8), np.ones(50, dtype=np.int8), 1)
 
