@@ -105,12 +105,12 @@ def _run_learn_state(params: dict, seed: int, truth=None) -> dict:
     if truth is None:
         truth, variables = _planted_junta_state(int(params["n"]), k, np.random.default_rng([seed, 0]))
         planted["planted_variables"] = list(variables)
-    access = state_learn.SimulatedStateAccess(truth, _derive_seed(seed, 1))
+    access = shadows.SimulatedStateAccess(truth, _derive_seed(seed, 1))
     result = state_learn.learn_junta_state(
         access, k, eps, delta, c, basis_seed=_derive_seed(seed, 2)
     )
     return {
-        "T": result.copies_used,
+        "T": access.copies_used,
         "trace_distance": qstate.trace_distance(result.psd_projected, truth),
         "frobenius_merit": frobenius_merit(truth, result.matrix, truth.n),
         "support_recovered": support_recovered(truth, result.words),
@@ -121,7 +121,7 @@ def _run_learn_state(params: dict, seed: int, truth=None) -> dict:
 def _run_test_state(params: dict, seed: int, truth=None) -> dict:
     k = int(params["k"])
     eps, delta = float(params["eps"]), float(params["delta"])
-    certifier = str(params.get("certifier", "oracle"))
+    certifier = str(params.get("certifier", "frobenius"))
     want = None
     if truth is None:
         n, case = int(params["n"]), str(params.get("case", "close"))
@@ -135,7 +135,7 @@ def _run_test_state(params: dict, seed: int, truth=None) -> dict:
             want = state_test.JUNTA_FAR
         else:
             raise ValueError(f"unknown case {case!r}")
-    access = state_learn.SimulatedStateAccess(truth, _derive_seed(seed, 1))
+    access = shadows.SimulatedStateAccess(truth, _derive_seed(seed, 1))
     if certifier not in ("oracle", "frobenius"):
         raise ValueError(f"unknown certifier {certifier!r}")
     metrics = state_test.test_junta(
@@ -206,13 +206,13 @@ def _run_qac0_learn(params: dict, seed: int, truth=None) -> dict:
     c = float(params.get("c", state_learn.DEFAULT_C))
     circuit = truth if truth is not None else _planted_circuit(params, seed, default_depth=1)
     choi = qac0.choi_state_with_ancilla(circuit)
-    access = state_learn.SimulatedStateAccess(choi, _derive_seed(seed, 1))
+    access = shadows.SimulatedStateAccess(choi, _derive_seed(seed, 1))
     result = state_learn.learn_qac0_choi(
         access, circuit.size, circuit.depth, circuit.a, eps, delta, c,
         basis_seed=_derive_seed(seed, 2),
     )
     return {
-        "T": result.copies_used,
+        "T": access.copies_used,
         "junta_arity": result.junta_arity,
         "frobenius_merit": frobenius_merit(choi, result.matrix, circuit.n),
         "trace_distance": qstate.trace_distance(result.psd_projected, choi),

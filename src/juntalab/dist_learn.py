@@ -1,17 +1,15 @@
 """Learning junta distributions from samples.
 
 For every subset S of at most k variables, estimate the coefficient
-``p'(S) = (1 / (2^n T)) sum_s chi_S(x^s)``, zero everything with magnitude at
-or below ``eps / (2 * 2^n * sqrt(2^k))``, read the relevant variables off the
-surviving supports, and round the rebuilt function to a proper distribution
-by clipping negatives on the junta block and dividing by
-``C = 2^(n-k) * sum p''|_K``. At the stated sample count the thresholded
+``q(S) = (1 / T) sum_s chi_S(x^s)`` of the density relative to uniform,
+``q = 2^n p`` (2^n times the paper's mean-of-characters coefficient, so
+nothing underflows at large n), zero everything with magnitude at or below
+``eps / (2 * sqrt(2^k))``, read the relevant variables off the surviving
+supports, and round the rebuilt function to a proper distribution by
+clipping negatives on the junta block and dividing by
+``C = 2^(n-k) * sum q''|_K``. At the stated sample count the thresholded
 coefficients land within the analysis window with high probability, giving
 total variation error O(eps).
-
-Coefficients are handled internally at the scale ``q = 2^n p`` (the density
-relative to uniform) so nothing underflows at large n; the public API speaks
-the mean-of-characters convention, i.e. q / 2^n.
 
 Estimating all low-degree coefficients never touches 2^n bins: the sums are
 the exact ``hypercube.block_totals`` of the samples' bits. Samples are a 1-D
@@ -80,8 +78,8 @@ def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.
     |S| <= k: q(S) = (1/T) sum_s chi_S(x^s), as ascending masks and values.
 
     The sums of chi_S are the block totals of the points' bits under the 2 x 2
-    Hadamard matrix, in float64 for BLAS speed. This is the internal working
-    scale -- it keeps magnitudes O(1) at any n."""
+    Hadamard matrix, in float64 for BLAS speed. This scale keeps magnitudes
+    O(1) at any n."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     if points.ndim != 1 or points.size == 0:
         raise ValueError(f"need a nonempty 1-D array of sample points, got shape {points.shape}")
@@ -93,16 +91,9 @@ def empirical_relative_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.
     return masks, totals / points.size
 
 
-def empirical_low_degree_spectrum(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All |S| <= k coefficients in the mean-of-characters convention; equal
-    to the relative-scale spectrum divided by 2^n (an exact float scaling)."""
-    masks, relative = empirical_relative_spectrum(points, n, k)
-    return masks, relative / float(1 << n)
-
-
-def dist_threshold_cutoff(n: int, k: int, eps: float) -> float:
-    """Coefficients with magnitude at or below this are zeroed."""
-    return eps / (2.0 * 2**n * math.sqrt(2**k))
+def dist_threshold_cutoff(k: int, eps: float) -> float:
+    """Relative-scale coefficients with magnitude at or below this are zeroed."""
+    return eps / (2.0 * math.sqrt(2**k))
 
 
 def threshold_spectrum(masks, values, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,21 +167,16 @@ class DistLearnResult:
 def learn_junta_from_spectrum(
     masks, values, n: int, k: int, eps: float, sample_count: int = 0
 ) -> DistLearnResult:
-    """Threshold, variable selection, and rounding on precomputed coefficients
-    (mean-of-characters convention) of the subsets ``masks``.
+    """Threshold, variable selection, and rounding on precomputed
+    relative-scale coefficients q = 2^n p of the subsets ``masks``.
 
     Injecting exact coefficients here makes the pipeline the identity on
-    k-junta distributions; the sampling learner feeds it estimates. The work
-    happens at the relative scale q = 2^n p; rescaling by the exact power of
-    two changes no comparison, and the rounding normalizer divides the scale
-    back out.
+    k-junta distributions; the sampling learner feeds it estimates.
     """
     if not (0 <= k <= n and 0.0 < eps < 1.0):
         raise ValueError(f"need 0 <= k <= n = {n} and 0 < eps < 1, got k = {k}, eps = {eps}")
-    scale = float(1 << n)
-    tau_relative = dist_threshold_cutoff(n, k, eps) * scale
     masks, relative = threshold_spectrum(
-        np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.float64) * scale, tau_relative
+        np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.float64), dist_threshold_cutoff(k, eps)
     )
     variables = select_junta_variables(masks, relative, n, k)
     inside = masks & ~variables_to_mask(variables, n) == 0
@@ -209,7 +195,7 @@ def learn_junta_distribution(
     """Draw the prescribed number of samples and run the full pipeline."""
     n = sampler.n
     T = sample_count_dist(n, k, eps, delta, c)
-    masks, values = empirical_low_degree_spectrum(sampler.draw(T), n, k)
+    masks, values = empirical_relative_spectrum(sampler.draw(T), n, k)
     return learn_junta_from_spectrum(masks, values, n, k, eps, sample_count=T)
 
 

@@ -29,7 +29,7 @@ from .qstate import (
     complex_matrix,
     frobenius_distance,
     pauli_tensor,
-    _qubit_count,
+    qubit_count,
 )
 
 MAX_CIRCUIT_QUBITS = 10
@@ -297,7 +297,7 @@ def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
     ties, up to 1e-12 of the total mass, break to the lexicographically
     first subset."""
     mat = as_matrix(rho)
-    q = _qubit_count(mat.shape[0])
+    q = qubit_count(mat.shape[0])
     if q > MAX_CONCENTRATION_QUBITS:
         raise ValueError(f"concentration search capped at {MAX_CONCENTRATION_QUBITS} qubits")
     if not 0 <= k <= q:

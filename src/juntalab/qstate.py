@@ -32,7 +32,7 @@ _TRACE_TOL = 1e-10
 _PSD_FLOOR = 1e-9
 
 
-def _qubit_count(dim: int) -> int:
+def qubit_count(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -60,7 +60,7 @@ class DensityMatrix:
         mat = np.array(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        n = _qubit_count(mat.shape[0])
+        n = qubit_count(mat.shape[0])
         if n > MAX_STATE_QUBITS:
             raise ValueError(f"states capped at {MAX_STATE_QUBITS} qubits")
         if not np.isfinite(mat).all():
@@ -101,7 +101,7 @@ def pauli_tensor(mat) -> np.ndarray:
     [p1, ..., pn] is Tr[P M] / 2^n.
     """
     m = as_matrix(mat)
-    n = _qubit_count(m.shape[0])
+    n = qubit_count(m.shape[0])
     # A qubit's row bit r and column bit c form the base-4 digit 2r + c. The
     # digits run qubit n ... qubit 1 so qubit 1 is contracted first: pinned
     # records rest on the rounding of this order.
@@ -171,7 +171,7 @@ def frobenius_distance(a, b) -> float:
 def partial_trace(rho, keep) -> DensityMatrix:
     """Reduced state on the 1-indexed qubits in ``keep``; empty keep gives dim 1."""
     mat = as_matrix(rho)
-    n = _qubit_count(mat.shape[0])
+    n = qubit_count(mat.shape[0])
     keep = sorted(set(int(q) for q in keep))
     if any(q < 1 or q > n for q in keep):
         raise ValueError("keep set outside qubit range")
@@ -226,7 +226,7 @@ def proxy_distance(rho, k: int) -> tuple[tuple[int, ...], float]:
     first subset.
     """
     mat = as_matrix(rho)
-    n = _qubit_count(mat.shape[0])
+    n = qubit_count(mat.shape[0])
     if n > MAX_PROXY_QUBITS:
         raise ValueError(f"proxy distance capped at {MAX_PROXY_QUBITS} qubits")
     if not 0 <= k <= n:

@@ -17,10 +17,14 @@ The coefficient estimator for a Pauli word P averages
 is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 ``3^|supp P| / 4^n``.
 
-Determinism: sample streams are carved into fixed-size chunks and chunk ``c``
-draws its words, then its uniforms, from an RNG keyed ``(seed, c)``, so the
-shadows are a pure function of ``(state, T, seed)`` no matter how chunks are
-grouped into calls. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
+Determinism: sample streams are carved into CHUNK-row pieces, piece c drawing
+from an RNG keyed by c, so results are a pure function of the state, T and
+the seeds however pieces are grouped into calls. ``collect_shadows`` draws
+piece c's words, then its uniforms, from an RNG keyed ``(seed, c)``.
+``SimulatedStateAccess`` spends one copy of the hidden state per outcome row
+and counts them; its caller draws the words (``collect`` by
+``collect_chunks``), and piece c of its outcome stream draws from an RNG keyed
+``(access seed, c)``. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
 2 Y, 3 Z) and int8 +/-1 outcomes, which the estimator checks before it counts.
 ``estimate_lowdeg`` sums the ``hypercube.block_totals`` of each row's letter
 code 2(Q - 1) + [x == -1]; a block of m columns counts 6^m bins (365 KiB at
@@ -34,7 +38,7 @@ import math
 import numpy as np
 
 from .hypercube import block_totals, walsh_hadamard
-from .qstate import _qubit_count, as_matrix, pauli_tensor, pauli_weight
+from .qstate import as_matrix, pauli_tensor, pauli_weight, qubit_count
 
 MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
@@ -43,7 +47,7 @@ CHUNK = 4096
 def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
     """Qubit count and flat Pauli tensor of a state that may be measured."""
     mat = as_matrix(rho)
-    n = _qubit_count(mat.shape[0])
+    n = qubit_count(mat.shape[0])
     if n < 1:
         raise ValueError("measurement needs a state of at least 1 qubit, got 0")
     if n > MAX_MEASURE_QUBITS:
@@ -145,6 +149,37 @@ def collect_shadows(rho, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return collect_chunks(
         n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
     )
+
+
+class SimulatedStateAccess:
+    """Copies of a hidden state, measured by the Born-rule simulator; each
+    outcome row spends one copy, and ``copies_used`` is the only count."""
+
+    def __init__(self, rho, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        self.n, self._coeffs = _measurement_coefficients(rho)
+        self._seed = int(seed)
+        self._pieces = 0
+        self._copies = 0
+
+    @property
+    def copies_used(self) -> int:
+        return self._copies
+
+    def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
+        """One outcome row per basis row; the stream's pieces run on across
+        calls, so one call over several chunks equals one call per chunk."""
+        codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
+        rows = codes.shape[0]
+        pieces = range(self._pieces, self._pieces + -(-rows // CHUNK))
+        self._pieces, self._copies = pieces.stop, self._copies + rows
+        rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
+        return sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
+
+    def collect(self, T: int, basis_seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """T basis words drawn by ``collect_chunks`` from ``basis_seed``, and their outcomes."""
+        return collect_chunks(self.n, T, basis_seed, lambda codes, _rngs: self.measure_chunk(codes))
 
 
 # Row P (I, X, Y, Z): x [Q == P] at letter code 2(Q - 1) + [x == -1], i.e. X+ X- Y+ Y- Z+ Z-.

@@ -10,10 +10,8 @@ squared coefficient error by ``2 eps^2 / 2^(2n)`` whenever the true spectrum
 is concentrated on some k qubits; by Cauchy-Schwarz the trace-norm error is
 then at most sqrt(2) * eps.
 
-Access model: a ``StateAccess`` hands out one outcome row per copy, per
-``measure_chunk`` call; each row spends a fresh copy of the hidden state.
-Basis words are drawn by the learner from its own chunk-keyed streams, so a
-run is a pure function of (access, parameters, basis_seed).
+The copies come from a ``shadows.SimulatedStateAccess``, whose counter is
+the run's copy count.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -32,57 +29,15 @@ from .qstate import (
     pauli_weight,
     scatter_pauli,
 )
-from .shadows import (
-    CHUNK, _chunk_uniforms, _measurement_coefficients, collect_chunks, estimate_lowdeg, sample_outcomes,
-)
+from .shadows import SimulatedStateAccess, estimate_lowdeg
 
 DEFAULT_C = 8.0
 
 
-class StateAccess(Protocol):
-    """Copy-consuming measurement oracle for a hidden state."""
-
-    n: int
-
-    @property
-    def copies_used(self) -> int: ...
-
-    def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
-        """One outcome row per basis row; each row spends one copy."""
-
-
-class SimulatedStateAccess:
-    """StateAccess backed by the Born-rule simulator.
-
-    Piece i of the outcome stream, CHUNK rows, draws from an RNG keyed (seed, i)
-    whatever the basis words: one call over several chunks equals one call per
-    chunk.
-    """
-
-    def __init__(self, rho: DensityMatrix, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.n, self._coeffs = _measurement_coefficients(rho)
-        self._seed = int(seed)
-        self._calls = 0
-        self._copies = 0
-
-    @property
-    def copies_used(self) -> int:
-        return self._copies
-
-    def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
-        codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
-        rows = codes.shape[0]
-        pieces = range(self._calls, self._calls + -(-rows // CHUNK))
-        self._calls, self._copies = pieces.stop, self._copies + rows
-        rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
-        return sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
-
 @dataclass
 class LearnedState:
     """Thresholded spectrum (ascending packed ``words`` and their ``values``),
-    its matrix, a PSD projection, and copy accounting.
+    its matrix, and a PSD projection; the access counts the copies.
 
     ``matrix`` carries the squared-coefficient guarantee but need not be
     positive; ``psd_projected`` is the physically valid rendering.
@@ -92,7 +47,6 @@ class LearnedState:
     values: np.ndarray
     matrix: np.ndarray
     psd_projected: DensityMatrix
-    copies_used: int
     junta_arity: int | None = None
 
 
@@ -133,12 +87,8 @@ def psd_project(matrix) -> DensityMatrix:
     return DensityMatrix((v * (clipped / total)) @ v.conj().T)
 
 
-def _collect_through_access(access: StateAccess, T: int, basis_seed: int):
-    return collect_chunks(access.n, T, basis_seed, lambda codes, _rngs: access.measure_chunk(codes))
-
-
 def learn_junta_state(
-    access: StateAccess,
+    access: SimulatedStateAccess,
     k: int,
     eps: float,
     delta: float,
@@ -149,18 +99,11 @@ def learn_junta_state(
     n = access.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    T = junta_state_sample_count(n, k, eps, delta, c)
-    codes, outs = _collect_through_access(access, T, basis_seed)
+    codes, outs = access.collect(junta_state_sample_count(n, k, eps, delta, c), basis_seed)
     words, values = estimate_lowdeg(codes, outs, k)
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
-    return LearnedState(
-        words=words,
-        values=values,
-        matrix=matrix,
-        psd_projected=psd_project(matrix),
-        copies_used=T,
-    )
+    return LearnedState(words=words, values=values, matrix=matrix, psd_projected=psd_project(matrix))
 
 
 def qac0_junta_arity(s: int, d: int, a: int, eps: float) -> int:
@@ -178,7 +121,7 @@ def qac0_junta_arity(s: int, d: int, a: int, eps: float) -> int:
 
 
 def learn_qac0_choi(
-    access: StateAccess,
+    access: SimulatedStateAccess,
     s: int,
     d: int,
     a: int,

@@ -32,8 +32,8 @@ from .qstate import (
     pauli_weight,
     trace_distance,
 )
-from .shadows import estimate_lowdeg, shadow_sample_count
-from .state_learn import StateAccess, _collect_through_access, psd_project
+from .shadows import SimulatedStateAccess, estimate_lowdeg, shadow_sample_count
+from .state_learn import psd_project
 
 DEFAULT_TOMOGRAPHY_C = 8.0
 DEFAULT_CERTIFIER_C = 2.0
@@ -65,7 +65,7 @@ def tomography_sample_count(n: int, kappa: int, eps: float, delta: float, c: flo
 
 
 def local_tomography(
-    access: StateAccess,
+    access: SimulatedStateAccess,
     subset,
     eps: float,
     delta: float,
@@ -86,8 +86,7 @@ def local_tomography(
         raise ValueError(f"local tomography capped at {MAX_TOMOGRAPHY_QUBITS} qubits")
     if kappa == 0:
         return DensityMatrix(np.ones((1, 1)))
-    T = tomography_sample_count(n, kappa, eps, delta, c)
-    codes, outs = _collect_through_access(access, T, basis_seed)
+    codes, outs = access.collect(tomography_sample_count(n, kappa, eps, delta, c), basis_seed)
     cols = [q - 1 for q in subset]
     _, values = estimate_lowdeg(codes[:, cols], outs[:, cols], kappa)
     return psd_project(pauli_tensor_to_matrix(values.reshape((4,) * kappa)))
@@ -106,15 +105,15 @@ def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_
 
 
 def frobenius_bound(
-    access: StateAccess,
+    access: SimulatedStateAccess,
     reference: DensityMatrix,
     eps: float,
     delta: float,
     seed: int = 0,
     c: float = DEFAULT_CERTIFIER_C,
-) -> tuple[float, int]:
-    """(2^(n/2) * sqrt(D), copies spent), an upper bound on the trace distance
-    between the hidden state and ``reference`` when D is accurate.
+) -> float:
+    """2^(n/2) * sqrt(D), an upper bound on the trace distance between the
+    hidden state and ``reference`` when D is accurate.
 
     D estimates 2^n * sum_P (rho^(P) - ref^(P))^2 = ||rho - ref||_F^2 without
     bias: each squared coefficient error is debiased with the exact
@@ -130,14 +129,14 @@ def frobenius_bound(
     if reference.n != n:
         raise ValueError("reference dimension mismatch")
     T = certifier_sample_count(n, eps, delta, c)
-    codes, outs = _collect_through_access(access, T, seed)
+    codes, outs = access.collect(T, seed)
     # At k = n the words are all 4^n packed words in order.
     words, est_flat = estimate_lowdeg(codes, outs, n)
     ref_flat = pauli_tensor(reference).reshape(-1)
     second_moment = 3.0 ** pauli_weight(words) / 4.0**n
     variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)
     d_hat = float((1 << n) * np.sum((est_flat - ref_flat) ** 2 - variance_hat))
-    return 2.0 ** (n / 2.0) * math.sqrt(max(d_hat, 0.0)), T
+    return 2.0 ** (n / 2.0) * math.sqrt(max(d_hat, 0.0))
 
 
 JUNTA_CLOSE = "junta-close"
@@ -145,7 +144,7 @@ JUNTA_FAR = "junta-far"
 
 
 def test_junta(
-    access: StateAccess,
+    access: SimulatedStateAccess,
     k: int,
     eps: float,
     delta: float,
@@ -171,29 +170,30 @@ def test_junta(
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     delta_sub = delta / n**k
+    start = access.copies_used
     transcript = []
     for index, subset in enumerate(itertools.combinations(range(1, n + 1), k)):
         before = access.copies_used
         reduced = local_tomography(access, subset, eps, delta_sub, c_tomography, _stream_seed(seed, index))
-        tomography_copies = access.copies_used - before
+        tomographed = access.copies_used
         candidate = embed_on(reduced, subset, n)
         if oracle is None:
-            statistic, certification_copies = frobenius_bound(
+            statistic = frobenius_bound(
                 access, candidate, 3.0 * eps, delta_sub, _stream_seed(certifier_seed, index), c_certifier
             )
         else:
-            statistic, certification_copies = trace_distance(oracle, candidate), 0
+            statistic = trace_distance(oracle, candidate)
         transcript.append({
             "K": list(subset),
             "verdict": FAR if statistic > 1.5 * (3.0 * eps) else CLOSE,
             "statistic": statistic,
-            "tomography_copies": tomography_copies,
-            "certification_copies": certification_copies,
+            "tomography_copies": tomographed - before,
+            "certification_copies": access.copies_used - tomographed,
         })
     return {
         "decision": JUNTA_CLOSE if any(r["verdict"] == CLOSE for r in transcript) else JUNTA_FAR,
         "best_K": min(transcript, key=lambda r: r["statistic"])["K"],
-        "copies_used": sum(r["tomography_copies"] + r["certification_copies"] for r in transcript),
+        "copies_used": access.copies_used - start,
         "transcript": transcript,
     }
 
@@ -208,9 +208,10 @@ def test_junta_copy_budget(
     c_certifier: float = DEFAULT_CERTIFIER_C,
 ) -> int:
     """Exact copy count test_junta will consume at these parameters, with
-    ``frobenius_certifier`` true when it runs without an oracle."""
+    ``frobenius_certifier`` true when it runs without an oracle; tomography
+    on the empty subset (k = 0) spends none."""
     delta_sub = delta / n**k
-    per_subset = tomography_sample_count(n, k, eps, delta_sub, c_tomography)
+    per_subset = tomography_sample_count(n, k, eps, delta_sub, c_tomography) if k else 0
     if frobenius_certifier:
         per_subset += certifier_sample_count(n, 3.0 * eps, delta_sub, c_certifier)
     return math.comb(n, k) * per_subset

@@ -472,6 +472,23 @@ def test_single_run_is_the_grid_runner_on_the_planted_truth(command, params, arg
     assert printed == expected
 
 
+def test_test_state_certifier_defaults_to_frobenius_in_grid_and_command(tmp_path, capsys):
+    """A grid cell and a command line that name no certifier both spend
+    Frobenius certification copies, and agree."""
+    params, seed = {"n": 3, "k": 1, "eps": 0.3, "delta": 0.1}, 5
+    record = CELL_RUNNERS["test-state"](params, seed)
+    assert record == CELL_RUNNERS["test-state"]({**params, "certifier": "frobenius"}, seed)
+    assert all(r["certification_copies"] > 0 for r in record["transcript"])
+    truth_path = tmp_path / "truth.json"
+    save_planted_instance("test-state", params, seed, truth_path)
+    argv = ["test-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth", str(truth_path)]
+    assert main([*argv, "--seed", str(seed)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    printed.pop("elapsed_ms")
+    record.pop("correct")
+    assert printed == record
+
+
 class TestLoadersNameMissingFields:
     def run_on(self, tmp_path, capsys, argv, name, payload):
         path = tmp_path / name

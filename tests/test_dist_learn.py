@@ -11,7 +11,6 @@ from juntalab.dist_learn import (
     DEFAULT_C,
     DistributionSampler,
     SimulatedSampler,
-    empirical_low_degree_spectrum,
     empirical_relative_spectrum,
     learn_junta_distribution,
     learn_junta_from_spectrum,
@@ -56,9 +55,10 @@ def empirical_coefficient(points: np.ndarray, n: int, subset: int) -> float:
 
 
 def low_degree_value(points: np.ndarray, n: int, k: int, mask: int) -> float:
-    """The pipeline's estimate at one mask of size at most k."""
-    masks, values = empirical_low_degree_spectrum(points, n, k)
-    return values[np.searchsorted(masks, mask)]
+    """The pipeline's estimate at one mask of size at most k, divided by 2^n
+    to the mean-of-characters scale (an exact float scaling)."""
+    masks, values = empirical_relative_spectrum(points, n, k)
+    return values[np.searchsorted(masks, mask)] / (1 << n)
 
 
 def broadcast_reference(block, n, variables):
@@ -172,17 +172,10 @@ class TestSpectrumEstimation:
         rng = np.random.default_rng(5)
         truth, _ = random_junta_distribution(6, 2, rng)
         points = SimulatedSampler(truth, seed=3).draw(2000)
-        masks, values = empirical_low_degree_spectrum(points, 6, 2)
+        masks, values = empirical_relative_spectrum(points, 6, 2)
         assert masks.tolist() == [m for m in range(1 << 6) if m.bit_count() <= 2]
         for mask, value in zip(masks, values):
-            assert value == empirical_coefficient(points, 6, int(mask))
-
-    def test_relative_scale_is_exact_power_of_two(self):
-        points = np.arange(32)
-        masks, relative = empirical_relative_spectrum(points, 5, 2)
-        paper_masks, paper = empirical_low_degree_spectrum(points, 5, 2)
-        assert np.array_equal(masks, paper_masks)
-        assert np.array_equal(relative / 2**5, paper)
+            assert value / 2**6 == empirical_coefficient(points, 6, int(mask))
 
 
 def dense_relative_spectrum(points, n, k):
@@ -322,7 +315,7 @@ class TestJuntaLearner:
         rng = np.random.default_rng(14)
         truth, variables = random_junta_distribution(8, 3, rng)
         masks = low_degree_masks(8, 3)
-        exact = fourier_transform(truth)[masks]
+        exact = fourier_transform(truth)[masks] * 2**8
         result = learn_junta_from_spectrum(masks, exact, 8, k=3, eps=0.2)
         assert result.junta_variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
@@ -367,7 +360,7 @@ class TestJuntaLearner:
                 learn_junta_distribution(sampler, k, eps, delta, c)
         for k, eps in [(-1, 0.2), (1, 0.0), (6, 0.2), (1, 1.0)]:
             with pytest.raises(ValueError, match="need 0 <= k <= n = 5 and 0 < eps < 1"):
-                learn_junta_from_spectrum(np.array([0]), np.array([1 / 32]), 5, k, eps)
+                learn_junta_from_spectrum(np.array([0]), np.array([1.0]), 5, k, eps)
 
 
 class SimulatedExampleOracle:
@@ -458,21 +451,17 @@ class TestSparseLowDegreeLearner:
 
 
 class TestSampleSetValidation:
-    """Sample arrays: the estimators' checks and the simulated sampler."""
-
-    ESTIMATORS = (empirical_relative_spectrum, empirical_low_degree_spectrum)
+    """Sample arrays: the estimator's checks and the simulated sampler."""
 
     def test_rejects_empty(self):
-        for estimator in self.ESTIMATORS:
-            for points in (np.array([], dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
-                with pytest.raises(ValueError, match="nonempty 1-D array of sample points"):
-                    estimator(points, 3, 1)
+        for points in (np.array([], dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="nonempty 1-D array of sample points"):
+                empirical_relative_spectrum(points, 3, 1)
 
     def test_rejects_out_of_range(self):
-        for estimator in self.ESTIMATORS:
-            for points in (np.array([4]), np.array([0, -1])):
-                with pytest.raises(ValueError, match=r"sample points must lie in \[0, 2\^2\)"):
-                    estimator(points, 2, 1)
+        for points in (np.array([4]), np.array([0, -1])):
+            with pytest.raises(ValueError, match=r"sample points must lie in \[0, 2\^2\)"):
+                empirical_relative_spectrum(points, 2, 1)
 
     def test_sampler_protocol(self):
         truth = Distribution.uniform(3)

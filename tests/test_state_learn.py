@@ -20,7 +20,6 @@ from juntalab.shadows import CHUNK, MAX_MEASURE_QUBITS
 from juntalab.state_learn import (
     LearnedState,
     SimulatedStateAccess,
-    _collect_through_access,
     junta_state_sample_count,
     learn_junta_state,
     learn_qac0_choi,
@@ -179,8 +178,7 @@ class TestLearnJuntaState:
             access = SimulatedStateAccess(truth, seed=seed)
             result = learn_junta_state(access, 1, 0.25, 0.1, basis_seed=seed + 10)
             assert trace_distance(result.psd_projected, truth) <= math.sqrt(2) * 0.25
-            assert result.copies_used == access.copies_used
-            assert result.copies_used == junta_state_sample_count(4, 1, 0.25, 0.1)
+            assert access.copies_used == junta_state_sample_count(4, 1, 0.25, 0.1)
 
     def test_spectrum_weight_capped(self):
         truth = random_density_matrix(3, np.random.default_rng(13))
@@ -241,7 +239,7 @@ class TestSimulatedAccess:
     def test_pinned_digest(self):
         # Pins the learner's basis stream and the access's outcome stream.
         truth = random_density_matrix(4, np.random.default_rng(22))
-        codes, outs = _collect_through_access(SimulatedStateAccess(truth, seed=24), 9000, 25)
+        codes, outs = SimulatedStateAccess(truth, seed=24).collect(9000, 25)
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
             "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
@@ -326,7 +324,7 @@ class TestLearnQac0Choi:
         access = SimulatedStateAccess(truth, seed=10)
         result = learn_qac0_choi(access, 1, 1, 0, 2.0, 0.2, basis_seed=11)
         assert isinstance(result, LearnedState)
-        assert result.copies_used == access.copies_used
+        assert access.copies_used == junta_state_sample_count(2, result.junta_arity, math.sqrt(2.0), 0.2)
 
     def test_single_toffoli_merit_bound(self):
         # two-input conjunction circuit: the dimension-scaled Frobenius merit
@@ -342,7 +340,7 @@ class TestLearnQac0Choi:
                 access, circuit.size, circuit.depth, 0, eps, 0.1, basis_seed=seed
             )
             assert result.junta_arity == 2
-            copies = result.copies_used
+            copies = access.copies_used
             merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
             if merit <= eps:
                 hits += 1

@@ -94,15 +94,14 @@ class TestFrobeniusCertifier:
     def test_reference_equals_hidden(self):
         truth = random_density_matrix(3, np.random.default_rng(2))
         access = SimulatedStateAccess(truth, seed=1)
-        bound, copies = frobenius_bound(access, truth, 0.3, 0.1, seed=4)
-        assert bound <= 1.5 * 0.3
-        assert copies == certifier_sample_count(3, 0.3, 0.1) == access.copies_used
+        assert frobenius_bound(access, truth, 0.3, 0.1, seed=4) <= 1.5 * 0.3
+        assert access.copies_used == certifier_sample_count(3, 0.3, 0.1)
 
     def test_orthogonal_pure_states_are_far(self):
         truth = pure_basis_state(2, 0)
         reference = pure_basis_state(2, 3)
         access = SimulatedStateAccess(truth, seed=2)
-        assert frobenius_bound(access, reference, 0.3, 0.1, seed=5)[0] > 1.5 * 0.3
+        assert frobenius_bound(access, reference, 0.3, 0.1, seed=5) > 1.5 * 0.3
 
     def test_planted_diffuse_two_eps_instance(self):
         # diagonal pair at trace distance exactly 2 eps, spread over all entries
@@ -113,7 +112,7 @@ class TestFrobeniusCertifier:
         assert trace_distance(truth, reference) == pytest.approx(2 * eps, abs=1e-12)
         for seed in (0, 1, 2):
             access = SimulatedStateAccess(truth, seed=seed)
-            assert frobenius_bound(access, reference, eps, 0.1, seed=seed)[0] > 1.5 * eps
+            assert frobenius_bound(access, reference, eps, 0.1, seed=seed) > 1.5 * eps
 
     def test_refuses_large_n(self):
         truth = DensityMatrix(np.eye(128) / 128)
@@ -169,6 +168,15 @@ class TestTestJunta:
         result = run_junta_test(access, 1, 0.1, 0.1, seed=5, certifier_seed=11)
         budget = junta_copy_budget(4, 1, 0.1, 0.1, frobenius_certifier=True)
         assert result["decision"] == JUNTA_CLOSE
+        assert result["copies_used"] == budget == access.copies_used
+
+    @pytest.mark.parametrize("frobenius_certifier", [False, True])
+    def test_k_zero_budget_charges_no_tomography(self, frobenius_certifier):
+        truth = DensityMatrix(np.eye(8) / 8)
+        access = SimulatedStateAccess(truth, seed=13)
+        oracle = None if frobenius_certifier else truth
+        result = run_junta_test(access, 0, 0.3, 0.1, oracle=oracle, seed=2, certifier_seed=3)
+        budget = junta_copy_budget(3, 0, 0.3, 0.1, frobenius_certifier=frobenius_certifier)
         assert result["copies_used"] == budget == access.copies_used
 
     def test_monotone_in_eps(self):

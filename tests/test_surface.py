@@ -1,5 +1,6 @@
 """Every public top-level function and class of the package has a use in the
-package, or a stated reason to exist without one."""
+package, or a stated reason to exist without one; no module imports another
+module's private names."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,18 @@ def test_every_public_name_is_used_or_listed():
     stale = sorted(UNREFERENCED_ON_PURPOSE.keys() - unreferenced)
     assert not unlisted, f"public names with no use in the package: {unlisted}"
     assert not stale, f"listed as unreferenced but now used in the package: {stale}"
+
+
+def private_imports() -> list[str]:
+    """``module: name`` for every ``from .<module> import _<name>`` in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.stem}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    found = private_imports()
+    assert not found, f"private names imported across modules: {found}"
