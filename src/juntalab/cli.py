@@ -16,6 +16,7 @@ for that truth plus ``elapsed_ms``, the wall time of the whole call; its
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import math
@@ -557,7 +558,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_arrays_mapped() -> None:
+    """Keep freed arrays of up to 64 MiB, and 256 MiB of free top, in glibc's heap so that
+    temporaries reuse mapped pages; set alone, the trim threshold pins mmap's at 128 KiB."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc
+        return
+    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_arrays_mapped()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,9 +8,9 @@ where Q_S keeps Q on S and puts I elsewhere: the Walsh transform of the
 {I, Q_i} slice of the state's Pauli tensor (the inverse of the shadow
 estimator below). The tensor is computed once per state; each sampling call,
 a group of consecutive chunks, gathers the slices of its distinct basis words
-with one index matrix, transforms them as one batch, and draws its rows with
-one vectorized binary search per chunk. Only the +/-1 eigenvalue labeling
-enters, so no eigenbasis phases are fixed.
+with one index matrix, transforms them as one batch, and draws its rows in
+place by one vectorized binary search per 4 CHUNK-row piece. Only the +/-1
+eigenvalue labeling enters, so no eigenbasis phases are fixed.
 
 The coefficient estimator for a Pauli word P averages
 ``3^|supp P| / 2^n * prod_{i in supp P} x_i [P_i == Q_i]`` over samples. It
@@ -63,8 +63,6 @@ def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     whose bits are set in S.
     """
     count, n = words.shape
-    if coeffs.size != 4**n:
-        raise ValueError("basis length does not match state")
     index = np.zeros((count, 1), dtype=np.int64)
     for col in reversed(range(n)):
         # Qubit col becomes the most significant bit of S so far.
@@ -84,37 +82,51 @@ def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray)
 
     ``coeffs`` is the state's flat Pauli tensor. Row r draws the outcome
     ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of its basis word's
-    cumulative distribution, built once per call and word; each CHUNK-row slice
-    counts the entries at or below its uniforms by one n-step binary search.
+    cumulative distribution, built once per call and word; each 4 CHUNK-row
+    piece counts the entries at or below its uniforms by one in-place n-step
+    binary search.
     """
     if codes.ndim != 2 or np.shape(uniforms) != codes.shape[:1]:
         shapes = f"codes of shape {codes.shape} and uniforms of shape {np.shape(uniforms)}"
         raise ValueError(f"need 2-D (rows, n) basis codes and one uniform per row, got {shapes}")
     rows, n = codes.shape
+    if coeffs.size != 4**n:
+        raise ValueError(f"basis length does not match state: {n} codes a row for {coeffs.size} coefficients")
     if codes.min() < 1 or codes.max() > 3:
         raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-    keys = np.ravel_multi_index((codes - 1).T, (3,) * n)
+    keys = np.zeros(rows, dtype=np.int64)
+    for col in codes.T:
+        keys *= 3
+        keys += col
+    keys -= 3**n // 2
     present = np.zeros(3**n, dtype=bool)
     present[keys] = True
     words = np.flatnonzero(present)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3 + 1
     cum = np.cumsum(_born_rows(coeffs, words), axis=1).reshape(-1)
-    # Rows search their word's block of the flat cumulatives: [start, start + 2^n).
-    start = (np.cumsum(present) - 1)[keys] << n
+    # A row searches its word's block of the flat cumulatives, [start, start + 2^n).
+    starts = (np.cumsum(present) - 1) << n
     signs = (1 - 2 * (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1)).astype(np.int8)
     outs = np.empty((rows, n), dtype=np.int8)
-    for at in range(0, rows, CHUNK):
-        first, u = start[at : at + CHUNK], uniforms[at : at + CHUNK]
-        draws, step = first.copy(), 1 << (n - 1)
-        while step:
-            draws += step * (cum[draws + (step - 1)] <= u)
-            step >>= 1
-        np.take(signs, draws - first, axis=0, out=outs[at : at + CHUNK])
+    piece = min(rows, 4 * CHUNK)
+    draws, moves, bounds = np.empty(piece, dtype=np.int64), np.empty(piece, dtype=np.int64), np.empty(piece)
+    for at in range(0, rows, piece):
+        d, m, c, u = draws[: rows - at], moves[: rows - at], bounds[: rows - at], uniforms[at : at + piece]
+        # Every index below is in range, so mode="clip" never clips.
+        np.take(starts, keys[at : at + piece], out=d, mode="clip")
+        for step in (1 << bit for bit in reversed(range(n))):
+            np.take(cum[step - 1 :], d, out=c, mode="clip")
+            d += np.multiply(np.less_equal(c, u, out=m), step, out=m)
+        d &= (1 << n) - 1
+        np.take(signs, d, axis=0, out=outs[at : at + piece], mode="clip")
     return outs
 
 
 def _chunk_uniforms(rngs, rows: int) -> np.ndarray:
     """One uniform per row: CHUNK-row piece j of the rows draws from ``rngs[j]``."""
-    return np.concatenate([rng.random(min(CHUNK, rows - at)) for rng, at in zip(rngs, range(0, rows, CHUNK))])
+    uniforms = np.empty(rows)
+    for rng, at in zip(rngs, range(0, rows, CHUNK)):
+        rng.random(out=uniforms[at : at + CHUNK])
+    return uniforms
 
 
 def collect_chunks(n: int, T: int, seed: int, measure) -> tuple[np.ndarray, np.ndarray]:
@@ -169,13 +181,17 @@ class SimulatedStateAccess:
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
         """One outcome row per basis row; the stream's pieces run on across
-        calls, so one call over several chunks equals one call per chunk."""
+        calls, so one call over several chunks equals one call per chunk.
+        A call that raises spends no copy."""
         codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
-        rows = codes.shape[0]
+        rows = len(codes)
+        if rows == 0:
+            return np.empty((0, self.n), dtype=np.int8)
         pieces = range(self._pieces, self._pieces + -(-rows // CHUNK))
-        self._pieces, self._copies = pieces.stop, self._copies + rows
         rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
-        return sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
+        outs = sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
+        self._pieces, self._copies = pieces.stop, self._copies + rows
+        return outs
 
     def collect(self, T: int, basis_seed: int) -> tuple[np.ndarray, np.ndarray]:
         """T basis words drawn by ``collect_chunks`` from ``basis_seed``, and their outcomes."""

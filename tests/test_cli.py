@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from juntalab import dist_learn, qac0, qstate
+from juntalab import cli, dist_learn, qac0, qstate
 from juntalab.cli import (
     CELL_RUNNERS,
     ExperimentSpec,
@@ -832,3 +832,46 @@ def test_pinned_test_state_records_at_k0_and_k2():
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "6c0561f2d56f8778aa72004d4dcbe8c3dd9d1469907bb18644eba087245c543c"
     )
+
+
+class TestHeapPolicy:
+    """``main`` sets glibc's mmap and trim thresholds once, before it parses
+    or dispatches, and runs the command where ``mallopt`` is missing."""
+
+    ARGV = ["address", "distance", "--D", "2", "--k", "1"]
+
+    def _dispatch_logged(self, monkeypatch, log):
+        runner = CELL_RUNNERS["address-distance"]
+
+        def logged(*args):
+            log.append("dispatch")
+            return runner(*args)
+
+        monkeypatch.setitem(CELL_RUNNERS, "address-distance", logged)
+
+    def test_sets_both_thresholds_before_dispatch(self, monkeypatch, capsys):
+        log = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                log.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        self._dispatch_logged(monkeypatch, log)
+        assert main(self.ARGV) == 0
+        assert log == [(-3, 64 << 20), (-1, 256 << 20), "dispatch"]
+
+    @pytest.mark.parametrize("missing", ["no mallopt", "no library"])
+    def test_runs_without_mallopt(self, missing, monkeypatch, capsys):
+        def cdll(name):
+            if missing == "no library":
+                raise OSError("cannot open the C library")
+            return object()
+
+        log = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        self._dispatch_logged(monkeypatch, log)
+        assert main(self.ARGV) == 0
+        assert log == ["dispatch"]
+        assert "distance" in capsys.readouterr().out

@@ -20,6 +20,7 @@ from juntalab.qstate import (
 from juntalab.shadows import (
     CHUNK,
     _LETTER_SUMS,
+    SimulatedStateAccess,
     _born_rows,
     collect_chunks,
     collect_shadows,
@@ -212,6 +213,79 @@ class TestSampleOutcomes:
         coeffs = pauli_tensor(DensityMatrix(np.eye(4) / 4)).reshape(-1)
         with pytest.raises(ValueError, match="2-D"):
             sample_outcomes(coeffs, np.ones(2, dtype=np.uint8), np.full(2, 0.5))
+
+
+class TestSampleOutcomesOracle:
+    """The kernel against np.searchsorted per row over its word's cumulative,
+    across whole and partial search pieces of 4 CHUNK rows."""
+
+    @staticmethod
+    def _state(n, kind, rng):
+        if kind == "pure":
+            return DensityMatrix.pure(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+        # Dyadic weights on fewer than 2^n basis states: Born rows with exact
+        # zeros, so cumulatives repeat values.
+        size = min(3, (1 << n) - 1)
+        weights = np.zeros(1 << n)
+        weights[rng.choice(1 << n, size=size, replace=False)] = [1.0] if size == 1 else [0.5, 0.25, 0.25]
+        return DensityMatrix(np.diag(weights))
+
+    @pytest.mark.parametrize("kind", ["pure", "rank-deficient"])
+    @pytest.mark.parametrize("n", [1, 4, 6, 10])
+    def test_matches_per_row_searchsorted(self, n, kind):
+        rng = np.random.default_rng(50 + n)
+        coeffs = pauli_tensor(self._state(n, kind, rng)).reshape(-1)
+        rows = 4 * CHUNK + 123
+        pool = np.unique(rng.integers(1, 4, size=(8, n), dtype=np.uint8), axis=0)
+        pool[0] = 3  # the all-Z word
+        codes = pool[rng.integers(len(pool), size=rows)]
+        cums = np.cumsum(_born_rows(coeffs, pool), axis=1)
+        if kind == "rank-deficient":
+            assert np.any(np.diff(cums[0]) == 0)
+        which = [np.flatnonzero((codes == word).all(axis=1)) for word in pool]
+        uniforms = rng.random(rows)
+        for w, at in enumerate(which):
+            edge = at[: len(at) // 3]  # exactly on a cumulative boundary
+            uniforms[edge] = cums[w][rng.integers(1 << n, size=len(edge))]
+        uniforms[-600:-400] = 0.0
+        uniforms[-400:-200] = np.nextafter(1.0, 0.0)
+        got = sample_outcomes(coeffs, codes, uniforms)
+        draws = np.empty(rows, dtype=np.int64)
+        for w, at in enumerate(which):
+            draws[at] = [min(int(np.searchsorted(cums[w], u, side="right")), (1 << n) - 1) for u in uniforms[at]]
+        want = 1 - 2 * (draws[:, None] >> np.arange(n - 1, -1, -1) & 1)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+class TestAccessChecksBeforeCharging:
+    """A basis ``measure_chunk`` cannot measure spends no copy and leaves the
+    outcome stream where it was."""
+
+    def _access(self):
+        return SimulatedStateAccess(random_density_matrix(2, np.random.default_rng(6)), seed=7)
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            (np.ones((3, 3), dtype=np.uint8), "basis length does not match state"),
+            (np.ones(3, dtype=np.uint8), "2-D"),
+            (np.array([[1, 4], [2, 2], [3, 3]]), "basis codes must be"),
+            (np.array([[0, 1], [2, 2], [3, 3]]), "basis codes must be"),
+        ],
+    )
+    def test_rejected_basis_charges_nothing(self, codes, message):
+        access, fresh = self._access(), self._access()
+        with pytest.raises(ValueError, match=message):
+            access.measure_chunk(codes)
+        assert access.copies_used == 0
+        basis = np.array([[1, 3], [2, 2], [3, 1]], dtype=np.uint8)
+        assert access.measure_chunk(basis).tobytes() == fresh.measure_chunk(basis).tobytes()
+
+    def test_empty_basis_returns_no_rows(self):
+        access = self._access()
+        out = access.measure_chunk(np.empty((0, 2), dtype=np.uint8))
+        assert out.shape == (0, 2) and out.dtype == np.int8
+        assert access.copies_used == 0
 
 
 class TestInvalidState:
