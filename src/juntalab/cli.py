@@ -78,13 +78,12 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
         instance_rng = np.random.default_rng([seed, 0])
         truth, variables = dist_learn.random_junta_distribution(int(params["n"]), k, instance_rng)
         planted["planted_variables"] = list(variables)
-    # The sampler is passed inline so that its 2^n cumulative is freed
-    # before tv_distance allocates the difference.
-    result = dist_learn.learn_junta_distribution(
-        dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1)), k, eps, delta, c
-    )
+    sampler = dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1))
+    result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
+    T = sampler.samples_used
+    del sampler  # so that its 2^n cumulative is freed before tv_distance allocates the difference
     return {
-        "T": result.sample_count,
+        "T": T,
         "tv_exact": tv_distance(result.distribution, truth),
         "surviving_sets": [list(mask_to_variables(int(m), truth.n)) for m in result.surviving_masks],
         "junta_variables": list(result.junta_variables),
@@ -192,7 +191,7 @@ def _run_qac0_analyze(params: dict, seed: int, truth=None) -> dict:
     if circuit.total_qubits <= qac0.MAX_FULL_CHOI_CIRCUIT_QUBITS:
         full = qac0.choi_state_full(circuit)
         best, residual = qac0.concentration_search(full, len(cone) + 1)
-        mass, removed = qac0.removal_pauli_mass_shift(circuit, int(params.get("arity", 3)))
+        mass, removed = qac0.removal_pauli_mass_shift(circuit, int(params.get("arity", 3)), full)
         metrics.update(
             concentration_K=list(best),
             concentration_residual=residual,

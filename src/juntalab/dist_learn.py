@@ -15,7 +15,8 @@ Estimating all low-degree coefficients never touches 2^n bins: the sums are
 the exact ``hypercube.block_totals`` of the samples' bits. Samples are a 1-D
 int64 array of point masks, and a low-degree spectrum is a pair of arrays:
 ascending subset masks and their values. The learners take their parameters
-(k, eps, delta, c) as arguments and check them where they are used.
+(k, eps, delta, c) as arguments and check them where they are used; callers
+read the samples spent from the sampler's ``samples_used``, the only count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -32,18 +32,10 @@ from .hypercube import Distribution, block_totals, variables_to_mask, walsh_hada
 DEFAULT_C = 8.0
 
 
-class DistributionSampler(Protocol):
-    """Sample oracle for an unknown distribution on the cube."""
-
-    n: int
-
-    def draw(self, count: int) -> np.ndarray:
-        """``count`` i.i.d. point masks, as a 1-D int64 array."""
-
-
 class SimulatedSampler:
-    """Sampler backed by a known Distribution; call i draws from an RNG keyed
-    (seed, i), so runs replay exactly."""
+    """Sample oracle backed by a known Distribution; successful call i draws
+    from an RNG keyed (seed, i), so runs replay exactly, and adds its points
+    to ``samples_used``. A call that raises spends nothing."""
 
     def __init__(self, dist: Distribution, seed: int) -> None:
         if seed < 0:
@@ -52,17 +44,22 @@ class SimulatedSampler:
         self._cumulative = np.cumsum(dist.values)
         self._seed = int(seed)
         self._calls = 0
+        self._samples = 0
+
+    @property
+    def samples_used(self) -> int:
+        return self._samples
 
     def draw(self, count: int) -> np.ndarray:
-        rng = np.random.default_rng([self._seed, self._calls])
-        self._calls += 1
-        uniforms = rng.random(count)
+        """``count`` i.i.d. point masks, as a 1-D int64 array."""
+        uniforms = np.random.default_rng([self._seed, self._calls]).random(count)
         # Ascending needles walk the cumulative in order, which is cache
         # friendly; the scatter puts each point back at its uniform's draw.
         # Equal uniforms find equal points, so the order among ties is free.
         order = np.argsort(uniforms)
         points = np.empty(count, dtype=np.int64)
         points[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
+        self._calls, self._samples = self._calls + 1, self._samples + uniforms.size
         return np.minimum(points, (1 << self.n) - 1)
 
 
@@ -159,14 +156,11 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
 @dataclass
 class DistLearnResult:
     distribution: Distribution
-    sample_count: int
     surviving_masks: np.ndarray
     junta_variables: tuple[int, ...]
 
 
-def learn_junta_from_spectrum(
-    masks, values, n: int, k: int, eps: float, sample_count: int = 0
-) -> DistLearnResult:
+def learn_junta_from_spectrum(masks, values, n: int, k: int, eps: float) -> DistLearnResult:
     """Threshold, variable selection, and rounding on precomputed
     relative-scale coefficients q = 2^n p of the subsets ``masks``.
 
@@ -183,20 +177,18 @@ def learn_junta_from_spectrum(
     masks, relative = masks[inside], relative[inside]
     return DistLearnResult(
         distribution=round_to_distribution(masks, relative, n, variables),
-        sample_count=sample_count,
         surviving_masks=masks,
         junta_variables=variables,
     )
 
 
 def learn_junta_distribution(
-    sampler: DistributionSampler, k: int, eps: float, delta: float, c: float = DEFAULT_C
+    sampler: SimulatedSampler, k: int, eps: float, delta: float, c: float = DEFAULT_C
 ) -> DistLearnResult:
     """Draw the prescribed number of samples and run the full pipeline."""
     n = sampler.n
-    T = sample_count_dist(n, k, eps, delta, c)
-    masks, values = empirical_relative_spectrum(sampler.draw(T), n, k)
-    return learn_junta_from_spectrum(masks, values, n, k, eps, sample_count=T)
+    masks, values = empirical_relative_spectrum(sampler.draw(sample_count_dist(n, k, eps, delta, c)), n, k)
+    return learn_junta_from_spectrum(masks, values, n, k, eps)
 
 
 def random_junta_distribution(

@@ -315,13 +315,13 @@ def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
     return subsets[best], float(residuals[best])
 
 
-def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int) -> tuple[float, int]:
-    """Total squared Pauli-coefficient shift of the full Choi state when all
-    Toffolis of at least the given arity are removed, plus the removal count.
+def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int, full: DensityMatrix) -> tuple[float, int]:
+    """Total squared Pauli-coefficient shift of ``full = choi_state_full(circuit)``
+    when all Toffolis of at least the given arity are removed, plus the removal count.
 
     This measures the perturbation; no universal constant is assumed."""
     pruned, removed = remove_long_toffolis(circuit, arity)
-    t_full = pauli_tensor(choi_state_full(circuit))
+    t_full = pauli_tensor(full)
     t_pruned = pauli_tensor(choi_state_full(pruned))
     return float(((t_full - t_pruned) ** 2).sum()), removed
 

@@ -183,7 +183,13 @@ class SimulatedStateAccess:
         """One outcome row per basis row; the stream's pieces run on across
         calls, so one call over several chunks equals one call per chunk.
         A call that raises spends no copy."""
-        codes = np.ascontiguousarray(basis_codes, dtype=np.uint8)
+        values = np.asarray(basis_codes)
+        # Checked before the uint8 cast, which would wrap 257 to 1 and truncate 1.7 to 1.
+        integral = values.dtype.kind in "iu" or np.all(values % 1 == 0)
+        if values.size and not (integral and 1 <= values.min() and values.max() <= 3):
+            bad = np.setdiff1d(values, [1, 2, 3])[:5].tolist()
+            raise ValueError(f"basis codes must be 1 (X), 2 (Y), or 3 (Z), got {bad}")
+        codes = np.ascontiguousarray(values, dtype=np.uint8)
         rows = len(codes)
         if rows == 0:
             return np.empty((0, self.n), dtype=np.int8)

@@ -113,7 +113,7 @@ def test_criterion_03_junta_distribution_learning():
         trial_start = time.perf_counter()
         result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
         worst_trial_seconds = max(worst_trial_seconds, time.perf_counter() - trial_start)
-        assert result.sample_count == 22105
+        assert sampler.samples_used == 22105
         tv = tv_distance(result.distribution, truth)
         worst_tv = max(worst_tv, tv)
         if tv <= eps:

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from juntalab import dist_learn, hypercube
+from juntalab import cli, dist_learn, hypercube
 from juntalab.dist_learn import (
     DEFAULT_C,
-    DistributionSampler,
     SimulatedSampler,
     empirical_relative_spectrum,
     learn_junta_distribution,
@@ -327,7 +326,7 @@ class TestJuntaLearner:
         for seed in range(8):
             sampler = SimulatedSampler(truth, seed)
             result = learn_junta_distribution(sampler, k=3, eps=0.2, delta=0.1, c=8.0)
-            assert result.sample_count == 22105
+            assert sampler.samples_used == 22105
             if tv_distance(result.distribution, truth) > 0.2:
                 failures += 1
         assert failures == 0
@@ -465,7 +464,7 @@ class TestSampleSetValidation:
 
     def test_sampler_protocol(self):
         truth = Distribution.uniform(3)
-        sampler: DistributionSampler = SimulatedSampler(truth, seed=0)
+        sampler = SimulatedSampler(truth, seed=0)
         drawn = sampler.draw(10)
         assert drawn.shape == (10,) and drawn.dtype == np.int64
         assert 0 <= drawn.min() and drawn.max() < 8
@@ -496,3 +495,41 @@ class TestSampleSetValidation:
         a = SimulatedSampler(truth, seed=9).draw(100)
         b = SimulatedSampler(truth, seed=9).draw(100)
         assert np.array_equal(a, b)
+
+
+class TestSampleCounter:
+    """``SimulatedSampler.samples_used`` is the only sample count."""
+
+    def test_counts_across_calls_and_is_read_only(self):
+        sampler = SimulatedSampler(Distribution.uniform(4), seed=1)
+        assert sampler.samples_used == 0
+        for count, total in ((5, 5), (0, 5), (4097, 4102)):
+            sampler.draw(count)
+            assert sampler.samples_used == total
+        with pytest.raises(AttributeError):
+            sampler.samples_used = 0
+
+    @pytest.mark.parametrize("count", [-1, 2.5])
+    def test_rejected_draw_spends_nothing_and_shifts_no_stream(self, count):
+        truth, _ = random_junta_distribution(4, 2, np.random.default_rng(5))
+        sampler = SimulatedSampler(truth, seed=3)
+        with pytest.raises((ValueError, TypeError)):
+            sampler.draw(count)
+        assert sampler.samples_used == 0
+        assert sampler.draw(5).tolist() == SimulatedSampler(truth, seed=3).draw(5).tolist()
+        assert sampler.samples_used == 5
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_grid_record_reads_t_from_the_sampler(self, k, monkeypatch):
+        samplers = []
+
+        class RecordingSampler(SimulatedSampler):
+            def __init__(self, dist, seed):
+                super().__init__(dist, seed)
+                samplers.append(self)
+
+        monkeypatch.setattr(dist_learn, "SimulatedSampler", RecordingSampler)
+        params = {"n": 8, "k": k, "eps": 0.3, "delta": 0.1}
+        record = cli.CELL_RUNNERS["learn-dist"](params, 4)
+        assert len(samplers) == 1
+        assert record["T"] == samplers[0].samples_used == sample_count_dist(8, k, 0.3, 0.1)

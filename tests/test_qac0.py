@@ -426,7 +426,7 @@ class TestRemovalPerturbation:
     def test_mass_matches_direct_recompute(self):
         rng = np.random.default_rng(12)
         circuit = random_circuit(2, 1, 2, rng)
-        mass, removed = removal_pauli_mass_shift(circuit, 3)
+        mass, removed = removal_pauli_mass_shift(circuit, 3, choi_state_full(circuit))
         pruned, removed2 = remove_long_toffolis(circuit, 3)
         t1 = pauli_tensor(choi_state_full(circuit).entries)
         t2 = pauli_tensor(choi_state_full(pruned).entries)
@@ -442,7 +442,7 @@ class TestRemovalPerturbation:
         worst = 0.0
         for _ in range(10):
             circuit = random_circuit(2, 1, 2, rng)
-            mass, removed = removal_pauli_mass_shift(circuit, arity)
+            mass, removed = removal_pauli_mass_shift(circuit, arity, choi_state_full(circuit))
             if removed == 0:
                 assert mass <= 1e-24
                 continue

@@ -281,6 +281,23 @@ class TestAccessChecksBeforeCharging:
         basis = np.array([[1, 3], [2, 2], [3, 1]], dtype=np.uint8)
         assert access.measure_chunk(basis).tobytes() == fresh.measure_chunk(basis).tobytes()
 
+    @pytest.mark.parametrize(
+        "codes, named",
+        [
+            (np.array([[257, 1], [3, 259]]), "[257, 259]"),
+            ([[1.7, 1], [3, 2]], "[1.7]"),
+            ([[257, 1], [3, 2]], "[257]"),
+        ],
+        ids=["int64-wraps", "float-truncates", "list-overflows"],
+    )
+    def test_codes_checked_before_the_uint8_cast(self, codes, named):
+        access, fresh = self._access(), self._access()
+        with pytest.raises(ValueError, match=re.escape(f"basis codes must be 1 (X), 2 (Y), or 3 (Z), got {named}")):
+            access.measure_chunk(codes)
+        assert access.copies_used == 0
+        basis = np.array([[1, 3], [2, 2], [3, 1]], dtype=np.uint8)
+        assert access.measure_chunk(basis).tobytes() == fresh.measure_chunk(basis).tobytes()
+
     def test_empty_basis_returns_no_rows(self):
         access = self._access()
         out = access.measure_chunk(np.empty((0, 2), dtype=np.uint8))
