@@ -188,10 +188,13 @@ def _run_qac0_analyze(params: dict, seed: int, truth=None) -> dict:
         "light_cone": list(cone),
         "cone_size": len(cone),
     }
+    arity = int(params.get("arity", 3))
+    if arity < 1:
+        raise ValueError("arity threshold must be at least 1")
     if circuit.total_qubits <= qac0.MAX_FULL_CHOI_CIRCUIT_QUBITS:
-        full = qac0.choi_state_full(circuit)
+        full = qstate.pauli_tensor(qac0.choi_state_full(circuit))
         best, residual = qac0.concentration_search(full, len(cone) + 1)
-        mass, removed = qac0.removal_pauli_mass_shift(circuit, int(params.get("arity", 3)), full)
+        mass, removed = qac0.removal_pauli_mass_shift(circuit, arity, full)
         metrics.update(
             concentration_K=list(best),
             concentration_residual=residual,

@@ -11,10 +11,15 @@ Choi-state qubit order: the channel output first, then one reference qubit
 per channel-input qubit in circuit order. All Choi states here are
 normalized to trace 1; the identity-channel Choi on one input is
 diag(1/2, 0, 0, 1/2).
+
+Concentration search and the removal shift read a Choi state through its
+(4,)*q Pauli tensor (``qstate.pauli_tensor``), so a caller that runs both
+builds that tensor once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,11 +30,9 @@ import numpy as np
 from .hypercube import RealCubeFunction, require_fields
 from .qstate import (
     DensityMatrix,
-    as_matrix,
     complex_matrix,
     frobenius_distance,
     pauli_tensor,
-    qubit_count,
 )
 
 MAX_CIRCUIT_QUBITS = 10
@@ -88,7 +91,10 @@ class ToffoliGate:
 Gate = SingleQubitGate | ToffoliGate
 
 
+@functools.cache
 def _default_sigma(a: int) -> DensityMatrix:
+    """|0...0><0...0| on a + 1 qubits, one immutable state shared by every
+    circuit with ``a`` ancillas."""
     dim = 1 << (a + 1)
     mat = np.zeros((dim, dim))
     mat[0, 0] = 1.0
@@ -291,18 +297,20 @@ def light_cone(circuit: Qac0Circuit, qubit: int) -> tuple[int, ...]:
     return tuple(sorted(cone))
 
 
-def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
+def concentration_search(tensor: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Subset of k qubits minimizing the off-subset Pauli mass
-    sum_{supp(P) not within K} coeff(P)^2, with that mass. Exhaustive;
+    sum_{supp(P) not within K} coeff(P)^2 of a q-qubit state given by its
+    (4,)*q Pauli tensor (``pauli_tensor``), with that mass. Exhaustive;
     ties, up to 1e-12 of the total mass, break to the lexicographically
     first subset."""
-    mat = as_matrix(rho)
-    q = qubit_count(mat.shape[0])
+    q = tensor.ndim
+    if tensor.shape != (4,) * q:
+        raise ValueError(f"expected a (4,)*q Pauli tensor, got shape {tensor.shape}")
     if q > MAX_CONCENTRATION_QUBITS:
         raise ValueError(f"concentration search capped at {MAX_CONCENTRATION_QUBITS} qubits")
     if not 0 <= k <= q:
         raise ValueError("k out of range")
-    squared = pauli_tensor(mat) ** 2
+    squared = tensor ** 2
     total = float(squared.sum())
     subsets = list(itertools.combinations(range(1, q + 1), k))
     residuals = np.empty(len(subsets))
@@ -315,13 +323,22 @@ def concentration_search(rho, k: int) -> tuple[tuple[int, ...], float]:
     return subsets[best], float(residuals[best])
 
 
-def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int, full: DensityMatrix) -> tuple[float, int]:
-    """Total squared Pauli-coefficient shift of ``full = choi_state_full(circuit)``
-    when all Toffolis of at least the given arity are removed, plus the removal count.
+def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int, t_full: np.ndarray) -> tuple[float, int]:
+    """Total squared Pauli-coefficient shift of the circuit's full Choi state,
+    given as ``t_full = pauli_tensor(choi_state_full(circuit))``, when all
+    Toffolis of at least the given arity are removed, plus the removal count.
+    With nothing removed the pruned circuit is the circuit and the shift is
+    0.0, so no second Choi state is built.
 
     This measures the perturbation; no universal constant is assumed."""
+    expected = (4,) * (circuit.total_qubits + 1)
+    if t_full.shape != expected:
+        raise ValueError(
+            f"Pauli tensor of shape {t_full.shape} is not the circuit's full Choi tensor, shape {expected}"
+        )
     pruned, removed = remove_long_toffolis(circuit, arity)
-    t_full = pauli_tensor(full)
+    if removed == 0:
+        return 0.0, 0
     t_pruned = pauli_tensor(choi_state_full(pruned))
     return float(((t_full - t_pruned) ** 2).sum()), removed
 

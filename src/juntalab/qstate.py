@@ -65,15 +65,17 @@ class DensityMatrix:
             raise ValueError(f"states capped at {MAX_STATE_QUBITS} qubits")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has a non-finite entry")
-        if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_TOL:
+        adjoint = mat.conj().T
+        if float(np.max(np.abs(mat - adjoint))) > _HERM_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {trace} is not 1 within 1e-10")
-        herm = (mat + mat.conj().T) / 2.0
-        shift = (_PSD_FLOOR + 1e-12) * np.eye(mat.shape[0])
+        herm = mat + adjoint
+        herm /= 2.0
+        herm.flat[:: mat.shape[0] + 1] += _PSD_FLOOR + 1e-12
         try:
-            np.linalg.cholesky(herm + shift)
+            np.linalg.cholesky(herm)
         except np.linalg.LinAlgError:
             raise ValueError(f"matrix has an eigenvalue below -{_PSD_FLOOR}") from None
         mat.flags.writeable = False

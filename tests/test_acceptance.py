@@ -193,7 +193,7 @@ def test_criterion_05_light_cone_junta_law():
         circuit = qac0.random_circuit(n, a, depth=int(rng.integers(1, 3)), rng=rng)
         cone = qac0.light_cone(circuit, circuit.output_qubit)
         choi = qac0.choi_state_full(circuit)
-        _, residual = qac0.concentration_search(choi, len(cone) + 1)
+        _, residual = qac0.concentration_search(qstate.pauli_tensor(choi), len(cone) + 1)
         worst = max(worst, residual)
     assert worst <= 1e-10
     report(5, f"worst off-cone residual {worst:.2e} over 50 circuits")

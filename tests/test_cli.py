@@ -821,6 +821,63 @@ def test_pinned_learn_dist_records_at_benchmark_size(monkeypatch):
         )
 
 
+def test_pinned_qac0_analyze_records_at_benchmark_size(monkeypatch):
+    """The benchmark's n = 3, a = 1 cells at depths 1-3, for arities 2-4, at
+    1 and 2 workers: 5-qubit circuits with gates removed and with none."""
+    grid = {"n": [3], "a": [1], "depth": [1, 2, 3], "arity": [2, 3, 4]}
+    _usable_cpus(monkeypatch, 2)
+    for workers in (1, 2):
+        records = run_experiment(ExperimentSpec("qac0-analyze", grid, trials=3, seed=1), threads=workers)
+        assert all(record["status"] == "ok" for record in records)
+        assert {record["metrics"]["removed_gates"] > 0 for record in records} == {False, True}
+        lines = "\n".join(json_line(record) for record in records)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "e025bcfc5a561ac6fcb36f9516e8f53afb7ca478018816d96dc232243c2b891d"
+        )
+
+
+def test_qac0_analyze_cell_builds_each_choi_tensor_once(monkeypatch):
+    """One Choi state and one Pauli tensor per cell, and a second of each
+    only for the pruned circuit when gates were removed."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    tensor = counted("pauli_tensor", qstate.pauli_tensor)
+    monkeypatch.setattr(qstate, "pauli_tensor", tensor)
+    monkeypatch.setattr(qac0, "pauli_tensor", tensor)
+    monkeypatch.setattr(qac0, "choi_state_full", counted("choi_state_full", qac0.choi_state_full))
+    nothing_removed = set()
+    for seed in range(1, 5):
+        for arity in (2, 3, 4):
+            calls.update(pauli_tensor=0, choi_state_full=0)
+            metrics = CELL_RUNNERS["qac0-analyze"]({"n": 3, "a": 1, "depth": 2, "arity": arity}, seed)
+            builds = 1 if metrics["removed_gates"] == 0 else 2
+            assert calls == {"pauli_tensor": builds, "choi_state_full": builds}
+            nothing_removed.add(metrics["removed_gates"] == 0)
+    assert nothing_removed == {False, True}
+
+
+def test_qac0_analyze_checks_arity_above_the_full_choi_cap(tmp_path, capsys):
+    """Arity 0 is refused on 7-qubit circuits too, which get no Choi state."""
+    grid = {"n": [3, 5], "a": [1], "depth": [2], "arity": [0]}
+    records = run_experiment(ExperimentSpec("qac0-analyze", grid, trials=1, seed=1))
+    assert [(record["status"], record["error"]) for record in records] == [
+        ("error", "ValueError('arity threshold must be at least 1')")
+    ] * 2
+    circuit = qac0.random_circuit(5, 1, 2, np.random.default_rng(4))
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(paulis.circuit_json(circuit)))
+    assert main(["qac0", "analyze", "--circuit", str(path), "--arity", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arity threshold must be at least 1\n"
+
+
 def test_pinned_test_state_records_at_k0_and_k2():
     """The pinned test-state grid holds only k = 1; these are the empty
     subset (no tomography copies) and the pairs of n = 3, for both

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -381,12 +382,12 @@ class TestConcentrationSearch:
         from juntalab.qstate import embed_on
 
         state = embed_on(random_density_matrix(1, np.random.default_rng(9)), (2,), 3)
-        subset, residual = concentration_search(state, 1)
+        subset, residual = concentration_search(pauli_tensor(state), 1)
         assert subset == (2,)
         assert residual <= 1e-12
 
     def test_maximally_mixed_lexicographic(self):
-        subset, residual = concentration_search(DensityMatrix(np.eye(8) / 8), 1)
+        subset, residual = concentration_search(pauli_tensor(DensityMatrix(np.eye(8) / 8)), 1)
         assert subset == (1,)
         assert residual == 0.0
 
@@ -396,14 +397,14 @@ class TestConcentrationSearch:
         # the total mass 1/16, so the two tie and the first subset wins.
         e = 4e-7
         rho = DensityMatrix.from_diagonal(np.tile([(1 + e) / 4, (1 - e) / 4], 2))
-        subset, residual = concentration_search(rho, 1)
+        subset, residual = concentration_search(pauli_tensor(rho), 1)
         assert subset == (1,)
         assert residual == pytest.approx(1e-14, rel=1e-6)
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(10)
         rho = random_density_matrix(3, rng)
-        got_subset, got_value = concentration_search(rho, 1)
+        got_subset, got_value = concentration_search(pauli_tensor(rho), 1)
         best = None
         for subset in itertools.combinations((1, 2, 3), 1):
             mass = off_subset_mass_by_traces(rho.entries, 3, subset)
@@ -412,13 +413,20 @@ class TestConcentrationSearch:
         assert got_subset == best[0]
         assert got_value == pytest.approx(best[1], abs=1e-12)
 
+    def test_rejects_a_tensor_not_shaped_four_per_qubit(self):
+        tensor = pauli_tensor(random_density_matrix(3, np.random.default_rng(10)))
+        # A flat 4^q vector would otherwise be read as one qubit.
+        for bad in (tensor.reshape(-1), tensor.reshape(16, 4), tensor.reshape(8, 8)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+                concentration_search(bad, 1)
+
     def test_light_cone_junta_law(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             circuit = random_circuit(2, 1, 2, rng)
             cone = light_cone(circuit, circuit.output_qubit)
             choi = choi_state_full(circuit)
-            _, residual = concentration_search(choi, len(cone) + 1)
+            _, residual = concentration_search(pauli_tensor(choi), len(cone) + 1)
             assert residual <= 1e-10
 
 
@@ -426,12 +434,22 @@ class TestRemovalPerturbation:
     def test_mass_matches_direct_recompute(self):
         rng = np.random.default_rng(12)
         circuit = random_circuit(2, 1, 2, rng)
-        mass, removed = removal_pauli_mass_shift(circuit, 3, choi_state_full(circuit))
+        mass, removed = removal_pauli_mass_shift(circuit, 3, pauli_tensor(choi_state_full(circuit)))
         pruned, removed2 = remove_long_toffolis(circuit, 3)
         t1 = pauli_tensor(choi_state_full(circuit).entries)
         t2 = pauli_tensor(choi_state_full(pruned).entries)
         assert removed == removed2
         assert mass == pytest.approx(float(((t1 - t2) ** 2).sum()), abs=1e-15)
+
+    def test_rejects_a_tensor_of_another_state(self):
+        # A smaller tensor would broadcast against the circuit's (4,)*6 one.
+        circuit = random_circuit(3, 1, 2, np.random.default_rng(3))
+        own = pauli_tensor(choi_state_full(circuit))
+        assert removal_pauli_mass_shift(circuit, 2, own) == (0.0009765625, 4)
+        for bad in (pauli_tensor(DensityMatrix(np.eye(2) / 2)), own.reshape(-1), own[..., 0]):
+            message = f"shape {bad.shape} is not the circuit's full Choi tensor, shape {(4,) * 6}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                removal_pauli_mass_shift(circuit, 2, bad)
 
     def test_measured_constant_reported(self):
         # the shift obeys mass <= C * m^2 / (2^l * 2^(2(n+a+2))) for a
@@ -442,13 +460,26 @@ class TestRemovalPerturbation:
         worst = 0.0
         for _ in range(10):
             circuit = random_circuit(2, 1, 2, rng)
-            mass, removed = removal_pauli_mass_shift(circuit, arity, choi_state_full(circuit))
+            mass, removed = removal_pauli_mass_shift(circuit, arity, pauli_tensor(choi_state_full(circuit)))
             if removed == 0:
                 assert mass <= 1e-24
                 continue
             scale = removed**2 / (2**arity * 2 ** (2 * (circuit.total_qubits + 1)))
             worst = max(worst, mass / scale)
         assert math.isfinite(worst)
+
+
+class TestDefaultSigma:
+    def test_circuits_with_the_same_ancillas_share_one_read_only_sigma(self):
+        rng = np.random.default_rng(14)
+        first, second = random_circuit(2, 1, 1, rng), random_circuit(3, 1, 2, rng)
+        assert first.sigma is second.sigma
+        assert random_circuit(2, 0, 1, rng).sigma is not first.sigma
+        assert np.array_equal(first.sigma.entries, np.diag([1.0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="read-only"):
+            first.sigma.entries[0, 0] = 0.0
+        with pytest.raises(AttributeError, match="immutable"):
+            first.sigma.entries = np.eye(4) / 4
 
 
 class TestAddressFunction:

@@ -365,6 +365,37 @@ class TestDensityMatrixValidation:
         state = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
         assert np.linalg.eigvalsh(state.entries)[0] == pytest.approx(-5e-10, abs=1e-12)
 
+    # Boundary cases on each side of every tolerance: 1e-9 below zero for an
+    # eigenvalue, 1e-10 for the Hermitian gap and for the trace.
+    ANTI = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("entries", [
+        np.diag([1 + 9e-10, -9e-10]),
+        np.eye(2) / 2 + 1e-11 * ANTI,
+        np.array([[0.5, -0.0], [-0.0, 0.5]]),
+        np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]]),
+    ], ids=["eigenvalue-9e-10", "anti-hermitian-1e-11", "negative-zero", "complex-negative-zero"])
+    def test_accepts_within_tolerance(self, entries):
+        state = DensityMatrix(entries)
+        stored = np.asarray(entries, dtype=np.complex128)
+        assert state.entries.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.diag([1 + 2e-9, -2e-9]), "eigenvalue below -1e-09"),
+        (np.eye(2) / 2 + 2e-10 * ANTI, "not Hermitian within 1e-10"),
+        (np.diag([0.5 + 2e-10, 0.5]), "is not 1 within 1e-10"),
+    ], ids=["eigenvalue-2e-9", "anti-hermitian-2e-10", "trace-2e-10"])
+    def test_rejects_past_tolerance(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(entries)
+
+    def test_leaves_its_input_unchanged(self):
+        entries = np.diag([1 + 9e-10, -9e-10]).astype(np.complex128)
+        before = entries.copy()
+        DensityMatrix(entries)
+        assert entries.tobytes() == before.tobytes()
+        assert entries.flags.writeable
+
     def test_pure_state(self):
         state = DensityMatrix.pure([1, 1])
         assert np.linalg.eigvalsh(state.entries)[0] >= -1e-12
