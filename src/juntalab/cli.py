@@ -249,10 +249,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.command not in CELL_RUNNERS:
             raise ValueError(f"unknown experiment command {self.command!r}")
-        if not self.grid or any(not isinstance(v, list) or not v for v in self.grid.values()):
-            raise ValueError("grid must map parameter names to nonempty lists")
+        if not self.grid:
+            raise ValueError("field 'grid' must name at least one parameter, got {}")
+        for name, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"grid parameter {name!r} must be a nonempty list, got {values!r}")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ValueError(f"field 'trials' must be at least 1, got {self.trials}")
 
     @classmethod
     def from_dict(cls, payload: dict, source="experiment spec") -> "ExperimentSpec":
@@ -267,13 +270,16 @@ class ExperimentSpec:
         out = payload.get("out")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"{source}: field 'out' must be a string, got {json.dumps(out)}")
-        return cls(
-            command=payload["command"],
-            grid=dict(payload["grid"]),
-            trials=payload.get("trials", 1),
-            seed=payload.get("seed", 0),
-            out=out,
-        )
+        try:
+            return cls(
+                command=payload["command"],
+                grid=dict(payload["grid"]),
+                trials=payload.get("trials", 1),
+                seed=payload.get("seed", 0),
+                out=out,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def cells(self) -> list[dict]:
         keys = sorted(self.grid)
@@ -361,16 +367,15 @@ def load_records(path) -> list[dict]:
     return records
 
 
-def emit_curve(records, x_param: str, y_metric: str, aggregator: str = "mean", q: float = 0.9) -> str:
-    """CSV with one row per x value: aggregated metric and trial count."""
+def emit_curve(records, x_param: str, y_metric: str, q: float | None = None) -> str:
+    """CSV with one row per x value: the metric's mean, or its quantile at
+    ``q`` when given, and the trial count."""
     usable = [r for r in records if r["status"] == "ok"]
     if not usable:
         raise ValueError("no successful records selected")
     commands = {r["command"] for r in usable}
     if len(commands) != 1:
         raise ValueError(f"records mix commands {sorted(commands)}")
-    if aggregator not in ("mean", "quantile"):
-        raise ValueError(f"unknown aggregator {aggregator!r}")
     groups: dict = {}
     for record in usable:
         if x_param not in record["parameters"]:
@@ -389,10 +394,10 @@ def emit_curve(records, x_param: str, y_metric: str, aggregator: str = "mean", q
     except TypeError:
         kinds = " and ".join(sorted({type(x).__name__ for x in groups}))
         raise ValueError(f"parameter {x_param!r} mixes {kinds} values, which do not sort") from None
-    lines = [f"{x_param},{y_metric}_{aggregator},count"]
+    lines = [f"{x_param},{y_metric}_{'mean' if q is None else 'quantile'},count"]
     for x_value in x_values:
         values = groups[x_value]
-        agg = float(np.mean(values)) if aggregator == "mean" else float(np.quantile(values, q))
+        agg = float(np.mean(values)) if q is None else float(np.quantile(values, q))
         lines.append(f"{x_value},{agg!r},{len(values)}")
     return "\n".join(lines) + "\n"
 
@@ -452,22 +457,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_agg(text: str) -> tuple[str, float]:
-    """``mean``, or ``q<float>`` for the quantile at that float in [0, 1]."""
+def _parse_agg(text: str) -> float | None:
+    """None for ``mean``, or the float of ``q<float>``, a quantile in [0, 1]."""
     if text == "mean":
-        return "mean", 0.9
+        return None
     try:
         q = float(text[1:]) if text.startswith("q") else math.nan
     except ValueError:
         q = math.nan
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"--agg must be 'mean' or 'q<float>' with the float in [0, 1], got {text!r}")
-    return "quantile", q
+    return q
 
 
 def _cmd_curve(args) -> int:
-    aggregator, q = _parse_agg(args.agg)
-    csv = emit_curve(load_records(args.records), args.x, args.y, aggregator, q)
+    csv = emit_curve(load_records(args.records), args.x, args.y, _parse_agg(args.agg))
     if args.out:
         Path(args.out).write_text(csv)
     else:
@@ -494,17 +498,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--truth", required=True, help=truth_help)
         return p
 
+    # default=argparse.SUPPRESS: an omitted flag leaves its key out, so the runner's default applies.
     p = junta("learn-dist", "learn a junta distribution from samples",
               load_distribution, "distribution JSON file")
-    p.add_argument("--c", type=float, default=dist_learn.DEFAULT_C)
+    p.add_argument("--c", type=float, default=argparse.SUPPRESS)
 
     p = junta("learn-state", "learn a junta state from Pauli shadows",
               qstate.load_state, "state JSON file")
-    p.add_argument("--c", type=float, default=state_learn.DEFAULT_C)
+    p.add_argument("--c", type=float, default=argparse.SUPPRESS)
 
     p = junta("test-state", "test whether a state is close to a junta",
               qstate.load_state, "state JSON file")
-    p.add_argument("--certifier", choices=("frobenius", "oracle"), default="frobenius")
+    p.add_argument("--certifier", choices=("frobenius", "oracle"), default=argparse.SUPPRESS)
 
     qac0_parser = sub.add_parser("qac0", help="circuit Choi-state tooling")
     qac0_sub = qac0_parser.add_subparsers(dest="qac0_command", required=True)
@@ -518,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = single(qac0_sub.add_parser("analyze", help="light cone and spectrum concentration"),
                "qac0-analyze", qac0.load_circuit)
     p.add_argument("--circuit", dest="truth", metavar="CIRCUIT", required=True)
-    p.add_argument("--arity", type=int, default=3)
+    p.add_argument("--arity", type=int, default=argparse.SUPPRESS)
 
     p = single(qac0_sub.add_parser("learn", help="learn a circuit's Choi state"),
                "qac0-learn", qac0.load_circuit)
     p.add_argument("--circuit", dest="truth", metavar="CIRCUIT", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c", type=float, default=state_learn.DEFAULT_C)
+    p.add_argument("--c", type=float, default=argparse.SUPPRESS)
 
     shadows_parser = sub.add_parser("shadows", help="shadow estimation tooling")
     shadows_sub = shadows_parser.add_subparsers(dest="shadows_command", required=True)
@@ -533,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                "shadows-bench", qstate.load_state)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
     p.add_argument("--truth", default=None)
 
     address_parser = sub.add_parser("address", help="address-function tooling")

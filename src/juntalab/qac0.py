@@ -241,13 +241,11 @@ def agreement_probability(f: RealCubeFunction, g: RealCubeFunction) -> float:
 def fnorm_agreement_identity(pairs) -> tuple[float | None, float]:
     """Fit kappa with kappa * ||rho_f - rho_g||_F^2 = Pr[f != g] over pairs.
 
-    Accepts one (f, g) pair or a sequence of pairs. kappa comes from the
-    first pair with f != g somewhere; the residual is the worst absolute gap
-    of the identity across all pairs at that kappa. Returns (None, 0.0) when
-    every pair agrees everywhere (kappa is then undetermined).
+    ``pairs`` is a sequence of (f, g) pairs. kappa comes from the first pair
+    with f != g somewhere; the residual is the worst absolute gap of the
+    identity across all pairs at that kappa. Returns (None, 0.0) when every
+    pair agrees everywhere (kappa is then undetermined).
     """
-    if isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], RealCubeFunction):
-        pairs = [pairs]
     measurements = []
     for f, g in pairs:
         dist_sq = frobenius_distance(choi_of_boolean_function(f), choi_of_boolean_function(g)) ** 2

@@ -177,19 +177,13 @@ def partial_trace(rho, keep) -> DensityMatrix:
     keep = sorted(set(int(q) for q in keep))
     if any(q < 1 or q > n for q in keep):
         raise ValueError("keep set outside qubit range")
-    if len(keep) == n:
-        return DensityMatrix(mat)
+    # Row axes are labelled 0..n-1; a traced qubit's column axis reuses its row label.
+    columns = [q - 1 if q not in keep else n + q - 1 for q in range(1, n + 1)]
+    rows = [q - 1 for q in keep]
     tensor = mat.reshape((2,) * (2 * n))
-    remaining = list(range(1, n + 1))
-    for q in range(n, 0, -1):
-        if q in keep:
-            continue
-        j = remaining.index(q)
-        m = len(remaining)
-        tensor = np.trace(tensor, axis1=j, axis2=m + j)
-        remaining.remove(q)
-    dim = 1 << len(remaining)
-    return DensityMatrix(tensor.reshape(dim, dim) if dim > 1 else tensor.reshape(1, 1))
+    reduced = np.einsum(tensor, list(range(n)) + columns, rows + [n + r for r in rows])
+    dim = 1 << len(keep)
+    return DensityMatrix(reduced.reshape(dim, dim))
 
 
 def permute_qubits(mat, current_order: Sequence[int]) -> np.ndarray:

@@ -15,6 +15,10 @@ Its far verdicts are sound whenever the estimate is accurate; close verdicts
 rely on the difference spreading over many eigenvalues, which holds for the
 junta-vs-mixed candidates this tester builds, so they are heuristic. It
 refuses above 6 qubits, where the budget outgrows desk scale.
+
+The copy budgets are fixed: ``TOMOGRAPHY_C`` scales every tomography budget
+and ``CERTIFIER_C`` every certifier budget, so a copy count depends only on
+(n, k, eps, delta) and the certifier.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .qstate import (
 from .shadows import SimulatedStateAccess, estimate_lowdeg, shadow_sample_count
 from .state_learn import psd_project
 
-DEFAULT_TOMOGRAPHY_C = 8.0
-DEFAULT_CERTIFIER_C = 2.0
+TOMOGRAPHY_C = 8.0
+CERTIFIER_C = 2.0
 MAX_TEST_QUBITS = 6
 MAX_TOMOGRAPHY_QUBITS = 4
 
@@ -58,19 +62,15 @@ def tomography_coefficient_accuracy(kappa: int, eps: float) -> float:
     return eps / (2 ** (2 * kappa) * 2 ** (kappa / 2.0))
 
 
-def tomography_sample_count(n: int, kappa: int, eps: float, delta: float, c: float = DEFAULT_TOMOGRAPHY_C) -> int:
-    """Shadow budget for local tomography on a size-kappa subset."""
+def tomography_sample_count(n: int, kappa: int, eps: float, delta: float) -> int:
+    """Shadow budget for local tomography on a size-kappa subset, at
+    constant ``TOMOGRAPHY_C``."""
     accuracy = tomography_coefficient_accuracy(kappa, eps) / 2 ** (n - kappa)
-    return shadow_sample_count(n, kappa, accuracy, delta, c)
+    return shadow_sample_count(n, kappa, accuracy, delta, TOMOGRAPHY_C)
 
 
 def local_tomography(
-    access: SimulatedStateAccess,
-    subset,
-    eps: float,
-    delta: float,
-    c: float = DEFAULT_TOMOGRAPHY_C,
-    basis_seed: int = 0,
+    access: SimulatedStateAccess, subset, eps: float, delta: float, basis_seed: int = 0
 ) -> DensityMatrix:
     """Learn the reduced state on ``subset`` to trace error eps, whp.
 
@@ -86,31 +86,26 @@ def local_tomography(
         raise ValueError(f"local tomography capped at {MAX_TOMOGRAPHY_QUBITS} qubits")
     if kappa == 0:
         return DensityMatrix(np.ones((1, 1)))
-    codes, outs = access.collect(tomography_sample_count(n, kappa, eps, delta, c), basis_seed)
+    codes, outs = access.collect(tomography_sample_count(n, kappa, eps, delta), basis_seed)
     cols = [q - 1 for q in subset]
     _, values = estimate_lowdeg(codes[:, cols], outs[:, cols], kappa)
     return psd_project(pauli_tensor_to_matrix(values.reshape((4,) * kappa)))
 
 
-def certifier_sample_count(n: int, eps: float, delta: float, c: float = DEFAULT_CERTIFIER_C) -> int:
-    """Budget for ``frobenius_bound``: ceil(c * 28^(n/2) * ln(2/delta) / eps^2).
+def certifier_sample_count(n: int, eps: float, delta: float) -> int:
+    """Budget for ``frobenius_bound``: ceil(CERTIFIER_C * 28^(n/2) * ln(2/delta) / eps^2).
 
     Its unbiased quadratic estimator has standard deviation about
     sqrt(2) * 7^(n/2) / T around the squared Frobenius distance; this budget
     pushes the deviation far under the decision margin eps^2 / 2^n.
     """
-    if not (0 < delta < 1 and eps > 0 and c > 0):
+    if not (0 < delta < 1 and eps > 0):
         raise ValueError("invalid certifier parameters")
-    return max(1, math.ceil(c * 28.0 ** (n / 2.0) * math.log(2.0 / delta) / eps**2))
+    return max(1, math.ceil(CERTIFIER_C * 28.0 ** (n / 2.0) * math.log(2.0 / delta) / eps**2))
 
 
 def frobenius_bound(
-    access: SimulatedStateAccess,
-    reference: DensityMatrix,
-    eps: float,
-    delta: float,
-    seed: int = 0,
-    c: float = DEFAULT_CERTIFIER_C,
+    access: SimulatedStateAccess, reference: DensityMatrix, eps: float, delta: float, seed: int = 0
 ) -> float:
     """2^(n/2) * sqrt(D), an upper bound on the trace distance between the
     hidden state and ``reference`` when D is accurate.
@@ -118,7 +113,7 @@ def frobenius_bound(
     D estimates 2^n * sum_P (rho^(P) - ref^(P))^2 = ||rho - ref||_F^2 without
     bias: each squared coefficient error is debiased with the exact
     single-sample second moment 3^|supp P| / 4^n of the shadow estimator. The
-    budget ``certifier_sample_count(n, eps, delta, c)`` resolves the distances
+    budget ``certifier_sample_count(n, eps, delta)`` resolves the distances
     eps and 2 eps.
     """
     n = access.n
@@ -128,7 +123,7 @@ def frobenius_bound(
         )
     if reference.n != n:
         raise ValueError("reference dimension mismatch")
-    T = certifier_sample_count(n, eps, delta, c)
+    T = certifier_sample_count(n, eps, delta)
     codes, outs = access.collect(T, seed)
     # At k = n the words are all 4^n packed words in order.
     words, est_flat = estimate_lowdeg(codes, outs, n)
@@ -151,8 +146,6 @@ def test_junta(
     oracle: DensityMatrix | None = None,
     seed: int = 0,
     certifier_seed: int = 0,
-    c_tomography: float = DEFAULT_TOMOGRAPHY_C,
-    c_certifier: float = DEFAULT_CERTIFIER_C,
 ) -> dict:
     """Accept iff some size-k subset's tomographed junta candidate is not far
     at the (3 eps, 6 eps) thresholds.
@@ -160,9 +153,10 @@ def test_junta(
     Subset i tomographs with basis seed (seed, i) and, without ``oracle``,
     bounds with seed (certifier_seed, i), so equal arguments replay. Every
     subset is evaluated (no early exit), so the copy count is the
-    deterministic sum of the per-subset budgets and the transcript is
-    complete. ``best_K`` is the subset with the smallest statistic, ties to
-    the lexicographically first.
+    deterministic sum of the per-subset budgets, fixed by the module's
+    ``TOMOGRAPHY_C`` and ``CERTIFIER_C``, and the transcript is complete.
+    ``best_K`` is the subset with the smallest statistic, ties to the
+    lexicographically first.
     """
     n = access.n
     if n > MAX_TEST_QUBITS:
@@ -174,12 +168,12 @@ def test_junta(
     transcript = []
     for index, subset in enumerate(itertools.combinations(range(1, n + 1), k)):
         before = access.copies_used
-        reduced = local_tomography(access, subset, eps, delta_sub, c_tomography, _stream_seed(seed, index))
+        reduced = local_tomography(access, subset, eps, delta_sub, _stream_seed(seed, index))
         tomographed = access.copies_used
         candidate = embed_on(reduced, subset, n)
         if oracle is None:
             statistic = frobenius_bound(
-                access, candidate, 3.0 * eps, delta_sub, _stream_seed(certifier_seed, index), c_certifier
+                access, candidate, 3.0 * eps, delta_sub, _stream_seed(certifier_seed, index)
             )
         else:
             statistic = trace_distance(oracle, candidate)
@@ -198,20 +192,12 @@ def test_junta(
     }
 
 
-def test_junta_copy_budget(
-    n: int,
-    k: int,
-    eps: float,
-    delta: float,
-    frobenius_certifier: bool,
-    c_tomography: float = DEFAULT_TOMOGRAPHY_C,
-    c_certifier: float = DEFAULT_CERTIFIER_C,
-) -> int:
+def test_junta_copy_budget(n: int, k: int, eps: float, delta: float, frobenius_certifier: bool) -> int:
     """Exact copy count test_junta will consume at these parameters, with
     ``frobenius_certifier`` true when it runs without an oracle; tomography
     on the empty subset (k = 0) spends none."""
     delta_sub = delta / n**k
-    per_subset = tomography_sample_count(n, k, eps, delta_sub, c_tomography) if k else 0
+    per_subset = tomography_sample_count(n, k, eps, delta_sub) if k else 0
     if frobenius_certifier:
-        per_subset += certifier_sample_count(n, 3.0 * eps, delta_sub, c_certifier)
+        per_subset += certifier_sample_count(n, 3.0 * eps, delta_sub)
     return math.comb(n, k) * per_subset

@@ -194,7 +194,7 @@ class TestEmitCurve:
             seed=7,
         )
         records = run_experiment(spec)
-        csv = emit_curve(records, "T", "max_abs_error", "mean")
+        csv = emit_curve(records, "T", "max_abs_error")
         rows = [line.split(",") for line in csv.strip().splitlines()[1:]]
         values = [float(v) for _, v, _ in rows]
         assert [int(x) for x, _, _ in rows] == [500, 4000, 32000]
@@ -206,7 +206,7 @@ class TestEmitCurve:
             command="address-distance", grid={"D": [1], "k": [1]}, trials=6, seed=0
         )
         records = run_experiment(spec)
-        csv = emit_curve(records, "D", "distance", "quantile", q=0.9)
+        csv = emit_curve(records, "D", "distance", q=0.9)
         row = csv.strip().splitlines()[1].split(",")
         assert float(row[1]) == 0.25
 
@@ -518,6 +518,17 @@ class TestLoadersNameMissingFields:
         err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
         assert err.startswith("invalid experiment spec: ") and "spec.json" in err
         assert f"field '{field}' must be {want}" in err
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("grid", {"D": 2}, "grid parameter 'D' must be a nonempty list, got 2"),
+        ("grid", {"D": []}, "grid parameter 'D' must be a nonempty list, got []"),
+        ("grid", {}, "field 'grid' must name at least one parameter, got {}"),
+        ("trials", 0, "field 'trials' must be at least 1, got 0"),
+    ], ids=["grid-value-not-list", "grid-value-empty", "grid-empty", "trials-zero"])
+    def test_experiment_spec_grid_and_trials(self, field, value, want, tmp_path, capsys):
+        spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, field: value}
+        err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        assert err == f"invalid experiment spec: {tmp_path / 'spec.json'}: {want}\n"
 
     def test_records(self, tmp_path, capsys):
         line = json.dumps({"cell": 0, "trial": 0, "parameters": {}, "seed": 1, "status": "ok"})

@@ -284,13 +284,13 @@ class TestBooleanChoi:
 class TestAgreementIdentity:
     def test_equal_functions(self):
         f = RealCubeFunction(2, [1.0, -1.0, 1.0, -1.0])
-        kappa, residual = fnorm_agreement_identity((f, f))
+        kappa, residual = fnorm_agreement_identity([(f, f)])
         assert kappa is None and residual == 0.0
 
     def test_negated_function(self):
         f = RealCubeFunction(2, [1.0, -1.0, 1.0, -1.0])
         g = RealCubeFunction(2, [-1.0, 1.0, -1.0, 1.0])
-        kappa, _ = fnorm_agreement_identity((f, g))
+        kappa, _ = fnorm_agreement_identity([(f, g)])
         dist_sq = (
             np.linalg.norm(
                 choi_of_boolean_function(f).entries

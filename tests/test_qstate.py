@@ -231,6 +231,14 @@ class TestPartialTrace:
         want = partial_trace_by_sums(rho.entries, 3, [1, 3])
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_keep_set_matches_summation_oracle(self, n):
+        rho = random_density_matrix(n, np.random.default_rng(n))
+        for size in range(n + 1):
+            for keep in itertools.combinations(range(1, n + 1), size):
+                got = partial_trace(rho, keep).entries
+                assert np.max(np.abs(got - partial_trace_by_sums(rho.entries, n, keep))) <= 1e-12
+
     def test_empty_keep_is_scalar_one(self):
         rho = random_density_matrix(2, np.random.default_rng(0))
         scalar = partial_trace(rho, ())

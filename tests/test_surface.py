@@ -1,6 +1,8 @@
 """Every public top-level function and class of the package has a use in the
 package, or a stated reason to exist without one; no module imports another
-module's private names; every protocol has at least two implementations."""
+module's private names; every protocol has at least two implementations;
+every defaulted parameter is set by some call in the package, or has a stated
+reason to exist without one."""
 
 import ast
 from pathlib import Path
@@ -132,3 +134,87 @@ class NoWidth:
 def test_every_protocol_has_two_implementations():
     found = thin_protocols([path.read_text() for path in sorted(PACKAGE.glob("*.py"))])
     assert not found, f"protocols with fewer than two implementations in the package: {found}"
+
+
+# Defaulted parameters, as ``module.function: parameter``, that no call in the
+# package sets, each with its reason.
+UNSET_ON_PURPOSE = {
+    "cli.main: argv": "the console entry point; tests and perfbench/child.py pass it",
+    "qstate.random_density_matrix: rank": "tests build rank-deficient states with it",
+}
+
+
+def defaulted_parameters(module: str, source: str) -> dict[str, tuple[str, str, int | None]]:
+    """``module.function: parameter`` -> (the name a call uses, the parameter,
+    its positional index in that call or None if keyword-only) for every defaulted
+    parameter of a public function or a public class's method. A method's
+    calls skip ``self``; ``__init__`` is called by its class's name."""
+    functions = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.FunctionDef) and not statement.name.startswith("_"):
+            functions.append((statement.name, statement.name, statement, 0))
+        elif isinstance(statement, ast.ClassDef) and not statement.name.startswith("_"):
+            functions += [(f"{statement.name}.{f.name}", statement.name if f.name == "__init__" else f.name, f, 1)
+                          for f in statement.body if isinstance(f, ast.FunctionDef)]
+    found = {}
+    for qualified, called_as, function, skipped in functions:
+        args = function.args
+        positional = args.posonlyargs + args.args
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            name = positional[index].arg
+            found[f"{module}.{qualified}: {name}"] = called_as, name, index - skipped
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{module}.{qualified}: {arg.arg}"] = called_as, arg.arg, None
+    return found
+
+
+def unset_parameters(sources: dict[str, str]) -> set[str]:
+    """Defaulted parameters (see ``defaulted_parameters``) of the module
+    sources that no call in them passes, by keyword or by position; a call
+    with ``*args`` or ``**kwargs`` passes everything."""
+    calls = {}  # called name -> [(positional count, keyword names)]
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords = {keyword.arg for keyword in node.keywords}  # None: **kwargs
+                if any(isinstance(arg, ast.Starred) for arg in node.args):
+                    keywords.add(None)
+                calls.setdefault(name, []).append((len(node.args), keywords))
+    unset = set()
+    for module, source in sources.items():
+        for key, (called_as, parameter, index) in defaulted_parameters(module, source).items():
+            if not any(None in keywords or parameter in keywords or (index is not None and count > index)
+                       for count, keywords in calls.get(called_as, [])):
+                unset.add(key)
+    return unset
+
+
+def test_unset_parameters_are_found():
+    source = """
+def scale(x, c=2.0, *, floor=0.0):
+    return max(c * x, floor)
+
+class Box:
+    def __init__(self, width, height=1):
+        self.area = scale(width * height, 3.0)
+    def grow(self, by=1, copies=1):
+        return Box(self.area, **{"height": by})
+
+def use(box, *rest):
+    return box.grow(2), scale(*rest)
+"""
+    assert unset_parameters({"m": source}) == {"m.Box.grow: copies"}
+    assert unset_parameters({"m": source.replace("scale(*rest)", "scale(1)")}) == {
+        "m.Box.grow: copies", "m.scale: floor"}
+    assert unset_parameters({"m": source.replace("Box(self.area, **", "Box(self.area, ")}) == {
+        "m.Box.grow: copies"}
+
+
+def test_every_defaulted_parameter_is_set_or_listed():
+    unset = unset_parameters({path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    unlisted = sorted(unset - UNSET_ON_PURPOSE.keys())
+    stale = sorted(UNSET_ON_PURPOSE.keys() - unset)
+    assert not unlisted, f"defaulted parameters that nothing in the package sets: {unlisted}"
+    assert not stale, f"listed as unset but now set in the package: {stale}"
