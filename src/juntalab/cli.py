@@ -151,8 +151,7 @@ def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
     total, k = int(params["T"]), int(params.get("k", 2))
     if truth is None:
         truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
-    codes, outs = shadows.collect_shadows(truth, total, _derive_seed(seed, 1))
-    words, values = shadows.estimate_lowdeg(codes, outs, k)
+    words, values = shadows.estimate_lowdeg(shadows.collect_shadows(truth, total, _derive_seed(seed, 1)), k)
     errors = np.abs(values - qstate.pauli_tensor(truth).reshape(-1)[words])
     return {
         "T": total,
@@ -244,7 +243,6 @@ class ExperimentSpec:
     grid: dict
     trials: int
     seed: int
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.command not in CELL_RUNNERS:
@@ -260,6 +258,9 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, payload: dict, source="experiment spec") -> "ExperimentSpec":
         require_fields(payload, ("command", "grid"), source)
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"{source}: unknown field {', '.join(map(repr, unknown))}")
         for name, kind, label in (("command", str, "a string"), ("grid", dict, "an object"),
                                   ("trials", int, "an integer"), ("seed", int, "an integer")):
             value = payload.get(name)
@@ -267,16 +268,12 @@ class ExperimentSpec:
                 raise ValueError(f"{source}: field {name!r} must be {label}, got {json.dumps(value)}")
         if payload.get("seed", 0) < 0:
             raise ValueError(f"{source}: field 'seed' must be a nonnegative integer, got {payload['seed']}")
-        out = payload.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"{source}: field 'out' must be a string, got {json.dumps(out)}")
         try:
             return cls(
                 command=payload["command"],
                 grid=dict(payload["grid"]),
                 trials=payload.get("trials", 1),
                 seed=payload.get("seed", 0),
-                out=out,
             )
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
@@ -445,9 +442,8 @@ def _cmd_run(args) -> int:
         raise ValueError(f"--threads must be a positive integer, got {args.threads}")
     records = run_experiment(spec, threads=args.threads)
     lines = "".join(json_line(r) + "\n" for r in records)
-    out = args.out or spec.out
-    if out:
-        Path(out).write_text(lines)
+    if args.out:
+        Path(args.out).write_text(lines)
     else:
         print(lines, end="")
     failures = sum(r["status"] != "ok" for r in records)
@@ -576,8 +572,20 @@ def _keep_freed_arrays_mapped() -> None:
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread: with its default threading, some processes
+    stall about 64 ms on every 64 x 64 complex Cholesky. The setter is not a global symbol, so
+    it is looked up in the library file; where the file or the setter is missing, nothing changes."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_(1)
+        except (AttributeError, OSError, TypeError):
+            pass
+
+
 def main(argv=None) -> int:
     _keep_freed_arrays_mapped()
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -164,8 +164,8 @@ def learn_junta_from_spectrum(masks, values, n: int, k: int, eps: float) -> Dist
     """Threshold, variable selection, and rounding on precomputed
     relative-scale coefficients q = 2^n p of the subsets ``masks``.
 
-    Injecting exact coefficients here makes the pipeline the identity on
-    k-junta distributions; the sampling learner feeds it estimates.
+    Exact coefficients give a k-junta back only if all its nonzero ones clear
+    ``dist_threshold_cutoff(k, eps)``, which drops the truth's small ones too.
     """
     if not (0 <= k <= n and 0.0 < eps < 1.0):
         raise ValueError(f"need 0 <= k <= n = {n} and 0 < eps < 1, got k = {k}, eps = {eps}")

@@ -24,11 +24,12 @@ piece c's words, then its uniforms, from an RNG keyed ``(seed, c)``.
 ``SimulatedStateAccess`` spends one copy of the hidden state per outcome row
 and counts them; its caller draws the words (``collect`` by
 ``collect_chunks``), and piece c of its outcome stream draws from an RNG keyed
-``(access seed, c)``. Shadows are two (T, n) arrays, uint8 basis codes (1 X,
-2 Y, 3 Z) and int8 +/-1 outcomes, which the estimator checks before it counts.
-``estimate_lowdeg`` sums the ``hypercube.block_totals`` of each row's letter
-code 2(Q - 1) + [x == -1]; a block of m columns counts 6^m bins (365 KiB at
-m = 6, 460 MiB at m = 10, the one block of ``shadows bench --n 10 --k 10``).
+``(access seed, c)``. Shadows are a stream of batches of at most BATCH rows, uint8
+basis codes (1 X, 2 Y, 3 Z) and int8 +/-1 outcomes, that concatenate to the same T
+rows at any BATCH, so no path holds more than a batch. ``estimate_lowdeg`` checks
+each batch and sums the exact ``block_totals`` of its rows' letter codes 2(Q - 1) +
+[x == -1]; a block of m columns counts 6^m bins once per batch (365 KiB at m = 6,
+460 MiB at m = 10, the one block of ``shadows bench --n 10 --k 10``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .qstate import as_matrix, pauli_tensor, pauli_weight, qubit_count
 
 MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
+BATCH = 1 << 20  # 256 CHUNKs
 
 
 def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
@@ -129,34 +131,37 @@ def _chunk_uniforms(rngs, rows: int) -> np.ndarray:
     return uniforms
 
 
-def collect_chunks(n: int, T: int, seed: int, measure) -> tuple[np.ndarray, np.ndarray]:
-    """T uniform basis words over n qubits and their measured outcomes.
+def collect_chunks(n: int, T: int, seed: int, measure):
+    """T uniform basis words over n qubits and their outcomes, drawn as a stream of BATCH-row batches.
 
     Chunk ``c`` of up to CHUNK words is drawn from an RNG keyed ``(seed, c)``.
     ``measure(codes, rngs)`` gets consecutive chunks with their RNGs, which it
     may keep drawing from, max(CHUNK, 2^22 >> n) rows at a time so that their
     Born rows stay within 2^22 floats; the result is the same at any grouping.
     """
-    codes_all = np.empty((T, n), dtype=np.uint8)
-    outs_all = np.empty((T, n), dtype=np.int8)
-    group = max(CHUNK, (1 << 22) >> n)
-    for begin in range(0, T, group):
-        end = min(begin + group, T)
-        rngs = [np.random.default_rng([int(seed), done // CHUNK]) for done in range(begin, end, CHUNK)]
-        for rng, done in zip(rngs, range(begin, end, CHUNK)):
-            codes_all[done : done + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, T - done), n), dtype=np.uint8)
-        outs_all[begin:end] = measure(codes_all[begin:end], rngs)
-    return codes_all, outs_all
-
-
-def collect_shadows(rho, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """T i.i.d. shadow samples as (T, n) basis codes and outcomes: uniform
-    basis words and Born-sampled outcomes, whose uniforms follow the words in
-    each chunk's RNG stream."""
     if T < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError(f"need at least one sample, got T = {T}")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    group = max(CHUNK, (1 << 22) >> n)
+
+    def batch(start):
+        codes = np.empty((min(BATCH, T - start), n), dtype=np.uint8)
+        outs = np.empty_like(codes, dtype=np.int8)
+        for begin in range(0, len(codes), group):
+            end = min(begin + group, len(codes))
+            rngs = [np.random.default_rng([int(seed), (start + done) // CHUNK]) for done in range(begin, end, CHUNK)]
+            for rng, done in zip(rngs, range(begin, end, CHUNK)):
+                codes[done : done + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, end - done), n), dtype=np.uint8)
+            outs[begin:end] = measure(codes[begin:end], rngs)
+        return codes, outs
+
+    return (batch(start) for start in range(0, T, BATCH))
+
+
+def collect_shadows(rho, T: int, seed: int):
+    """T i.i.d. shadow samples as a ``collect_chunks`` stream of uniform basis words and
+    Born-sampled outcomes, whose uniforms follow the words in each chunk's RNG stream."""
     n, coeffs = _measurement_coefficients(rho)
     return collect_chunks(
         n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
@@ -199,8 +204,8 @@ class SimulatedStateAccess:
         self._pieces, self._copies = pieces.stop, self._copies + rows
         return outs
 
-    def collect(self, T: int, basis_seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """T basis words drawn by ``collect_chunks`` from ``basis_seed``, and their outcomes."""
+    def collect(self, T: int, basis_seed: int):
+        """T basis words from ``basis_seed`` and their outcomes, as a ``collect_chunks`` stream."""
         return collect_chunks(self.n, T, basis_seed, lambda codes, _rngs: self.measure_chunk(codes))
 
 
@@ -208,32 +213,40 @@ class SimulatedStateAccess:
 _LETTER_SUMS = np.array([[1] * 6, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]])
 
 
-def estimate_lowdeg(basis_codes, outcomes, k: int) -> tuple[np.ndarray, np.ndarray]:
+def estimate_lowdeg(batches, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimates 3^|P| total(P) / (2^n T) of every Pauli word P with support
-    size at most k, as ascending packed words and their values; total(P) is
-    the block total of the rows' letter codes under the 4 x 6 letter matrix."""
-    basis_codes, outcomes = np.asarray(basis_codes), np.asarray(outcomes)
-    if basis_codes.ndim != 2 or outcomes.shape != basis_codes.shape:
-        shapes = f"basis codes of shape {basis_codes.shape} and outcomes of shape {outcomes.shape}"
-        raise ValueError(f"need basis codes and outcomes of one shape (T, n), got {shapes}")
-    T, n = basis_codes.shape
+    size at most k, as ascending packed words and their values; total(P) sums,
+    over (basis codes, outcomes) batches of T rows in all, the block totals of
+    the rows' letter codes under the 4 x 6 letter matrix."""
+    T = n = totals = 0
+    for basis_codes, outcomes in batches:
+        basis_codes, outcomes = np.asarray(basis_codes), np.asarray(outcomes)
+        if basis_codes.ndim != 2 or outcomes.shape != basis_codes.shape:
+            shapes = f"basis codes of shape {basis_codes.shape} and outcomes of shape {outcomes.shape}"
+            raise ValueError(f"need basis codes and outcomes of one shape (T, n), got {shapes}")
+        if T and basis_codes.shape[1] != n:
+            raise ValueError(f"need batches of one width, got {basis_codes.shape[1]} columns after {n}")
+        rows, n = basis_codes.shape
+        if rows == 0:
+            raise ValueError("need at least one sample")
+        # Checked before the letter arithmetic, which would wrap silently on a bad unsigned code.
+        if basis_codes.min() < 1 or basis_codes.max() > 3:
+            raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
+        if np.any(np.abs(outcomes) != 1):
+            raise ValueError("outcomes must be +/-1")
+        letters = np.ascontiguousarray((2 * (basis_codes - 1) + (outcomes < 0)).T)
+
+        def keys(cols):
+            key = np.zeros(rows, dtype=np.int64)
+            for col in cols:
+                key *= 6
+                key += letters[col]
+            return key
+
+        words, batch_totals = block_totals(_LETTER_SUMS, keys, rows, n, k)
+        T, totals = T + rows, totals + batch_totals
     if T == 0:
         raise ValueError("need at least one sample")
-    # Checked before the letter arithmetic, which would wrap silently on a bad unsigned code.
-    if basis_codes.min() < 1 or basis_codes.max() > 3:
-        raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-    if np.any(np.abs(outcomes) != 1):
-        raise ValueError("outcomes must be +/-1")
-    letters = np.ascontiguousarray((2 * (basis_codes - 1) + (outcomes < 0)).T)
-
-    def keys(cols):
-        key = np.zeros(T, dtype=np.int64)
-        for col in cols:
-            key *= 6
-            key += letters[col]
-        return key
-
-    words, totals = block_totals(_LETTER_SUMS, keys, T, n, k)
     return words, 3 ** pauli_weight(words) * totals / float((1 << n) * T)
 
 

@@ -99,8 +99,8 @@ def learn_junta_state(
     n = access.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    codes, outs = access.collect(junta_state_sample_count(n, k, eps, delta, c), basis_seed)
-    words, values = estimate_lowdeg(codes, outs, k)
+    T = junta_state_sample_count(n, k, eps, delta, c)
+    words, values = estimate_lowdeg(access.collect(T, basis_seed), k)
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
     return LearnedState(words=words, values=values, matrix=matrix, psd_projected=psd_project(matrix))

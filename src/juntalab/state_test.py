@@ -86,9 +86,9 @@ def local_tomography(
         raise ValueError(f"local tomography capped at {MAX_TOMOGRAPHY_QUBITS} qubits")
     if kappa == 0:
         return DensityMatrix(np.ones((1, 1)))
-    codes, outs = access.collect(tomography_sample_count(n, kappa, eps, delta), basis_seed)
     cols = [q - 1 for q in subset]
-    _, values = estimate_lowdeg(codes[:, cols], outs[:, cols], kappa)
+    batches = access.collect(tomography_sample_count(n, kappa, eps, delta), basis_seed)
+    _, values = estimate_lowdeg(((c[:, cols], o[:, cols]) for c, o in batches), kappa)
     return psd_project(pauli_tensor_to_matrix(values.reshape((4,) * kappa)))
 
 
@@ -124,9 +124,8 @@ def frobenius_bound(
     if reference.n != n:
         raise ValueError("reference dimension mismatch")
     T = certifier_sample_count(n, eps, delta)
-    codes, outs = access.collect(T, seed)
     # At k = n the words are all 4^n packed words in order.
-    words, est_flat = estimate_lowdeg(codes, outs, n)
+    words, est_flat = estimate_lowdeg(access.collect(T, seed), n)
     ref_flat = pauli_tensor(reference).reshape(-1)
     second_moment = 3.0 ** pauli_weight(words) / 4.0**n
     variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)

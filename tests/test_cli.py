@@ -511,13 +511,13 @@ class TestLoadersNameMissingFields:
         assert err.startswith("invalid experiment spec: ") and "spec.json" in err
         assert f"field '{field}' must be" in err
 
-    @pytest.mark.parametrize("field, value, want", [("out", 5, "a string, got 5"),
+    @pytest.mark.parametrize("field, value, want", [("out", "records.jsonl", "unknown field 'out'"),
                                                     ("seed", -1, "a nonnegative integer, got -1")])
     def test_experiment_spec_field_value(self, field, value, want, tmp_path, capsys):
         spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, field: value}
         err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
         assert err.startswith("invalid experiment spec: ") and "spec.json" in err
-        assert f"field '{field}' must be {want}" in err
+        assert f"field '{field}'" in err and err.endswith(f"{want}\n")
 
     @pytest.mark.parametrize("field, value, want", [
         ("grid", {"D": 2}, "grid parameter 'D' must be a nonempty list, got 2"),
@@ -942,4 +942,48 @@ class TestHeapPolicy:
         self._dispatch_logged(monkeypatch, log)
         assert main(self.ARGV) == 0
         assert log == ["dispatch"]
+        assert "distance" in capsys.readouterr().out
+
+
+class TestBlasThreads:
+    """``main`` sets numpy's bundled OpenBLAS to one thread before it
+    dispatches, through the setter in the library file, and runs the command
+    where the file or the setter is missing."""
+
+    ARGV = TestHeapPolicy.ARGV
+
+    def _fake_numpy(self, monkeypatch, tmp_path, library: bool):
+        # numpy.libs sits next to the numpy package directory.
+        (tmp_path / "numpy.libs").mkdir()
+        if library:
+            (tmp_path / "numpy.libs" / "libscipy_openblas64_-0123abcd.so").touch()
+        monkeypatch.setattr(cli.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+
+    def test_sets_one_thread_before_dispatch(self, monkeypatch, tmp_path, capsys):
+        log = []
+
+        class OpenBlas:
+            def scipy_openblas_set_num_threads64_(self, count):
+                log.append(("threads", count))
+
+        def cdll(name):
+            if name is None:
+                raise OSError("no C library")
+            log.append(Path(name).name)
+            return OpenBlas()
+
+        runner = CELL_RUNNERS["address-distance"]
+        monkeypatch.setitem(CELL_RUNNERS, "address-distance", lambda *args: log.append("dispatch") or runner(*args))
+        self._fake_numpy(monkeypatch, tmp_path, library=True)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert main(self.ARGV) == 0
+        assert log == ["libscipy_openblas64_-0123abcd.so", ("threads", 1), "dispatch"]
+
+    @pytest.mark.parametrize("library", [True, False], ids=["no setter", "no library file"])
+    def test_runs_without_the_setter(self, library, monkeypatch, tmp_path, capsys):
+        opened = []
+        self._fake_numpy(monkeypatch, tmp_path, library)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or object())
+        assert main(self.ARGV) == 0
+        assert len([name for name in opened if name is not None]) == library  # None: the C library
         assert "distance" in capsys.readouterr().out

@@ -319,6 +319,21 @@ class TestJuntaLearner:
         assert result.junta_variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
 
+    @pytest.mark.parametrize("seed, clear", [(1, True), (7, False)])
+    def test_exact_coefficients_give_identity_only_above_the_cutoff(self, seed, clear):
+        # At seed 7 a nonzero coefficient of the planted junta is under the
+        # cutoff, so the threshold drops it and the result misses the truth.
+        n, k, eps = 10, 3, 0.2
+        truth, variables = random_junta_distribution(n, k, np.random.default_rng([seed, 0]))
+        masks = low_degree_masks(n, k)
+        exact = fourier_transform(truth)[masks] * 2**n
+        smallest = np.abs(exact[np.abs(exact) > 1e-12]).min()
+        assert (smallest > dist_learn.dist_threshold_cutoff(k, eps)) == clear
+        result = learn_junta_from_spectrum(masks, exact, n, k, eps)
+        assert result.junta_variables == variables
+        tv = tv_distance(result.distribution, truth)
+        assert tv < 1e-12 if clear else tv == pytest.approx(0.0209, abs=1e-4)
+
     def test_monte_carlo_within_eps(self):
         rng = np.random.default_rng(15)
         truth, _ = random_junta_distribution(10, 3, rng)

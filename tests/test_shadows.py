@@ -4,11 +4,12 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from juntalab import hypercube
+from juntalab import hypercube, shadows
 from juntalab.hypercube import block_totals
 from juntalab.qstate import (
     DensityMatrix,
@@ -18,6 +19,7 @@ from juntalab.qstate import (
     rho_eps,
 )
 from juntalab.shadows import (
+    BATCH,
     CHUNK,
     _LETTER_SUMS,
     SimulatedStateAccess,
@@ -47,6 +49,12 @@ def estimate_coefficient(basis_codes, outcomes, word: int) -> float:
         weight = weight * outcomes[:, col]
     total = int(np.sum(np.where(matches, weight, 0)))
     return (3 ** len(cols) * total) / ((1 << n) * T)
+
+
+def arrays(batches):
+    """The rows of a shadow stream as one codes array and one outcomes array."""
+    codes, outs = zip(*batches)
+    return np.concatenate(codes), np.concatenate(outs)
 
 
 def born_rows(rho, words):
@@ -313,6 +321,96 @@ class TestInvalidState:
             sample_outcomes(pauli_tensor(bad).reshape(-1), rows, np.full(1, 0.5))
 
 
+class TestStream:
+    """Collections are streams of batches of at most BATCH rows that
+    concatenate to the rows of a one-batch collection, and the estimator
+    sums them to the one-shot estimate of those rows."""
+
+    @pytest.mark.parametrize("batches, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_stream_equals_one_shot_at_batch_boundaries(self, batches, extra, monkeypatch):
+        truth = random_density_matrix(3, np.random.default_rng(60))
+        T = batches * 2 * CHUNK + extra
+        codes, outs = arrays(SimulatedStateAccess(truth, seed=61).collect(T, 62))  # one batch
+        monkeypatch.setattr(shadows, "BATCH", 2 * CHUNK)
+        rows = list(SimulatedStateAccess(truth, seed=61).collect(T, 62))
+        sizes = [len(c) for c, _ in rows]
+        assert sum(sizes) == T and set(sizes[:-1]) <= {2 * CHUNK} and 0 < sizes[-1] <= 2 * CHUNK
+        got_codes, got_outs = arrays(rows)
+        assert got_codes.tobytes() == codes.tobytes() and got_outs.tobytes() == outs.tobytes()
+        access = SimulatedStateAccess(truth, seed=61)
+        words, values = estimate_lowdeg(access.collect(T, 62), 2)
+        want_words, want = estimate_lowdeg([(codes, outs)], 2)
+        assert words.tobytes() == want_words.tobytes() and values.tobytes() == want.tobytes()
+        assert access.copies_used == T
+
+    def test_copies_are_spent_as_the_stream_is_read(self, monkeypatch):
+        monkeypatch.setattr(shadows, "BATCH", 2 * CHUNK)
+        access = SimulatedStateAccess(random_density_matrix(2, np.random.default_rng(63)), seed=64)
+        stream = access.collect(5 * CHUNK, 65)
+        assert access.copies_used == 0
+        assert [(next(stream), access.copies_used)[1] for _ in range(3)] == [2 * CHUNK, 4 * CHUNK, 5 * CHUNK]
+
+    @pytest.mark.parametrize("batch", [CHUNK, 2 * CHUNK])
+    def test_pinned_digest_at_any_batch(self, batch, monkeypatch):
+        # TestCollectShadows.test_pinned_digest's rows, read in batches.
+        monkeypatch.setattr(shadows, "BATCH", batch)
+        rho = random_density_matrix(3, np.random.default_rng(21))
+        codes, outs = arrays(collect_shadows(rho, 9000, seed=23))
+        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
+        assert digest.hexdigest() == (
+            "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
+        )
+
+    def test_stream_past_the_real_batch(self):
+        truth = random_density_matrix(1, np.random.default_rng(66))
+        rows = list(SimulatedStateAccess(truth, seed=67).collect(BATCH + 1, 68))
+        assert [len(c) for c, _ in rows] == [BATCH, 1]
+        access = SimulatedStateAccess(truth, seed=67)
+        words, values = estimate_lowdeg(access.collect(BATCH + 1, 68), 1)
+        want_words, want = estimate_lowdeg([arrays(rows)], 1)
+        assert words.tobytes() == want_words.tobytes() and values.tobytes() == want.tobytes()
+        assert access.copies_used == BATCH + 1
+
+    def test_peak_memory_does_not_grow_with_T(self, monkeypatch):
+        # Holding all rows would add at least 14 batches of codes and outcomes
+        # (1.75 MiB) at 16 batches; the peaks may differ by 256 KiB.
+        monkeypatch.setattr(shadows, "BATCH", 16 * CHUNK)
+        truth = random_density_matrix(1, np.random.default_rng(69))
+        peaks = []
+        for T in (2 * shadows.BATCH, 16 * shadows.BATCH):
+            access = SimulatedStateAccess(truth, seed=70)
+            tracemalloc.start()
+            try:
+                estimate_lowdeg(access.collect(T, 71), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 18, peaks
+
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_collections_reject_T_below_one_at_the_call(self, T):
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ValueError, match=re.escape(f"need at least one sample, got T = {T}")):
+            collect_shadows(rho, T, seed=1)
+        access = SimulatedStateAccess(rho, seed=1)
+        with pytest.raises(ValueError, match=re.escape(f"need at least one sample, got T = {T}")):
+            access.collect(T, 2)
+        assert access.copies_used == 0
+
+    def test_collections_reject_a_negative_seed_at_the_call(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SimulatedStateAccess(DensityMatrix(np.eye(2) / 2), seed=1).collect(5, -1)
+
+    def test_estimator_refuses_batches_of_unequal_width(self):
+        codes, outs = random_shadows(3, 40, seed=5)
+        with pytest.raises(ValueError, match=re.escape("need batches of one width, got 2 columns after 3")):
+            estimate_lowdeg([(codes, outs), (codes[:, :2], outs[:, :2])], 1)
+
+    def test_estimator_refuses_an_empty_stream(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            estimate_lowdeg(iter([]), 1)
+
+
 class TestCollectShadows:
     def test_rejects_zero_samples(self):
         rho = DensityMatrix(np.eye(2) / 2)
@@ -321,15 +419,15 @@ class TestCollectShadows:
 
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, np.random.default_rng(6))
-        a_codes, a_outs = collect_shadows(rho, 9000, seed=42)
-        b_codes, b_outs = collect_shadows(rho, 9000, seed=42)
+        a_codes, a_outs = arrays(collect_shadows(rho, 9000, seed=42))
+        b_codes, b_outs = arrays(collect_shadows(rho, 9000, seed=42))
         assert np.array_equal(a_codes, b_codes)
         assert np.array_equal(a_outs, b_outs)
 
     def test_pinned_digest(self):
         # Pins the chunk-keyed RNG stream and the Born draws across versions.
         rho = random_density_matrix(3, np.random.default_rng(21))
-        codes, outs = collect_shadows(rho, 9000, seed=23)
+        codes, outs = arrays(collect_shadows(rho, 9000, seed=23))
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
             "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
@@ -346,14 +444,14 @@ class TestCollectShadows:
             calls.append((len(codes), len(rngs)))
             return np.ones(codes.shape, dtype=np.int8)
 
-        codes, outs = collect_chunks(n, T, 3, measure)
+        codes, outs = arrays(collect_chunks(n, T, 3, measure))
         assert max(rows for rows, _ in calls) <= bound
         assert sum(rows for rows, _ in calls) == T and outs.shape == codes.shape == (T, n)
         assert all(pieces == -(-rows // CHUNK) for rows, pieces in calls)
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4)
-        codes, _ = collect_shadows(rho, 100_000, seed=7)
+        codes, _ = arrays(collect_shadows(rho, 100_000, seed=7))
         T = len(codes)
         for qubit in range(2):
             counts = np.bincount(codes[:, qubit], minlength=4)[1:]
@@ -365,22 +463,22 @@ class TestCollectShadows:
 class TestEstimators:
     def test_identity_is_exact(self):
         rho = random_density_matrix(2, np.random.default_rng(8))
-        words, values = estimate_lowdeg(*collect_shadows(rho, 123, seed=5), 2)
+        words, values = estimate_lowdeg(collect_shadows(rho, 123, seed=5), 2)
         assert values[np.searchsorted(words, 0)] == 0.25
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
         exact = pauli_tensor(state).reshape(-1)[paulis.word("Z")]
         assert exact == pytest.approx(0.1, abs=1e-15)
-        codes, outs = collect_shadows(state, 100_000, seed=3)
-        words, values = estimate_lowdeg(codes, outs, 1)
+        codes, outs = arrays(collect_shadows(state, 100_000, seed=3))
+        words, values = estimate_lowdeg([(codes, outs)], 1)
         estimate = values[np.searchsorted(words, paulis.word("Z"))]
         sigma = math.sqrt(3 ** 1 / 4 ** 1 / len(codes))
         assert abs(estimate - exact) <= 5 * sigma
 
     def test_second_moment_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(10))
-        codes, _ = collect_shadows(rho, 1_000_000, seed=11)
+        codes, _ = arrays(collect_shadows(rho, 1_000_000, seed=11))
         # The word XZI: X on qubit 1, Z on qubit 2.
         matches = np.all(
             codes[:, :2] == np.array([1, 3], dtype=np.uint8), axis=1
@@ -390,8 +488,8 @@ class TestEstimators:
 
     def test_lowdeg_matches_per_coefficient(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = collect_shadows(rho, 4000, seed=13)
-        words, values = estimate_lowdeg(codes, outs, 2)
+        codes, outs = arrays(collect_shadows(rho, 4000, seed=13))
+        words, values = estimate_lowdeg([(codes, outs)], 2)
         assert words.dtype == np.int64 and values.dtype == np.float64
         assert np.all(np.diff(words) > 0)
         for word, value in zip(words.tolist(), values):
@@ -404,10 +502,10 @@ class TestEstimators:
         # At widths 1 and 2 the blocks of groups overlap; each word still
         # comes out once, in ascending order.
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = collect_shadows(rho, 500, seed=4)
+        codes, outs = arrays(collect_shadows(rho, 500, seed=4))
         for g in (1, 2, 3):
             monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
-            words, values = estimate_lowdeg(codes, outs, 2)
+            words, values = estimate_lowdeg([(codes, outs)], 2)
             assert words.tolist() == [w for w in range(4**3) if pauli_weight(w) <= 2]
             for word, value in zip(words.tolist(), values):
                 assert value == estimate_coefficient(codes, outs, word)
@@ -416,52 +514,52 @@ class TestEstimators:
     @pytest.mark.parametrize("T", [1, 700])
     def test_full_block_equals_both_oracles_bitwise(self, n, T):
         rho = random_density_matrix(n, np.random.default_rng(30 + n))
-        codes, outs = collect_shadows(rho, T, seed=31)
+        codes, outs = arrays(collect_shadows(rho, T, seed=31))
         want_words, want = _per_support_estimates(codes, outs, n)
-        words, values = estimate_lowdeg(codes, outs, n)
+        words, values = estimate_lowdeg([(codes, outs)], n)
         assert words.tolist() == want_words.tolist() == list(range(4**n))
         assert values.tobytes() == want.tobytes()
         for word, value in zip(words.tolist(), values):
             assert value == estimate_coefficient(codes, outs, word)
-        words, values = estimate_lowdeg(codes, outs, 0)
+        words, values = estimate_lowdeg([(codes, outs)], 0)
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
-        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
+        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
         for bad in (0, 4):
             bad_codes = codes.copy()
             bad_codes[3, 1] = bad
             with pytest.raises(ValueError, match="basis codes must be"):
-                estimate_lowdeg(bad_codes, outs, 2)
+                estimate_lowdeg([(bad_codes, outs)], 2)
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
-        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
+        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
         for bad in (0, 2):
             bad_outs = outs.copy()
             bad_outs[5, 0] = bad
             with pytest.raises(ValueError, match="outcomes must be"):
-                estimate_lowdeg(codes, bad_outs, 2)
+                estimate_lowdeg([(codes, bad_outs)], 2)
 
     def test_rejects_outcomes_of_another_shape(self):
-        codes, outs = collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1)
+        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
         for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
                                     (codes[:, :1], outs[:, :2]), (codes[0], outs[0])]:
             shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
             with pytest.raises(ValueError, match=re.escape(f"one shape (T, n), got {shapes}")):
-                estimate_lowdeg(bad_codes, bad_outs, 1)
+                estimate_lowdeg([(bad_codes, bad_outs)], 1)
         with pytest.raises(ValueError, match="at least one sample"):
-            estimate_lowdeg(codes[:0], outs[:0], 1)
+            estimate_lowdeg([(codes[:0], outs[:0])], 1)
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix(np.eye(8) / 8)
-        words, values = estimate_lowdeg(*collect_shadows(rho, 10, seed=2), 0)
+        words, values = estimate_lowdeg(collect_shadows(rho, 10, seed=2), 0)
         assert words.tolist() == [0]
         assert values.tolist() == [2.0**-3]
 
     def test_unbiased_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(14))
         exact = pauli_tensor(rho).reshape(-1)
-        words, values = estimate_lowdeg(*collect_shadows(rho, 200_000, seed=15), 2)
+        words, values = estimate_lowdeg(collect_shadows(rho, 200_000, seed=15), 2)
         for word, value in zip(words.tolist(), values):
             sigma = math.sqrt(3 ** pauli_weight(word) / 4**3 / 200_000)
             assert abs(value - exact[word]) <= 5 * sigma
@@ -476,7 +574,7 @@ class TestEstimators:
         exact = pauli_tensor(rho).reshape(-1)
         hits = 0
         for seed in range(10):
-            words, values = estimate_lowdeg(*collect_shadows(rho, budget, seed=seed), 1)
+            words, values = estimate_lowdeg(collect_shadows(rho, budget, seed=seed), 1)
             if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9
@@ -488,7 +586,7 @@ class TestGroupedLowDegree:
     def test_bitwise_equal_to_size_k_blocks(self, n, T):
         codes, outs = random_shadows(n, T, seed=1)
         for k in range(n + 1):
-            words, values = estimate_lowdeg(codes, outs, k)
+            words, values = estimate_lowdeg([(codes, outs)], k)
             want_words, want = _per_support_estimates(codes, outs, k)
             assert words.tobytes() == want_words.tobytes()
             assert values.tobytes() == want.tobytes()
@@ -498,7 +596,7 @@ class TestGroupedLowDegree:
         codes, outs = random_shadows(n, T, seed=2)
         groups = -(-n // hypercube.group_width(n, k, T, 6))
         assert math.comb(groups, min(k, groups)) == blocks
-        words, values = estimate_lowdeg(codes, outs, k)
+        words, values = estimate_lowdeg([(codes, outs)], k)
         want_words, want = _per_support_estimates(codes, outs, k)
         assert words.tobytes() == want_words.tobytes()
         assert values.tobytes() == want.tobytes()
@@ -531,7 +629,7 @@ class TestGroupedLowDegree:
         # A 1-D input would otherwise search widths for one column per row.
         monkeypatch.setattr(hypercube, "group_width", lambda *args: pytest.fail("width search ran"))
         with pytest.raises(ValueError, match="one shape"):
-            estimate_lowdeg(np.ones(50, dtype=np.uint8), np.ones(50, dtype=np.int8), 1)
+            estimate_lowdeg([(np.ones(50, dtype=np.uint8), np.ones(50, dtype=np.int8))], 1)
 
 
 class TestSampleCount:

@@ -239,7 +239,7 @@ class TestSimulatedAccess:
     def test_pinned_digest(self):
         # Pins the learner's basis stream and the access's outcome stream.
         truth = random_density_matrix(4, np.random.default_rng(22))
-        codes, outs = SimulatedStateAccess(truth, seed=24).collect(9000, 25)
+        codes, outs = map(np.concatenate, zip(*SimulatedStateAccess(truth, seed=24).collect(9000, 25)))
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
             "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
