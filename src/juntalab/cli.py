@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dist_learn, qac0, qstate, shadows, state_learn, state_test
+from . import __version__, dist_learn, qac0, qstate, shadows, state_learn, state_test
 from .hypercube import (
     degree,
     fourier_transform,
@@ -41,7 +41,7 @@ from .hypercube import (
     tv_distance,
 )
 
-ARTIFACT_VERSION = "juntalab-0.1.0"
+ARTIFACT_VERSION = f"juntalab-{__version__}"
 
 
 def _derive_seed(*parts: int) -> int:
@@ -151,7 +151,8 @@ def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
     total, k = int(params["T"]), int(params.get("k", 2))
     if truth is None:
         truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
-    words, values = shadows.estimate_lowdeg(shadows.collect_shadows(truth, total, _derive_seed(seed, 1)), k)
+    access = shadows.SimulatedStateAccess(truth, _derive_seed(seed, 1))
+    words, values = shadows.estimate_lowdeg(access.collect(total, _derive_seed(seed, 2)), k)
     errors = np.abs(values - qstate.pauli_tensor(truth).reshape(-1)[words])
     return {
         "T": total,

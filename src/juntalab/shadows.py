@@ -17,14 +17,14 @@ The coefficient estimator for a Pauli word P averages
 is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 ``3^|supp P| / 4^n``.
 
-Determinism: sample streams are carved into CHUNK-row pieces, piece c drawing
-from an RNG keyed by c, so results are a pure function of the state, T and
-the seeds however pieces are grouped into calls. ``collect_shadows`` draws
-piece c's words, then its uniforms, from an RNG keyed ``(seed, c)``.
-``SimulatedStateAccess`` spends one copy of the hidden state per outcome row
-and counts them; its caller draws the words (``collect`` by
-``collect_chunks``), and piece c of its outcome stream draws from an RNG keyed
-``(access seed, c)``. Shadows are a stream of batches of at most BATCH rows, uint8
+Determinism: there is one stream model. ``SimulatedStateAccess`` spends one
+copy of the hidden state per outcome row and counts them; ``collect(T,
+basis_seed)`` draws basis chunk c of CHUNK words from an RNG keyed
+``(basis_seed, c)``, and piece c of the access's outcome stream draws its
+uniforms from an RNG keyed ``(access seed, c)``. So the rows are a pure
+function of the state and the two seeds however pieces are grouped into
+calls, and the first T1 rows of a T2-row collection are the T1-row collection.
+Shadows are a stream of batches of at most BATCH rows, uint8
 basis codes (1 X, 2 Y, 3 Z) and int8 +/-1 outcomes, that concatenate to the same T
 rows at any BATCH, so no path holds more than a batch. ``estimate_lowdeg`` checks
 each batch and sums the exact ``block_totals`` of its rows' letter codes 2(Q - 1) +
@@ -44,17 +44,6 @@ from .qstate import as_matrix, pauli_tensor, pauli_weight, qubit_count
 MAX_MEASURE_QUBITS = 10
 CHUNK = 4096
 BATCH = 1 << 20  # 256 CHUNKs
-
-
-def _measurement_coefficients(rho) -> tuple[int, np.ndarray]:
-    """Qubit count and flat Pauli tensor of a state that may be measured."""
-    mat = as_matrix(rho)
-    n = qubit_count(mat.shape[0])
-    if n < 1:
-        raise ValueError("measurement needs a state of at least 1 qubit, got 0")
-    if n > MAX_MEASURE_QUBITS:
-        raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
-    return n, pauli_tensor(mat).reshape(-1)
 
 
 def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -123,51 +112,6 @@ def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray)
     return outs
 
 
-def _chunk_uniforms(rngs, rows: int) -> np.ndarray:
-    """One uniform per row: CHUNK-row piece j of the rows draws from ``rngs[j]``."""
-    uniforms = np.empty(rows)
-    for rng, at in zip(rngs, range(0, rows, CHUNK)):
-        rng.random(out=uniforms[at : at + CHUNK])
-    return uniforms
-
-
-def collect_chunks(n: int, T: int, seed: int, measure):
-    """T uniform basis words over n qubits and their outcomes, drawn as a stream of BATCH-row batches.
-
-    Chunk ``c`` of up to CHUNK words is drawn from an RNG keyed ``(seed, c)``.
-    ``measure(codes, rngs)`` gets consecutive chunks with their RNGs, which it
-    may keep drawing from, max(CHUNK, 2^22 >> n) rows at a time so that their
-    Born rows stay within 2^22 floats; the result is the same at any grouping.
-    """
-    if T < 1:
-        raise ValueError(f"need at least one sample, got T = {T}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    group = max(CHUNK, (1 << 22) >> n)
-
-    def batch(start):
-        codes = np.empty((min(BATCH, T - start), n), dtype=np.uint8)
-        outs = np.empty_like(codes, dtype=np.int8)
-        for begin in range(0, len(codes), group):
-            end = min(begin + group, len(codes))
-            rngs = [np.random.default_rng([int(seed), (start + done) // CHUNK]) for done in range(begin, end, CHUNK)]
-            for rng, done in zip(rngs, range(begin, end, CHUNK)):
-                codes[done : done + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, end - done), n), dtype=np.uint8)
-            outs[begin:end] = measure(codes[begin:end], rngs)
-        return codes, outs
-
-    return (batch(start) for start in range(0, T, BATCH))
-
-
-def collect_shadows(rho, T: int, seed: int):
-    """T i.i.d. shadow samples as a ``collect_chunks`` stream of uniform basis words and
-    Born-sampled outcomes, whose uniforms follow the words in each chunk's RNG stream."""
-    n, coeffs = _measurement_coefficients(rho)
-    return collect_chunks(
-        n, T, seed, lambda codes, rngs: sample_outcomes(coeffs, codes, _chunk_uniforms(rngs, len(codes)))
-    )
-
-
 class SimulatedStateAccess:
     """Copies of a hidden state, measured by the Born-rule simulator; each
     outcome row spends one copy, and ``copies_used`` is the only count."""
@@ -175,7 +119,13 @@ class SimulatedStateAccess:
     def __init__(self, rho, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        self.n, self._coeffs = _measurement_coefficients(rho)
+        mat = as_matrix(rho)
+        self.n = qubit_count(mat.shape[0])
+        if self.n < 1:
+            raise ValueError("measurement needs a state of at least 1 qubit, got 0")
+        if self.n > MAX_MEASURE_QUBITS:
+            raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
+        self._coeffs = pauli_tensor(mat).reshape(-1)
         self._seed = int(seed)
         self._pieces = 0
         self._copies = 0
@@ -199,14 +149,37 @@ class SimulatedStateAccess:
         if rows == 0:
             return np.empty((0, self.n), dtype=np.int8)
         pieces = range(self._pieces, self._pieces + -(-rows // CHUNK))
-        rngs = [np.random.default_rng([self._seed, piece]) for piece in pieces]
-        outs = sample_outcomes(self._coeffs, codes, _chunk_uniforms(rngs, rows))
+        uniforms = np.empty(rows)
+        for piece, at in zip(pieces, range(0, rows, CHUNK)):
+            np.random.default_rng([self._seed, piece]).random(out=uniforms[at : at + CHUNK])
+        outs = sample_outcomes(self._coeffs, codes, uniforms)
         self._pieces, self._copies = pieces.stop, self._copies + rows
         return outs
 
     def collect(self, T: int, basis_seed: int):
-        """T basis words from ``basis_seed`` and their outcomes, as a ``collect_chunks`` stream."""
-        return collect_chunks(self.n, T, basis_seed, lambda codes, _rngs: self.measure_chunk(codes))
+        """T uniform basis words and their outcomes, as a stream of BATCH-row batches.
+
+        Chunk c of up to CHUNK words is drawn from an RNG keyed ``(basis_seed,
+        c)``; each batch is measured max(CHUNK, 2^22 >> n) rows a call, so that
+        a group's Born rows stay within 2^22 floats.
+        """
+        if T < 1:
+            raise ValueError(f"need at least one sample, got T = {T}")
+        if basis_seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        n, group = self.n, max(CHUNK, (1 << 22) >> self.n)
+
+        def batch(start):
+            codes = np.empty((min(BATCH, T - start), n), dtype=np.uint8)
+            for at in range(0, len(codes), CHUNK):
+                rng = np.random.default_rng([int(basis_seed), (start + at) // CHUNK])
+                codes[at : at + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, len(codes) - at), n), dtype=np.uint8)
+            outs = np.empty_like(codes, dtype=np.int8)
+            for at in range(0, len(codes), group):
+                outs[at : at + group] = self.measure_chunk(codes[at : at + group])
+            return codes, outs
+
+        return (batch(start) for start in range(0, T, BATCH))
 
 
 # Row P (I, X, Y, Z): x [Q == P] at letter code 2(Q - 1) + [x == -1], i.e. X+ X- Y+ Y- Z+ Z-.

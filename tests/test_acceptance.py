@@ -71,7 +71,8 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
     worst_moment_rel = 0.0
     for state_index in range(5):
         rho = qstate.random_density_matrix(n, rng)
-        codes, outs = map(np.concatenate, zip(*shadows.collect_shadows(rho, draws, seed=3000 + state_index)))
+        access = shadows.SimulatedStateAccess(rho, seed=3000 + state_index)
+        codes, outs = map(np.concatenate, zip(*access.collect(draws, 3001 + state_index)))
         exact = qstate.pauli_tensor(rho).reshape(-1)
         words, values = shadows.estimate_lowdeg([(codes, outs)], 2)
         for word, value in zip(words.tolist(), values):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from juntalab import cli, dist_learn, qac0, qstate
+from juntalab import __version__, cli, dist_learn, qac0, qstate
 from juntalab.cli import (
     CELL_RUNNERS,
     ExperimentSpec,
@@ -243,6 +243,13 @@ class TestJsonLines:
         payload = json.loads(json_line(record))
         assert "elapsed_ms" not in payload["metrics"]
         assert payload["version"].startswith("juntalab-")
+
+    def test_version_spellings_agree(self):
+        """The project's, the package's and the records' versions are one value."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["version"] == __version__
+        assert cli.ARTIFACT_VERSION == f"juntalab-{__version__}"
 
 
 class TestCommands:
@@ -766,8 +773,9 @@ PINNED_RECORDS = [
         '"tomography_copies": 107490, "verdict": "close"}]}',
     ),
     (
+        # Re-pinned when shadows-bench moved onto SimulatedStateAccess.collect.
         "shadows-bench", {"n": 3, "T": 2000, "k": 2}, 5,
-        '{"T": 2000, "k": 2, "max_abs_error": 0.023027204028951025, "rms_error": 0.008536997929083325}',
+        '{"T": 2000, "k": 2, "max_abs_error": 0.014433142218903485, "rms_error": 0.006920591145359596}',
     ),
 ]
 
@@ -782,20 +790,20 @@ def test_pinned_records(command, params, seed, expected):
 # every runner's records, byte for byte, across library changes.
 PINNED_GRIDS = {
     "learn-dist": ({"n": [6], "k": [1, 2], "eps": [0.25], "delta": [0.1]},
-                   "a70ac4ba70018589f4ece90303159eb630abaf46101a2f4760ebc9f3909935ff"),
+                   "a49a56d7866f4825cfee9658baf361684661ca0116e3eb19cb79184e62cb6e7c"),
     "learn-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1]},
-                    "ae91808503a14192a493dd55640125c516d60dec6c186bb95ae3bcdccdecbde9"),
+                    "433daeb7010841525892999d59f08a5fe1863984c26a91b44fc4e21ecfb5a193"),
     "test-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1], "case": ["close", "far"],
                     "certifier": ["oracle", "frobenius"]},
-                   "635dc6f43ae9ae28d54faec767c8bb9e1b428d66e6bd4f0733dbdf183472c68b"),
+                   "8de9b10309c12c89af6ae195f049c10dd21b3e437e06d227379a0bbfbf90cac0"),
     "shadows-bench": ({"n": [3], "T": [2000]},
-                      "34b248d575c09f0c9cc0fd57cd638fb04a6a132f673468d7d8b9524449cd070e"),
+                      "86c5b78810a3dbfd3c19aef0aed2f8dab290554a067fdbf1b3c5c03f17eeabc3"),
     "address-distance": ({"D": [1, 2], "k": [1]},
-                         "0045d8aeeb8f1d6589c3a6f46bbddd97f8ebe1b194f9411a3e55bbbec2603523"),
+                         "e5f516531b19e76392eb06a3436710dea0b6b5789509513d46a2f389aa7df254"),
     "qac0-analyze": ({"n": [2], "a": [1], "depth": [1, 2]},
-                     "d04f33e1f3e0b9916f4f7e34705c0ecc28b86aa405e3796bc70a43b7bd7d3112"),
+                     "90a28d55d81fd30abeec021adee64a84facf461bc8844831e45e2d7aadf79ada"),
     "qac0-learn": ({"n": [2], "a": [1], "depth": [1], "eps": [0.5], "delta": [0.1]},
-                   "dfca8e234f5981d2af50d41a3752b0aca01c719e3ad2fffe254c9e501e603519"),
+                   "83dea7a472b6160bafadf4b9f029b528c4c9bbe2efc5ed460c5214f77002f9de"),
 }
 
 
@@ -828,7 +836,7 @@ def test_pinned_learn_dist_records_at_benchmark_size(monkeypatch):
         assert all(record["status"] == "ok" for record in records)
         lines = "\n".join(json_line(record) for record in records)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "3042f3440926b8675f77f59abf98c905218b23e515ad463b65c2b84b7f9ea07f"
+            "997573a293999f61f921486276278f9ef34737aeac289e622b9864e862716f88"
         )
 
 
@@ -843,7 +851,7 @@ def test_pinned_qac0_analyze_records_at_benchmark_size(monkeypatch):
         assert {record["metrics"]["removed_gates"] > 0 for record in records} == {False, True}
         lines = "\n".join(json_line(record) for record in records)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "e025bcfc5a561ac6fcb36f9516e8f53afb7ca478018816d96dc232243c2b891d"
+            "21755ff4e6396850d706e337f78fdd86ca1fd04cbddac673671ce97ea3d15737"
         )
 
 
@@ -898,7 +906,7 @@ def test_pinned_test_state_records_at_k0_and_k2():
     records = run_experiment(ExperimentSpec("test-state", grid, trials=1, seed=1))
     lines = "\n".join(json_line(record) for record in records)
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "6c0561f2d56f8778aa72004d4dcbe8c3dd9d1469907bb18644eba087245c543c"
+        "374e28c6462edf4193dd989ad031bb0c712d996aa0cb712a8d46d4598e33d075"
     )
 
 

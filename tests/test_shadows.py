@@ -24,8 +24,6 @@ from juntalab.shadows import (
     _LETTER_SUMS,
     SimulatedStateAccess,
     _born_rows,
-    collect_chunks,
-    collect_shadows,
     estimate_lowdeg,
     sample_outcomes,
     shadow_sample_count,
@@ -158,8 +156,8 @@ class TestMeasurement:
         assert abs(total) / math.sqrt(draws) <= 3.9
 
     def test_frequencies_match_born_rule(self):
-        # 1e5 draws in each of the 9 two-qubit bases, through the sampling
-        # path collect_shadows and SimulatedStateAccess share
+        # 1e5 draws in each of the 9 two-qubit bases, through sample_outcomes,
+        # the kernel behind SimulatedStateAccess.measure_chunk
         rng = np.random.default_rng(4)
         rho = random_density_matrix(2, rng)
         coeffs = pauli_tensor(rho).reshape(-1)
@@ -352,14 +350,25 @@ class TestStream:
 
     @pytest.mark.parametrize("batch", [CHUNK, 2 * CHUNK])
     def test_pinned_digest_at_any_batch(self, batch, monkeypatch):
-        # TestCollectShadows.test_pinned_digest's rows, read in batches.
+        # test_state_learn's TestSimulatedAccess.test_pinned_digest rows, read in batches.
         monkeypatch.setattr(shadows, "BATCH", batch)
-        rho = random_density_matrix(3, np.random.default_rng(21))
-        codes, outs = arrays(collect_shadows(rho, 9000, seed=23))
+        truth = random_density_matrix(4, np.random.default_rng(22))
+        codes, outs = arrays(SimulatedStateAccess(truth, seed=24).collect(9000, 25))
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
-            "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
+            "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
         )
+
+    @pytest.mark.parametrize("batch", [BATCH, 2 * CHUNK])
+    @pytest.mark.parametrize("short, long", [(100, 5000), (4095, 4097), (4097, 12289)])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_shorter_collection_is_a_prefix(self, n, short, long, batch, monkeypatch):
+        monkeypatch.setattr(shadows, "BATCH", batch)
+        truth = random_density_matrix(n, np.random.default_rng(72 + n))
+        codes, outs = arrays(SimulatedStateAccess(truth, seed=73).collect(short, 74))
+        long_codes, long_outs = arrays(SimulatedStateAccess(truth, seed=73).collect(long, 74))
+        assert codes.tobytes() == long_codes[:short].tobytes()
+        assert outs.tobytes() == long_outs[:short].tobytes()
 
     def test_stream_past_the_real_batch(self):
         truth = random_density_matrix(1, np.random.default_rng(66))
@@ -389,10 +398,7 @@ class TestStream:
 
     @pytest.mark.parametrize("T", [0, -1])
     def test_collections_reject_T_below_one_at_the_call(self, T):
-        rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError, match=re.escape(f"need at least one sample, got T = {T}")):
-            collect_shadows(rho, T, seed=1)
-        access = SimulatedStateAccess(rho, seed=1)
+        access = SimulatedStateAccess(DensityMatrix(np.eye(2) / 2), seed=1)
         with pytest.raises(ValueError, match=re.escape(f"need at least one sample, got T = {T}")):
             access.collect(T, 2)
         assert access.copies_used == 0
@@ -412,46 +418,36 @@ class TestStream:
 
 
 class TestCollectShadows:
-    def test_rejects_zero_samples(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            collect_shadows(rho, 0, seed=1)
+    """Collections by ``SimulatedStateAccess.collect``."""
 
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, np.random.default_rng(6))
-        a_codes, a_outs = arrays(collect_shadows(rho, 9000, seed=42))
-        b_codes, b_outs = arrays(collect_shadows(rho, 9000, seed=42))
+        a_codes, a_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
+        b_codes, b_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
         assert np.array_equal(a_codes, b_codes)
         assert np.array_equal(a_outs, b_outs)
 
-    def test_pinned_digest(self):
-        # Pins the chunk-keyed RNG stream and the Born draws across versions.
-        rho = random_density_matrix(3, np.random.default_rng(21))
-        codes, outs = arrays(collect_shadows(rho, 9000, seed=23))
-        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
-        assert digest.hexdigest() == (
-            "69eebed8c3ec93470feaf6e87f4edb0f4bcfc82abce62690f897d4333f82abc7"
-        )
-
-    @pytest.mark.parametrize("n", [1, 4, 6, 10, 12])
-    def test_groups_hold_at_most_the_row_bound(self, n):
+    @pytest.mark.parametrize("n", [1, 4, 6, 10])
+    def test_groups_hold_at_most_the_row_bound(self, n, monkeypatch):
         # max(CHUNK, 2^22 >> n) rows per call keeps a group's Born rows within 2^22 floats.
         bound = max(CHUNK, (1 << 22) >> n)
         T = bound + CHUNK + 7
         calls = []
+        measure = SimulatedStateAccess.measure_chunk
 
-        def measure(codes, rngs):
-            calls.append((len(codes), len(rngs)))
-            return np.ones(codes.shape, dtype=np.int8)
+        def counted(self, basis_codes):
+            calls.append(len(basis_codes))
+            return measure(self, basis_codes)
 
-        codes, outs = arrays(collect_chunks(n, T, 3, measure))
-        assert max(rows for rows, _ in calls) <= bound
-        assert sum(rows for rows, _ in calls) == T and outs.shape == codes.shape == (T, n)
-        assert all(pieces == -(-rows // CHUNK) for rows, pieces in calls)
+        monkeypatch.setattr(SimulatedStateAccess, "measure_chunk", counted)
+        access = SimulatedStateAccess(DensityMatrix(np.eye(1 << n) / (1 << n)), seed=3)
+        codes, outs = arrays(access.collect(T, 4))
+        assert max(calls) <= bound
+        assert sum(calls) == T == access.copies_used and outs.shape == codes.shape == (T, n)
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4)
-        codes, _ = arrays(collect_shadows(rho, 100_000, seed=7))
+        codes, _ = arrays(SimulatedStateAccess(rho, seed=7).collect(100_000, 8))
         T = len(codes)
         for qubit in range(2):
             counts = np.bincount(codes[:, qubit], minlength=4)[1:]
@@ -463,14 +459,14 @@ class TestCollectShadows:
 class TestEstimators:
     def test_identity_is_exact(self):
         rho = random_density_matrix(2, np.random.default_rng(8))
-        words, values = estimate_lowdeg(collect_shadows(rho, 123, seed=5), 2)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=5).collect(123, 6), 2)
         assert values[np.searchsorted(words, 0)] == 0.25
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
         exact = pauli_tensor(state).reshape(-1)[paulis.word("Z")]
         assert exact == pytest.approx(0.1, abs=1e-15)
-        codes, outs = arrays(collect_shadows(state, 100_000, seed=3))
+        codes, outs = arrays(SimulatedStateAccess(state, seed=3).collect(100_000, 4))
         words, values = estimate_lowdeg([(codes, outs)], 1)
         estimate = values[np.searchsorted(words, paulis.word("Z"))]
         sigma = math.sqrt(3 ** 1 / 4 ** 1 / len(codes))
@@ -478,7 +474,7 @@ class TestEstimators:
 
     def test_second_moment_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(10))
-        codes, _ = arrays(collect_shadows(rho, 1_000_000, seed=11))
+        codes, _ = arrays(SimulatedStateAccess(rho, seed=11).collect(1_000_000, 12))
         # The word XZI: X on qubit 1, Z on qubit 2.
         matches = np.all(
             codes[:, :2] == np.array([1, 3], dtype=np.uint8), axis=1
@@ -488,7 +484,7 @@ class TestEstimators:
 
     def test_lowdeg_matches_per_coefficient(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = arrays(collect_shadows(rho, 4000, seed=13))
+        codes, outs = arrays(SimulatedStateAccess(rho, seed=13).collect(4000, 14))
         words, values = estimate_lowdeg([(codes, outs)], 2)
         assert words.dtype == np.int64 and values.dtype == np.float64
         assert np.all(np.diff(words) > 0)
@@ -502,7 +498,7 @@ class TestEstimators:
         # At widths 1 and 2 the blocks of groups overlap; each word still
         # comes out once, in ascending order.
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = arrays(collect_shadows(rho, 500, seed=4))
+        codes, outs = arrays(SimulatedStateAccess(rho, seed=4).collect(500, 5))
         for g in (1, 2, 3):
             monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
             words, values = estimate_lowdeg([(codes, outs)], 2)
@@ -514,7 +510,7 @@ class TestEstimators:
     @pytest.mark.parametrize("T", [1, 700])
     def test_full_block_equals_both_oracles_bitwise(self, n, T):
         rho = random_density_matrix(n, np.random.default_rng(30 + n))
-        codes, outs = arrays(collect_shadows(rho, T, seed=31))
+        codes, outs = arrays(SimulatedStateAccess(rho, seed=31).collect(T, 32))
         want_words, want = _per_support_estimates(codes, outs, n)
         words, values = estimate_lowdeg([(codes, outs)], n)
         assert words.tolist() == want_words.tolist() == list(range(4**n))
@@ -525,7 +521,7 @@ class TestEstimators:
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
-        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
+        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
         for bad in (0, 4):
             bad_codes = codes.copy()
             bad_codes[3, 1] = bad
@@ -533,7 +529,7 @@ class TestEstimators:
                 estimate_lowdeg([(bad_codes, outs)], 2)
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
-        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
+        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
         for bad in (0, 2):
             bad_outs = outs.copy()
             bad_outs[5, 0] = bad
@@ -541,7 +537,7 @@ class TestEstimators:
                 estimate_lowdeg([(codes, bad_outs)], 2)
 
     def test_rejects_outcomes_of_another_shape(self):
-        codes, outs = arrays(collect_shadows(DensityMatrix(np.eye(4) / 4), 20, seed=1))
+        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
         for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
                                     (codes[:, :1], outs[:, :2]), (codes[0], outs[0])]:
             shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
@@ -552,14 +548,14 @@ class TestEstimators:
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix(np.eye(8) / 8)
-        words, values = estimate_lowdeg(collect_shadows(rho, 10, seed=2), 0)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=2).collect(10, 3), 0)
         assert words.tolist() == [0]
         assert values.tolist() == [2.0**-3]
 
     def test_unbiased_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(14))
         exact = pauli_tensor(rho).reshape(-1)
-        words, values = estimate_lowdeg(collect_shadows(rho, 200_000, seed=15), 2)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=15).collect(200_000, 16), 2)
         for word, value in zip(words.tolist(), values):
             sigma = math.sqrt(3 ** pauli_weight(word) / 4**3 / 200_000)
             assert abs(value - exact[word]) <= 5 * sigma
@@ -574,7 +570,7 @@ class TestEstimators:
         exact = pauli_tensor(rho).reshape(-1)
         hits = 0
         for seed in range(10):
-            words, values = estimate_lowdeg(collect_shadows(rho, budget, seed=seed), 1)
+            words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=seed).collect(budget, seed + 1), 1)
             if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9

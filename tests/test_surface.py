@@ -49,12 +49,14 @@ def test_every_public_name_is_used_or_listed():
 
 
 def private_imports() -> list[str]:
-    """``module: name`` for every ``from .<module> import _<name>`` in the package."""
+    """``module: name`` for every ``from .<module> import _<name>`` in the
+    package; dunder names such as ``__version__`` are public."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level:
-                found += [f"{path.stem}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
     return found
 
 
