@@ -232,6 +232,17 @@ CELL_RUNNERS = {
     "qac0-learn": _run_qac0_learn,
 }
 
+# command -> the grid parameters its runner reads; a spec naming any other is refused.
+GRID_PARAMETERS = {
+    "learn-dist": {"n", "k", "eps", "delta", "c"},
+    "learn-state": {"n", "k", "eps", "delta", "c"},
+    "test-state": {"n", "k", "eps", "delta", "certifier", "case"},
+    "shadows-bench": {"n", "T", "k"},
+    "address-distance": {"D", "k"},
+    "qac0-analyze": {"n", "a", "depth", "arity"},
+    "qac0-learn": {"n", "a", "depth", "eps", "delta", "c"},
+}
+
 
 # ---------------------------------------------------------------------------
 # Experiment spec, records, runner, curves.
@@ -251,6 +262,8 @@ class ExperimentSpec:
         if not self.grid:
             raise ValueError("field 'grid' must name at least one parameter, got {}")
         for name, values in self.grid.items():
+            if name not in GRID_PARAMETERS[self.command]:
+                raise ValueError(f"command {self.command!r} reads no grid parameter {name!r}")
             if not isinstance(values, list) or not values:
                 raise ValueError(f"grid parameter {name!r} must be a nonempty list, got {values!r}")
         if self.trials < 1:

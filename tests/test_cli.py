@@ -485,7 +485,7 @@ def test_test_state_certifier_defaults_to_frobenius_in_grid_and_command(tmp_path
     params, seed = {"n": 3, "k": 1, "eps": 0.3, "delta": 0.1}, 5
     record = CELL_RUNNERS["test-state"](params, seed)
     assert record == CELL_RUNNERS["test-state"]({**params, "certifier": "frobenius"}, seed)
-    assert all(r["certification_copies"] > 0 for r in record["transcript"])
+    assert record["certification_copies"] > 0
     truth_path = tmp_path / "truth.json"
     save_planted_instance("test-state", params, seed, truth_path)
     argv = ["test-state", "--k", "1", "--eps", "0.3", "--delta", "0.1", "--truth", str(truth_path)]
@@ -535,6 +535,13 @@ class TestLoadersNameMissingFields:
     def test_experiment_spec_grid_and_trials(self, field, value, want, tmp_path, capsys):
         spec = {"command": "address-distance", "grid": {"D": [1], "k": [0]}, field: value}
         err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        assert err == f"invalid experiment spec: {tmp_path / 'spec.json'}: {want}\n"
+
+    def test_experiment_spec_grid_parameter_no_runner_reads(self, tmp_path, capsys):
+        grid = {"n": [6], "k": [1], "eps": [0.3], "delta": [0.1], "C": [1, 64]}
+        spec = {"command": "learn-dist", "grid": grid, "seed": 1}
+        err = self.run_on(tmp_path, capsys, ["run"], "spec.json", json.dumps(spec))
+        want = "command 'learn-dist' reads no grid parameter 'C'"
         assert err == f"invalid experiment spec: {tmp_path / 'spec.json'}: {want}\n"
 
     def test_records(self, tmp_path, capsys):
@@ -763,14 +770,14 @@ PINNED_RECORDS = [
         '"support_recovered": true, "trace_distance": 0.017103692614631787}',
     ),
     (
+        # Re-pinned when each tester stage became one collection.
         "test-state",
         {"n": 3, "k": 1, "eps": 0.1, "delta": 0.1, "certifier": "frobenius", "case": "close"}, 7,
-        '{"best_K": [3], "copies_used": 362913, "correct": true, "decision": "junta-close", '
-        '"transcript": [{"K": [1], "certification_copies": 13481, "statistic": 0.8566630279917935, '
-        '"tomography_copies": 107490, "verdict": "far"}, {"K": [2], "certification_copies": 13481, '
-        '"statistic": 0.8733548447778923, "tomography_copies": 107490, "verdict": "far"}, '
-        '{"K": [3], "certification_copies": 13481, "statistic": 0.17085733327547603, '
-        '"tomography_copies": 107490, "verdict": "close"}]}',
+        '{"best_K": [3], "certification_copies": 13481, "copies_used": 120971, "correct": true, '
+        '"decision": "junta-close", "tomography_copies": 107490, "transcript": ['
+        '{"K": [1], "statistic": 0.8799414863782804, "verdict": "far"}, '
+        '{"K": [2], "statistic": 0.8802592945053166, "verdict": "far"}, '
+        '{"K": [3], "statistic": 0.21721693411172519, "verdict": "close"}]}',
     ),
     (
         # Re-pinned when shadows-bench moved onto SimulatedStateAccess.collect.
@@ -790,20 +797,20 @@ def test_pinned_records(command, params, seed, expected):
 # every runner's records, byte for byte, across library changes.
 PINNED_GRIDS = {
     "learn-dist": ({"n": [6], "k": [1, 2], "eps": [0.25], "delta": [0.1]},
-                   "a49a56d7866f4825cfee9658baf361684661ca0116e3eb19cb79184e62cb6e7c"),
+                   "84c5e813931a4fd721a6a64c211c82fa5f21b361609bde9a92f497522ce15a33"),
     "learn-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1]},
-                    "433daeb7010841525892999d59f08a5fe1863984c26a91b44fc4e21ecfb5a193"),
+                    "f64b9717f7f85b8326561813916ccc6113461964e89459c9389bc58e3efb3f47"),
     "test-state": ({"n": [3], "k": [1], "eps": [0.3], "delta": [0.1], "case": ["close", "far"],
                     "certifier": ["oracle", "frobenius"]},
-                   "8de9b10309c12c89af6ae195f049c10dd21b3e437e06d227379a0bbfbf90cac0"),
+                   "09b6cfa20a8f162c6342de171eeb35e6dbe2c5f27df2de4e49b102a0d1ebd8c9"),
     "shadows-bench": ({"n": [3], "T": [2000]},
-                      "86c5b78810a3dbfd3c19aef0aed2f8dab290554a067fdbf1b3c5c03f17eeabc3"),
+                      "0906cd73924bff124ed564933488f9598f52d105298813ef06b46b14a8348273"),
     "address-distance": ({"D": [1, 2], "k": [1]},
-                         "e5f516531b19e76392eb06a3436710dea0b6b5789509513d46a2f389aa7df254"),
+                         "4d63c82f894bb3f029e3943745612c2d796d91f8387756c9561e1d6532bb8622"),
     "qac0-analyze": ({"n": [2], "a": [1], "depth": [1, 2]},
-                     "90a28d55d81fd30abeec021adee64a84facf461bc8844831e45e2d7aadf79ada"),
+                     "2c15795b5b3942b5696a4a23165582bc3130d2ca07a91bb804f4e3e1113afa8a"),
     "qac0-learn": ({"n": [2], "a": [1], "depth": [1], "eps": [0.5], "delta": [0.1]},
-                   "83dea7a472b6160bafadf4b9f029b528c4c9bbe2efc5ed460c5214f77002f9de"),
+                   "a192fed2c8df862d0f58733fd2cbe48a3d883d24518fd6c03d9e76d657af85cc"),
 }
 
 
@@ -826,6 +833,33 @@ def test_pinned_grid_records(command, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+class ReadRecordingParams(dict):
+    """Grid parameters that note every key read through ``[]`` or ``get``."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.filterwarnings("ignore:junta arity bound")
+@pytest.mark.parametrize("command", sorted(CELL_RUNNERS))
+def test_grid_parameters_are_the_keys_each_runner_reads(command):
+    """``cli.GRID_PARAMETERS`` cannot drift from the runners: on its pinned
+    grid's first cell, each runner reads exactly its listed names."""
+    grid, _ = PINNED_GRIDS[command]
+    params = ReadRecordingParams(ExperimentSpec(command, grid, trials=1, seed=1).cells()[0])
+    CELL_RUNNERS[command](params, 1)
+    assert params.read == cli.GRID_PARAMETERS[command]
+
+
 def test_pinned_learn_dist_records_at_benchmark_size(monkeypatch):
     """The benchmark's n = 20, k = 3 cell beside n = 12 and k = 0, at 1 and
     2 workers: the dense truth, sampler, rounding and TV replay at 2^20."""
@@ -836,7 +870,7 @@ def test_pinned_learn_dist_records_at_benchmark_size(monkeypatch):
         assert all(record["status"] == "ok" for record in records)
         lines = "\n".join(json_line(record) for record in records)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "997573a293999f61f921486276278f9ef34737aeac289e622b9864e862716f88"
+            "2fea885d065c6743863b72590e3cd144ff96c30c13b5df457724ea190ee68f5e"
         )
 
 
@@ -851,7 +885,7 @@ def test_pinned_qac0_analyze_records_at_benchmark_size(monkeypatch):
         assert {record["metrics"]["removed_gates"] > 0 for record in records} == {False, True}
         lines = "\n".join(json_line(record) for record in records)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "21755ff4e6396850d706e337f78fdd86ca1fd04cbddac673671ce97ea3d15737"
+            "ab0319376e7579ba19c5715b552436525596a0287b4fc101e3ef286907dd8be5"
         )
 
 
@@ -906,7 +940,7 @@ def test_pinned_test_state_records_at_k0_and_k2():
     records = run_experiment(ExperimentSpec("test-state", grid, trials=1, seed=1))
     lines = "\n".join(json_line(record) for record in records)
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "374e28c6462edf4193dd989ad031bb0c712d996aa0cb712a8d46d4598e33d075"
+        "4766d19bed28122940d0329a690e08dcc53c9518dd6b915e78e5a76ce5380a63"
     )
 
 
