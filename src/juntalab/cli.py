@@ -81,7 +81,6 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
     sampler = dist_learn.SimulatedSampler(truth, _derive_seed(seed, 1))
     result = dist_learn.learn_junta_distribution(sampler, k, eps, delta, c)
     T = sampler.samples_used
-    del sampler  # so that its 2^n cumulative is freed before tv_distance allocates the difference
     return {
         "T": T,
         "tv_exact": tv_distance(result.distribution, truth),

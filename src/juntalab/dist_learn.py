@@ -6,17 +6,21 @@ For every subset S of at most k variables, estimate the coefficient
 nothing underflows at large n), zero everything with magnitude at or below
 ``eps / (2 * sqrt(2^k))``, read the relevant variables off the surviving
 supports, and round the rebuilt function to a proper distribution by
-clipping negatives on the junta block and dividing by
-``C = 2^(n-k) * sum q''|_K``. At the stated sample count the thresholded
-coefficients land within the analysis window with high probability, giving
-total variation error O(eps).
+clipping negatives on the 2^k junta block and dividing the block by its
+sum. At the stated sample count the thresholded coefficients land within
+the analysis window with high probability, giving total variation error
+O(eps).
 
-Estimating all low-degree coefficients never touches 2^n bins: the sums are
-the exact ``hypercube.block_totals`` of the samples' bits. Samples are a 1-D
-int64 array of point masks, and a low-degree spectrum is a pair of arrays:
-ascending subset masks and their values. The learners take their parameters
-(k, eps, delta, c) as arguments and check them where they are used; callers
-read the samples spent from the sampler's ``samples_used``, the only count.
+Nothing here takes 2^n memory or time. Truths and results are
+``hypercube.Distribution`` junta values, (variables, block); the sampler
+draws a block index and fair bits for the other variables, and the sums of
+all low-degree characters are the exact ``hypercube.block_totals`` of the
+samples' bits. Samples are a 1-D int64 array of point masks, so n is at
+most ``hypercube.MAX_POINT_VARS`` = 62, and a low-degree spectrum is a pair
+of arrays: ascending subset masks and their values. The learners take their
+parameters (k, eps, delta, c) as arguments and check them where they are
+used; callers read the samples spent from the sampler's ``samples_used``,
+the only count.
 """
 
 from __future__ import annotations
@@ -35,13 +39,21 @@ DEFAULT_C = 8.0
 class SimulatedSampler:
     """Sample oracle backed by a known Distribution; successful call i draws
     from an RNG keyed (seed, i), so runs replay exactly, and adds its points
-    to ``samples_used``. A call that raises spends nothing."""
+    to ``samples_used``. A call that raises spends nothing.
+
+    A point is a block index, one uniform searched in the block's
+    cumulative, with n - |K| fair bits for the other variables, all drawn
+    after the uniforms; a dense distribution adds no bits."""
 
     def __init__(self, dist: Distribution, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.n = dist.n
-        self._cumulative = np.cumsum(dist.values)
+        self._cumulative = np.cumsum(dist.block)
+        self._free_bits = dist.n - len(dist.variables)
+        # Runs of adjacent variables, in or out of the block, from variable n (bit 0) up.
+        self._runs = [(inside, len(list(run))) for inside, run in
+                      itertools.groupby(var in dist.variables for var in range(dist.n, 0, -1))]
         self._seed = int(seed)
         self._calls = 0
         self._samples = 0
@@ -52,15 +64,25 @@ class SimulatedSampler:
 
     def draw(self, count: int) -> np.ndarray:
         """``count`` i.i.d. point masks, as a 1-D int64 array."""
-        uniforms = np.random.default_rng([self._seed, self._calls]).random(count)
+        rng = np.random.default_rng([self._seed, self._calls])
+        uniforms = rng.random(count)
         # Ascending needles walk the cumulative in order, which is cache
-        # friendly; the scatter puts each point back at its uniform's draw.
-        # Equal uniforms find equal points, so the order among ties is free.
+        # friendly; the scatter puts each index back at its uniform's draw.
+        # Equal uniforms find equal indices, so the order among ties is free.
         order = np.argsort(uniforms)
-        points = np.empty(count, dtype=np.int64)
-        points[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
+        index = np.empty(count, dtype=np.int64)
+        index[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
+        np.minimum(index, self._cumulative.size - 1, out=index)
+        free = rng.integers(0, 1 << self._free_bits, count)
+        points = np.zeros(count, dtype=np.int64)
+        shift = 0
+        for inside, width in self._runs:
+            bits = index if inside else free
+            points |= (bits & (1 << width) - 1) << shift
+            bits >>= width
+            shift += width
         self._calls, self._samples = self._calls + 1, self._samples + uniforms.size
-        return np.minimum(points, (1 << self.n) - 1)
+        return points
 
 
 def sample_count_dist(n: int, k: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
@@ -115,26 +137,11 @@ def select_junta_variables(masks, values, n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(ranked[:k]))
 
 
-def _broadcast_junta(block: np.ndarray, n: int, variables: tuple[int, ...]) -> np.ndarray:
-    """The 2^n values of the function of ``variables`` alone whose 2^|K|
-    block reads them in order, the first one most significant, as a fresh
-    array. Each run of adjacent variables, in or out of ``variables``, is
-    one axis of the copy, so at most 2|K| + 1 axes take the broadcast."""
-    runs = [(inside, len(list(run))) for inside, run in
-            itertools.groupby(var in variables for var in range(1, n + 1))]
-    dense = np.empty(1 << n)
-    dense.reshape([1 << width for _, width in runs])[...] = block.reshape(
-        [1 << width if inside else 1 for inside, width in runs]
-    )
-    return dense
-
-
 def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> Distribution:
     """Clip the junta block's negatives and renormalize: the rebuilt function
     restricted to the junta variables is evaluated on its 2^|K| points,
-    negatives go to zero, and the result is divided by
-    C = 2^(n-|K|) * sum of the clipped block. Coefficients on sets outside
-    the junta variables are ignored."""
+    negatives go to zero, and the block is divided by its sum. Coefficients
+    on sets outside the junta variables are ignored."""
     k = len(variables)
     inside = masks & ~variables_to_mask(variables, n) == 0
     # A set's index in the block reads its junta variables in order, the
@@ -145,12 +152,12 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
     block = np.zeros(1 << k)
     block[local] = values[inside]
     block = np.clip(walsh_hadamard(block), 0.0, None)
-    normalizer = float(2 ** (n - k) * block.sum())
+    normalizer = float(block.sum())
     if normalizer <= 0.0:
         # Unreachable through the learner (the empty set always survives with
         # positive weight), but adversarial spectra land on uniform.
         return Distribution.uniform(n)
-    return Distribution._adopt(n, _broadcast_junta(block / normalizer, n, variables))
+    return Distribution(n, block / normalizer, variables)
 
 
 @dataclass
@@ -198,6 +205,4 @@ def random_junta_distribution(
     uniform on the rest. Returns the distribution and its relevant variables."""
     variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
     block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
-    dense = _broadcast_junta(block, n, variables)
-    dense /= dense.sum()
-    return Distribution._adopt(n, dense), variables
+    return Distribution(n, block, variables), variables

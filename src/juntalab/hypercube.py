@@ -11,14 +11,19 @@ Encoding conventions, fixed here and used by every other module:
 
 Spectra are plain arrays. A full spectrum is a dense vector indexed by
 subset mask; a low-degree spectrum is a pair of arrays, the ascending
-unique int64 masks and their float64 values. ``n`` is capped at 24 so a
-dense vector never exceeds 2^24 entries.
+unique int64 masks and their float64 values. Dense arrays hold at most
+2^24 entries, so a dense function has ``n <= MAX_VARS = 24``.
 
-Dense functions own their values. ``RealCubeFunction(n, values)`` and
-``Distribution(n, values)`` copy ``values``, so a caller's array is never
-renormalized or frozen; the package's own builders hand over the fresh
-arrays they make through ``_adopt``, which checks, renormalizes and freezes
-them in place, with no copy.
+A distribution is a junta value: a probability block on at most
+``MAX_VARS`` ascending variables, uniform on the rest, so its ``n`` reaches
+``MAX_POINT_VARS = 62``, the int64 point-mask limit, and nothing about it
+takes 2^n memory; a dense distribution is the junta on all n variables.
+
+Values are owned. ``RealCubeFunction(n, values)`` and ``Distribution``
+copy their input, so a caller's array is never renormalized or frozen; the
+package's own builders of dense functions hand over the fresh arrays they
+make through ``_adopt``, which checks and freezes them in place, with no
+copy.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 MAX_VARS = 24
+MAX_POINT_VARS = 62
 
 _SUM_TOL = 1e-12
 
@@ -75,48 +81,69 @@ class RealCubeFunction:
         _check_nvars(n)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")
-        self._check(arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("function values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def _check(arr: np.ndarray) -> None:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Distribution(RealCubeFunction):
-    """A probability distribution on {-1,+1}^n: nonnegative values summing to 1.
+class Distribution:
+    """A k-junta probability distribution on {-1,+1}^n: ``block`` holds the
+    2^k probabilities of the ascending 1-indexed ``variables`` K, read with
+    the first one most significant, and every completion of a block point to
+    the other n - k variables is equally likely. ``Distribution(n, values)``
+    is the dense distribution, the junta on all n variables.
 
-    The constructor renormalizes sums within 1e-12 of 1 and rejects anything
-    further off, so drift cannot accumulate silently.
+    n is at most ``MAX_POINT_VARS`` and k at most ``MAX_VARS``. The block is
+    copied; sums within 1e-12 of 1 are renormalized by one division and
+    anything further off is rejected, so drift cannot accumulate silently.
     """
 
-    __slots__ = ()
+    __slots__ = ("n", "variables", "block")
 
-    @staticmethod
-    def _check(arr: np.ndarray) -> None:
+    def __init__(self, n: int, block, variables=None) -> None:
+        if not 1 <= n <= MAX_POINT_VARS:
+            raise ValueError(
+                f"variable count must be in [1, {MAX_POINT_VARS}], the int64 point-mask limit, got {n}"
+            )
+        variables = tuple(range(1, n + 1)) if variables is None else tuple(int(v) for v in variables)
+        if list(variables) != sorted(set(variables)) or any(not 1 <= v <= n for v in variables):
+            raise ValueError(f"junta variables must ascend within [1, {n}], got {list(variables)}")
+        if len(variables) > MAX_VARS:
+            raise ValueError(f"a junta block covers at most {MAX_VARS} variables, got {len(variables)}")
+        arr = np.array(block, dtype=np.float64)
+        if arr.shape != (1 << len(variables),):
+            raise ValueError(
+                f"expected {1 << len(variables)} values for {len(variables)} variables, got shape {arr.shape}"
+            )
         # A min and a sum are finite when every entry is (NaN and -inf reach
         # the min, +inf the sum); only otherwise are the entries scanned, to
         # tell them from finite ones whose sum overflows.
         with np.errstate(all="ignore"):
             low, total = float(arr.min()), float(arr.sum())
-        if not (math.isfinite(low) and math.isfinite(total)):
-            RealCubeFunction._check(arr)
+        if not (math.isfinite(low) and math.isfinite(total)) and not np.all(np.isfinite(arr)):
+            raise ValueError("function values must be finite")
         if low < 0.0:
             raise ValueError("distribution values must be nonnegative")
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution values sum to {total}, outside 1 +/- {_SUM_TOL}")
         if total != 1.0:
             np.divide(arr, total, out=arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "block", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        return cls._adopt(n, np.full(1 << n, 2.0**-n))
+        return cls(n, [1.0], ())
 
 
 def transform_digits(matrix, values, digits: int) -> np.ndarray:
@@ -164,11 +191,37 @@ def inverse_transform(coeffs) -> RealCubeFunction:
     return RealCubeFunction._adopt(values.size.bit_length() - 1, values)
 
 
+def _broadcast_junta(block: np.ndarray, n: int, variables: tuple[int, ...]) -> np.ndarray:
+    """The 2^n values of the function of ``variables`` alone whose 2^|K|
+    block reads them in order, the first one most significant, as a fresh
+    array. Each run of adjacent variables, in or out of ``variables``, is
+    one axis of the copy, so at most 2|K| + 1 axes take the broadcast."""
+    runs = [(inside, len(list(run))) for inside, run in
+            itertools.groupby(var in variables for var in range(1, n + 1))]
+    dense = np.empty(1 << n)
+    dense.reshape([1 << width for _, width in runs])[...] = block.reshape(
+        [1 << width if inside else 1 for inside, width in runs]
+    )
+    return dense
+
+
 def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance, half the l1 distance; always in [0, 1]."""
+    """Total variation distance, half the l1 distance; always in [0, 1].
+
+    Both are uniform given the union U of their variables, so the l1
+    distance of their marginals on U, 2^|U| points, is the one on the cube."""
     if p.n != q.n:
         raise ValueError(f"distributions over {p.n} and {q.n} variables")
-    diff = p.values - q.values
+    union = sorted(set(p.variables) | set(q.variables))
+    if len(union) > MAX_VARS:
+        raise ValueError(f"juntas on {len(union)} variables together, past the {MAX_VARS}-variable cap")
+    place = {var: at for at, var in enumerate(union, 1)}
+
+    def marginal(d: Distribution) -> np.ndarray:
+        scale = 2.0 ** (len(d.variables) - len(union))
+        return _broadcast_junta(d.block * scale, len(union), tuple(place[var] for var in d.variables))
+
+    diff = marginal(p) - marginal(q)
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
@@ -273,13 +326,21 @@ def number_array(value, source, name: str) -> np.ndarray:
 
 
 def load_distribution(path) -> Distribution:
-    """The distribution of a JSON file ``{"n", "values"}``; the header ``n``
-    is checked against the cap, then against the length of the body."""
+    """The distribution of a JSON file ``{"n", "values"}``, the 2^n point
+    probabilities, or ``{"n", "variables", "values"}``, a junta whose
+    ``values`` are the 2^|K| probabilities of its ascending ``variables``;
+    the header ``n`` is checked against the cap, then the body's length
+    against the variables."""
     payload = require_fields(json.loads(Path(path).read_text()), ("n", "values"), path, ("n",))
-    n = payload["n"]
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"{path}: field 'n' must be in [1, {MAX_VARS}], got {n}")
+    n, variables = payload["n"], payload.get("variables")
+    cap = MAX_VARS if variables is None else MAX_POINT_VARS
+    if not 1 <= n <= cap:
+        raise ValueError(f"{path}: field 'n' must be in [1, {cap}], got {n}")
+    if variables is not None and (type(variables) is not list or any(type(v) is not int for v in variables)):
+        raise ValueError(f"{path}: field 'variables' must be a list of integers, got {json.dumps(variables)}")
     values = number_array(payload["values"], path, "values")
-    if len(values) != 1 << n:
-        raise ValueError(f"{path}: header n={n} needs {1 << n} values, body has {len(values)}")
-    return Distribution(n, values)
+    k = n if variables is None else len(variables)
+    if len(values) != 1 << k:
+        header = f"header n={n}" if variables is None else f"a {k}-variable block"
+        raise ValueError(f"{path}: {header} needs {1 << k} values, body has {len(values)}")
+    return Distribution(n, values, variables)

@@ -158,6 +158,8 @@ def test_junta(
     n = access.n
     if n > MAX_TEST_QUBITS:
         raise ValueError(f"junta testing capped at {MAX_TEST_QUBITS} qubits")
+    if oracle is not None and oracle.n != n:
+        raise ValueError("oracle dimension mismatch")
     delta_sub = delta / n**k
     start = access.copies_used
     learned = local_tomography(access, k, eps, delta_sub, seed)

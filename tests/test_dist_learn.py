@@ -1,7 +1,9 @@
 """Junta-distribution learner, and a sparse low-degree function learner
 kept here as a test of the Walsh transform on labeled examples."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +62,25 @@ def low_degree_value(points: np.ndarray, n: int, k: int, mask: int) -> float:
     return values[np.searchsorted(masks, mask)] / (1 << n)
 
 
+def dense_values(dist: Distribution) -> np.ndarray:
+    """The 2^n point probabilities of a junta distribution: its block over
+    2^(n-|K|), broadcast to the cube. The tests' dense reference."""
+    block = dist.block * 2.0 ** (len(dist.variables) - dist.n)
+    return hypercube._broadcast_junta(block, dist.n, dist.variables)
+
+
+def dense_spectrum_of(dist: Distribution) -> np.ndarray:
+    return fourier_transform(RealCubeFunction(dist.n, dense_values(dist)))
+
+
+def dense_draw(dist: Distribution, seed: int, call: int, count: int) -> np.ndarray:
+    """Call ``call`` of the dense cumulative sampler: its (seed, call)
+    uniforms searched in the cumulative of all 2^n point probabilities."""
+    uniforms = np.random.default_rng([seed, call]).random(count)
+    cumulative = np.cumsum(dense_values(dist))
+    return np.minimum(np.searchsorted(cumulative, uniforms, side="right"), 2**dist.n - 1)
+
+
 def broadcast_reference(block, n, variables):
     """The dense junta as one broadcast axis per variable, then copied."""
     shape = [1] * n
@@ -69,8 +90,9 @@ def broadcast_reference(block, n, variables):
 
 
 def round_reference(masks, values, n, variables):
-    """The rounding's block, broadcast per variable and copied again by
-    the Distribution constructor."""
+    """The rounding's block as the dense distribution that the rounding
+    built before distributions were junta values: broadcast per variable and
+    copied again by the Distribution constructor."""
     k = len(variables)
     inside = masks & ~variables_to_mask(variables, n) == 0
     local = np.zeros(np.count_nonzero(inside), dtype=np.int64)
@@ -155,7 +177,7 @@ class TestEmpiricalCoefficient:
         n, resamples, draws = 4, 4000, 64
         rng = np.random.default_rng(70)
         truth, _ = random_junta_distribution(n, 2, rng)
-        exact = fourier_transform(truth)
+        exact = dense_spectrum_of(truth)
         mask = variables_to_mask([1, 2], n)
         sampler = SimulatedSampler(truth, seed=12)
         estimates = [
@@ -267,13 +289,16 @@ class TestThreshold:
 
 
 class TestDenseBuilders:
-    """The dense 2^n arrays are bitwise equal to the per-variable broadcast
-    and constructor copies that they replace."""
+    """The junta values that the builders return are, up to rounding, the
+    dense 2^n arrays that they built before: per-variable broadcasts copied
+    by the Distribution constructor. ``_broadcast_junta``, which now embeds
+    a junta in the union of two variable sets for ``tv_distance``, is
+    bitwise equal to the per-variable broadcast."""
 
     @pytest.mark.parametrize("n,variables", JUNTA_SETS)
     def test_broadcast_matches_per_variable_axes(self, n, variables):
         block = np.random.default_rng(n).random(1 << len(variables))
-        got = dist_learn._broadcast_junta(block, n, variables)
+        got = hypercube._broadcast_junta(block, n, variables)
         assert got.tobytes() == broadcast_reference(block, n, variables).tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
         assert not np.shares_memory(got, block)
@@ -286,8 +311,9 @@ class TestDenseBuilders:
             want_variables = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
             block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
             dense = broadcast_reference(block, n, want_variables)
-            assert variables == want_variables
-            assert got.values.tobytes() == Distribution(n, dense / dense.sum()).values.tobytes()
+            assert variables == got.variables == want_variables
+            want = Distribution(n, dense / dense.sum()).block
+            np.testing.assert_allclose(dense_values(got), want, rtol=4 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("n,variables", JUNTA_SETS)
     def test_round_to_distribution_matches_copying_path(self, n, variables):
@@ -295,26 +321,27 @@ class TestDenseBuilders:
         masks = low_degree_masks(n, min(n, 3))
         for noise in (0.0, 0.05, 0.5):
             truth = random_junta_distribution(n, len(variables), rng)[0]
-            relative = fourier_transform(truth)[masks] * float(1 << n)
+            relative = dense_spectrum_of(truth)[masks] * float(1 << n)
             relative += noise * rng.standard_normal(masks.size)
             relative[0] = 1.0
             got = dist_learn.round_to_distribution(masks, relative, n, variables)
             want = round_reference(masks, relative, n, variables)
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.variables == variables
+            np.testing.assert_allclose(dense_values(got), want.block, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestJuntaLearner:
     def test_uniform_k0_exact(self):
         truth = Distribution.uniform(6)
         result = learn_junta_distribution(SimulatedSampler(truth, seed=2), k=0, eps=0.3, delta=0.1)
-        assert np.array_equal(result.distribution.values, truth.values)
-        assert result.junta_variables == ()
+        assert result.distribution.block.tolist() == truth.block.tolist() == [1.0]
+        assert result.junta_variables == result.distribution.variables == ()
 
     def test_exact_coefficients_give_identity(self):
         rng = np.random.default_rng(14)
         truth, variables = random_junta_distribution(8, 3, rng)
         masks = low_degree_masks(8, 3)
-        exact = fourier_transform(truth)[masks] * 2**8
+        exact = dense_spectrum_of(truth)[masks] * 2**8
         result = learn_junta_from_spectrum(masks, exact, 8, k=3, eps=0.2)
         assert result.junta_variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
@@ -326,7 +353,7 @@ class TestJuntaLearner:
         n, k, eps = 10, 3, 0.2
         truth, variables = random_junta_distribution(n, k, np.random.default_rng([seed, 0]))
         masks = low_degree_masks(n, k)
-        exact = fourier_transform(truth)[masks] * 2**n
+        exact = dense_spectrum_of(truth)[masks] * 2**n
         smallest = np.abs(exact[np.abs(exact) > 1e-12]).min()
         assert (smallest > dist_learn.dist_threshold_cutoff(k, eps)) == clear
         result = learn_junta_from_spectrum(masks, exact, n, k, eps)
@@ -356,7 +383,7 @@ class TestJuntaLearner:
 
         for k in (0, 1, 2):
             result = learn_junta_distribution(ConstantSampler(), k=k, eps=0.2, delta=0.1)
-            values = result.distribution.values
+            values = result.distribution.block
             assert np.all(values >= 0.0)
             assert float(values.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -485,8 +512,10 @@ class TestSampleSetValidation:
         assert 0 <= drawn.min() and drawn.max() < 8
 
     def test_sampler_matches_per_uniform_search(self):
-        truth, _ = random_junta_distribution(8, 2, np.random.default_rng(4))
-        cumulative = np.cumsum(truth.values)
+        # A dense distribution: its points are its block indices.
+        junta, _ = random_junta_distribution(8, 2, np.random.default_rng(4))
+        truth = Distribution(8, dense_values(junta))
+        cumulative = np.cumsum(truth.block)
         uniforms = np.random.default_rng([7, 0]).random(500)
         want = [min(int(np.searchsorted(cumulative, u, side="right")), 255) for u in uniforms]
         assert SimulatedSampler(truth, seed=7).draw(500).tolist() == want
@@ -496,14 +525,11 @@ class TestSampleSetValidation:
         order, also where zero-probability points leave the cumulative flat."""
         values = np.zeros(64)
         values[[3, 4, 40, 63]] = [0.1, 0.4, 0.25, 0.25]
-        for truth in (Distribution(6, values), random_junta_distribution(10, 3, np.random.default_rng(8))[0]):
+        junta = random_junta_distribution(10, 3, np.random.default_rng(8))[0]
+        for truth in (Distribution(6, values), Distribution(10, dense_values(junta))):
             sampler = SimulatedSampler(truth, seed=11)
             for call, count in enumerate((1, 1000, 4097)):
-                uniforms = np.random.default_rng([11, call]).random(count)
-                want = np.minimum(
-                    np.searchsorted(np.cumsum(truth.values), uniforms, side="right"), 2**truth.n - 1
-                )
-                assert np.array_equal(sampler.draw(count), want)
+                assert np.array_equal(sampler.draw(count), dense_draw(truth, 11, call, count))
 
     def test_sampler_deterministic_replay(self):
         truth, _ = random_junta_distribution(5, 2, np.random.default_rng(3))
@@ -548,3 +574,86 @@ class TestSampleCounter:
         record = cli.CELL_RUNNERS["learn-dist"](params, 4)
         assert len(samplers) == 1
         assert record["T"] == samplers[0].samples_used == sample_count_dist(8, k, 0.3, 0.1)
+
+
+class TestFactoredSampler:
+    """A junta's points: a block index from the block's cumulative, then fair
+    bits for the other variables; a dense distribution draws what the dense
+    cumulative sampler draws."""
+
+    # sha256 of the little-endian int64 draws of calls of 1, 1000 and 4097
+    # points at seed 3, taken before distributions were junta values, when
+    # the sampler searched the cumulative of all 2^n point probabilities.
+    DENSE_DRAWS = {
+        6: "7a7983c87bbc25cfe53527a4d48e313dd975af7327ac80f465089733b3d3b8ef",
+        10: "a33ff61dc9417ff0a01f6e6ee329bfec00365be5b12d696fb02b45aad7ad36b7",
+    }
+
+    @pytest.mark.parametrize("n", sorted(DENSE_DRAWS))
+    def test_dense_draws_are_pinned(self, n):
+        weights = np.random.default_rng(n).random(1 << n)
+        weights[::7] = 0.0  # flat runs in the cumulative
+        sampler = SimulatedSampler(Distribution(n, weights / weights.sum()), seed=3)
+        draws = np.concatenate([sampler.draw(count) for count in (1, 1000, 4097)])
+        assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == self.DENSE_DRAWS[n]
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (5, 1), (9, 3), (16, 4), (40, 3), (62, 2)])
+    def test_planted_stream_is_block_indices_then_free_bits(self, n, k):
+        truth, variables = random_junta_distribution(n, k, np.random.default_rng(n))
+        sampler = SimulatedSampler(truth, seed=6)
+        junta_bits = np.array([n - var for var in variables], dtype=np.int64)
+        free_bits = np.array([n - var for var in range(1, n + 1) if var not in variables], dtype=np.int64)
+        for call, count in enumerate((1, 3000)):
+            points = sampler.draw(count)
+            rng = np.random.default_rng([6, call])
+            index = np.searchsorted(np.cumsum(truth.block), rng.random(count), side="right")
+            free = rng.integers(0, 1 << (n - k), count)
+            # Block index bit k - 1 - j is variable j's; free bits fill the rest in order.
+            none = np.zeros(count, dtype=np.int64)
+            got_index = sum(((points >> bit & 1) << (k - 1 - j) for j, bit in enumerate(junta_bits)), none)
+            got_free = sum(((points >> bit & 1) << (n - k - 1 - j) for j, bit in enumerate(free_bits)), none)
+            assert np.array_equal(got_index, np.minimum(index, (1 << k) - 1))
+            assert np.array_equal(got_free, free)
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (12, 3)])
+    def test_joint_point_frequencies_match_the_dense_sampler(self, n, k):
+        """Per point within 5 sigma of the two-sample difference, and the sum
+        of squared z-scores within 5 of its standard deviations of its mean."""
+        truth, _ = random_junta_distribution(n, k, np.random.default_rng([n, k]))
+        T = 1 << 20
+        factored = np.bincount(SimulatedSampler(truth, seed=21).draw(T), minlength=1 << n) / T
+        dense = np.bincount(dense_draw(truth, 22, 0, T), minlength=1 << n) / T
+        p = dense_values(truth)
+        z = (factored - dense) / np.sqrt(2.0 * p * (1.0 - p) / T)
+        assert np.abs(z).max() <= 5.0
+        assert abs(float(np.sum(z**2)) - z.size) <= 5.0 * math.sqrt(2.0 * z.size)
+
+
+class TestPlantedCellScale:
+    """A planted learn-dist cell holds no 2^n array, so n reaches the int64
+    point-mask limit."""
+
+    def test_benchmark_cell_peak_memory(self):
+        params = {"n": 20, "k": 3, "eps": 0.2, "delta": 0.1}
+        cli.CELL_RUNNERS["learn-dist"](params, 1)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            record = cli.CELL_RUNNERS["learn-dist"](params, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["tv_exact"] <= 0.2
+        assert peak < 4 << 20  # one 2^20 float64 array is 8 MiB
+
+    def test_grid_cell_past_the_dense_cap(self):
+        spec = cli.ExperimentSpec("learn-dist", {"n": [40], "k": [3], "eps": [0.2], "delta": [0.1]}, 1, 1)
+        [record] = cli.run_experiment(spec)
+        assert record["status"] == "ok"
+        assert record["metrics"]["tv_exact"] <= 0.2
+        assert record["metrics"]["junta_variables"] == record["metrics"]["planted_variables"]
+
+    def test_grid_cell_past_the_point_mask_limit_is_refused(self):
+        spec = cli.ExperimentSpec("learn-dist", {"n": [63], "k": [3], "eps": [0.2], "delta": [0.1]}, 1, 1)
+        [record] = cli.run_experiment(spec)
+        assert record["status"] == "error"
+        assert "variable count must be in [1, 62], the int64 point-mask limit, got 63" in record["error"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juntalab import hypercube
 from juntalab.hypercube import (
     Distribution,
     RealCubeFunction,
@@ -202,6 +203,31 @@ class TestTvDistance:
         with pytest.raises(ValueError):
             tv_distance(Distribution.uniform(2), Distribution.uniform(3))
 
+    @pytest.mark.parametrize("first,second", [
+        ((2, 5), (1, 7)),  # disjoint
+        ((3, 4, 8), (3, 4, 8)),  # equal
+        ((2, 6), (1, 2, 6, 8)),  # nested
+        ((), (4,)),  # k = 0 beside k = 1
+        ((), ()),  # both k = 0
+        ((1, 2, 3, 4, 5, 6, 7, 8), (3,)),  # a dense distribution beside a junta
+    ], ids=["disjoint", "equal", "nested", "k0", "k0-k0", "dense"])
+    def test_union_equals_dense(self, first, second):
+        n = 8
+        rng = np.random.default_rng(len(first) * 10 + len(second))
+        for _ in range(3):
+            p, q = (Distribution(n, rng.dirichlet([0.5] * (1 << len(vs))), vs) for vs in (first, second))
+            dense = [hypercube._broadcast_junta(d.block * 2.0 ** (len(d.variables) - n), n, d.variables)
+                     for d in (p, q)]
+            want = 0.5 * float(np.abs(dense[0] - dense[1]).sum())
+            assert abs(tv_distance(p, q) - want) <= 1e-15
+            assert tv_distance(p, q) == tv_distance(q, p)
+
+    def test_union_past_the_block_cap_is_refused(self):
+        p = Distribution(60, np.full(1 << 13, 2.0**-13), range(1, 14))
+        q = Distribution(60, np.full(1 << 12, 2.0**-12), range(40, 52))
+        with pytest.raises(ValueError, match="juntas on 25 variables together, past the 24-variable cap"):
+            tv_distance(p, q)
+
 
 class TestDegreeSupport:
     def test_constant(self):
@@ -217,7 +243,7 @@ class TestDegreeSupport:
         for bits in range(16):
             local = (bits >> 3 & 1) << 1 | (bits >> 1 & 1)
             values[bits] = block[local] / 4
-        spec = fourier_transform(Distribution(4, values))
+        spec = fourier_transform(RealCubeFunction(4, Distribution(4, values).block))
         assert degree(spec) <= 2
         assert np.count_nonzero(spec) <= 4
 
@@ -252,7 +278,7 @@ class TestDistribution:
 
     def test_renormalizes_within_tolerance(self):
         p = Distribution(1, [0.5 + 4e-13, 0.5])
-        assert float(p.values.sum()) == pytest.approx(1.0, abs=1e-15)
+        assert float(p.block.sum()) == pytest.approx(1.0, abs=1e-15)
 
     def test_renormalized_values_equal_one_division(self):
         values = np.full(8, 0.125)
@@ -261,31 +287,25 @@ class TestDistribution:
         assert total != 1.0 and abs(total - 1.0) <= 1e-12
         kept = values.copy()
         p = Distribution(3, values)
-        assert p.values.tobytes() == (values / total).tobytes()
-        assert not p.values.flags.writeable
+        assert p.block.tobytes() == (values / total).tobytes()
+        assert not p.block.flags.writeable
         assert values.tobytes() == kept.tobytes()
         with pytest.raises(ValueError):
-            p.values[0] = 0.0
+            p.block[0] = 0.0
 
     def test_constructor_copies_and_leaves_the_input_writeable(self):
         values = np.full(8, 0.125)
         values[3] += 1e-13
         kept = values.copy()
-        for cls in (RealCubeFunction, Distribution):
-            f = cls(3, values)
-            assert f.values is not values and not f.values.flags.writeable
+        for held in (RealCubeFunction(3, values).values, Distribution(3, values).block):
+            assert held is not values and not held.flags.writeable
             assert values.flags.writeable and values.tobytes() == kept.tobytes()
 
-    def test_adopt_keeps_the_array_renormalized_and_read_only(self):
-        values = np.full(8, 0.125)
-        values[3] += 1e-13
-        want = values / values.sum()
-        p = Distribution._adopt(3, values)
-        assert p.values is values
-        assert not values.flags.writeable
-        assert values.tobytes() == want.tobytes()
-        f = RealCubeFunction._adopt(3, np.arange(8.0))
-        assert not f.values.flags.writeable and f.values.tolist() == list(range(8))
+    def test_adopt_keeps_the_array_read_only(self):
+        values = np.arange(8.0)
+        f = RealCubeFunction._adopt(3, values)
+        assert f.values is values
+        assert not values.flags.writeable and values.tolist() == list(range(8))
 
     @pytest.mark.parametrize("values,message", [
         ([np.nan, 1.0], "function values must be finite"),
@@ -300,30 +320,55 @@ class TestDistribution:
         ([1e308, 1e308], "distribution values sum to inf, outside 1 +/- 1e-12"),
     ])
     def test_rejections_on_both_paths(self, values, message):
-        """The constructor and ``_adopt`` reject the same inputs with the
-        same messages, and a rejected array is left as it was."""
+        """A dense and a junta distribution reject the same blocks with the
+        same messages, as do the function constructor and ``_adopt`` where
+        the message is about finiteness; a rejected array is left as it was."""
         finite = message.startswith("function")
-        for cls in (Distribution, RealCubeFunction) if finite else (Distribution,):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                cls(1, values)
+        builders = [lambda arr: Distribution(1, arr), lambda arr: Distribution(3, arr, (2,))]
+        if finite:
+            builders += [lambda arr: RealCubeFunction(1, arr), lambda arr: RealCubeFunction._adopt(1, arr)]
+        for build in builders:
             arr = np.array(values)
             with pytest.raises(ValueError, match=re.escape(message)):
-                cls._adopt(1, arr)
+                build(arr)
             assert arr.flags.writeable
             assert arr.tobytes() == np.array(values).tobytes()
 
     def test_adopt_checks_the_shape(self):
         with pytest.raises(ValueError, match=re.escape("expected 4 values for n=2, got shape (3,)")):
-            Distribution._adopt(2, np.full(3, 1 / 3))
+            RealCubeFunction._adopt(2, np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="variable count"):
             RealCubeFunction._adopt(0, np.ones(1))
+
+    @pytest.mark.parametrize("n,block,variables,message", [
+        (2, [1 / 3] * 3, None, "expected 4 values for 2 variables, got shape (3,)"),
+        (40, [0.5] * 2, (3, 4), "expected 4 values for 2 variables, got shape (2,)"),
+        (5, [0.25] * 4, (4, 2), "junta variables must ascend within [1, 5], got [4, 2]"),
+        (5, [0.25] * 4, (2, 2), "junta variables must ascend within [1, 5], got [2, 2]"),
+        (5, [0.25] * 4, (0, 2), "junta variables must ascend within [1, 5], got [0, 2]"),
+        (5, [0.25] * 4, (2, 6), "junta variables must ascend within [1, 5], got [2, 6]"),
+        (25, [1.0], None, "a junta block covers at most 24 variables, got 25"),
+        (63, [1.0], (), "variable count must be in [1, 62], the int64 point-mask limit, got 63"),
+        (0, [1.0], (), "variable count must be in [1, 62], the int64 point-mask limit, got 0"),
+    ])
+    def test_junta_checks(self, n, block, variables, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Distribution(n, block, variables)
+
+    def test_junta_value(self):
+        p = Distribution(62, [0.125, 0.375, 0.5, 0.0], [1, 62])
+        assert (p.n, p.variables, p.block.tolist()) == (62, (1, 62), [0.125, 0.375, 0.5, 0.0])
+        assert Distribution.uniform(40).variables == () and Distribution.uniform(40).block.tolist() == [1.0]
+        assert Distribution(3, np.full(8, 0.125)).variables == (1, 2, 3)
+        with pytest.raises(AttributeError, match="Distribution is immutable"):
+            p.n = 3
 
     def test_empty_coefficient_is_two_to_minus_n(self):
         rng = np.random.default_rng(19)
         for n in (1, 4, 10):
             w = rng.random(1 << n)
             p = Distribution(n, w / w.sum())
-            c0 = fourier_transform(p)[0]
+            c0 = fourier_transform(RealCubeFunction(n, p.block))[0]
             # exact in exact arithmetic; allow a few ulp of renormalization noise
             assert abs(c0 - 2.0**-n) <= 8 * np.finfo(float).eps * 2.0**-n
 
@@ -334,17 +379,35 @@ class TestJson:
         w = rng.random(8)
         p = Distribution(3, w / w.sum())
         path = tmp_path / "dist.json"
-        path.write_text(json.dumps({"n": 3, "values": p.values.tolist()}))
+        path.write_text(json.dumps({"n": 3, "values": p.block.tolist()}))
         q = load_distribution(path)
         assert q.n == 3
-        assert np.allclose(p.values, q.values, atol=1e-15)
+        assert np.allclose(p.block, q.block, atol=1e-15)
 
     def test_file_format(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text('{"n": 2, "values": [0.25, 0.25, 0.5, 0]}')
         q = load_distribution(path)
-        assert q.n == 2
-        assert q.values.tolist() == [0.25, 0.25, 0.5, 0.0]
+        assert (q.n, q.variables) == (2, (1, 2))
+        assert q.block.tolist() == [0.25, 0.25, 0.5, 0.0]
+
+    def test_junta_file_format(self, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text('{"n": 40, "variables": [3, 17], "values": [0.25, 0.25, 0.5, 0]}')
+        q = load_distribution(path)
+        assert (q.n, q.variables, q.block.tolist()) == (40, (3, 17), [0.25, 0.25, 0.5, 0.0])
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"n": 63, "variables": [1], "values": [0.5, 0.5]}, "field 'n' must be in [1, 62], got 63"),
+        ({"n": 30, "variables": [1, 2], "values": [0.5, 0.5]}, "a 2-variable block needs 4 values, body has 2"),
+        ({"n": 30, "variables": [1.0], "values": [0.5, 0.5]}, "field 'variables' must be a list of integers, got [1.0]"),
+        ({"n": 30, "variables": 1, "values": [0.5, 0.5]}, "field 'variables' must be a list of integers, got 1"),
+    ])
+    def test_junta_file_checks(self, payload, message, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_distribution(path)
 
     @pytest.mark.parametrize("n, count", [(2, 8), (3, 7), (3, 9)],
                              ids=["wrong_n", "truncated_body", "extra_rows"])

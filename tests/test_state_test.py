@@ -116,6 +116,13 @@ class TestOracleCertifier:
             (report,) = run_junta_test(access, 0, eps, 0.1, oracle=far_oracle)["transcript"]
             assert report["verdict"] == verdict
 
+    def test_wrong_size_oracle_spends_no_copy(self):
+        truth = random_density_matrix(3, np.random.default_rng(2))
+        access = SimulatedStateAccess(truth, seed=1)
+        with pytest.raises(ValueError, match="oracle dimension mismatch"):
+            run_junta_test(access, 1, 0.3, 0.1, oracle=pure_basis_state(2))
+        assert access.copies_used == 0
+
 
 class TestFrobeniusCertifier:
     """The statistic without an oracle: ``frobenius_bound``."""
