@@ -85,7 +85,7 @@ def _run_learn_dist(params: dict, seed: int, truth=None) -> dict:
         "T": T,
         "tv_exact": tv_distance(result.distribution, truth),
         "surviving_sets": [list(mask_to_variables(int(m), truth.n)) for m in result.surviving_masks],
-        "junta_variables": list(result.junta_variables),
+        "junta_variables": list(result.distribution.variables),
         **planted,
     }
 

@@ -164,7 +164,6 @@ def round_to_distribution(masks, values, n: int, variables: tuple[int, ...]) -> 
 class DistLearnResult:
     distribution: Distribution
     surviving_masks: np.ndarray
-    junta_variables: tuple[int, ...]
 
 
 def learn_junta_from_spectrum(masks, values, n: int, k: int, eps: float) -> DistLearnResult:
@@ -185,7 +184,6 @@ def learn_junta_from_spectrum(masks, values, n: int, k: int, eps: float) -> Dist
     return DistLearnResult(
         distribution=round_to_distribution(masks, relative, n, variables),
         surviving_masks=masks,
-        junta_variables=variables,
     )
 
 

@@ -9,21 +9,17 @@ Encoding conventions, fixed here and used by every other module:
   point sits at index 0.
 * A subset ``S of [n]`` uses the same bit layout.
 
-Spectra are plain arrays. A full spectrum is a dense vector indexed by
-subset mask; a low-degree spectrum is a pair of arrays, the ascending
-unique int64 masks and their float64 values. Dense arrays hold at most
-2^24 entries, so a dense function has ``n <= MAX_VARS = 24``.
+A function on the cube is a float64 array of its 2^n values, indexed by
+point mask. Spectra are plain arrays too: a full spectrum is a dense vector
+indexed by subset mask; a low-degree spectrum is a pair of arrays, the
+ascending unique int64 masks and their float64 values.
 
 A distribution is a junta value: a probability block on at most
-``MAX_VARS`` ascending variables, uniform on the rest, so its ``n`` reaches
-``MAX_POINT_VARS = 62``, the int64 point-mask limit, and nothing about it
-takes 2^n memory; a dense distribution is the junta on all n variables.
-
-Values are owned. ``RealCubeFunction(n, values)`` and ``Distribution``
-copy their input, so a caller's array is never renormalized or frozen; the
-package's own builders of dense functions hand over the fresh arrays they
-make through ``_adopt``, which checks and freezes them in place, with no
-copy.
+``MAX_VARS = 24`` ascending variables, uniform on the rest, so its ``n``
+reaches ``MAX_POINT_VARS = 62``, the int64 point-mask limit, and nothing
+about it takes 2^n memory; a dense distribution, and so a dense truth file,
+is the junta on all n variables. ``Distribution`` copies its block, so a
+caller's array is never renormalized or frozen.
 """
 
 from __future__ import annotations
@@ -41,11 +37,6 @@ MAX_POINT_VARS = 62
 _SUM_TOL = 1e-12
 
 
-def _check_nvars(n: int) -> None:
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
-
-
 def variables_to_mask(variables, n: int) -> int:
     """Pack a collection of 1-indexed variables into a subset mask."""
     mask = 0
@@ -59,36 +50,6 @@ def variables_to_mask(variables, n: int) -> int:
 def mask_to_variables(mask: int, n: int) -> tuple[int, ...]:
     """Unpack a subset mask into a sorted tuple of 1-indexed variables."""
     return tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
-
-
-class RealCubeFunction:
-    """A dense real-valued function on {-1,+1}^n, indexed by point mask."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values) -> None:
-        self._own(n, np.array(values, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, n: int, arr: np.ndarray):
-        """An instance holding ``arr``, a fresh float64 array that no one
-        else references, checked as the constructor checks its copy."""
-        self = object.__new__(cls)
-        self._own(n, arr)
-        return self
-
-    def _own(self, n: int, arr: np.ndarray) -> None:
-        _check_nvars(n)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Distribution:
@@ -178,17 +139,12 @@ def walsh_hadamard(values) -> np.ndarray:
     return transform_digits([[1.0, 1.0], [1.0, -1.0]], v, size.bit_length() - 1).reshape(v.shape)
 
 
-def fourier_transform(f: RealCubeFunction) -> np.ndarray:
-    """Coefficients c(S) = E_x[f(x) chi_S(x)] for every S, as a dense vector
-    indexed by subset mask, via the fast transform."""
-    return walsh_hadamard(f.values) / float(1 << f.n)
-
-
-def inverse_transform(coeffs) -> RealCubeFunction:
-    """Evaluate f(x) = sum_S c(S) chi_S(x) on the whole cube from the dense
-    vector of all 2^n coefficients."""
-    values = walsh_hadamard(coeffs)
-    return RealCubeFunction._adopt(values.size.bit_length() - 1, values)
+def fourier_transform(values) -> np.ndarray:
+    """Coefficients c(S) = E_x[f(x) chi_S(x)] for every S of the function
+    with the 2^n ``values``, as a dense vector indexed by subset mask; the
+    values are sum_S c(S) chi_S(x), ``walsh_hadamard`` of the vector."""
+    coeffs = walsh_hadamard(values)
+    return coeffs / coeffs.shape[-1]
 
 
 def _broadcast_junta(block: np.ndarray, n: int, variables: tuple[int, ...]) -> np.ndarray:

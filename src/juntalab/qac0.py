@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .hypercube import RealCubeFunction, require_fields
+from .hypercube import require_fields
 from .qstate import (
     DensityMatrix,
     complex_matrix,
     frobenius_distance,
     pauli_tensor,
+    qubit_count,
 )
 
 MAX_CIRCUIT_QUBITS = 10
@@ -202,15 +203,25 @@ def choi_state_with_ancilla(circuit: Qac0Circuit) -> DensityMatrix:
     return DensityMatrix(choi)
 
 
-def choi_of_boolean_function(f: RealCubeFunction) -> DensityMatrix:
-    """Choi state of the classical channel |x><x| -> |f(x)><f(x)|:
-    the diagonal state sum_x 2^-n |f(x)><f(x)| (x) |x><x|."""
-    if f.n > MAX_BOOLEAN_CHOI_INPUTS:
-        raise ValueError(f"Boolean Choi states capped at {MAX_BOOLEAN_CHOI_INPUTS} inputs")
-    values = f.values
-    if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-12:
+def _boolean_values(values) -> tuple[np.ndarray, int]:
+    """``values`` as float64 and their variable count n, if they are the 2^n
+    +/-1 values of a Boolean function."""
+    values = np.asarray(values, dtype=np.float64)
+    n = qubit_count(values.size)
+    # Written so that a NaN, which fails every comparison, fails the check.
+    if not np.all(np.abs(np.abs(values) - 1.0) <= 1e-12):
         raise ValueError("function must be +/-1 valued")
-    in_dim = 1 << f.n
+    return values, n
+
+
+def choi_of_boolean_function(values) -> DensityMatrix:
+    """Choi state of the classical channel |x><x| -> |f(x)><f(x)| of the
+    function with the 2^n ``values``: the diagonal state
+    sum_x 2^-n |f(x)><f(x)| (x) |x><x|."""
+    values, n = _boolean_values(values)
+    if n > MAX_BOOLEAN_CHOI_INPUTS:
+        raise ValueError(f"Boolean Choi states capped at {MAX_BOOLEAN_CHOI_INPUTS} inputs")
+    in_dim = values.size
     diag = np.zeros(2 * in_dim)
     out_bits = (values < 0).astype(np.int64)
     diag[out_bits * in_dim + np.arange(in_dim)] = 1.0 / in_dim
@@ -231,20 +242,23 @@ def ancilla_choi_relation_residual(circuit: Qac0Circuit) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def agreement_probability(f: RealCubeFunction, g: RealCubeFunction) -> float:
-    """Pr[f(x) != g(x)] over the uniform cube, for +/-1 valued functions."""
-    if f.n != g.n:
-        raise ValueError("functions over different variable counts")
-    return float(np.mean((f.values > 0) != (g.values > 0)))
+def agreement_probability(f, g) -> float:
+    """Pr[f(x) != g(x)] over the uniform cube, for +/-1 valued functions
+    given as their 2^n values."""
+    (f, _), (g, _) = _boolean_values(f), _boolean_values(g)
+    if f.shape != g.shape:
+        raise ValueError(f"functions of {f.size} and {g.size} values")
+    return float(np.mean((f > 0) != (g > 0)))
 
 
 def fnorm_agreement_identity(pairs) -> tuple[float | None, float]:
     """Fit kappa with kappa * ||rho_f - rho_g||_F^2 = Pr[f != g] over pairs.
 
-    ``pairs`` is a sequence of (f, g) pairs. kappa comes from the first pair
-    with f != g somewhere; the residual is the worst absolute gap of the
-    identity across all pairs at that kappa. Returns (None, 0.0) when every
-    pair agrees everywhere (kappa is then undetermined).
+    ``pairs`` is a sequence of (f, g) pairs of value arrays. kappa comes
+    from the first pair with f != g somewhere; the residual is the worst
+    absolute gap of the identity across all pairs at that kappa. Returns
+    (None, 0.0) when every pair agrees everywhere (kappa is then
+    undetermined).
     """
     measurements = []
     for f, g in pairs:
@@ -341,7 +355,7 @@ def removal_pauli_mass_shift(circuit: Qac0Circuit, arity: int, t_full: np.ndarra
     return float(((t_full - t_pruned) ** 2).sum()), removed
 
 
-def address_function(d: int) -> RealCubeFunction:
+def address_function(d: int) -> np.ndarray:
     """The selector f(x, y) = y_at(x) on d address bits and 2^d cell bits.
 
     The bijection from address words to cells is binary encoding with
@@ -355,22 +369,23 @@ def address_function(d: int) -> RealCubeFunction:
     idx = np.arange(1 << n)
     address = (idx >> cells) + 1
     bit = (idx >> (cells - address)) & 1
-    return RealCubeFunction._adopt(n, (1 - 2 * bit).astype(np.float64))
+    return (1 - 2 * bit).astype(np.float64)
 
 
-def boolean_distance_to_junta(f: RealCubeFunction, k: int) -> float:
-    """Exact distance min_{|K| = k} Pr[f != g_K] to the best k-junta.
+def boolean_distance_to_junta(f, k: int) -> float:
+    """Exact distance min_{|K| = k} Pr[f != g_K] to the best k-junta of the
+    function with the 2^n values ``f``.
 
     For each subset the optimal junta takes the majority label of f on each
     restriction (the sign of the conditional mean, ties to +1), so the
     distance is the mean shortfall (1 - |E[f | x_K]|) / 2.
     """
-    n = f.n
+    f, n = _boolean_values(f)
     if n > MAX_DISTANCE_VARS:
         raise ValueError(f"exact junta distance capped at {MAX_DISTANCE_VARS} variables")
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    tensor = f.values.reshape((2,) * n)
+    tensor = f.reshape((2,) * n)
     best = math.inf
     for subset in itertools.combinations(range(n), k):
         others = tuple(axis for axis in range(n) if axis not in subset)

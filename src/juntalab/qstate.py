@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -186,18 +185,6 @@ def partial_trace(rho, keep) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(dim, dim))
 
 
-def permute_qubits(mat, current_order: Sequence[int]) -> np.ndarray:
-    """Rearrange tensor factors so labels in ``current_order`` end up sorted."""
-    m = np.asarray(mat, dtype=np.complex128)
-    n = len(current_order)
-    if m.shape != (1 << n, 1 << n):
-        raise ValueError("matrix size does not match qubit count")
-    position = {q: j for j, q in enumerate(current_order)}
-    src = [position[q] for q in sorted(current_order)]
-    axes = src + [n + j for j in src]
-    return m.reshape((2,) * (2 * n)).transpose(axes).reshape(1 << n, 1 << n)
-
-
 def embed_on(rho_k: DensityMatrix, variables, n: int) -> DensityMatrix:
     """The k-junta state rho_K tensor I / 2^(n-k) on the complement, in
     natural qubit order."""
@@ -211,8 +198,12 @@ def embed_on(rho_k: DensityMatrix, variables, n: int) -> DensityMatrix:
         raise ValueError("junta block size does not match |K|")
     rest = 1 << (n - k)
     mat = np.kron(rho_k.entries, np.eye(rest) / rest)
+    # The factors of mat are the junta qubits, then the rest; move each
+    # qubit's row and column axes to its place in natural order.
     order = list(variables) + [q for q in range(1, n + 1) if q not in variables]
-    return DensityMatrix(permute_qubits(mat, order))
+    src = sorted(range(n), key=order.__getitem__)
+    axes = src + [n + j for j in src]
+    return DensityMatrix(mat.reshape((2,) * (2 * n)).transpose(axes).reshape(1 << n, 1 << n))
 
 
 def proxy_distance(rho, k: int) -> tuple[tuple[int, ...], float]:

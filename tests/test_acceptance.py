@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from juntalab import cli, dist_learn, qac0, qstate, shadows, state_learn, state_test
-from juntalab.hypercube import (
-    RealCubeFunction,
-    degree,
-    fourier_transform,
-    inverse_transform,
-    tv_distance,
-)
+from juntalab.hypercube import degree, fourier_transform, tv_distance, walsh_hadamard
 from juntalab.qstate import DensityMatrix, pauli_weight
 import paulis
 
@@ -35,10 +29,10 @@ def test_criterion_01_parseval_and_round_trips():
     worst_fourier = worst_fourier_rt = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 11))
-        f = RealCubeFunction(n, rng.standard_normal(1 << n))
+        f = rng.standard_normal(1 << n)
         spec = fourier_transform(f)
-        parseval = abs(sum(v * v for v in spec) - float(np.mean(f.values**2)))
-        round_trip = float(np.max(np.abs(inverse_transform(spec).values - f.values)))
+        parseval = abs(sum(v * v for v in spec) - float(np.mean(f**2)))
+        round_trip = float(np.max(np.abs(walsh_hadamard(spec) - f)))
         worst_fourier = max(worst_fourier, parseval)
         worst_fourier_rt = max(worst_fourier_rt, round_trip)
     worst_pauli = worst_pauli_rt = 0.0
@@ -221,8 +215,8 @@ def test_criterion_07_boolean_choi_agreement_identity():
     exhaustive = []
     for f_bits in range(16):
         for g_bits in range(16):
-            f = RealCubeFunction(2, [1.0 - 2.0 * (f_bits >> i & 1) for i in range(4)])
-            g = RealCubeFunction(2, [1.0 - 2.0 * (g_bits >> i & 1) for i in range(4)])
+            f = np.array([1.0 - 2.0 * (f_bits >> i & 1) for i in range(4)])
+            g = np.array([1.0 - 2.0 * (g_bits >> i & 1) for i in range(4)])
             exhaustive.append((f, g))
     kappa2, residual2 = qac0.fnorm_agreement_identity(exhaustive)
     assert kappa2 == pytest.approx(2.0, abs=1e-10)
@@ -233,8 +227,8 @@ def test_criterion_07_boolean_choi_agreement_identity():
     for n in (1, 2, 3):
         pairs = []
         while len(pairs) < 20:
-            f = RealCubeFunction(n, rng.choice([-1.0, 1.0], size=1 << n))
-            g = RealCubeFunction(n, rng.choice([-1.0, 1.0], size=1 << n))
+            f = rng.choice([-1.0, 1.0], size=1 << n)
+            g = rng.choice([-1.0, 1.0], size=1 << n)
             pairs.append((f, g))
         kappa, residual = qac0.fnorm_agreement_identity(pairs)
         assert kappa == pytest.approx(2.0 ** (n - 1), abs=1e-10)

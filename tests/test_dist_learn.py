@@ -22,11 +22,9 @@ from juntalab.dist_learn import (
 )
 from juntalab.hypercube import (
     Distribution,
-    RealCubeFunction,
     block_totals,
     fourier_transform,
     group_width,
-    inverse_transform,
     tv_distance,
     variables_to_mask,
     walsh_hadamard,
@@ -70,7 +68,7 @@ def dense_values(dist: Distribution) -> np.ndarray:
 
 
 def dense_spectrum_of(dist: Distribution) -> np.ndarray:
-    return fourier_transform(RealCubeFunction(dist.n, dense_values(dist)))
+    return fourier_transform(dense_values(dist))
 
 
 def dense_draw(dist: Distribution, seed: int, call: int, count: int) -> np.ndarray:
@@ -335,7 +333,7 @@ class TestJuntaLearner:
         truth = Distribution.uniform(6)
         result = learn_junta_distribution(SimulatedSampler(truth, seed=2), k=0, eps=0.3, delta=0.1)
         assert result.distribution.block.tolist() == truth.block.tolist() == [1.0]
-        assert result.junta_variables == result.distribution.variables == ()
+        assert result.distribution.variables == ()
 
     def test_exact_coefficients_give_identity(self):
         rng = np.random.default_rng(14)
@@ -343,7 +341,7 @@ class TestJuntaLearner:
         masks = low_degree_masks(8, 3)
         exact = dense_spectrum_of(truth)[masks] * 2**8
         result = learn_junta_from_spectrum(masks, exact, 8, k=3, eps=0.2)
-        assert result.junta_variables == variables
+        assert result.distribution.variables == variables
         assert tv_distance(result.distribution, truth) <= 1e-12
 
     @pytest.mark.parametrize("seed, clear", [(1, True), (7, False)])
@@ -357,7 +355,7 @@ class TestJuntaLearner:
         smallest = np.abs(exact[np.abs(exact) > 1e-12]).min()
         assert (smallest > dist_learn.dist_threshold_cutoff(k, eps)) == clear
         result = learn_junta_from_spectrum(masks, exact, n, k, eps)
-        assert result.junta_variables == variables
+        assert result.distribution.variables == variables
         tv = tv_distance(result.distribution, truth)
         assert tv < 1e-12 if clear else tv == pytest.approx(0.0209, abs=1e-4)
 
@@ -407,11 +405,11 @@ class TestJuntaLearner:
 class SimulatedExampleOracle:
     """Uniform examples (x, f(x)) from a known function, chunk-keyed RNG."""
 
-    def __init__(self, f: RealCubeFunction, seed: int) -> None:
+    def __init__(self, f: np.ndarray, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        self.n = f.n
-        self._values = f.values
+        self.n = f.size.bit_length() - 1
+        self._values = f
         self._seed = int(seed)
         self._calls = 0
 
@@ -456,7 +454,7 @@ class TestSparseLowDegreeLearner:
     def test_recovers_single_character(self):
         n = 6
         mask = variables_to_mask([2, 5], n)
-        f = inverse_transform(dense_spectrum(n, {mask: 1.0}))
+        f = walsh_hadamard(dense_spectrum(n, {mask: 1.0}))
         oracle = SimulatedExampleOracle(f, seed=4)
         masks, values = learn_sparse_lowdeg_function(oracle, m=1, deg=2, eps=0.1, delta=0.1)
         assert masks.tolist() == [mask]
@@ -471,7 +469,7 @@ class TestSparseLowDegreeLearner:
         trials = 10
         for trial in range(trials):
             signs = rng.choice([-1.0, 1.0], size=m)
-            f = inverse_transform(dense_spectrum(n, {mk: s * floor for mk, s in zip(masks, signs)}))
+            f = walsh_hadamard(dense_spectrum(n, {mk: s * floor for mk, s in zip(masks, signs)}))
             oracle = SimulatedExampleOracle(f, seed=trial)
             learned, _ = learn_sparse_lowdeg_function(oracle, m=m, deg=deg, eps=eps, delta=0.1)
             if set(learned.tolist()) == set(masks):
@@ -480,7 +478,7 @@ class TestSparseLowDegreeLearner:
 
     def test_off_support_coefficient_exactly_zero(self):
         n = 5
-        f = inverse_transform(dense_spectrum(n, {0b10000: 1.0}))
+        f = walsh_hadamard(dense_spectrum(n, {0b10000: 1.0}))
         learned, _ = learn_sparse_lowdeg_function(
             SimulatedExampleOracle(f, seed=1), m=1, deg=1, eps=0.1, delta=0.1
         )

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from juntalab import hypercube
 from juntalab.hypercube import (
     Distribution,
-    RealCubeFunction,
     block_totals,
     degree,
     fourier_transform,
-    inverse_transform,
     load_distribution,
     transform_digits,
     tv_distance,
@@ -30,17 +28,17 @@ def signs_of(bits: int, n: int) -> list[int]:
     return [-1 if bits >> (n - i) & 1 else 1 for i in range(1, n + 1)]
 
 
-def coefficient_by_sum(f: RealCubeFunction, mask: int) -> float:
+def coefficient_by_sum(f: np.ndarray, mask: int) -> float:
     """Definition oracle: 2^-n sum_x f(x) chi_S(x), with chi_S(x) the
     product of the coordinates x_i for i in S."""
-    n = f.n
+    n = f.size.bit_length() - 1
     total = 0.0
     for bits in range(1 << n):
         chi = 1.0
         for i, sign in enumerate(signs_of(bits, n), start=1):
             if mask >> (n - i) & 1:
                 chi *= sign
-        total += f.values[bits] * chi
+        total += f[bits] * chi
     return total / (1 << n)
 
 
@@ -49,28 +47,24 @@ class TestPointEncoding:
         assert variables_to_mask([1], 3) == 0b100
         assert variables_to_mask([3], 3) == 0b001
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="variable count"):
-            RealCubeFunction(25, [0.0])
-
 
 class TestFourierTransform:
     def test_constant_function(self):
-        spec = fourier_transform(RealCubeFunction(3, np.ones(8)))
+        spec = fourier_transform(np.ones(8))
         assert spec.shape == (8,)
         assert spec[0] == 1.0
         assert np.count_nonzero(spec) == 1
 
     def test_dictator(self):
         # f(x) = x_1 on two variables
-        f = RealCubeFunction(2, [1.0, 1.0, -1.0, -1.0])
+        f = np.array([1.0, 1.0, -1.0, -1.0])
         spec = fourier_transform(f)
         assert spec[variables_to_mask([1], 2)] == 1.0
         assert np.count_nonzero(spec) == 1
 
     def test_matches_definition_sum(self):
         rng = np.random.default_rng(7)
-        f = RealCubeFunction(3, rng.standard_normal(8))
+        f = rng.standard_normal(8)
         spec = fourier_transform(f)
         for mask in range(8):
             assert spec[mask] == pytest.approx(
@@ -122,32 +116,35 @@ class TestTransformDigits:
 
 
 class TestInverseTransform:
+    """f(x) = sum_S c(S) chi_S(x) on the whole cube is ``walsh_hadamard`` of
+    the dense vector of all 2^n coefficients."""
+
     def test_constant_spectrum(self):
-        f = inverse_transform(np.array([0.5, 0.0, 0.0, 0.0]))
-        assert f.n == 2
-        assert np.all(f.values == 0.5)
+        f = walsh_hadamard(np.array([0.5, 0.0, 0.0, 0.0]))
+        assert f.shape == (4,)
+        assert np.all(f == 0.5)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         spec = rng.standard_normal(16)
-        back = fourier_transform(inverse_transform(spec))
+        back = fourier_transform(walsh_hadamard(spec))
         for mask in range(16):
             assert back[mask] == pytest.approx(spec[mask], abs=1e-12)
 
     def test_rejects_non_power_of_two_length(self):
         with pytest.raises(ValueError):
-            inverse_transform(np.ones(6))
+            walsh_hadamard(np.ones(6))
 
     def test_two_term_spectrum_values(self):
         # x_1 - 0.5 x_1 x_2 evaluated at the four points
         spec = np.zeros(4)
         spec[variables_to_mask([1], 2)] = 1.0
         spec[variables_to_mask([1, 2], 2)] = -0.5
-        f = inverse_transform(spec)
+        f = walsh_hadamard(spec)
         for bits in range(4):
             signs = signs_of(bits, 2)
             expected = signs[0] - 0.5 * signs[0] * signs[1]
-            assert f.values[bits] == pytest.approx(expected, abs=1e-15)
+            assert f[bits] == pytest.approx(expected, abs=1e-15)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -157,10 +154,10 @@ class TestInverseTransform:
 )
 def test_parseval(n, seed):
     rng = np.random.default_rng(seed)
-    f = RealCubeFunction(n, rng.standard_normal(1 << n))
+    f = rng.standard_normal(1 << n)
     spec = fourier_transform(f)
     lhs = sum(v * v for v in spec)
-    rhs = float(np.mean(f.values**2))
+    rhs = float(np.mean(f**2))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -168,9 +165,9 @@ def test_parseval(n, seed):
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_transform_round_trip_exact(n, seed):
     rng = np.random.default_rng(seed)
-    f = RealCubeFunction(n, rng.standard_normal(1 << n))
-    back = inverse_transform(fourier_transform(f))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12
+    f = rng.standard_normal(1 << n)
+    back = walsh_hadamard(fourier_transform(f))
+    assert np.max(np.abs(back - f)) <= 1e-12
 
 
 class TestTvDistance:
@@ -243,7 +240,7 @@ class TestDegreeSupport:
         for bits in range(16):
             local = (bits >> 3 & 1) << 1 | (bits >> 1 & 1)
             values[bits] = block[local] / 4
-        spec = fourier_transform(RealCubeFunction(4, Distribution(4, values).block))
+        spec = fourier_transform(Distribution(4, values).block)
         assert degree(spec) <= 2
         assert np.count_nonzero(spec) <= 4
 
@@ -297,15 +294,9 @@ class TestDistribution:
         values = np.full(8, 0.125)
         values[3] += 1e-13
         kept = values.copy()
-        for held in (RealCubeFunction(3, values).values, Distribution(3, values).block):
-            assert held is not values and not held.flags.writeable
-            assert values.flags.writeable and values.tobytes() == kept.tobytes()
-
-    def test_adopt_keeps_the_array_read_only(self):
-        values = np.arange(8.0)
-        f = RealCubeFunction._adopt(3, values)
-        assert f.values is values
-        assert not values.flags.writeable and values.tolist() == list(range(8))
+        held = Distribution(3, values).block
+        assert held is not values and not held.flags.writeable
+        assert values.flags.writeable and values.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("values,message", [
         ([np.nan, 1.0], "function values must be finite"),
@@ -321,24 +312,14 @@ class TestDistribution:
     ])
     def test_rejections_on_both_paths(self, values, message):
         """A dense and a junta distribution reject the same blocks with the
-        same messages, as do the function constructor and ``_adopt`` where
-        the message is about finiteness; a rejected array is left as it was."""
-        finite = message.startswith("function")
+        same messages; a rejected array is left as it was."""
         builders = [lambda arr: Distribution(1, arr), lambda arr: Distribution(3, arr, (2,))]
-        if finite:
-            builders += [lambda arr: RealCubeFunction(1, arr), lambda arr: RealCubeFunction._adopt(1, arr)]
         for build in builders:
             arr = np.array(values)
             with pytest.raises(ValueError, match=re.escape(message)):
                 build(arr)
             assert arr.flags.writeable
             assert arr.tobytes() == np.array(values).tobytes()
-
-    def test_adopt_checks_the_shape(self):
-        with pytest.raises(ValueError, match=re.escape("expected 4 values for n=2, got shape (3,)")):
-            RealCubeFunction._adopt(2, np.full(3, 1 / 3))
-        with pytest.raises(ValueError, match="variable count"):
-            RealCubeFunction._adopt(0, np.ones(1))
 
     @pytest.mark.parametrize("n,block,variables,message", [
         (2, [1 / 3] * 3, None, "expected 4 values for 2 variables, got shape (3,)"),
@@ -368,7 +349,7 @@ class TestDistribution:
         for n in (1, 4, 10):
             w = rng.random(1 << n)
             p = Distribution(n, w / w.sum())
-            c0 = fourier_transform(RealCubeFunction(n, p.block))[0]
+            c0 = fourier_transform(p.block)[0]
             # exact in exact arithmetic; allow a few ulp of renormalization noise
             assert abs(c0 - 2.0**-n) <= 8 * np.finfo(float).eps * 2.0**-n
 

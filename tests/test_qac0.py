@@ -9,11 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from juntalab.hypercube import (
-    RealCubeFunction,
-    degree,
-    fourier_transform,
-)
+from juntalab.hypercube import degree, fourier_transform
 from juntalab.qstate import (
     DensityMatrix,
     partial_trace,
@@ -101,8 +97,7 @@ def off_subset_mass_by_traces(mat, n, subset):
 
 def all_boolean_functions(n):
     for bits in range(1 << (1 << n)):
-        values = [1.0 - 2.0 * (bits >> i & 1) for i in range(1 << n)]
-        yield RealCubeFunction(n, values)
+        yield np.array([1.0 - 2.0 * (bits >> i & 1) for i in range(1 << n)])
 
 
 class TestGates:
@@ -216,7 +211,7 @@ class TestChoiStateWithAncilla:
     def test_identity_function_matches_boolean_choi(self):
         circuit = Qac0Circuit(1, 0, ((ToffoliGate((1,), 2),),))
         got = choi_state_with_ancilla(circuit).entries
-        want = choi_of_boolean_function(RealCubeFunction(1, [1.0, -1.0])).entries
+        want = choi_of_boolean_function(np.array([1.0, -1.0])).entries
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_ancilla_relation_on_random_circuits(self):
@@ -244,7 +239,7 @@ class TestChoiStateWithAncilla:
 
 class TestBooleanChoi:
     def test_constant_function_spectrum(self):
-        choi = choi_of_boolean_function(RealCubeFunction(2, np.ones(4)))
+        choi = choi_of_boolean_function(np.ones(4))
         spec = pauli_tensor(choi).reshape(-1)
         for word in np.flatnonzero(spec).tolist():
             assert all(c in (0, 3) for c in paulis.codes(choi.n, word))
@@ -252,13 +247,12 @@ class TestBooleanChoi:
             assert set(paulis.support(choi.n, word)) <= {1}
 
     def test_identity_function_diagonal(self):
-        choi = choi_of_boolean_function(RealCubeFunction(1, [1.0, -1.0]))
+        choi = choi_of_boolean_function(np.array([1.0, -1.0]))
         assert np.max(np.abs(choi.entries - np.diag([0.5, 0, 0, 0.5]))) <= 1e-15
 
     def test_spectrum_proportional_to_function_coefficients(self):
         rng = np.random.default_rng(5)
-        values = rng.choice([-1.0, 1.0], size=8)
-        f = RealCubeFunction(3, values)
+        f = rng.choice([-1.0, 1.0], size=8)
         fspec = fourier_transform(f)
         choi = choi_of_boolean_function(f)
         cspec = pauli_tensor(choi).reshape(-1)
@@ -278,18 +272,27 @@ class TestBooleanChoi:
 
     def test_rejects_non_boolean(self):
         with pytest.raises(ValueError):
-            choi_of_boolean_function(RealCubeFunction(1, [0.5, 1.0]))
+            choi_of_boolean_function(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan, np.nan], [-1.0, np.inf]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match=re.escape("function must be +/-1 valued")):
+            choi_of_boolean_function(np.array(values))
+
+    def test_rejects_a_length_that_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+            choi_of_boolean_function(np.ones(3))
 
 
 class TestAgreementIdentity:
     def test_equal_functions(self):
-        f = RealCubeFunction(2, [1.0, -1.0, 1.0, -1.0])
+        f = np.array([1.0, -1.0, 1.0, -1.0])
         kappa, residual = fnorm_agreement_identity([(f, f)])
         assert kappa is None and residual == 0.0
 
     def test_negated_function(self):
-        f = RealCubeFunction(2, [1.0, -1.0, 1.0, -1.0])
-        g = RealCubeFunction(2, [-1.0, 1.0, -1.0, 1.0])
+        f = np.array([1.0, -1.0, 1.0, -1.0])
+        g = -f
         kappa, _ = fnorm_agreement_identity([(f, g)])
         dist_sq = (
             np.linalg.norm(
@@ -316,12 +319,20 @@ class TestAgreementIdentity:
         for n in (1, 2, 3):
             pairs = []
             for _ in range(20):
-                f = RealCubeFunction(n, rng.choice([-1.0, 1.0], size=1 << n))
-                g = RealCubeFunction(n, rng.choice([-1.0, 1.0], size=1 << n))
+                f = rng.choice([-1.0, 1.0], size=1 << n)
+                g = rng.choice([-1.0, 1.0], size=1 << n)
                 pairs.append((f, g))
             kappa, residual = fnorm_agreement_identity(pairs)
             assert kappa == pytest.approx(2.0 ** (n - 1), abs=1e-10)
             assert residual <= 1e-10
+
+    def test_agreement_refuses_different_lengths(self):
+        with pytest.raises(ValueError, match="functions of 2 and 4 values"):
+            agreement_probability(np.array([1.0, -1.0]), np.ones(4))
+
+    def test_agreement_refuses_non_boolean(self):
+        with pytest.raises(ValueError, match=re.escape("function must be +/-1 valued")):
+            agreement_probability(np.array([np.nan, 1.0]), np.array([-1.0, 1.0]))
 
 
 class TestRemoveLongToffolis:
@@ -491,11 +502,11 @@ class TestAddressFunction:
             y1 = 1 - 2 * (bits >> 1 & 1)
             y2 = 1 - 2 * (bits & 1)
             want = y1 if x == 1 else y2
-            assert f.values[bits] == want
+            assert f[bits] == want
 
     def test_plus_minus_valued(self):
         for d in (1, 2):
-            assert np.all(np.abs(np.abs(address_function(d).values) - 1.0) == 0.0)
+            assert np.all(np.abs(np.abs(address_function(d)) - 1.0) == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_degree_is_d_plus_one(self, d):
@@ -505,7 +516,7 @@ class TestAddressFunction:
 class TestJuntaDistance:
     def test_junta_has_distance_zero(self):
         # f depends only on variable 2
-        f = RealCubeFunction(3, [1, 1, -1, -1, 1, 1, -1, -1])
+        f = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         assert boolean_distance_to_junta(f, 1) == 0.0
 
     def test_d1_address_exact_quarter(self):
@@ -516,7 +527,7 @@ class TestJuntaDistance:
         # validate the conditional-mean construction against brute force over
         # every 1-junta on every singleton subset
         f = address_function(1)
-        n = f.n
+        n = 3
         best = 1.0
         for var in range(1, n + 1):
             for labels in itertools.product((-1.0, 1.0), repeat=2):
@@ -524,7 +535,7 @@ class TestJuntaDistance:
                 for bits in range(1 << n):
                     bit = bits >> (n - var) & 1
                     g[bits] = labels[bit]
-                best = min(best, float(np.mean(f.values != g)))
+                best = min(best, float(np.mean(f != g)))
         assert boolean_distance_to_junta(f, 1) == pytest.approx(best, abs=1e-15)
 
     def test_d2_bound_for_all_k(self):
@@ -532,6 +543,23 @@ class TestJuntaDistance:
         for k in range(0, 5):
             bound = (4 - k) / 8
             assert boolean_distance_to_junta(f, k) >= bound - 1e-12
+
+    def test_d3_exact_distances(self):
+        # D = 3, the address cap: 11 variables. Every distance is dyadic, so
+        # it is exact in floating point.
+        f = address_function(3)
+        want = [1 / 2, 7 / 16, 7 / 16, 3 / 8, 3 / 8, 5 / 16, 1 / 4]
+        assert [boolean_distance_to_junta(f, k) for k in range(7)] == want
+        assert degree(fourier_transform(f)) == 4
+
+    def test_rejects_a_length_that_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+            boolean_distance_to_junta(np.ones(3), 0)
+
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [0.5, 1.0]])
+    def test_rejects_non_boolean(self, values):
+        with pytest.raises(ValueError, match=re.escape("function must be +/-1 valued")):
+            boolean_distance_to_junta(np.array(values), 0)
 
 
 class TestCircuitJson:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from juntalab.hypercube import Distribution, RealCubeFunction, fourier_transform
+from juntalab.hypercube import Distribution, fourier_transform
 from juntalab.qstate import (
     DensityMatrix,
     embed_on,
@@ -326,7 +326,7 @@ class TestDistributionToState:
         rng = np.random.default_rng(53)
         w = rng.random(8)
         p = Distribution(3, w / w.sum())
-        fspec = fourier_transform(RealCubeFunction(3, p.block))
+        fspec = fourier_transform(p.block)
         pspec = pauli_tensor(DensityMatrix.from_diagonal(p.block)).reshape(-1)
         for packed in range(4**3):
             letters = paulis.codes(3, packed)

@@ -11,7 +11,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "juntalab"
 
 # Public names that nothing in the package references, each with its reason.
 UNREFERENCED_ON_PURPOSE = {
-    "inverse_transform": "acceptance criterion 01 (Walsh round trip)",
     "ancilla_choi_relation_residual": "acceptance criterion 06 (ancilla Choi identity)",
     "fnorm_agreement_identity": "acceptance criterion 07 (Boolean-Choi agreement constant)",
     "test_junta_copy_budget": "acceptance criterion 09 (exact tester copy accounting)",
