@@ -37,13 +37,14 @@ DEFAULT_C = 8.0
 
 
 class SimulatedSampler:
-    """Sample oracle backed by a known Distribution; successful call i draws
-    from an RNG keyed (seed, i), so runs replay exactly, and adds its points
-    to ``samples_used``. A call that raises spends nothing.
+    """Sample oracle backed by a known Distribution; each call adds its
+    points to ``samples_used``, and a call that raises spends nothing.
 
     A point is a block index, one uniform searched in the block's
-    cumulative, with n - |K| fair bits for the other variables, all drawn
-    after the uniforms; a dense distribution adds no bits."""
+    cumulative, with n - |K| fair bits for the other variables (none for a
+    dense distribution). The uniforms come from one RNG keyed (seed, 0) and
+    the bits from one keyed (seed, 1), both read on across calls, so
+    ``draw(a)`` then ``draw(b)`` is ``draw(a + b)``."""
 
     def __init__(self, dist: Distribution, seed: int) -> None:
         if seed < 0:
@@ -54,8 +55,8 @@ class SimulatedSampler:
         # Runs of adjacent variables, in or out of the block, from variable n (bit 0) up.
         self._runs = [(inside, len(list(run))) for inside, run in
                       itertools.groupby(var in dist.variables for var in range(dist.n, 0, -1))]
-        self._seed = int(seed)
-        self._calls = 0
+        self._uniforms = np.random.default_rng([seed, 0])
+        self._bits = np.random.default_rng([seed, 1])
         self._samples = 0
 
     @property
@@ -64,16 +65,10 @@ class SimulatedSampler:
 
     def draw(self, count: int) -> np.ndarray:
         """``count`` i.i.d. point masks, as a 1-D int64 array."""
-        rng = np.random.default_rng([self._seed, self._calls])
-        uniforms = rng.random(count)
-        # Ascending needles walk the cumulative in order, which is cache
-        # friendly; the scatter puts each index back at its uniform's draw.
-        # Equal uniforms find equal indices, so the order among ties is free.
-        order = np.argsort(uniforms)
-        index = np.empty(count, dtype=np.int64)
-        index[order] = np.searchsorted(self._cumulative, uniforms[order], side="right")
+        uniforms = self._uniforms.random(count)
+        index = np.searchsorted(self._cumulative, uniforms, side="right")
         np.minimum(index, self._cumulative.size - 1, out=index)
-        free = rng.integers(0, 1 << self._free_bits, count)
+        free = self._bits.integers(0, 1 << self._free_bits, count)
         points = np.zeros(count, dtype=np.int64)
         shift = 0
         for inside, width in self._runs:
@@ -81,7 +76,7 @@ class SimulatedSampler:
             points |= (bits & (1 << width) - 1) << shift
             bits >>= width
             shift += width
-        self._calls, self._samples = self._calls + 1, self._samples + uniforms.size
+        self._samples += uniforms.size
         return points
 
 

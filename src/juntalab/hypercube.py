@@ -61,7 +61,9 @@ class Distribution:
 
     n is at most ``MAX_POINT_VARS`` and k at most ``MAX_VARS``. The block is
     copied; sums within 1e-12 of 1 are renormalized by one division and
-    anything further off is rejected, so drift cannot accumulate silently.
+    anything further off is rejected, so drift cannot accumulate silently. A
+    sum within rounding of 1, block size times the float64 epsilon, is left
+    alone, so a Distribution of a Distribution's block keeps it bit for bit.
     """
 
     __slots__ = ("n", "variables", "block")
@@ -92,7 +94,7 @@ class Distribution:
             raise ValueError("distribution values must be nonnegative")
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution values sum to {total}, outside 1 +/- {_SUM_TOL}")
-        if total != 1.0:
+        if abs(total - 1.0) > arr.size * np.finfo(np.float64).eps:
             np.divide(arr, total, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)

@@ -17,13 +17,13 @@ The coefficient estimator for a Pauli word P averages
 is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 ``3^|supp P| / 4^n``.
 
-Determinism: there is one stream model. ``SimulatedStateAccess`` spends one
-copy of the hidden state per outcome row and counts them; ``collect(T,
-basis_seed)`` draws basis chunk c of CHUNK words from an RNG keyed
-``(basis_seed, c)``, and piece c of the access's outcome stream draws its
-uniforms from an RNG keyed ``(access seed, c)``. So the rows are a pure
-function of the state and the two seeds however pieces are grouped into
-calls, and the first T1 rows of a T2-row collection are the T1-row collection.
+Determinism: each random stream is one generator, seeded once and read in
+row order. ``SimulatedStateAccess`` spends and counts one copy of the hidden
+state per outcome row, sampled with the next uniform of its RNG seeded with
+the access seed; ``collect(T, basis_seed)`` reads the basis words from an RNG
+seeded ``basis_seed``, CHUNK rows a draw, as a uint8 draw drops its unused
+bits when it ends. So however calls split the rows, they are a pure function
+of the state and the two seeds, and a T1-row collection is a T2-row one's prefix.
 Shadows are a stream of batches of at most BATCH rows, uint8
 basis codes (1 X, 2 Y, 3 Z) and int8 +/-1 outcomes, that concatenate to the same T
 rows at any BATCH, so no path holds more than a batch. ``estimate_lowdeg`` checks
@@ -126,8 +126,7 @@ class SimulatedStateAccess:
         if self.n > MAX_MEASURE_QUBITS:
             raise ValueError(f"measurement capped at {MAX_MEASURE_QUBITS} qubits")
         self._coeffs = pauli_tensor(mat).reshape(-1)
-        self._seed = int(seed)
-        self._pieces = 0
+        self._rng = np.random.default_rng(seed)
         self._copies = 0
 
     @property
@@ -135,9 +134,9 @@ class SimulatedStateAccess:
         return self._copies
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
-        """One outcome row per basis row; the stream's pieces run on across
-        calls, so one call over several chunks equals one call per chunk.
-        A call that raises spends no copy."""
+        """One outcome row per basis row, each sampled with the next uniform of
+        the outcome stream, so calls may split the rows anywhere. A call
+        that raises spends no copy and leaves the stream where it was."""
         values = np.asarray(basis_codes)
         # Checked before the uint8 cast, which would wrap 257 to 1 and truncate 1.7 to 1.
         integral = values.dtype.kind in "iu" or np.all(values % 1 == 0)
@@ -148,31 +147,31 @@ class SimulatedStateAccess:
         rows = len(codes)
         if rows == 0:
             return np.empty((0, self.n), dtype=np.int8)
-        pieces = range(self._pieces, self._pieces + -(-rows // CHUNK))
-        uniforms = np.empty(rows)
-        for piece, at in zip(pieces, range(0, rows, CHUNK)):
-            np.random.default_rng([self._seed, piece]).random(out=uniforms[at : at + CHUNK])
-        outs = sample_outcomes(self._coeffs, codes, uniforms)
-        self._pieces, self._copies = pieces.stop, self._copies + rows
+        state = self._rng.bit_generator.state
+        try:
+            outs = sample_outcomes(self._coeffs, codes, self._rng.random(rows))
+        except BaseException:
+            self._rng.bit_generator.state = state
+            raise
+        self._copies += rows
         return outs
 
     def collect(self, T: int, basis_seed: int):
         """T uniform basis words and their outcomes, as a stream of BATCH-row batches.
 
-        Chunk c of up to CHUNK words is drawn from an RNG keyed ``(basis_seed,
-        c)``; each batch is measured max(CHUNK, 2^22 >> n) rows a call, so that
-        a group's Born rows stay within 2^22 floats.
+        The words are read from one RNG seeded ``basis_seed``, CHUNK rows a
+        draw; each batch is measured max(CHUNK, 2^22 >> n) rows a call, so
+        that a group's Born rows stay within 2^22 floats.
         """
         if T < 1:
             raise ValueError(f"need at least one sample, got T = {T}")
         if basis_seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        n, group = self.n, max(CHUNK, (1 << 22) >> self.n)
+        n, group, rng = self.n, max(CHUNK, (1 << 22) >> self.n), np.random.default_rng(basis_seed)
 
         def batch(start):
             codes = np.empty((min(BATCH, T - start), n), dtype=np.uint8)
             for at in range(0, len(codes), CHUNK):
-                rng = np.random.default_rng([int(basis_seed), (start + at) // CHUNK])
                 codes[at : at + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, len(codes) - at), n), dtype=np.uint8)
             outs = np.empty_like(codes, dtype=np.int8)
             for at in range(0, len(codes), group):
@@ -224,10 +223,18 @@ def estimate_lowdeg(batches, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:
-    """Samples for per-coefficient absolute accuracy eps_coeff on all |supp| <= k.
+    """Samples that estimate every Pauli word of support size 1..k to within
+    eps_coeff, all with probability at least 1 - delta:
+    ceil(c * 3^k * ln((3n)^k / delta) / (4^n * eps_coeff^2)).
 
-    ceil(c * 3^k * ln((3n)^k / delta) / (2^(2n) * eps_coeff^2)); the 2^(2n)
-    cancels the natural 2^-n scale of the coefficients.
+    A word's single-sample term, less its mean, is at most M = (3^k + 1) / 2^n
+    in magnitude and has variance at most s = 3^k / 4^n. By Bernstein, a mean
+    of T terms misses by more than eps_coeff with probability at most
+    2 exp(-T eps_coeff^2 / (2s + 2 M eps_coeff / 3)); at eps_coeff <= 2^-n,
+    the coefficients' range, M eps_coeff <= 4s/3 for k >= 1, so a union bound
+    over the at most (3n)^k words asks for T >= (26/9) s ln(2 (3n)^k / delta)
+    / eps_coeff^2, which c = 8 covers whenever (3n)^k / delta >= 2^(13/23),
+    about 1.48, so at every k >= 1.
     """
     if not (0 < delta < 1 and eps_coeff > 0 and 0 <= k <= n and c > 0):
         raise ValueError("invalid sample-count parameters")

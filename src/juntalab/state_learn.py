@@ -4,11 +4,13 @@ low-arity learner for Choi states of shallow Toffoli/single-qubit circuits.
 Pipeline: estimate every Pauli coefficient of support size at most k from
 shadow samples, zero the ones at or below the cutoff ``eps / (2 * 2^n * 2^k)``,
 pin the identity coefficient to its forced value 2^-n, and rebuild the
-matrix. The sample count ``c * 12^k * ln((3n)^k / delta) / eps^2`` targets a
-per-coefficient accuracy of ``eps / (4 * 2^k * 2^n)``, which bounds the total
-squared coefficient error by ``2 eps^2 / 2^(2n)`` whenever the true spectrum
-is concentrated on some k qubits; by Cauchy-Schwarz the trace-norm error is
-then at most sqrt(2) * eps.
+matrix. The copy count is ``shadows.shadow_sample_count`` at per-coefficient
+accuracy ``eps / (2^k * 2^n)``: ``c * 12^k * ln((3n)^k / delta) / eps^2``.
+Errors within a quarter of that, half the cutoff, zero every word off the
+junta and bound the total squared coefficient error by ``2 eps^2 / 2^(2n)``
+whenever the true spectrum is concentrated on some k qubits, so by
+Cauchy-Schwarz the trace-norm error is at most sqrt(2) * eps. The shadow
+bound certifies this at c = 128; acceptance criterion 04 measures it at c = 8.
 
 The copies come from a ``shadows.SimulatedStateAccess``, whose counter is
 the run's copy count.
@@ -29,7 +31,7 @@ from .qstate import (
     pauli_weight,
     scatter_pauli,
 )
-from .shadows import SimulatedStateAccess, estimate_lowdeg
+from .shadows import SimulatedStateAccess, estimate_lowdeg, shadow_sample_count
 
 DEFAULT_C = 8.0
 
@@ -48,14 +50,6 @@ class LearnedState:
     matrix: np.ndarray
     psd_projected: DensityMatrix
     junta_arity: int | None = None
-
-
-def junta_state_sample_count(n: int, k: int, eps: float, delta: float, c: float = DEFAULT_C) -> int:
-    """ceil(c * 12^k * ln((3n)^k / delta) / eps^2)."""
-    if not (0 < delta < 1 and eps > 0 and 0 <= k <= n and c > 0):
-        raise ValueError("invalid sample-count parameters")
-    log_term = k * math.log(3 * n) - math.log(delta)
-    return max(1, math.ceil(c * 12**k * log_term / eps**2))
 
 
 def pauli_threshold_cutoff(n: int, k: int, eps: float) -> float:
@@ -99,7 +93,7 @@ def learn_junta_state(
     n = access.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    T = junta_state_sample_count(n, k, eps, delta, c)
+    T = shadow_sample_count(n, k, eps / 2 ** (n + k), delta, c)
     words, values = estimate_lowdeg(access.collect(T, basis_seed), k)
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))

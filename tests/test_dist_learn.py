@@ -71,10 +71,11 @@ def dense_spectrum_of(dist: Distribution) -> np.ndarray:
     return fourier_transform(dense_values(dist))
 
 
-def dense_draw(dist: Distribution, seed: int, call: int, count: int) -> np.ndarray:
-    """Call ``call`` of the dense cumulative sampler: its (seed, call)
-    uniforms searched in the cumulative of all 2^n point probabilities."""
-    uniforms = np.random.default_rng([seed, call]).random(count)
+def dense_draw(dist: Distribution, seed: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the dense cumulative sampler: the first
+    ``count`` uniforms of its (seed, 0) stream searched in the cumulative of
+    all 2^n point probabilities."""
+    uniforms = np.random.default_rng([seed, 0]).random(count)
     cumulative = np.cumsum(dense_values(dist))
     return np.minimum(np.searchsorted(cumulative, uniforms, side="right"), 2**dist.n - 1)
 
@@ -519,15 +520,17 @@ class TestSampleSetValidation:
         assert SimulatedSampler(truth, seed=7).draw(500).tolist() == want
 
     def test_sampler_matches_unsorted_search_per_call(self):
-        """Call i equals the search of call i's (seed, i) uniforms in draw
-        order, also where zero-probability points leave the cumulative flat."""
+        """Each call equals the search of its slice of the (seed, 0) uniforms
+        in draw order, also where zero-probability points leave the
+        cumulative flat."""
         values = np.zeros(64)
         values[[3, 4, 40, 63]] = [0.1, 0.4, 0.25, 0.25]
         junta = random_junta_distribution(10, 3, np.random.default_rng(8))[0]
         for truth in (Distribution(6, values), Distribution(10, dense_values(junta))):
             sampler = SimulatedSampler(truth, seed=11)
-            for call, count in enumerate((1, 1000, 4097)):
-                assert np.array_equal(sampler.draw(count), dense_draw(truth, 11, call, count))
+            stream = dense_draw(truth, 11, 5098)
+            for start, count in ((0, 1), (1, 1000), (1001, 4097)):
+                assert np.array_equal(sampler.draw(count), stream[start : start + count])
 
     def test_sampler_deterministic_replay(self):
         truth, _ = random_junta_distribution(5, 2, np.random.default_rng(3))
@@ -580,11 +583,12 @@ class TestFactoredSampler:
     cumulative sampler draws."""
 
     # sha256 of the little-endian int64 draws of calls of 1, 1000 and 4097
-    # points at seed 3, taken before distributions were junta values, when
-    # the sampler searched the cumulative of all 2^n point probabilities.
+    # points at seed 3, re-pinned when the calls became one uniform stream:
+    # the first 5098 points of ``dense_draw``, which searches the cumulative
+    # of all 2^n point probabilities.
     DENSE_DRAWS = {
-        6: "7a7983c87bbc25cfe53527a4d48e313dd975af7327ac80f465089733b3d3b8ef",
-        10: "a33ff61dc9417ff0a01f6e6ee329bfec00365be5b12d696fb02b45aad7ad36b7",
+        6: "835ea8d07974ddab12c707086a84882661e0419a6445aaed360efc5c2450e378",
+        10: "f591b0bf73d5a7378c05d2bfe0a34b4ab612f1dae9688caa4576dcd55a21465d",
     }
 
     @pytest.mark.parametrize("n", sorted(DENSE_DRAWS))
@@ -601,11 +605,13 @@ class TestFactoredSampler:
         sampler = SimulatedSampler(truth, seed=6)
         junta_bits = np.array([n - var for var in variables], dtype=np.int64)
         free_bits = np.array([n - var for var in range(1, n + 1) if var not in variables], dtype=np.int64)
-        for call, count in enumerate((1, 3000)):
+        # Block uniforms from the (seed, 0) stream, free bits from the (seed, 1) stream.
+        uniforms = np.random.default_rng([6, 0]).random(3001)
+        bits = np.random.default_rng([6, 1]).integers(0, 1 << (n - k), 3001)
+        for start, count in ((0, 1), (1, 3000)):
             points = sampler.draw(count)
-            rng = np.random.default_rng([6, call])
-            index = np.searchsorted(np.cumsum(truth.block), rng.random(count), side="right")
-            free = rng.integers(0, 1 << (n - k), count)
+            index = np.searchsorted(np.cumsum(truth.block), uniforms[start : start + count], side="right")
+            free = bits[start : start + count]
             # Block index bit k - 1 - j is variable j's; free bits fill the rest in order.
             none = np.zeros(count, dtype=np.int64)
             got_index = sum(((points >> bit & 1) << (k - 1 - j) for j, bit in enumerate(junta_bits)), none)
@@ -620,11 +626,30 @@ class TestFactoredSampler:
         truth, _ = random_junta_distribution(n, k, np.random.default_rng([n, k]))
         T = 1 << 20
         factored = np.bincount(SimulatedSampler(truth, seed=21).draw(T), minlength=1 << n) / T
-        dense = np.bincount(dense_draw(truth, 22, 0, T), minlength=1 << n) / T
+        dense = np.bincount(dense_draw(truth, 22, T), minlength=1 << n) / T
         p = dense_values(truth)
         z = (factored - dense) / np.sqrt(2.0 * p * (1.0 - p) / T)
         assert np.abs(z).max() <= 5.0
         assert abs(float(np.sum(z**2)) - z.size) <= 5.0 * math.sqrt(2.0 * z.size)
+
+
+class TestSamplerStream:
+    """The first T points of a sampler never depend on how many follow or on
+    how calls split them."""
+
+    @pytest.mark.parametrize("short, long", [(87, 173), (1000, 22105), (5, 100_000)])
+    def test_shorter_draw_is_a_prefix(self, short, long):
+        truth, _ = random_junta_distribution(20, 3, np.random.default_rng(31))
+        head = SimulatedSampler(truth, seed=32).draw(short)
+        assert head.tobytes() == SimulatedSampler(truth, seed=32).draw(long)[:short].tobytes()
+
+    @pytest.mark.parametrize("n, k", [(20, 3), (8, 8)])
+    def test_calls_concatenate_to_one_call(self, n, k):
+        truth, _ = random_junta_distribution(n, k, np.random.default_rng(33))
+        sampler = SimulatedSampler(truth, seed=34)
+        parts = np.concatenate([sampler.draw(count) for count in (1, 4097, 250)])
+        assert parts.tobytes() == SimulatedSampler(truth, seed=34).draw(4348).tobytes()
+        assert sampler.samples_used == 4348
 
 
 class TestPlantedCellScale:

@@ -290,6 +290,20 @@ class TestDistribution:
         with pytest.raises(ValueError):
             p.block[0] = 0.0
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 6, 12])
+    def test_renormalizing_is_idempotent(self, k):
+        # Dirichlet blocks as planted juntas draw them, and the same blocks
+        # off by up to 1e-13 in their sum: a Distribution of a
+        # Distribution's block keeps it bit for bit.
+        rng = np.random.default_rng(k)
+        variables = tuple(range(1, k + 1))
+        for trial in range(400 if k <= 3 else 40):
+            block = rng.dirichlet([1.0] * (1 << k)) if k else np.array([1.0])
+            if trial % 2:
+                block = block * (1.0 + rng.uniform(-1e-13, 1e-13))
+            d = Distribution(10 + k, block, variables)
+            assert Distribution(10 + k, d.block, d.variables).block.tobytes() == d.block.tobytes()
+
     def test_constructor_copies_and_leaves_the_input_writeable(self):
         values = np.full(8, 0.125)
         values[3] += 1e-13

@@ -311,6 +311,37 @@ class TestAccessChecksBeforeCharging:
         assert access.copies_used == 0
 
 
+class TestOutcomeStream:
+    """Outcome row r of an access uses uniform r of its one outcome stream,
+    however calls split the rows."""
+
+    def test_split_calls_equal_one_call(self):
+        truth = random_density_matrix(3, np.random.default_rng(75))
+        codes = np.random.default_rng(76).integers(1, 4, size=(9000, 3), dtype=np.uint8)
+        whole, parts = SimulatedStateAccess(truth, seed=77), SimulatedStateAccess(truth, seed=77)
+        want = whole.measure_chunk(codes)
+        got = np.concatenate([parts.measure_chunk(codes[a:b]) for a, b in ((0, 300), (300, 5001), (5001, 9000))])
+        assert got.tobytes() == want.tobytes()
+        assert parts.copies_used == whole.copies_used == 9000
+
+    def test_rows_use_the_seeded_uniforms_in_order(self):
+        truth = random_density_matrix(2, np.random.default_rng(78))
+        codes = np.random.default_rng(79).integers(1, 4, size=(5000, 2), dtype=np.uint8)
+        access = SimulatedStateAccess(truth, seed=80)
+        got = np.concatenate([access.measure_chunk(codes[:1]), access.measure_chunk(codes[1:])])
+        uniforms = np.random.default_rng(80).random(5000)
+        assert got.tobytes() == sample_outcomes(pauli_tensor(truth).reshape(-1), codes, uniforms).tobytes()
+
+    def test_negative_born_row_leaves_the_stream_where_it_was(self):
+        bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
+        access, fresh = SimulatedStateAccess(bad, seed=81), SimulatedStateAccess(bad, seed=81)
+        with pytest.raises(ValueError, match="negative outcome probability"):
+            access.measure_chunk(np.full((50, 1), 3, dtype=np.uint8))  # Z
+        assert access.copies_used == 0
+        x_rows = np.full((50, 1), 1, dtype=np.uint8)  # X: balanced on this diagonal
+        assert access.measure_chunk(x_rows).tobytes() == fresh.measure_chunk(x_rows).tobytes()
+
+
 class TestInvalidState:
     def test_negative_diagonal_rejected(self):
         bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
@@ -356,7 +387,7 @@ class TestStream:
         codes, outs = arrays(SimulatedStateAccess(truth, seed=24).collect(9000, 25))
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
-            "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
+            "d6f6f9f47cc87b8155b25147ce5fb156b350a0806ba74a2ca3e898bd20d4e6a8"
         )
 
     @pytest.mark.parametrize("batch", [BATCH, 2 * CHUNK])

@@ -16,11 +16,10 @@ from juntalab.qstate import (
     trace_distance,
 )
 from juntalab.qac0 import Qac0Circuit, ToffoliGate, choi_state_with_ancilla
-from juntalab.shadows import CHUNK, MAX_MEASURE_QUBITS
+from juntalab.shadows import CHUNK, MAX_MEASURE_QUBITS, shadow_sample_count
 from juntalab.state_learn import (
     LearnedState,
     SimulatedStateAccess,
-    junta_state_sample_count,
     learn_junta_state,
     learn_qac0_choi,
     pauli_threshold_cutoff,
@@ -158,8 +157,12 @@ class TestEigensolverUsers:
 
 class TestSampleCount:
     def test_frozen_arithmetic(self):
+        # The learner's budget is the shadow budget at accuracy eps / 2^(n+k).
         want = math.ceil(8 * 144 * (2 * math.log(18) - math.log(0.1)) / 0.25**2)
-        assert junta_state_sample_count(6, 2, 0.25, 0.1, 8.0) == want
+        assert shadow_sample_count(6, 2, 0.25 / 2**8, 0.1, 8.0) == want
+        access = SimulatedStateAccess(DensityMatrix(np.eye(64) / 64), seed=1)
+        learn_junta_state(access, 2, 0.25, 0.1, 8.0, basis_seed=2)
+        assert access.copies_used == want
 
 
 class TestLearnJuntaState:
@@ -178,7 +181,7 @@ class TestLearnJuntaState:
             access = SimulatedStateAccess(truth, seed=seed)
             result = learn_junta_state(access, 1, 0.25, 0.1, basis_seed=seed + 10)
             assert trace_distance(result.psd_projected, truth) <= math.sqrt(2) * 0.25
-            assert access.copies_used == junta_state_sample_count(4, 1, 0.25, 0.1)
+            assert access.copies_used == shadow_sample_count(4, 1, 0.25 / 2**5, 0.1)
 
     def test_spectrum_weight_capped(self):
         truth = random_density_matrix(3, np.random.default_rng(13))
@@ -237,12 +240,13 @@ class TestSimulatedAccess:
         assert whole.measure_chunk(codes[:300]).tobytes() == parts.measure_chunk(codes[:300]).tobytes()
 
     def test_pinned_digest(self):
-        # Pins the learner's basis stream and the access's outcome stream.
+        # Pins the learner's basis stream and the access's outcome stream, re-pinned
+        # when each became one generator; the first CHUNK rows did not move.
         truth = random_density_matrix(4, np.random.default_rng(22))
         codes, outs = map(np.concatenate, zip(*SimulatedStateAccess(truth, seed=24).collect(9000, 25)))
         digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
-            "94b232097a1c5b4da56ebb7854af23c20b39db0f78eeb5f08d69cb19ff8b54e6"
+            "d6f6f9f47cc87b8155b25147ce5fb156b350a0806ba74a2ca3e898bd20d4e6a8"
         )
 
 
@@ -324,7 +328,7 @@ class TestLearnQac0Choi:
         access = SimulatedStateAccess(truth, seed=10)
         result = learn_qac0_choi(access, 1, 1, 0, 2.0, 0.2, basis_seed=11)
         assert isinstance(result, LearnedState)
-        assert access.copies_used == junta_state_sample_count(2, result.junta_arity, math.sqrt(2.0), 0.2)
+        assert access.copies_used == shadow_sample_count(2, result.junta_arity, math.sqrt(2.0) / 2 ** (2 + result.junta_arity), 0.2)
 
     def test_single_toffoli_merit_bound(self):
         # two-input conjunction circuit: the dimension-scaled Frobenius merit
@@ -344,7 +348,7 @@ class TestLearnQac0Choi:
             merit = 2 ** circuit.n * frobenius_distance(truth, result.matrix) ** 2
             if merit <= eps:
                 hits += 1
-        assert copies == junta_state_sample_count(3, 2, math.sqrt(eps), 0.1)
+        assert copies == shadow_sample_count(3, 2, math.sqrt(eps) / 2**5, 0.1)
         assert hits >= 9
 
 

@@ -2,7 +2,7 @@
 package, or a stated reason to exist without one; no module imports another
 module's private names; every protocol has at least two implementations;
 every defaulted parameter is set by some call in the package, or has a stated
-reason to exist without one."""
+reason to exist without one; no random generator is built in a loop."""
 
 import ast
 from pathlib import Path
@@ -219,3 +219,50 @@ def test_every_defaulted_parameter_is_set_or_listed():
     stale = sorted(UNSET_ON_PURPOSE.keys() - unset)
     assert not unlisted, f"defaulted parameters that nothing in the package sets: {unlisted}"
     assert not stale, f"listed as unset but now set in the package: {stale}"
+
+
+RNG_CONSTRUCTORS = {"default_rng", "SeedSequence", "Generator"}
+
+
+def generators_built_in_loops(source: str) -> list[int]:
+    """Lines that call ``default_rng``, ``SeedSequence`` or ``Generator``
+    in the repeated part of a loop or comprehension: a ``for`` body, a
+    ``while`` test or body, or a comprehension past its first iterable."""
+    repeated = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated += node.body + node.orelse
+        elif isinstance(node, ast.While):
+            repeated += [node.test, *node.body, *node.orelse]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            first, *rest = node.generators
+            parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            repeated += parts + first.ifs + rest
+    found = set()
+    for part in repeated:
+        for sub in ast.walk(part):
+            if isinstance(sub, ast.Call):
+                name = sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", None)
+                if name in RNG_CONSTRUCTORS:
+                    found.add(sub.lineno)
+    return sorted(found)
+
+
+def test_generators_built_in_loops_are_found():
+    source = """
+import numpy as np
+rng = np.random.default_rng(1)
+for seed in [np.random.SeedSequence(2)]:
+    x = seed
+draws = [np.random.default_rng([1, i]).random() for i in range(3)]
+while rng.random() < 0.5:
+    g = np.random.Generator(np.random.PCG64(4))
+pairs = {i: j for i in range(2) for j in np.random.default_rng(i).random(2)}
+"""
+    assert generators_built_in_loops(source) == [6, 8, 9]
+
+
+def test_no_generator_is_built_in_a_loop():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in generators_built_in_loops(path.read_text())]
+    assert not found, f"random generators built once per iteration: {found}"
