@@ -151,7 +151,7 @@ def _run_shadows_bench(params: dict, seed: int, truth=None) -> dict:
     if truth is None:
         truth = qstate.random_density_matrix(int(params["n"]), np.random.default_rng([seed, 0]))
     access = shadows.SimulatedStateAccess(truth, _derive_seed(seed, 1))
-    words, values = shadows.estimate_lowdeg(access.collect(total, _derive_seed(seed, 2)), k)
+    words, values = shadows.estimate_lowdeg(access.collect(total, _derive_seed(seed, 2)), access.n, k)
     errors = np.abs(values - qstate.pauli_tensor(truth).reshape(-1)[words])
     return {
         "T": total,

@@ -6,11 +6,14 @@ outcome distribution is
 ``p_Q(x) = Tr[rho prod_i (I + x_i Q_i) / 2] = sum_{S subset [n]} c(Q_S) chi_S(x)``,
 where Q_S keeps Q on S and puts I elsewhere: the Walsh transform of the
 {I, Q_i} slice of the state's Pauli tensor (the inverse of the shadow
-estimator below). The tensor is computed once per state; each sampling call,
-a group of consecutive chunks, gathers the slices of its distinct basis words
-with one index matrix, transforms them as one batch, and draws its rows in
-place by one vectorized binary search per 4 CHUNK-row piece. Only the +/-1
-eigenvalue labeling enters, so no eigenbasis phases are fixed.
+estimator below). A shadow row is two integers, qubit 1 most significant in
+both, as in packed Pauli words: the word index sum_i (Q_i - 1) 3^(n - i),
+Q_i = 1 (X), 2 (Y), 3 (Z), and the outcome index, bit n - i set iff x_i = -1.
+The tensor is computed once per state; each sampling call gathers the slices
+of its distinct basis words with one index matrix, transforms them as one
+batch, and draws its rows in place by one vectorized binary search per 4
+CHUNK-row piece. Only the +/-1 eigenvalue labeling enters, so no eigenbasis
+phases are fixed.
 
 The coefficient estimator for a Pauli word P averages
 ``3^|supp P| / 2^n * prod_{i in supp P} x_i [P_i == Q_i]`` over samples. It
@@ -20,16 +23,17 @@ is unbiased for Tr[P rho]/2^n and its single-sample second moment is
 Determinism: each random stream is one generator, seeded once and read in
 row order. ``SimulatedStateAccess`` spends and counts one copy of the hidden
 state per outcome row, sampled with the next uniform of its RNG seeded with
-the access seed; ``collect(T, basis_seed)`` reads the basis words from an RNG
-seeded ``basis_seed``, CHUNK rows a draw, as a uint8 draw drops its unused
-bits when it ends. So however calls split the rows, they are a pure function
-of the state and the two seeds, and a T1-row collection is a T2-row one's prefix.
-Shadows are a stream of batches of at most BATCH rows, uint8
-basis codes (1 X, 2 Y, 3 Z) and int8 +/-1 outcomes, that concatenate to the same T
-rows at any BATCH, so no path holds more than a batch. ``estimate_lowdeg`` checks
-each batch and sums the exact ``block_totals`` of its rows' letter codes 2(Q - 1) +
-[x == -1]; a block of m columns counts 6^m bins once per batch (365 KiB at m = 6,
-460 MiB at m = 10, the one block of ``shadows bench --n 10 --k 10``).
+the access seed; ``collect(T, basis_seed)`` draws the word indices from an RNG
+seeded ``basis_seed``, one int32 draw a batch, which like int64 and unlike
+uint8 or uint16 keeps no buffered bits of its own. So however calls split the
+rows, they are a pure function of the state and the two seeds, and a T1-row
+collection is a T2-row one's prefix. Shadows are a stream of batches of at
+most BATCH rows, int32 word indices and uint16 outcome indices, that
+concatenate to the same T rows at any BATCH, so no path holds more than a
+batch. ``estimate_lowdeg`` checks each batch and sums the exact
+``block_totals`` of its rows' letter codes 2(Q - 1) + [x == -1]; a block of m
+columns counts 6^m bins once per batch (365 KiB at m = 6, 460 MiB at m = 10,
+the one block of ``shadows bench --n 10 --k 10``).
 """
 
 from __future__ import annotations
@@ -68,48 +72,53 @@ def _born_rows(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     return probs
 
 
-def sample_outcomes(coeffs: np.ndarray, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Born-sample one outcome row per basis row, using one provided uniform per row.
+def sample_outcomes(coeffs: np.ndarray, words: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Born-sample one outcome index per basis word index, using one provided uniform per row.
 
-    ``coeffs`` is the state's flat Pauli tensor. Row r draws the outcome
-    ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of its basis word's
-    cumulative distribution, built once per call and word; each 4 CHUNK-row
-    piece counts the entries at or below its uniforms by one in-place n-step
-    binary search.
+    ``coeffs`` is the state's flat Pauli tensor of n qubits and ``words`` a 1-D
+    integer array in [0, 3^n). Row r draws the outcome
+    ``min(searchsorted(cum, u_r, side="right"), 2^n - 1)`` of its word's
+    cumulative distribution, built once per call and distinct word; each 4
+    CHUNK-row piece counts the entries at or below its uniforms by one
+    in-place n-step binary search. Outcomes are uint16.
     """
-    if codes.ndim != 2 or np.shape(uniforms) != codes.shape[:1]:
-        shapes = f"codes of shape {codes.shape} and uniforms of shape {np.shape(uniforms)}"
-        raise ValueError(f"need 2-D (rows, n) basis codes and one uniform per row, got {shapes}")
-    rows, n = codes.shape
+    if words.ndim != 1 or np.shape(uniforms) != words.shape:
+        shapes = f"a {words.ndim}-D array of shape {words.shape} and uniforms of shape {np.shape(uniforms)}"
+        raise ValueError(f"need 1-D basis word indices and one uniform per row, got {shapes}")
+    n = (coeffs.size.bit_length() - 1) // 2
     if coeffs.size != 4**n:
-        raise ValueError(f"basis length does not match state: {n} codes a row for {coeffs.size} coefficients")
-    if codes.min() < 1 or codes.max() > 3:
-        raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-    keys = np.zeros(rows, dtype=np.int64)
-    for col in codes.T:
-        keys *= 3
-        keys += col
-    keys -= 3**n // 2
+        raise ValueError(f"need the 4^n Pauli coefficients of n qubits, got {coeffs.size}")
+    _check_indices(words, 3**n, "basis word")
+    rows = len(words)
+    if rows == 0:
+        return np.empty(0, dtype=np.uint16)
     present = np.zeros(3**n, dtype=bool)
-    present[keys] = True
-    words = np.flatnonzero(present)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3 + 1
-    cum = np.cumsum(_born_rows(coeffs, words), axis=1).reshape(-1)
+    present[words] = True
+    codes = np.flatnonzero(present)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3 + 1
+    cum = np.cumsum(_born_rows(coeffs, codes), axis=1).reshape(-1)
     # A row searches its word's block of the flat cumulatives, [start, start + 2^n).
     starts = (np.cumsum(present) - 1) << n
-    signs = (1 - 2 * (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1)).astype(np.int8)
-    outs = np.empty((rows, n), dtype=np.int8)
+    outs = np.empty(rows, dtype=np.uint16)
     piece = min(rows, 4 * CHUNK)
     draws, moves, bounds = np.empty(piece, dtype=np.int64), np.empty(piece, dtype=np.int64), np.empty(piece)
     for at in range(0, rows, piece):
         d, m, c, u = draws[: rows - at], moves[: rows - at], bounds[: rows - at], uniforms[at : at + piece]
         # Every index below is in range, so mode="clip" never clips.
-        np.take(starts, keys[at : at + piece], out=d, mode="clip")
+        np.take(starts, words[at : at + piece], out=d, mode="clip")
         for step in (1 << bit for bit in reversed(range(n))):
             np.take(cum[step - 1 :], d, out=c, mode="clip")
             d += np.multiply(np.less_equal(c, u, out=m), step, out=m)
-        d &= (1 << n) - 1
-        np.take(signs, d, axis=0, out=outs[at : at + piece], mode="clip")
+        np.bitwise_and(d, (1 << n) - 1, out=outs[at : at + piece], casting="unsafe")
     return outs
+
+
+def _check_indices(values: np.ndarray, bound: int, name: str) -> None:
+    """Refuse a non-integer dtype, or an entry outside [0, bound), naming the defect."""
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} indices need an integer dtype, got {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        bad = values[(values < 0) | (values >= bound)][:5].tolist()
+        raise ValueError(f"{name} indices must lie in [0, {bound}), got {bad}")
 
 
 class SimulatedStateAccess:
@@ -134,49 +143,40 @@ class SimulatedStateAccess:
         return self._copies
 
     def measure_chunk(self, basis_codes: np.ndarray) -> np.ndarray:
-        """One outcome row per basis row, each sampled with the next uniform of
-        the outcome stream, so calls may split the rows anywhere. A call
-        that raises spends no copy and leaves the stream where it was."""
-        values = np.asarray(basis_codes)
-        # Checked before the uint8 cast, which would wrap 257 to 1 and truncate 1.7 to 1.
-        integral = values.dtype.kind in "iu" or np.all(values % 1 == 0)
-        if values.size and not (integral and 1 <= values.min() and values.max() <= 3):
-            bad = np.setdiff1d(values, [1, 2, 3])[:5].tolist()
-            raise ValueError(f"basis codes must be 1 (X), 2 (Y), or 3 (Z), got {bad}")
-        codes = np.ascontiguousarray(values, dtype=np.uint8)
-        rows = len(codes)
-        if rows == 0:
-            return np.empty((0, self.n), dtype=np.int8)
+        """One outcome index per basis word index, each sampled with the next
+        uniform of the outcome stream, so calls may split the rows anywhere. A
+        call that raises spends no copy and leaves the stream where it was."""
+        words = np.asarray(basis_codes)
         state = self._rng.bit_generator.state
         try:
-            outs = sample_outcomes(self._coeffs, codes, self._rng.random(rows))
+            outs = sample_outcomes(self._coeffs, words, self._rng.random(words.size))
         except BaseException:
             self._rng.bit_generator.state = state
             raise
-        self._copies += rows
+        self._copies += words.size
         return outs
 
     def collect(self, T: int, basis_seed: int):
         """T uniform basis words and their outcomes, as a stream of BATCH-row batches.
 
-        The words are read from one RNG seeded ``basis_seed``, CHUNK rows a
-        draw; each batch is measured max(CHUNK, 2^22 >> n) rows a call, so
-        that a group's Born rows stay within 2^22 floats.
+        Each batch's words are one int32 draw from an RNG seeded ``basis_seed``.
+        A call's Born table holds min(rows, 3^n) rows of 2^n floats, so a
+        batch is measured in one call while 6^n <= 2^22 (n <= 8), and
+        otherwise 2^22 >> n rows a call.
         """
         if T < 1:
             raise ValueError(f"need at least one sample, got T = {T}")
         if basis_seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        n, group, rng = self.n, max(CHUNK, (1 << 22) >> self.n), np.random.default_rng(basis_seed)
+        n, rng = self.n, np.random.default_rng(basis_seed)
+        group = BATCH if 6**n <= 1 << 22 else (1 << 22) >> n
 
         def batch(start):
-            codes = np.empty((min(BATCH, T - start), n), dtype=np.uint8)
-            for at in range(0, len(codes), CHUNK):
-                codes[at : at + CHUNK] = rng.integers(1, 4, size=(min(CHUNK, len(codes) - at), n), dtype=np.uint8)
-            outs = np.empty_like(codes, dtype=np.int8)
-            for at in range(0, len(codes), group):
-                outs[at : at + group] = self.measure_chunk(codes[at : at + group])
-            return codes, outs
+            words = rng.integers(0, 3**n, size=min(BATCH, T - start), dtype=np.int32)
+            outs = np.empty(len(words), dtype=np.uint16)
+            for at in range(0, len(words), group):
+                outs[at : at + group] = self.measure_chunk(words[at : at + group])
+            return words, outs
 
         return (batch(start) for start in range(0, T, BATCH))
 
@@ -185,41 +185,39 @@ class SimulatedStateAccess:
 _LETTER_SUMS = np.array([[1] * 6, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]])
 
 
-def estimate_lowdeg(batches, k: int) -> tuple[np.ndarray, np.ndarray]:
+def estimate_lowdeg(batches, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimates 3^|P| total(P) / (2^n T) of every Pauli word P with support
     size at most k, as ascending packed words and their values; total(P) sums,
-    over (basis codes, outcomes) batches of T rows in all, the block totals of
-    the rows' letter codes under the 4 x 6 letter matrix."""
-    T = n = totals = 0
-    for basis_codes, outcomes in batches:
-        basis_codes, outcomes = np.asarray(basis_codes), np.asarray(outcomes)
-        if basis_codes.ndim != 2 or outcomes.shape != basis_codes.shape:
-            shapes = f"basis codes of shape {basis_codes.shape} and outcomes of shape {outcomes.shape}"
-            raise ValueError(f"need basis codes and outcomes of one shape (T, n), got {shapes}")
-        if T and basis_codes.shape[1] != n:
-            raise ValueError(f"need batches of one width, got {basis_codes.shape[1]} columns after {n}")
-        rows, n = basis_codes.shape
-        if rows == 0:
-            raise ValueError("need at least one sample")
-        # Checked before the letter arithmetic, which would wrap silently on a bad unsigned code.
-        if basis_codes.min() < 1 or basis_codes.max() > 3:
-            raise ValueError("basis codes must be 1 (X), 2 (Y), or 3 (Z)")
-        if np.any(np.abs(outcomes) != 1):
-            raise ValueError("outcomes must be +/-1")
-        letters = np.ascontiguousarray((2 * (basis_codes - 1) + (outcomes < 0)).T)
+    over (word indices, outcome indices) batches of T rows in all, the block
+    totals of the rows' letter codes under the 4 x 6 letter matrix."""
+    T = totals = 0
+    for words, outcomes in batches:
+        words, outcomes = np.asarray(words), np.asarray(outcomes)
+        if words.ndim != 1 or outcomes.shape != words.shape:
+            shapes = f"word indices of shape {words.shape} and outcome indices of shape {outcomes.shape}"
+            raise ValueError(f"need 1-D word and outcome indices of one shape (T,), got {shapes}")
+        if len(words) == 0:
+            raise ValueError("need at least one sample in every batch")
+        # Checked before the digit arithmetic, which would wrap silently on a bad index.
+        _check_indices(words, 3**n, "basis word")
+        _check_indices(outcomes, 1 << n, "outcome")
 
-        def keys(cols):
-            key = np.zeros(rows, dtype=np.int64)
-            for col in cols:
-                key *= 6
-                key += letters[col]
-            return key
+        def keys(cols):  # base-6 letter keys 2 * digit + bit over cols, by two table lookups
+            width, shift = len(cols), n - cols.stop
+            by_digit, by_bit = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            for _ in range(width):
+                by_digit = (6 * by_digit[:, None] + [0, 2, 4]).reshape(-1)
+                by_bit = (6 * by_bit[:, None] + [0, 1]).reshape(-1)
+            if width == n:  # every column: the indices are the digits and the bits
+                return np.take(by_digit, words) + np.take(by_bit, outcomes)
+            digits, bits = words.astype(np.int64) // 3**shift % 3**width, outcomes.astype(np.int64) >> shift
+            return np.take(by_digit, digits) + np.take(by_bit, bits & (1 << width) - 1)
 
-        words, batch_totals = block_totals(_LETTER_SUMS, keys, rows, n, k)
-        T, totals = T + rows, totals + batch_totals
+        found, batch_totals = block_totals(_LETTER_SUMS, keys, len(words), n, k)
+        T, totals = T + len(words), totals + batch_totals
     if T == 0:
         raise ValueError("need at least one sample")
-    return words, 3 ** pauli_weight(words) * totals / float((1 << n) * T)
+    return found, 3 ** pauli_weight(found) * totals / float((1 << n) * T)
 
 
 def shadow_sample_count(n: int, k: int, eps_coeff: float, delta: float, c: float = 8.0) -> int:

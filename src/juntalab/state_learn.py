@@ -94,7 +94,7 @@ def learn_junta_state(
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     T = shadow_sample_count(n, k, eps / 2 ** (n + k), delta, c)
-    words, values = estimate_lowdeg(access.collect(T, basis_seed), k)
+    words, values = estimate_lowdeg(access.collect(T, basis_seed), n, k)
     words, values = threshold_pauli(words, values, k, eps, n)
     matrix = pauli_tensor_to_matrix(scatter_pauli(words, values, n))
     return LearnedState(words=words, values=values, matrix=matrix, psd_projected=psd_project(matrix))

@@ -87,7 +87,7 @@ def local_tomography(
         raise ValueError(f"local tomography capped at {MAX_TOMOGRAPHY_QUBITS} qubits")
     if k == 0:
         return [((), DensityMatrix(np.ones((1, 1))))]
-    words, values = estimate_lowdeg(access.collect(tomography_sample_count(n, k, eps, delta), basis_seed), k)
+    words, values = estimate_lowdeg(access.collect(tomography_sample_count(n, k, eps, delta), basis_seed), n, k)
     tensor = scatter_pauli(words, values * 2.0 ** (n - k), n)
     reduced = []
     for subset in itertools.combinations(range(1, n + 1), k):
@@ -127,7 +127,7 @@ def frobenius_bound(
         raise ValueError("reference dimension mismatch")
     T = certifier_sample_count(n, eps, delta)
     # At k = n the words are all 4^n packed words in order.
-    words, est_flat = estimate_lowdeg(access.collect(T, seed), n)
+    words, est_flat = estimate_lowdeg(access.collect(T, seed), n, n)
     second_moment = 3.0 ** pauli_weight(words) / 4.0**n
     variance_hat = (second_moment - est_flat**2) / max(T - 1, 1)
     bounds = []

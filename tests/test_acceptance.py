@@ -66,9 +66,10 @@ def test_criterion_02_shadow_unbiasedness_and_variance():
     for state_index in range(5):
         rho = qstate.random_density_matrix(n, rng)
         access = shadows.SimulatedStateAccess(rho, seed=3000 + state_index)
-        codes, outs = map(np.concatenate, zip(*access.collect(draws, 3001 + state_index)))
+        rows = [np.concatenate(column) for column in zip(*access.collect(draws, 3001 + state_index))]
+        codes = paulis.basis_codes(rows[0], n)
         exact = qstate.pauli_tensor(rho).reshape(-1)
-        words, values = shadows.estimate_lowdeg([(codes, outs)], 2)
+        words, values = shadows.estimate_lowdeg([rows], n, 2)
         for word, value in zip(words.tolist(), values):
             weight = int(pauli_weight(word))
             second_moment = 3.0**weight / 4.0**n

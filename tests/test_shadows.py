@@ -50,9 +50,19 @@ def estimate_coefficient(basis_codes, outcomes, word: int) -> float:
 
 
 def arrays(batches):
-    """The rows of a shadow stream as one codes array and one outcomes array."""
-    codes, outs = zip(*batches)
-    return np.concatenate(codes), np.concatenate(outs)
+    """The rows of a shadow stream as one word-index array and one outcome-index array."""
+    words, outs = zip(*batches)
+    return np.concatenate(words), np.concatenate(outs)
+
+
+def letters(words, outs, n):
+    """(T, n) basis codes and +/-1 outcomes of word and outcome indices."""
+    return paulis.basis_codes(words, n), paulis.outcome_signs(outs, n)
+
+
+def indices(codes, outs):
+    """Word and outcome indices of (T, n) basis codes and +/-1 outcomes."""
+    return paulis.word_indices(codes), paulis.outcome_indices(outs)
 
 
 def born_rows(rho, words):
@@ -142,16 +152,16 @@ class TestBornProbabilities:
 class TestMeasurement:
     def test_z_on_zero_state(self):
         rho = DensityMatrix.pure([1, 0])
-        rows = np.full((25, 1), 3, dtype=np.uint8)  # Z
+        rows = np.full(25, 2, dtype=np.int32)  # Z
         uniforms = np.random.default_rng(1).random(25)
-        assert sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).tolist() == [[1]] * 25
+        assert sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).tolist() == [0] * 25  # +1
 
     def test_x_on_zero_state_is_balanced(self):
         rho = DensityMatrix.pure([1, 0])
         draws = 100_000
-        rows = np.full((draws, 1), 1, dtype=np.uint8)  # X
+        rows = np.zeros(draws, dtype=np.int32)  # X
         uniforms = np.random.default_rng(2).random(draws)
-        total = int(sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms).sum())
+        total = int(paulis.outcome_signs(sample_outcomes(pauli_tensor(rho).reshape(-1), rows, uniforms), 1).sum())
         # z-score threshold 3.9 corresponds to a two-sided p-value of 1e-4
         assert abs(total) / math.sqrt(draws) <= 3.9
 
@@ -164,10 +174,9 @@ class TestMeasurement:
         draws = 100_000
         for codes in itertools.product((1, 2, 3), repeat=2):
             probs = born_rows(rho, [codes])[0]
-            rows = np.tile(np.array(codes, dtype=np.uint8), (draws, 1))
+            rows = np.repeat(paulis.word_indices([codes]), draws)
             outcomes = sample_outcomes(coeffs, rows, rng.random(draws))
-            bits = (1 - outcomes) // 2
-            observed = np.bincount(bits[:, 0] * 2 + bits[:, 1], minlength=4) / draws
+            observed = np.bincount(outcomes, minlength=4) / draws
             sigma = np.sqrt(probs * (1 - probs) / draws)
             assert np.all(np.abs(observed - probs) <= 5 * sigma + 1e-12)
 
@@ -189,23 +198,21 @@ class TestSampleOutcomes:
         uniforms[220:230] = 0.0
         for row in range(230, 240):  # at the last cumulative, which may be below 1
             uniforms[row] = cums[row][-1]
-        got = sample_outcomes(pauli_tensor(rho).reshape(-1), codes, uniforms)
+        got = sample_outcomes(pauli_tensor(rho).reshape(-1), paulis.word_indices(codes), uniforms)
         for row, (cum, u) in enumerate(zip(cums, uniforms)):
-            draw = min(int(np.searchsorted(cum, u, side="right")), (1 << n) - 1)
-            want = [1 - 2 * (draw >> (n - 1 - q) & 1) for q in range(n)]
-            assert got[row].tolist() == want, row
+            assert got[row] == min(int(np.searchsorted(cum, u, side="right")), (1 << n) - 1), row
 
     @pytest.mark.parametrize("n", [1, 4, 6, 9])
     def test_one_call_equals_per_chunk_calls(self, n):
         # 3 chunks and a partial one: more than one collection group at n = 9.
         rng = np.random.default_rng(40 + n)
         coeffs = pauli_tensor(random_density_matrix(n, rng, rank=min(3, 1 << n))).reshape(-1)
-        codes = rng.integers(1, 4, size=(3 * CHUNK + 123, n), dtype=np.uint8)
-        uniforms = rng.random(len(codes))
-        whole = sample_outcomes(coeffs, codes, uniforms)
+        words = paulis.word_indices(rng.integers(1, 4, size=(3 * CHUNK + 123, n), dtype=np.uint8))
+        uniforms = rng.random(len(words))
+        whole = sample_outcomes(coeffs, words, uniforms)
         parts = [
-            sample_outcomes(coeffs, codes[at : at + CHUNK], uniforms[at : at + CHUNK])
-            for at in range(0, len(codes), CHUNK)
+            sample_outcomes(coeffs, words[at : at + CHUNK], uniforms[at : at + CHUNK])
+            for at in range(0, len(words), CHUNK)
         ]
         assert whole.tobytes() == np.concatenate(parts).tobytes()
 
@@ -213,12 +220,12 @@ class TestSampleOutcomes:
     def test_rejects_uniforms_not_one_per_row(self, count):
         coeffs = pauli_tensor(DensityMatrix(np.eye(4) / 4)).reshape(-1)
         with pytest.raises(ValueError, match="one uniform per row"):
-            sample_outcomes(coeffs, np.ones((5, 2), dtype=np.uint8), np.full(count, 0.5))
+            sample_outcomes(coeffs, np.ones(5, dtype=np.int32), np.full(count, 0.5))
 
-    def test_rejects_codes_not_2d(self):
+    def test_rejects_words_not_1d(self):
         coeffs = pauli_tensor(DensityMatrix(np.eye(4) / 4)).reshape(-1)
-        with pytest.raises(ValueError, match="2-D"):
-            sample_outcomes(coeffs, np.ones(2, dtype=np.uint8), np.full(2, 0.5))
+        with pytest.raises(ValueError, match="1-D"):
+            sample_outcomes(coeffs, np.ones((2, 2), dtype=np.int32), np.full(2, 0.5))
 
 
 class TestSampleOutcomesOracle:
@@ -244,27 +251,26 @@ class TestSampleOutcomesOracle:
         rows = 4 * CHUNK + 123
         pool = np.unique(rng.integers(1, 4, size=(8, n), dtype=np.uint8), axis=0)
         pool[0] = 3  # the all-Z word
-        codes = pool[rng.integers(len(pool), size=rows)]
+        words = paulis.word_indices(pool)[rng.integers(len(pool), size=rows)]
         cums = np.cumsum(_born_rows(coeffs, pool), axis=1)
         if kind == "rank-deficient":
             assert np.any(np.diff(cums[0]) == 0)
-        which = [np.flatnonzero((codes == word).all(axis=1)) for word in pool]
+        which = [np.flatnonzero(words == word) for word in paulis.word_indices(pool)]
         uniforms = rng.random(rows)
         for w, at in enumerate(which):
             edge = at[: len(at) // 3]  # exactly on a cumulative boundary
             uniforms[edge] = cums[w][rng.integers(1 << n, size=len(edge))]
         uniforms[-600:-400] = 0.0
         uniforms[-400:-200] = np.nextafter(1.0, 0.0)
-        got = sample_outcomes(coeffs, codes, uniforms)
+        got = sample_outcomes(coeffs, words, uniforms)
         draws = np.empty(rows, dtype=np.int64)
         for w, at in enumerate(which):
             draws[at] = [min(int(np.searchsorted(cums[w], u, side="right")), (1 << n) - 1) for u in uniforms[at]]
-        want = 1 - 2 * (draws[:, None] >> np.arange(n - 1, -1, -1) & 1)
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        assert got.dtype == np.uint16 and np.array_equal(got, draws)
 
 
 class TestAccessChecksBeforeCharging:
-    """A basis ``measure_chunk`` cannot measure spends no copy and leaves the
+    """Basis words ``measure_chunk`` cannot measure spend no copy and leave the
     outcome stream where it was."""
 
     def _access(self):
@@ -273,41 +279,45 @@ class TestAccessChecksBeforeCharging:
     @pytest.mark.parametrize(
         "codes, message",
         [
-            (np.ones((3, 3), dtype=np.uint8), "basis length does not match state"),
-            (np.ones(3, dtype=np.uint8), "2-D"),
-            (np.array([[1, 4], [2, 2], [3, 3]]), "basis codes must be"),
-            (np.array([[0, 1], [2, 2], [3, 3]]), "basis codes must be"),
+            (np.array([0, 9, 4]), "basis word indices must lie in [0, 9), got [9]"),
+            (np.ones((3, 3), dtype=np.int32), "2-D"),
+            (np.array([-1, 2, 3]), "basis word indices must lie in [0, 9), got [-1]"),
+            (np.array([1.0, 2.0, 3.0]), "basis word indices need an integer dtype, got float64"),
+            (np.array([True, False]), "basis word indices need an integer dtype, got bool"),
+            (np.int32(4), "need 1-D basis word indices and one uniform per row, got a 0-D array"),
         ],
     )
     def test_rejected_basis_charges_nothing(self, codes, message):
         access, fresh = self._access(), self._access()
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             access.measure_chunk(codes)
         assert access.copies_used == 0
-        basis = np.array([[1, 3], [2, 2], [3, 1]], dtype=np.uint8)
+        basis = paulis.word_indices([[1, 3], [2, 2], [3, 1]])
         assert access.measure_chunk(basis).tobytes() == fresh.measure_chunk(basis).tobytes()
 
     @pytest.mark.parametrize(
-        "codes, named",
+        "codes, message",
         [
-            (np.array([[257, 1], [3, 259]]), "[257, 259]"),
-            ([[1.7, 1], [3, 2]], "[1.7]"),
-            ([[257, 1], [3, 2]], "[257]"),
+            (np.array([2**32 + 1, 1]), "must lie in [0, 9), got [4294967297]"),
+            ([1.7, 1], "need an integer dtype, got float64"),
+            ([2**31 + 1, 2], "must lie in [0, 9), got [2147483649]"),
         ],
         ids=["int64-wraps", "float-truncates", "list-overflows"],
     )
-    def test_codes_checked_before_the_uint8_cast(self, codes, named):
+    def test_codes_checked_before_the_uint8_cast(self, codes, message):
+        # Named for the uint8 codes that rows were before they became word indices: words are
+        # checked as given, as an int32 cast would wrap 2^32 + 1 to 1 and one of 1.7 truncate it.
         access, fresh = self._access(), self._access()
-        with pytest.raises(ValueError, match=re.escape(f"basis codes must be 1 (X), 2 (Y), or 3 (Z), got {named}")):
+        with pytest.raises(ValueError, match=re.escape(f"basis word indices {message}")):
             access.measure_chunk(codes)
         assert access.copies_used == 0
-        basis = np.array([[1, 3], [2, 2], [3, 1]], dtype=np.uint8)
+        basis = paulis.word_indices([[1, 3], [2, 2], [3, 1]])
         assert access.measure_chunk(basis).tobytes() == fresh.measure_chunk(basis).tobytes()
 
     def test_empty_basis_returns_no_rows(self):
         access = self._access()
-        out = access.measure_chunk(np.empty((0, 2), dtype=np.uint8))
-        assert out.shape == (0, 2) and out.dtype == np.int8
+        out = access.measure_chunk(np.empty(0, dtype=np.int32))
+        assert out.shape == (0,) and out.dtype == np.uint16
         assert access.copies_used == 0
 
 
@@ -317,35 +327,95 @@ class TestOutcomeStream:
 
     def test_split_calls_equal_one_call(self):
         truth = random_density_matrix(3, np.random.default_rng(75))
-        codes = np.random.default_rng(76).integers(1, 4, size=(9000, 3), dtype=np.uint8)
+        words = paulis.word_indices(np.random.default_rng(76).integers(1, 4, size=(9000, 3), dtype=np.uint8))
         whole, parts = SimulatedStateAccess(truth, seed=77), SimulatedStateAccess(truth, seed=77)
-        want = whole.measure_chunk(codes)
-        got = np.concatenate([parts.measure_chunk(codes[a:b]) for a, b in ((0, 300), (300, 5001), (5001, 9000))])
+        want = whole.measure_chunk(words)
+        got = np.concatenate([parts.measure_chunk(words[a:b]) for a, b in ((0, 300), (300, 5001), (5001, 9000))])
         assert got.tobytes() == want.tobytes()
         assert parts.copies_used == whole.copies_used == 9000
 
     def test_rows_use_the_seeded_uniforms_in_order(self):
         truth = random_density_matrix(2, np.random.default_rng(78))
-        codes = np.random.default_rng(79).integers(1, 4, size=(5000, 2), dtype=np.uint8)
+        words = paulis.word_indices(np.random.default_rng(79).integers(1, 4, size=(5000, 2), dtype=np.uint8))
         access = SimulatedStateAccess(truth, seed=80)
-        got = np.concatenate([access.measure_chunk(codes[:1]), access.measure_chunk(codes[1:])])
+        got = np.concatenate([access.measure_chunk(words[:1]), access.measure_chunk(words[1:])])
         uniforms = np.random.default_rng(80).random(5000)
-        assert got.tobytes() == sample_outcomes(pauli_tensor(truth).reshape(-1), codes, uniforms).tobytes()
+        assert got.tobytes() == sample_outcomes(pauli_tensor(truth).reshape(-1), words, uniforms).tobytes()
 
     def test_negative_born_row_leaves_the_stream_where_it_was(self):
         bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
         access, fresh = SimulatedStateAccess(bad, seed=81), SimulatedStateAccess(bad, seed=81)
         with pytest.raises(ValueError, match="negative outcome probability"):
-            access.measure_chunk(np.full((50, 1), 3, dtype=np.uint8))  # Z
+            access.measure_chunk(np.full(50, 2))  # Z
         assert access.copies_used == 0
-        x_rows = np.full((50, 1), 1, dtype=np.uint8)  # X: balanced on this diagonal
+        x_rows = np.zeros(50, dtype=np.int32)  # X: balanced on this diagonal
         assert access.measure_chunk(x_rows).tobytes() == fresh.measure_chunk(x_rows).tobytes()
+
+
+class TestStreamContract:
+    """Prefix, split and no-charge-on-raise on word and outcome indices, at the
+    smallest, the benchmark and the largest measured width."""
+
+    @staticmethod
+    def _truth(n):
+        rng = np.random.default_rng(90 + n)
+        return DensityMatrix.pure(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_collection_is_a_prefix_across_a_batch_boundary(self, n, monkeypatch):
+        monkeypatch.setattr(shadows, "BATCH", 2 * CHUNK)
+        truth = self._truth(n)
+        words, outs = arrays(SimulatedStateAccess(truth, seed=91).collect(2 * CHUNK - 5, 92))
+        long_words, long_outs = arrays(SimulatedStateAccess(truth, seed=91).collect(5 * CHUNK + 3, 92))
+        assert words.dtype == np.int32 and outs.dtype == np.uint16
+        assert words.tobytes() == long_words[: len(words)].tobytes()
+        assert outs.tobytes() == long_outs[: len(outs)].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_measure_chunk_rows_do_not_depend_on_the_split(self, n):
+        truth = self._truth(n)
+        words = np.random.default_rng(93).integers(0, 3**n, size=9000, dtype=np.int32)
+        whole, parts = SimulatedStateAccess(truth, seed=94), SimulatedStateAccess(truth, seed=94)
+        want = whole.measure_chunk(words)
+        got = np.concatenate([parts.measure_chunk(words[a:b]) for a, b in ((0, 1), (1, 4097), (4097, 9000))])
+        assert got.tobytes() == want.tobytes() and parts.copies_used == whole.copies_used == 9000
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_a_raising_call_spends_no_copy_and_keeps_the_stream(self, n):
+        truth = self._truth(n)
+        access, fresh = SimulatedStateAccess(truth, seed=95), SimulatedStateAccess(truth, seed=95)
+        words = np.random.default_rng(96).integers(0, 3**n, size=300)
+        for bad in (np.append(words, 3**n), words.astype(np.float64), words.reshape(3, 100)):
+            with pytest.raises(ValueError):
+                access.measure_chunk(bad)
+        assert access.copies_used == 0
+        assert access.measure_chunk(words).tobytes() == fresh.measure_chunk(words).tobytes()
+
+
+class TestKernelEquivalence:
+    """Fed the same words and uniforms, the index kernels give bitwise the
+    outcomes and estimates of the reference codes kernel and letter estimator."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_outcomes_and_estimates_equal_the_codes_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        coeffs = pauli_tensor(random_density_matrix(n, rng)).reshape(-1)
+        words = rng.integers(0, 3**n, size=5 * CHUNK + 17, dtype=np.int32)
+        uniforms = rng.random(len(words))
+        outs = sample_outcomes(coeffs, words, uniforms)
+        codes = paulis.basis_codes(words, n)
+        signs = paulis.sample_outcome_signs(coeffs, codes, uniforms)
+        assert np.array_equal(paulis.outcome_signs(outs, n), signs)
+        for k in range(n + 1):
+            got_words, got = estimate_lowdeg([(words, outs)], n, k)
+            want_words, want = paulis.estimate_lowdeg_letters([(codes, signs)], k)
+            assert got_words.tobytes() == want_words.tobytes() and got.tobytes() == want.tobytes(), k
 
 
 class TestInvalidState:
     def test_negative_diagonal_rejected(self):
         bad = np.diag([1.2, -0.2])  # raw array bypasses DensityMatrix checks
-        rows = np.full((1, 1), 3, dtype=np.uint8)  # Z
+        rows = np.full(1, 2)  # Z
         with pytest.raises(ValueError, match="negative outcome probability"):
             sample_outcomes(pauli_tensor(bad).reshape(-1), rows, np.full(1, 0.5))
 
@@ -359,16 +429,16 @@ class TestStream:
     def test_stream_equals_one_shot_at_batch_boundaries(self, batches, extra, monkeypatch):
         truth = random_density_matrix(3, np.random.default_rng(60))
         T = batches * 2 * CHUNK + extra
-        codes, outs = arrays(SimulatedStateAccess(truth, seed=61).collect(T, 62))  # one batch
+        basis, outs = arrays(SimulatedStateAccess(truth, seed=61).collect(T, 62))  # one batch
         monkeypatch.setattr(shadows, "BATCH", 2 * CHUNK)
         rows = list(SimulatedStateAccess(truth, seed=61).collect(T, 62))
         sizes = [len(c) for c, _ in rows]
         assert sum(sizes) == T and set(sizes[:-1]) <= {2 * CHUNK} and 0 < sizes[-1] <= 2 * CHUNK
-        got_codes, got_outs = arrays(rows)
-        assert got_codes.tobytes() == codes.tobytes() and got_outs.tobytes() == outs.tobytes()
+        got_words, got_outs = arrays(rows)
+        assert got_words.tobytes() == basis.tobytes() and got_outs.tobytes() == outs.tobytes()
         access = SimulatedStateAccess(truth, seed=61)
-        words, values = estimate_lowdeg(access.collect(T, 62), 2)
-        want_words, want = estimate_lowdeg([(codes, outs)], 2)
+        words, values = estimate_lowdeg(access.collect(T, 62), 3, 2)
+        want_words, want = estimate_lowdeg([(basis, outs)], 3, 2)
         assert words.tobytes() == want_words.tobytes() and values.tobytes() == want.tobytes()
         assert access.copies_used == T
 
@@ -384,10 +454,10 @@ class TestStream:
         # test_state_learn's TestSimulatedAccess.test_pinned_digest rows, read in batches.
         monkeypatch.setattr(shadows, "BATCH", batch)
         truth = random_density_matrix(4, np.random.default_rng(22))
-        codes, outs = arrays(SimulatedStateAccess(truth, seed=24).collect(9000, 25))
-        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
+        words, outs = arrays(SimulatedStateAccess(truth, seed=24).collect(9000, 25))
+        digest = hashlib.sha256(words.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
-            "d6f6f9f47cc87b8155b25147ce5fb156b350a0806ba74a2ca3e898bd20d4e6a8"
+            "f260001c0d0a5d530073da528c38f236c62435145863b968accf42a50b784168"
         )
 
     @pytest.mark.parametrize("batch", [BATCH, 2 * CHUNK])
@@ -396,9 +466,9 @@ class TestStream:
     def test_shorter_collection_is_a_prefix(self, n, short, long, batch, monkeypatch):
         monkeypatch.setattr(shadows, "BATCH", batch)
         truth = random_density_matrix(n, np.random.default_rng(72 + n))
-        codes, outs = arrays(SimulatedStateAccess(truth, seed=73).collect(short, 74))
-        long_codes, long_outs = arrays(SimulatedStateAccess(truth, seed=73).collect(long, 74))
-        assert codes.tobytes() == long_codes[:short].tobytes()
+        words, outs = arrays(SimulatedStateAccess(truth, seed=73).collect(short, 74))
+        long_words, long_outs = arrays(SimulatedStateAccess(truth, seed=73).collect(long, 74))
+        assert words.tobytes() == long_words[:short].tobytes()
         assert outs.tobytes() == long_outs[:short].tobytes()
 
     def test_stream_past_the_real_batch(self):
@@ -406,14 +476,14 @@ class TestStream:
         rows = list(SimulatedStateAccess(truth, seed=67).collect(BATCH + 1, 68))
         assert [len(c) for c, _ in rows] == [BATCH, 1]
         access = SimulatedStateAccess(truth, seed=67)
-        words, values = estimate_lowdeg(access.collect(BATCH + 1, 68), 1)
-        want_words, want = estimate_lowdeg([arrays(rows)], 1)
+        words, values = estimate_lowdeg(access.collect(BATCH + 1, 68), 1, 1)
+        want_words, want = estimate_lowdeg([arrays(rows)], 1, 1)
         assert words.tobytes() == want_words.tobytes() and values.tobytes() == want.tobytes()
         assert access.copies_used == BATCH + 1
 
     def test_peak_memory_does_not_grow_with_T(self, monkeypatch):
-        # Holding all rows would add at least 14 batches of codes and outcomes
-        # (1.75 MiB) at 16 batches; the peaks may differ by 256 KiB.
+        # Holding all rows would add at least 14 batches of int32 words and
+        # uint16 outcomes (5.25 MiB) at 16 batches; the peaks may differ by 256 KiB.
         monkeypatch.setattr(shadows, "BATCH", 16 * CHUNK)
         truth = random_density_matrix(1, np.random.default_rng(69))
         peaks = []
@@ -421,7 +491,7 @@ class TestStream:
             access = SimulatedStateAccess(truth, seed=70)
             tracemalloc.start()
             try:
-                estimate_lowdeg(access.collect(T, 71), 1)
+                estimate_lowdeg(access.collect(T, 71), 1, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -439,13 +509,14 @@ class TestStream:
             SimulatedStateAccess(DensityMatrix(np.eye(2) / 2), seed=1).collect(5, -1)
 
     def test_estimator_refuses_batches_of_unequal_width(self):
+        # A batch of three-qubit rows after two-qubit ones holds words past 3^2.
         codes, outs = random_shadows(3, 40, seed=5)
-        with pytest.raises(ValueError, match=re.escape("need batches of one width, got 2 columns after 3")):
-            estimate_lowdeg([(codes, outs), (codes[:, :2], outs[:, :2])], 1)
+        with pytest.raises(ValueError, match=re.escape("basis word indices must lie in [0, 9), got [")):
+            estimate_lowdeg([indices(codes[:, :2], outs[:, :2]), indices(codes, outs)], 2, 1)
 
     def test_estimator_refuses_an_empty_stream(self):
         with pytest.raises(ValueError, match="need at least one sample"):
-            estimate_lowdeg(iter([]), 1)
+            estimate_lowdeg(iter([]), 1, 1)
 
 
 class TestCollectShadows:
@@ -453,33 +524,35 @@ class TestCollectShadows:
 
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, np.random.default_rng(6))
-        a_codes, a_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
-        b_codes, b_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
-        assert np.array_equal(a_codes, b_codes)
+        a_words, a_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
+        b_words, b_outs = arrays(SimulatedStateAccess(rho, seed=42).collect(9000, 43))
+        assert np.array_equal(a_words, b_words)
         assert np.array_equal(a_outs, b_outs)
 
-    @pytest.mark.parametrize("n", [1, 4, 6, 10])
+    @pytest.mark.parametrize("n", [1, 4, 6, 8, 9, 10])
     def test_groups_hold_at_most_the_row_bound(self, n, monkeypatch):
-        # max(CHUNK, 2^22 >> n) rows per call keeps a group's Born rows within 2^22 floats.
-        bound = max(CHUNK, (1 << 22) >> n)
-        T = bound + CHUNK + 7
-        calls = []
-        measure = SimulatedStateAccess.measure_chunk
+        # A Born table holds a row of 2^n floats per distinct word of its call,
+        # at most min(rows, 3^n): within 2^22 floats, and one table a batch at n <= 8.
+        T = max(CHUNK, (1 << 22) >> n) + CHUNK + 7
+        floats = []
+        born_rows = shadows._born_rows
 
-        def counted(self, basis_codes):
-            calls.append(len(basis_codes))
-            return measure(self, basis_codes)
+        def counted(coeffs, codes):
+            floats.append(len(codes) << n)
+            return born_rows(coeffs, codes)
 
-        monkeypatch.setattr(SimulatedStateAccess, "measure_chunk", counted)
+        monkeypatch.setattr(shadows, "_born_rows", counted)
         access = SimulatedStateAccess(DensityMatrix(np.eye(1 << n) / (1 << n)), seed=3)
-        codes, outs = arrays(access.collect(T, 4))
-        assert max(calls) <= bound
-        assert sum(calls) == T == access.copies_used and outs.shape == codes.shape == (T, n)
+        words, outs = arrays(access.collect(T, 4))
+        assert max(floats) <= 1 << 22
+        if n <= 8:
+            assert len(floats) == -(-T // BATCH)
+        assert T == access.copies_used and outs.shape == words.shape == (T,)
 
     def test_basis_marginals_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4)
-        codes, _ = arrays(SimulatedStateAccess(rho, seed=7).collect(100_000, 8))
-        T = len(codes)
+        words, _ = arrays(SimulatedStateAccess(rho, seed=7).collect(100_000, 8))
+        codes, T = paulis.basis_codes(words, 2), len(words)
         for qubit in range(2):
             counts = np.bincount(codes[:, qubit], minlength=4)[1:]
             expected = T / 3
@@ -490,22 +563,22 @@ class TestCollectShadows:
 class TestEstimators:
     def test_identity_is_exact(self):
         rho = random_density_matrix(2, np.random.default_rng(8))
-        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=5).collect(123, 6), 2)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=5).collect(123, 6), 2, 2)
         assert values[np.searchsorted(words, 0)] == 0.25
 
     def test_rho_eps_z_coefficient(self):
         state = rho_eps(0.2)
         exact = pauli_tensor(state).reshape(-1)[paulis.word("Z")]
         assert exact == pytest.approx(0.1, abs=1e-15)
-        codes, outs = arrays(SimulatedStateAccess(state, seed=3).collect(100_000, 4))
-        words, values = estimate_lowdeg([(codes, outs)], 1)
+        rows = arrays(SimulatedStateAccess(state, seed=3).collect(100_000, 4))
+        words, values = estimate_lowdeg([rows], 1, 1)
         estimate = values[np.searchsorted(words, paulis.word("Z"))]
-        sigma = math.sqrt(3 ** 1 / 4 ** 1 / len(codes))
+        sigma = math.sqrt(3 ** 1 / 4 ** 1 / len(rows[0]))
         assert abs(estimate - exact) <= 5 * sigma
 
     def test_second_moment_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(10))
-        codes, _ = arrays(SimulatedStateAccess(rho, seed=11).collect(1_000_000, 12))
+        codes = paulis.basis_codes(arrays(SimulatedStateAccess(rho, seed=11).collect(1_000_000, 12))[0], 3)
         # The word XZI: X on qubit 1, Z on qubit 2.
         matches = np.all(
             codes[:, :2] == np.array([1, 3], dtype=np.uint8), axis=1
@@ -515,8 +588,9 @@ class TestEstimators:
 
     def test_lowdeg_matches_per_coefficient(self):
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = arrays(SimulatedStateAccess(rho, seed=13).collect(4000, 14))
-        words, values = estimate_lowdeg([(codes, outs)], 2)
+        rows = arrays(SimulatedStateAccess(rho, seed=13).collect(4000, 14))
+        codes, outs = letters(*rows, 3)
+        words, values = estimate_lowdeg([rows], 3, 2)
         assert words.dtype == np.int64 and values.dtype == np.float64
         assert np.all(np.diff(words) > 0)
         for word, value in zip(words.tolist(), values):
@@ -529,10 +603,11 @@ class TestEstimators:
         # At widths 1 and 2 the blocks of groups overlap; each word still
         # comes out once, in ascending order.
         rho = random_density_matrix(3, np.random.default_rng(12))
-        codes, outs = arrays(SimulatedStateAccess(rho, seed=4).collect(500, 5))
+        rows = arrays(SimulatedStateAccess(rho, seed=4).collect(500, 5))
+        codes, outs = letters(*rows, 3)
         for g in (1, 2, 3):
             monkeypatch.setattr(hypercube, "group_width", lambda *args, g=g: g)
-            words, values = estimate_lowdeg([(codes, outs)], 2)
+            words, values = estimate_lowdeg([rows], 3, 2)
             assert words.tolist() == [w for w in range(4**3) if pauli_weight(w) <= 2]
             for word, value in zip(words.tolist(), values):
                 assert value == estimate_coefficient(codes, outs, word)
@@ -541,52 +616,62 @@ class TestEstimators:
     @pytest.mark.parametrize("T", [1, 700])
     def test_full_block_equals_both_oracles_bitwise(self, n, T):
         rho = random_density_matrix(n, np.random.default_rng(30 + n))
-        codes, outs = arrays(SimulatedStateAccess(rho, seed=31).collect(T, 32))
+        rows = arrays(SimulatedStateAccess(rho, seed=31).collect(T, 32))
+        codes, outs = letters(*rows, n)
         want_words, want = _per_support_estimates(codes, outs, n)
-        words, values = estimate_lowdeg([(codes, outs)], n)
+        words, values = estimate_lowdeg([rows], n, n)
         assert words.tolist() == want_words.tolist() == list(range(4**n))
         assert values.tobytes() == want.tobytes()
         for word, value in zip(words.tolist(), values):
             assert value == estimate_coefficient(codes, outs, word)
-        words, values = estimate_lowdeg([(codes, outs)], 0)
+        words, values = estimate_lowdeg([rows], n, 0)
         assert words.tolist() == [0] and values.tolist() == [2.0**-n]
 
     def test_rejects_codes_outside_one_to_three(self):
-        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
+        # A code 0 or 4 on qubit 1 puts the word index below 0 or at 3^n or past it.
+        codes, outs = letters(*arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2)), 2)
         for bad in (0, 4):
             bad_codes = codes.copy()
-            bad_codes[3, 1] = bad
-            with pytest.raises(ValueError, match="basis codes must be"):
-                estimate_lowdeg([(bad_codes, outs)], 2)
+            bad_codes[3, 0] = bad
+            with pytest.raises(ValueError, match=re.escape("basis word indices must lie in [0, 9), got [")):
+                estimate_lowdeg([indices(bad_codes, outs)], 2, 2)
 
     def test_rejects_outcomes_other_than_plus_minus_one(self):
-        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
-        for bad in (0, 2):
-            bad_outs = outs.copy()
-            bad_outs[5, 0] = bad
-            with pytest.raises(ValueError, match="outcomes must be"):
-                estimate_lowdeg([(codes, bad_outs)], 2)
+        # Two qubits' +/-1 outcomes are the indices 0..3.
+        words, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
+        for bad in (-1, 4):
+            bad_outs = outs.astype(np.int64)
+            bad_outs[5] = bad
+            with pytest.raises(ValueError, match=re.escape(f"outcome indices must lie in [0, 4), got [{bad}]")):
+                estimate_lowdeg([(words, bad_outs)], 2, 2)
 
     def test_rejects_outcomes_of_another_shape(self):
-        codes, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
-        for bad_codes, bad_outs in [(codes, outs[:, :1]), (codes, outs[0]), (codes, outs[:19]),
-                                    (codes[:, :1], outs[:, :2]), (codes[0], outs[0])]:
-            shapes = f"basis codes of shape {bad_codes.shape} and outcomes of shape {bad_outs.shape}"
-            with pytest.raises(ValueError, match=re.escape(f"one shape (T, n), got {shapes}")):
-                estimate_lowdeg([(bad_codes, bad_outs)], 1)
+        words, outs = arrays(SimulatedStateAccess(DensityMatrix(np.eye(4) / 4), seed=1).collect(20, 2))
+        for bad_words, bad_outs in [(words, outs[:19]), (words, outs[:, None]), (words[:, None], outs[:, None]),
+                                    (words[0], outs[0]), (words.reshape(4, 5), outs.reshape(4, 5))]:
+            shapes = f"word indices of shape {bad_words.shape} and outcome indices of shape {bad_outs.shape}"
+            with pytest.raises(ValueError, match=re.escape(f"one shape (T,), got {shapes}")):
+                estimate_lowdeg([(bad_words, bad_outs)], 2, 1)
         with pytest.raises(ValueError, match="at least one sample"):
-            estimate_lowdeg([(codes[:0], outs[:0])], 1)
+            estimate_lowdeg([(words[:0], outs[:0])], 2, 1)
+
+    def test_rejects_a_non_integer_dtype(self):
+        words, outs = np.array([0, 4, 8], dtype=np.int32), np.array([0, 3, 1], dtype=np.uint16)
+        for bad, message in [((words.astype(np.float64), outs), "basis word indices need an integer dtype, got float64"),
+                             ((words, outs.astype(np.float32)), "outcome indices need an integer dtype, got float32")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimate_lowdeg([(words, outs), bad], 2, 1)
 
     def test_lowdeg_k_zero(self):
         rho = DensityMatrix(np.eye(8) / 8)
-        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=2).collect(10, 3), 0)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=2).collect(10, 3), 3, 0)
         assert words.tolist() == [0]
         assert values.tolist() == [2.0**-3]
 
     def test_unbiased_weight_two(self):
         rho = random_density_matrix(3, np.random.default_rng(14))
         exact = pauli_tensor(rho).reshape(-1)
-        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=15).collect(200_000, 16), 2)
+        words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=15).collect(200_000, 16), 3, 2)
         for word, value in zip(words.tolist(), values):
             sigma = math.sqrt(3 ** pauli_weight(word) / 4**3 / 200_000)
             assert abs(value - exact[word]) <= 5 * sigma
@@ -601,7 +686,7 @@ class TestEstimators:
         exact = pauli_tensor(rho).reshape(-1)
         hits = 0
         for seed in range(10):
-            words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=seed).collect(budget, seed + 1), 1)
+            words, values = estimate_lowdeg(SimulatedStateAccess(rho, seed=seed).collect(budget, seed + 1), n, 1)
             if np.max(np.abs(values - exact[words])) <= target:
                 hits += 1
         assert hits >= 9
@@ -613,7 +698,7 @@ class TestGroupedLowDegree:
     def test_bitwise_equal_to_size_k_blocks(self, n, T):
         codes, outs = random_shadows(n, T, seed=1)
         for k in range(n + 1):
-            words, values = estimate_lowdeg([(codes, outs)], k)
+            words, values = estimate_lowdeg([indices(codes, outs)], n, k)
             want_words, want = _per_support_estimates(codes, outs, k)
             assert words.tobytes() == want_words.tobytes()
             assert values.tobytes() == want.tobytes()
@@ -623,7 +708,7 @@ class TestGroupedLowDegree:
         codes, outs = random_shadows(n, T, seed=2)
         groups = -(-n // hypercube.group_width(n, k, T, 6))
         assert math.comb(groups, min(k, groups)) == blocks
-        words, values = estimate_lowdeg([(codes, outs)], k)
+        words, values = estimate_lowdeg([indices(codes, outs)], n, k)
         want_words, want = _per_support_estimates(codes, outs, k)
         assert words.tobytes() == want_words.tobytes()
         assert values.tobytes() == want.tobytes()
@@ -641,6 +726,8 @@ class TestGroupedLowDegree:
             assert words.tobytes() == want_words.tobytes()
             values = 3 ** pauli_weight(words) * totals / float((1 << n) * T)
             assert values.tobytes() == want.tobytes()
+            words, values = estimate_lowdeg([indices(codes, outs)], n, k)  # keys by table lookup
+            assert words.tobytes() == want_words.tobytes() and values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("T", [1, 300, 20000, 10**6])
     def test_blocks_cover_every_size_k_support(self, T):
@@ -653,10 +740,10 @@ class TestGroupedLowDegree:
                 assert words.tolist() == [w for w in range(4**n) if pauli_weight(w) <= k], (n, k, T)
 
     def test_checks_shape_before_the_width_search(self, monkeypatch):
-        # A 1-D input would otherwise search widths for one column per row.
+        # A 2-D input would otherwise search widths for rows of the wrong kind.
         monkeypatch.setattr(hypercube, "group_width", lambda *args: pytest.fail("width search ran"))
         with pytest.raises(ValueError, match="one shape"):
-            estimate_lowdeg([(np.ones(50, dtype=np.uint8), np.ones(50, dtype=np.int8))], 1)
+            estimate_lowdeg([(np.ones((50, 2), dtype=np.int32), np.ones((50, 2), dtype=np.uint16))], 2, 1)
 
 
 class TestSampleCount:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -202,51 +203,55 @@ class TestSimulatedAccess:
     def test_copy_counter(self):
         truth = DensityMatrix(np.eye(4) / 4)
         access = SimulatedStateAccess(truth, seed=0)
-        access.measure_chunk(np.array([[1, 3]], dtype=np.uint8))
-        access.measure_chunk(np.array([[1, 2], [3, 3]], dtype=np.uint8))
+        access.measure_chunk(paulis.word_indices([[1, 3]]))
+        access.measure_chunk(paulis.word_indices([[1, 2], [3, 3]]))
         assert access.copies_used == 3
 
     def test_outcomes_are_signs(self):
-        truth = random_density_matrix(2, np.random.default_rng(1))
+        # Outcome bit n - i is set iff qubit i read -1: |0><0| (x) |1><1| in ZZ reads (+1, -1), index 1.
+        truth = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]))
         access = SimulatedStateAccess(truth, seed=3)
-        out = access.measure_chunk(np.ones((5, 2), dtype=np.uint8))
-        assert set(np.unique(out)).issubset({-1, 1})
+        out = access.measure_chunk(np.full(5, paulis.word_indices([[3, 3]])[0]))
+        assert out.tolist() == [1] * 5
+        assert paulis.outcome_signs(out, 2).tolist() == [[1, -1]] * 5
 
     @pytest.mark.parametrize("code", [0, 4])
     def test_rejects_codes_outside_xyz(self, code):
+        # A code 0 or 4 on qubit 1 puts the word index outside [0, 3^n).
         access = SimulatedStateAccess(random_density_matrix(2, np.random.default_rng(2)), seed=1)
-        with pytest.raises(ValueError, match="basis codes must be"):
-            access.measure_chunk(np.array([[1, code]], dtype=np.uint8))
+        with pytest.raises(ValueError, match=re.escape("basis word indices must lie in [0, 9)")):
+            access.measure_chunk(paulis.word_indices([[code, 1]]))
 
     def test_measures_a_full_chunk_at_the_cap(self):
         rng = np.random.default_rng(9)
         truth = random_density_matrix(MAX_MEASURE_QUBITS, rng, rank=4)
         access = SimulatedStateAccess(truth, seed=4)
-        codes = rng.integers(1, 4, size=(CHUNK, MAX_MEASURE_QUBITS), dtype=np.uint8)
-        out = access.measure_chunk(codes)
-        assert out.shape == (CHUNK, MAX_MEASURE_QUBITS) and out.dtype == np.int8
-        assert set(np.unique(out)).issubset({-1, 1})
+        words = paulis.word_indices(rng.integers(1, 4, size=(CHUNK, MAX_MEASURE_QUBITS), dtype=np.uint8))
+        out = access.measure_chunk(words)
+        assert out.shape == (CHUNK,) and out.dtype == np.uint16
+        assert out.max() < 1 << MAX_MEASURE_QUBITS
         assert access.copies_used == CHUNK
 
     def test_one_call_equals_per_chunk_calls(self):
         truth = random_density_matrix(3, np.random.default_rng(10))
         codes = np.random.default_rng(11).integers(1, 4, size=(2 * CHUNK + 500, 3), dtype=np.uint8)
+        words = paulis.word_indices(codes)
         whole, parts = SimulatedStateAccess(truth, seed=5), SimulatedStateAccess(truth, seed=5)
-        got = whole.measure_chunk(codes)
-        want = np.concatenate([parts.measure_chunk(codes[at : at + CHUNK]) for at in range(0, len(codes), CHUNK)])
+        got = whole.measure_chunk(words)
+        want = np.concatenate([parts.measure_chunk(words[at : at + CHUNK]) for at in range(0, len(words), CHUNK)])
         assert got.tobytes() == want.tobytes()
-        assert whole.copies_used == parts.copies_used == len(codes)
+        assert whole.copies_used == parts.copies_used == len(words)
         # The next call continues the same outcome stream.
-        assert whole.measure_chunk(codes[:300]).tobytes() == parts.measure_chunk(codes[:300]).tobytes()
+        assert whole.measure_chunk(words[:300]).tobytes() == parts.measure_chunk(words[:300]).tobytes()
 
     def test_pinned_digest(self):
         # Pins the learner's basis stream and the access's outcome stream, re-pinned
-        # when each became one generator; the first CHUNK rows did not move.
+        # when each became one generator, and again when rows became word and outcome indices.
         truth = random_density_matrix(4, np.random.default_rng(22))
-        codes, outs = map(np.concatenate, zip(*SimulatedStateAccess(truth, seed=24).collect(9000, 25)))
-        digest = hashlib.sha256(codes.tobytes() + outs.tobytes())
+        words, outs = map(np.concatenate, zip(*SimulatedStateAccess(truth, seed=24).collect(9000, 25)))
+        digest = hashlib.sha256(words.tobytes() + outs.tobytes())
         assert digest.hexdigest() == (
-            "d6f6f9f47cc87b8155b25147ce5fb156b350a0806ba74a2ca3e898bd20d4e6a8"
+            "f260001c0d0a5d530073da528c38f236c62435145863b968accf42a50b784168"
         )
 
 

@@ -29,6 +29,7 @@ from juntalab.state_test import (
 )
 from juntalab.state_test import test_junta as run_junta_test
 from juntalab.state_test import test_junta_copy_budget as junta_copy_budget
+import paulis
 
 
 def pure_basis_state(n: int, index: int = 0) -> DensityMatrix:
@@ -84,7 +85,8 @@ class TestLocalTomography:
         for subset, reduced in shared:
             cols = [q - 1 for q in subset]
             batches = SimulatedStateAccess(rho, seed=5).collect(T, 9)
-            _, values = estimate_lowdeg(((c[:, cols], o[:, cols]) for c, o in batches), k)
+            columns = ((paulis.basis_codes(w, n)[:, cols], paulis.outcome_signs(o, n)[:, cols]) for w, o in batches)
+            _, values = estimate_lowdeg(((paulis.word_indices(c), paulis.outcome_indices(o)) for c, o in columns), k, k)
             alone = psd_project(pauli_tensor_to_matrix(values.reshape((4,) * k)))
             assert np.array_equal(reduced.entries, alone.entries)
 
